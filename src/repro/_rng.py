@@ -10,7 +10,7 @@ Two implementations of keyed synthesis coexist:
 
 * The **reference path** (:func:`rng_for` + :func:`unit_vector`) constructs a
   fresh ``numpy.random.default_rng`` per key tuple.  It is the correctness
-  oracle and the pre-fast-path behaviour.
+  oracle.
 * The **fast path** (:class:`DirectionCache`, exposed as the module-level
   :data:`directions`) produces bit-identical values by (a) memoizing draws
   whose key tuples recur and (b) replaying numpy's ``SeedSequence`` entropy
@@ -95,11 +95,9 @@ def normalize(vec: np.ndarray) -> np.ndarray:
     For 1-D float vectors the norm is ``sqrt(dot(v, v))`` — the exact
     computation ``np.linalg.norm`` performs for that case — evaluated
     without the ``linalg`` dispatch overhead, so results stay bit-identical
-    to the pre-fast-path implementation while the call is ~3x cheaper on
-    the 48-dim vectors the hot loop normalizes constantly.  When the fast
-    path is switched off (``directions.enabled = False``) the original
-    ``np.linalg.norm`` call is replayed so benchmarks of the legacy engine
-    reproduce its true cost.
+    to ``np.linalg.norm`` while the call is ~3x cheaper on the 48-dim
+    vectors the hot loop normalizes constantly.  Other shapes and dtypes
+    go through ``np.linalg.norm``.
 
     When ``dot(v, v)`` leaves the normal double range (entries below
     ~1e-140 or above ~1e140), the squared sum under- or overflows and the
@@ -111,7 +109,7 @@ def normalize(vec: np.ndarray) -> np.ndarray:
     :func:`_normalize_nonfinite` fallback instead of poisoning the output
     (and warning) through a non-finite norm.
     """
-    if vec.ndim == 1 and vec.dtype.kind == "f" and directions.enabled:
+    if vec.ndim == 1 and vec.dtype.kind == "f":
         try:
             sq = float(np.dot(vec, vec))
         except RuntimeWarning:
@@ -362,13 +360,12 @@ class DirectionCache:
     """Memoized, fast-path synthesis of keyed unit vectors and scalars.
 
     Keyed directions (natural/idiosyncratic/fingerprint/set-drift streams,
-    vocabulary surface tokens, …) are pure functions of their key tuples;
-    the pre-fast-path engine recomputed them from scratch on every
-    generation.  This cache (a) memoizes draws whose keys recur and
+    vocabulary surface tokens, …) are pure functions of their key tuples,
+    yet recur across generations.  This cache (a) memoizes draws whose
+    keys recur and
     (b) synthesizes cache misses through :class:`_FastStream` instead of a
     fresh ``default_rng`` per key.  Both layers are bit-identical to the
-    reference path and can be switched off (``enabled = False``) to
-    reproduce pre-fast-path behaviour, e.g. for benchmarking.
+    reference path.
 
     Cached arrays are marked read-only: callers share them.
     """
@@ -377,7 +374,6 @@ class DirectionCache:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self.enabled = True
         self.hits = 0
         self.misses = 0
         self._units: Dict[Tuple[int, int], np.ndarray] = {}
@@ -394,8 +390,6 @@ class DirectionCache:
         key tuple: tuple equality would alias keys like ``1`` and ``1.0``
         that :func:`seed_for` deliberately distinguishes.
         """
-        if not self.enabled:
-            return unit_vector(rng_for(*keys), dim)
         seed = seed_for(*keys)
         cache_key = (dim, seed)
         vec = self._units.get(cache_key)
@@ -421,10 +415,6 @@ class DirectionCache:
         """
         n = len(key_tuples)
         out = np.empty((n, dim), dtype=float)
-        if not self.enabled:
-            for i, keys in enumerate(key_tuples):
-                out[i] = unit_vector(rng_for(*keys), dim)
-            return out
         miss_idx: List[int] = []
         miss_seeds: List[int] = []
         for i, keys in enumerate(key_tuples):
@@ -451,8 +441,6 @@ class DirectionCache:
 
     def normal(self, *keys: Key) -> float:
         """Memoized scalar ``rng_for(*keys).standard_normal()``."""
-        if not self.enabled:
-            return float(rng_for(*keys).standard_normal())
         seed = seed_for(*keys)
         vals = self._scalars
         val = vals.get(seed)
@@ -478,16 +466,12 @@ class DirectionCache:
         image ids) memoization would only leak memory; this still skips the
         per-key generator construction.
         """
-        if not self.enabled:
-            return unit_vector(rng_for(*keys), dim)
         return _finish_unit(
             self._stream.standard_normal(seed_for(*keys), dim)
         )
 
     def fresh_normal(self, *keys: Key) -> float:
         """Fast-path scalar draw without caching."""
-        if not self.enabled:
-            return float(rng_for(*keys).standard_normal())
         return float(
             self._stream.seek(
                 _pcg64_raw_state(seed_for(*keys))
@@ -510,18 +494,3 @@ class DirectionCache:
 #: Process-wide direction cache every fast-path consumer threads through.
 directions = DirectionCache()
 
-
-class directions_disabled:
-    """Context manager: run with the reference (pre-fast-path) synthesis.
-
-    Used by benchmarks to measure the legacy engine and by tests to compare
-    the two paths; restores the previous state on exit.
-    """
-
-    def __enter__(self) -> DirectionCache:
-        self._was_enabled = directions.enabled
-        directions.enabled = False
-        return directions
-
-    def __exit__(self, *exc) -> None:
-        directions.enabled = self._was_enabled

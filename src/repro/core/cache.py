@@ -21,9 +21,6 @@ the ``nprobe`` nearest coarse cells per query with an exact re-rank over
 the gathered candidates.  The default ``"exact"`` backend leaves every
 scan path byte-identical to the pre-index implementation.
 
-:class:`ShardedVectorCache` partitions the embedding matrix across shards
-with per-shard stats so capacity scales past one contiguous matrix.
-
 :class:`LatentCache` models what Nirvana stores instead: per-image stacks of
 intermediate latents that are heavier (~2.5 MB vs ~1.4 MB) and only usable
 by the model that produced them.
@@ -38,7 +35,6 @@ from dataclasses import dataclass
 from typing import (
     Dict,
     Generic,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -299,7 +295,6 @@ class VectorCache(Generic[PayloadT]):
         policy: str = "fifo",
         backend: str = "exact",
         ann: Optional[IVFParams] = None,
-        _id_source: Optional[Iterator[int]] = None,
     ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -336,7 +331,7 @@ class VectorCache(Generic[PayloadT]):
         self._slot_of: Dict[int, int] = {}
         # SnapCounter, not itertools.count: entry ids key staleness
         # checks and must survive snapshot/restore exactly.
-        self._ids = _id_source if _id_source is not None else SnapCounter()
+        self._ids = SnapCounter()
         self.last_inserted: Optional[CacheEntry[PayloadT]] = None
         self.insertions = 0
         self.evictions = 0
@@ -647,11 +642,6 @@ class VectorCache(Generic[PayloadT]):
         are copied as scalars, so the snapshot is unaffected by later
         hits against the live cache.  Side-effect-free.
         """
-        if not isinstance(self._ids, SnapCounter):
-            raise TypeError(
-                "cache id source is not a SnapCounter; external "
-                "_id_source iterators are not snapshottable"
-            )
         entries = [
             (
                 slot,
@@ -697,11 +687,6 @@ class VectorCache(Generic[PayloadT]):
         cache's ``_matrix``/``_live`` buffers, so restore writes into
         them instead of reallocating.
         """
-        if not isinstance(self._ids, SnapCounter):
-            raise TypeError(
-                "cache id source is not a SnapCounter; external "
-                "_id_source iterators are not restorable"
-            )
         if (
             state.capacity != self._capacity
             or state.embed_dim != self._embed_dim
@@ -832,315 +817,22 @@ class VectorCacheState:
     index_state: Optional[IVFState]
 
 
-@dataclass
-class ShardedCacheState:
-    """Opaque snapshot of a :class:`ShardedVectorCache`."""
-
-    shard_states: List[VectorCacheState]
-    next_shard: int
-    shard_of: Dict[int, int]
-    lookups: int
-    ids_value: int
-
-
-# ----------------------------------------------------------------------
-# Sharded cache
-# ----------------------------------------------------------------------
-class ShardedVectorCache(Generic[PayloadT]):
-    """Capacity partitioned across independent :class:`VectorCache` shards.
-
-    Insertions round-robin across shards, so each shard's eviction window
-    approximates a slice of the global one; retrieval scans every shard and
-    keeps the overall best.  Shards share one ``entry_id`` counter, so
-    :meth:`entries` still yields a global oldest-first order, and each
-    shard keeps its own insertion/eviction/lookup counters for
-    :meth:`shard_stats`.
-
-    Presents the same surface as :class:`VectorCache` (``insert`` /
-    ``retrieve`` / ``retrieve_topk`` / ``retrieve_batch`` /
-    ``record_hit`` / stats), so callers are shard-oblivious.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        embed_dim: int,
-        policy: str = "fifo",
-        n_shards: int = 4,
-        backend: str = "exact",
-        ann: Optional[IVFParams] = None,
-    ):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        if n_shards > capacity:
-            raise ValueError("n_shards must not exceed capacity")
-        self._policy_name = policy  # snap: derived (constructor config)
-        self._backend = backend  # snap: derived (constructor config)
-        self._ids = SnapCounter()
-        base, extra = divmod(capacity, n_shards)
-        self._shards: List[VectorCache[PayloadT]] = [
-            VectorCache(
-                capacity=base + (1 if i < extra else 0),
-                embed_dim=embed_dim,
-                policy=policy,
-                backend=backend,
-                ann=ann,
-                _id_source=self._ids,
-            )
-            for i in range(n_shards)
-        ]
-        self._embed_dim = embed_dim  # snap: derived (constructor config)
-        self._next_shard = 0
-        self._shard_of: Dict[int, int] = {}  # entry_id -> shard index
-        self._lookups = 0  # logical queries (each fans out to all shards)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        return sum(s.capacity for s in self._shards)
-
-    @property
-    def policy(self) -> str:
-        return self._policy_name
-
-    @property
-    def backend(self) -> str:
-        return self._backend
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
-
-    @property
-    def insertions(self) -> int:
-        return sum(s.insertions for s in self._shards)
-
-    @property
-    def evictions(self) -> int:
-        return sum(s.evictions for s in self._shards)
-
-    @property
-    def lookups(self) -> int:
-        """Logical queries served, matching the unsharded counter — one
-        per retrieve/topk call and one per batch row, not per shard scan
-        (per-shard scan counts live in :meth:`shard_stats`)."""
-        return self._lookups
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._shards)
-
-    def entries(self) -> List[CacheEntry[PayloadT]]:
-        """Live entries across all shards, oldest first."""
-        merged = [e for s in self._shards for e in s.entries()]
-        merged.sort(key=lambda e: e.entry_id)
-        return merged
-
-    def storage_bytes(self) -> int:
-        """Total payload storage across all shards."""
-        return sum(s.storage_bytes() for s in self._shards)
-
-    def scan_entries(self) -> int:
-        """Modelled entries touched per query — shards scan in
-        parallel, so the largest shard's scan, matching
-        :meth:`retrieval_latency_s`."""
-        return max(s.scan_entries() for s in self._shards)
-
-    def retrieval_latency_s(self) -> float:
-        """Latency of one scan — shards scan in parallel, so the modelled
-        cost is the largest shard's occupancy, not the sum."""
-        return max(
-            s.retrieval_latency_s() for s in self._shards
-        )
-
-    def coarse_centroids(self) -> Optional[np.ndarray]:
-        """Stacked per-shard coarse sketches (``None`` when all empty)."""
-        sketches = [
-            sketch
-            for sketch in (
-                s.coarse_centroids() for s in self._shards
-            )
-            if sketch is not None
-        ]
-        if not sketches:
-            return None
-        return np.concatenate(sketches, axis=0)
-
-    def centroid(self) -> Optional[np.ndarray]:
-        """Occupancy-weighted mean across shard centroids (None if empty)."""
-        total = len(self)
-        if total == 0:
-            return None
-        acc = np.zeros(self._embed_dim)
-        for shard in self._shards:
-            n = len(shard)
-            if n:
-                acc += shard._embedding_sum
-        return acc / total
-
-    def shard_stats(self) -> List[Dict[str, int]]:
-        """Per-shard occupancy and traffic counters."""
-        return [
-            {
-                "shard": i,
-                "capacity": s.capacity,
-                "size": len(s),
-                "insertions": s.insertions,
-                "evictions": s.evictions,
-                "lookups": s.lookups,
-            }
-            for i, s in enumerate(self._shards)
-        ]
-
-    # ------------------------------------------------------------------
-    # Mutation / retrieval
-    # ------------------------------------------------------------------
-    def insert(
-        self,
-        payload: PayloadT,
-        embedding: np.ndarray,
-        now: float,
-    ) -> Optional[CacheEntry[PayloadT]]:
-        """Round-robin insert; returns the evicted entry, if any."""
-        shard_idx = self._next_shard
-        self._next_shard = (self._next_shard + 1) % len(self._shards)
-        shard = self._shards[shard_idx]
-        evicted = shard.insert(payload, embedding, now)
-        if evicted is not None:
-            self._shard_of.pop(evicted.entry_id, None)
-        inserted = shard.last_inserted
-        assert inserted is not None
-        self._shard_of[inserted.entry_id] = shard_idx
-        return evicted
-
-    def retrieve(
-        self, query: np.ndarray
-    ) -> Tuple[Optional[CacheEntry[PayloadT]], float]:
-        """Overall best match across shards."""
-        self._lookups += 1
-        best: Tuple[Optional[CacheEntry[PayloadT]], float] = (None, 0.0)
-        for shard in self._shards:
-            entry, sim = shard.retrieve(query)
-            if entry is not None and (best[0] is None or sim > best[1]):
-                best = (entry, sim)
-        return best
-
-    def retrieve_topk(
-        self, query: np.ndarray, k: int
-    ) -> List[Tuple[CacheEntry[PayloadT], float]]:
-        """Global top-k: per-shard top-k merged and re-ranked."""
-        self._lookups += 1
-        merged: List[Tuple[CacheEntry[PayloadT], float]] = []
-        for shard in self._shards:
-            merged.extend(shard.retrieve_topk(query, k))
-        merged.sort(key=lambda pair: -pair[1])
-        return merged[:k]
-
-    def retrieve_batch(
-        self, queries: np.ndarray
-    ) -> List[Tuple[Optional[CacheEntry[PayloadT]], float]]:
-        """Per-row best match across shards."""
-        self._lookups += queries.shape[0]
-        per_shard = [s.retrieve_batch(queries) for s in self._shards]
-        out: List[Tuple[Optional[CacheEntry[PayloadT]], float]] = []
-        for i in range(queries.shape[0]):
-            best: Tuple[Optional[CacheEntry[PayloadT]], float] = (None, 0.0)
-            for results in per_shard:
-                entry, sim = results[i]
-                if entry is not None and (
-                    best[0] is None or sim > best[1]
-                ):
-                    best = (entry, sim)
-            out.append(best)
-        return out
-
-    def record_hit(self, entry: CacheEntry[PayloadT], now: float) -> None:
-        """Count a confirmed cache hit against ``entry`` in its shard."""
-        shard_idx = self._shard_of.get(entry.entry_id)
-        if shard_idx is None:
-            entry.hits += 1
-            entry.last_hit_at = now
-            return
-        self._shards[shard_idx].record_hit(entry, now)
-
-    # ------------------------------------------------------------------
-    # Snapshot / restore / clear (fault-tolerance surface)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> ShardedCacheState:
-        """Per-shard snapshots plus the round-robin/routing state."""
-        return ShardedCacheState(
-            shard_states=[s.snapshot() for s in self._shards],
-            next_shard=self._next_shard,
-            shard_of=dict(self._shard_of),
-            lookups=self._lookups,
-            ids_value=self._ids.value,
-        )
-
-    def restore(self, state: ShardedCacheState) -> None:
-        """Adopt a snapshot in place (shard count must match)."""
-        if len(state.shard_states) != len(self._shards):
-            raise ValueError(
-                f"shard count mismatch: snapshot has "
-                f"{len(state.shard_states)}, cache has "
-                f"{len(self._shards)}"
-            )
-        for shard, shard_state in zip(self._shards, state.shard_states):
-            shard.restore(shard_state)
-        self._next_shard = state.next_shard
-        self._shard_of = dict(state.shard_of)
-        self._lookups = state.lookups
-        # Shards share this counter; the per-shard restores above wrote
-        # the same captured value, this pins it explicitly.
-        self._ids.value = state.ids_value
-
-    def clear(self) -> None:
-        """Cold restart across every shard (counters keep advancing)."""
-        for shard in self._shards:
-            shard.clear()
-        self._next_shard = 0
-        self._shard_of = {}
-
-    def snapshot_entries(
-        self, state: ShardedCacheState
-    ) -> List[tuple]:
-        """Merged ``(entry_id, payload, embedding, inserted_at)`` across
-        shards, ascending entry id (the cache-migration surface)."""
-        merged: List[tuple] = []
-        for shard, shard_state in zip(self._shards, state.shard_states):
-            merged.extend(shard.snapshot_entries(shard_state))
-        merged.sort(key=lambda item: item[0])
-        return merged
-
-
 class ImageCache(VectorCache[SyntheticImage]):
     """MoDM's final-image cache (any model family can consume entries)."""
-
-
-class ShardedImageCache(ShardedVectorCache[SyntheticImage]):
-    """Sharded variant of :class:`ImageCache` for beyond-one-matrix scale."""
 
 
 def make_image_cache(
     capacity: int,
     embed_dim: int,
     policy: str = "fifo",
-    n_shards: int = 1,
     backend: str = "exact",
     ann: Optional[IVFParams] = None,
     tiering=None,
 ):
-    """Build an image cache: sharded when ``n_shards > 1``, tiered
-    (quantized hot tier + memmap cold tier, :mod:`repro.core.tiering`)
-    when a ``TieredCacheConfig`` is passed."""
+    """Build an image cache: tiered (quantized hot tier + ``pread`` cold
+    tier, :mod:`repro.core.tiering`) when a ``TieredCacheConfig`` is
+    passed, a flat :class:`ImageCache` otherwise."""
     if tiering is not None:
-        if n_shards > 1:
-            raise ValueError(
-                "cache tiering and sharding are mutually exclusive "
-                "(the tiered cache is single-matrix by design)"
-            )
         # Imported lazily: tiering builds on this module's eviction
         # registry, so a top-level import would be circular.
         from repro.core.tiering import TieredImageCache
@@ -1153,19 +845,10 @@ def make_image_cache(
             backend=backend,
             ann=ann,
         )
-    if n_shards <= 1:
-        return ImageCache(
-            capacity=capacity,
-            embed_dim=embed_dim,
-            policy=policy,
-            backend=backend,
-            ann=ann,
-        )
-    return ShardedImageCache(
+    return ImageCache(
         capacity=capacity,
         embed_dim=embed_dim,
         policy=policy,
-        n_shards=n_shards,
         backend=backend,
         ann=ann,
     )

@@ -75,7 +75,12 @@ from repro.core.retrieval import (
     TextToImageRetrieval,
     TextToTextRetrieval,
 )
-from repro.core.serving import BaseServingSystem, MoDMSystem, ServingReport
+from repro.core.serving import (
+    BaseServingSystem,
+    MoDMSystem,
+    ServingReport,
+    install_arrival_cohorts,
+)
 from repro.metrics.latency import percentile
 from repro.embedding.space import SemanticSpace
 from repro.workloads.prompts import Prompt
@@ -919,35 +924,9 @@ class ClusterServingSystem:
 
         ``records`` must be the fleet store's full row list (both
         callers — ``run`` and ``ClusterSnapshot.restore`` — pass it).
-        Out-of-order traces fall back to per-cohort heap closures and
-        are therefore not fleet-snapshottable, matching the single
-        engine's rule.
         """
-        if not records:
-            return
-        arrivals = self.request_store.column("arrival_s")
-        starts = np.flatnonzero(
-            np.concatenate(([True], arrivals[1:] != arrivals[:-1]))
-        )
-        bounds = np.append(starts, len(records)).tolist()
-        if np.any(arrivals[1:] < arrivals[:-1]):
-            for i in range(len(starts)):
-                self._schedule_batch(records[bounds[i] : bounds[i + 1]])
-        else:
-
-            def fire_cohort(now: float, i: int) -> None:
-                self._arrive_cohort(
-                    records[bounds[i] : bounds[i + 1]], now
-                )
-
-            self.loop.schedule_timeline(arrivals[starts], fire_cohort)
-
-    def _schedule_batch(self, batch: List[RequestRecord]) -> None:
-        self.loop.schedule(
-            batch[0].arrival_s,
-            lambda now, recs=tuple(batch): self._arrive_cohort(
-                recs, now
-            ),
+        install_arrival_cohorts(
+            self.loop, self.request_store, records, self._arrive_cohort
         )
 
     def _arrive_cohort(
@@ -1449,8 +1428,7 @@ def _classify_cluster_heap(
             raise ValueError(
                 "cannot snapshot fleet: pending event "
                 f"{callback!r} at t={time:.6f} is not a recognised "
-                "cluster or replica event (out-of-order traces are "
-                "not snapshottable)"
+                "cluster or replica event"
             )
         entries.append((time, owner_idx, kind))
     return entries

@@ -444,9 +444,7 @@ class MoDMConfig:
     falls back to faster ones under load (Fig. 10's SDXL -> SANA switch).
 
     ``cache_policy`` selects eviction from the cache's policy registry
-    (``fifo`` — the paper's sliding window — ``lru``, or ``utility``);
-    ``cache_shards > 1`` partitions the embedding store across that many
-    shards for beyond-one-matrix capacity.
+    (``fifo`` — the paper's sliding window — ``lru``, or ``utility``).
 
     ``retrieval_backend`` selects the similarity-scan implementation:
     ``"exact"`` (default) is the masked-argmax full scan, bit-for-bit
@@ -463,11 +461,11 @@ class MoDMConfig:
 
     ``cache_tiering`` opts into the tiered cache
     (:mod:`repro.core.tiering`): a quantized fp16 scan tier, a small
-    RAM-resident hot tier, and a memmap cold tier holding every exact
+    RAM-resident hot tier, and a ``pread`` cold tier holding every exact
     embedding — the ten-million-entry layout.  ``None`` — the default —
     keeps the flat single-matrix cache bit-for-bit.  Tiering requires
-    ``retrieval_backend="ivf"`` (the scan tier *is* the IVF blocks),
-    ``cache_shards=1``, and ``cache_policy="fifo"`` (capacity eviction
+    ``retrieval_backend="ivf"`` (the scan tier *is* the IVF blocks)
+    and ``cache_policy="fifo"`` (capacity eviction
     is a FIFO ring; the tiering config's ``tier_policy`` is what drives
     hot-tier demotion).
 
@@ -488,7 +486,6 @@ class MoDMConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     cache_capacity: int = 10_000
     cache_policy: str = "fifo"
-    cache_shards: int = 1
     cache_admission: CacheAdmission = CacheAdmission.ALL
     retrieval: str = "text-to-image"
     retrieval_backend: str = "exact"
@@ -518,10 +515,6 @@ class MoDMConfig:
                 f"unknown cache_policy {self.cache_policy!r}; "
                 f"available: {sorted(EVICTION_POLICIES)}"
             )
-        if not 1 <= self.cache_shards <= self.cache_capacity:
-            raise ValueError(
-                "cache_shards must be >= 1 and <= cache_capacity"
-            )
         if self.retrieval not in ("text-to-image", "text-to-text"):
             raise ValueError(
                 "retrieval must be 'text-to-image' or 'text-to-text'"
@@ -549,11 +542,6 @@ class MoDMConfig:
                 raise ValueError(
                     "cache_tiering requires retrieval_backend='ivf' "
                     "(the quantized scan tier is the IVF blocks)"
-                )
-            if self.cache_shards != 1:
-                raise ValueError(
-                    "cache_tiering requires cache_shards=1 (tiering "
-                    "and sharding are mutually exclusive)"
                 )
             if self.cache_policy != "fifo":
                 raise ValueError(

@@ -18,7 +18,7 @@ from typing import Dict, Protocol, Sequence
 
 import numpy as np
 
-from repro._rng import directions, normalize
+from repro._rng import normalize
 from repro.embedding.image_encoder import ClipLikeImageEncoder, ImageLike
 from repro.embedding.space import SemanticSpace
 from repro.embedding.text_encoder import ClipLikeTextEncoder, PromptLike
@@ -118,10 +118,10 @@ class TextToTextRetrieval:
         if n == 0:
             return np.zeros((0, self.embed_dim))
         out = np.zeros((n, self.embed_dim))
-        cache = self._semantic_cache if directions.enabled else None
+        cache = self._semantic_cache
         fresh = []
         for i, prompt in enumerate(prompts):
-            hit = cache.get(prompt.prompt_id) if cache is not None else None
+            hit = cache.get(prompt.prompt_id)
             if hit is not None:
                 out[i] = hit
             else:
@@ -140,13 +140,12 @@ class TextToTextRetrieval:
                 row /= norm
         for r, i in enumerate(fresh):
             out[i, :sdim] = sem[r]
-            if cache is not None:
-                # Cache an owned copy, not a view of `out`: callers hold
-                # the (writable) batch matrix and a view would let them
-                # mutate the cached embedding in place.
-                cached = out[i].copy()
-                cached.flags.writeable = False
-                cache[prompts[i].prompt_id] = cached
+            # Cache an owned copy, not a view of `out`: callers hold the
+            # (writable) batch matrix and a view would let them mutate the
+            # cached embedding in place.
+            cached = out[i].copy()
+            cached.flags.writeable = False
+            cache[prompts[i].prompt_id] = cached
         return out
 
     def index_embedding(
@@ -157,16 +156,14 @@ class TextToTextRetrieval:
         return self._semantic_text_embedding(prompt)
 
     def _semantic_text_embedding(self, prompt: PromptLike) -> np.ndarray:
-        cache = self._semantic_cache if directions.enabled else None
-        if cache is not None:
-            hit = cache.get(prompt.prompt_id)
-            if hit is not None:
-                return hit
+        cache = self._semantic_cache
+        hit = cache.get(prompt.prompt_id)
+        if hit is not None:
+            return hit
         full = self._text_encoder.encode(prompt)
         semantic = normalize(self._space.project(full))
         out = np.zeros(self.embed_dim)
         out[: semantic.shape[0]] = semantic
-        if cache is not None:
-            out.flags.writeable = False
-            cache[prompt.prompt_id] = out
+        out.flags.writeable = False
+        cache[prompt.prompt_id] = out
         return out

@@ -13,19 +13,19 @@ backend (``config.retrieval_backend``): the exact masked-argmax path, or
 the IVF approximate index whose sublinear probe cost flows into the
 charged scheduler latency through ``cache.retrieval_latency_s()``.  A
 tiered cache (``config.cache_tiering``) extends that model further:
-shortlist candidates whose rows live in the memmap cold tier charge
+shortlist candidates whose rows live in the ``pread`` cold tier charge
 :data:`~repro.core.tiering.COLD_FETCH_UNITS` entry-scans each for the
-page fault, so a mostly-cold cache admits with honestly higher modelled
+disk read, so a mostly-cold cache admits with honestly higher modelled
 latency than a hot one of the same occupancy — results are unaffected
 (hot rows are exact copies of cold rows).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.cluster.stats import StatsCollector
-from repro.core.cache import ImageCache, ShardedImageCache
+from repro.core.cache import ImageCache
 from repro.core.config import CacheAdmission
 from repro.core.kselection import KSelector
 from repro.core.request import Decision
@@ -39,7 +39,7 @@ class RequestScheduler:
 
     def __init__(
         self,
-        cache: Union[ImageCache, ShardedImageCache],
+        cache: ImageCache,
         retrieval: RetrievalPolicy,
         selector: KSelector,
         stats: StatsCollector,
@@ -62,7 +62,7 @@ class RequestScheduler:
         self._embed_latency_s = embed_latency_s
 
     @property
-    def cache(self) -> Union[ImageCache, ShardedImageCache]:
+    def cache(self) -> ImageCache:
         return self._cache
 
     def bind_stats(self, stats: StatsCollector) -> None:

@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from typing import (
+    Callable,
     Deque,
     Dict,
     Iterator,
@@ -585,8 +586,7 @@ class BaseServingSystem:
         # per-arrival closures.
         records = self.request_store.extend(list(trace))
         self.records = records
-        if records:
-            self._schedule_trace_arrivals(records)
+        self._schedule_trace_arrivals(records)
         self._on_run_start()
         self.loop.run(until=until)
         makespan = self._makespan()
@@ -662,34 +662,9 @@ class BaseServingSystem:
     def _schedule_trace_arrivals(
         self, records: List[RequestRecord]
     ) -> None:
-        """Install a run's arrival cohorts on the loop's timeline lane.
-
-        Adjacent same-tick records form one cohort (the store rows are in
-        trace order, so cohort bounds come from one vectorized compare).
-        Hand-built out-of-order traces fall back to per-cohort heap
-        events — the heap provides the sort the timeline lane refuses.
-        """
-        arrivals = self.request_store.column("arrival_s")
-        starts = np.flatnonzero(
-            np.concatenate(([True], arrivals[1:] != arrivals[:-1]))
-        )
-        bounds = np.append(starts, len(records)).tolist()
-        if np.any(arrivals[1:] < arrivals[:-1]):
-            for i in range(len(starts)):
-                self._schedule_arrivals(
-                    records[bounds[i] : bounds[i + 1]]
-                )
-            return
-
-        def fire_cohort(now: float, i: int) -> None:
-            self._arrive_batch(records[bounds[i] : bounds[i + 1]], now)
-
-        self.loop.schedule_timeline(arrivals[starts], fire_cohort)
-
-    def _schedule_arrivals(self, batch: List[RequestRecord]) -> None:
-        self.loop.schedule(
-            batch[0].arrival_s,
-            lambda now, recs=tuple(batch): self._arrive_batch(recs, now),
+        """Install a run's arrival cohorts on the loop's timeline lane."""
+        install_arrival_cohorts(
+            self.loop, self.request_store, records, self._arrive_batch
         )
 
     def _arrive_cohort(
@@ -1034,6 +1009,33 @@ class BaseServingSystem:
         """Policy-state rebuild hook after :meth:`_restart`."""
 
 
+def install_arrival_cohorts(
+    loop: EventLoop,
+    store: RequestStore,
+    records: Sequence[RequestRecord],
+    deliver: Callable[[Sequence[RequestRecord], float], None],
+) -> None:
+    """Fire ``deliver(cohort, now)`` per same-tick cohort of ``records``.
+
+    ``records`` are ``store``'s rows in trace order.  Traces are sorted by
+    construction (and the timeline lane rejects unsorted times), so
+    adjacent same-tick rows form one cohort and the bounds come from one
+    vectorized compare.
+    """
+    if not records:
+        return
+    arrivals = store.column("arrival_s")
+    starts = np.flatnonzero(
+        np.concatenate(([True], arrivals[1:] != arrivals[:-1]))
+    )
+    bounds = np.append(starts, len(records)).tolist()
+
+    def fire_cohort(now: float, i: int) -> None:
+        deliver(records[bounds[i] : bounds[i + 1]], now)
+
+    loop.schedule_timeline(arrivals[starts], fire_cohort)
+
+
 def _pop_fifo(queue: Deque[RequestRecord]) -> Optional[RequestRecord]:
     return queue.popleft() if queue else None
 
@@ -1080,12 +1082,6 @@ class MoDMSystem(BaseServingSystem):
         self.config = config
         self._large_spec = get_model(config.large_model)
         self._small_specs = [get_model(m) for m in config.small_models]
-        if self._large_spec.total_steps < max(
-            s.total_steps for s in self._small_specs
-        ):
-            # Not an error — distilled "large" setups exist — but the skip
-            # scaling assumes the reference schedule is the large model's.
-            pass
 
         retrieval: RetrievalPolicy
         if config.retrieval == "text-to-image":
@@ -1096,7 +1092,6 @@ class MoDMSystem(BaseServingSystem):
             capacity=config.cache_capacity,
             embed_dim=retrieval.embed_dim,
             policy=config.cache_policy,
-            n_shards=config.cache_shards,
             backend=config.retrieval_backend,
             ann=IVFParams(
                 nlist=config.ann_nlist,

@@ -179,17 +179,15 @@ class DiffusionModelSim:
         artifacts — so FID stays governed by ``realism``.
         """
         spec = self._spec
-        cache_key: Optional[Tuple] = None
-        if directions.enabled:
-            cache_key = self._memo_prefix + (
-                prompt.prompt_id,
-                seed,
-                alignment,
-                realism,
-            )
-            cached = _TARGET_CACHE.get(cache_key)
-            if cached is not None:
-                return cached
+        cache_key = self._memo_prefix + (
+            prompt.prompt_id,
+            seed,
+            alignment,
+            realism,
+        )
+        cached = _TARGET_CACHE.get(cache_key)
+        if cached is not None:
+            return cached
         dim = self._space.config.semantic_dim
         mixture = prompt_mixture(self._space, prompt)
         if alignment is None:
@@ -216,16 +214,8 @@ class DiffusionModelSim:
         # The artifact direction is pure in (model, prompt); it recurs when
         # the same prompt is rendered again (ground-truth sets, baseline
         # comparisons over one trace, repeated experiment runs).
-        artifact_key = (
-            self._memo_prefix + (prompt.prompt_id,)
-            if directions.enabled
-            else None
-        )
-        artifact = (
-            _ARTIFACT_CACHE.get(artifact_key)
-            if artifact_key is not None
-            else None
-        )
+        artifact_key = self._memo_prefix + (prompt.prompt_id,)
+        artifact = _ARTIFACT_CACHE.get(artifact_key)
         if artifact is None:
             idiosyncratic = directions.unit(
                 dim, _MODEL_STREAM, spec.name, prompt.prompt_id
@@ -234,8 +224,7 @@ class DiffusionModelSim:
                 spec.fingerprint * self._fingerprint
                 + self._idiosyncratic_weight * idiosyncratic
             )
-            if artifact_key is not None:
-                _memo_store(_ARTIFACT_CACHE, artifact_key, artifact)
+            _memo_store(_ARTIFACT_CACHE, artifact_key, artifact)
         residual = normalize(
             realism * natural + (1.0 - realism) * artifact
         )
@@ -247,8 +236,7 @@ class DiffusionModelSim:
             + deficit_scale * natural
             + spec.set_shift * set_drift
         )
-        if cache_key is not None:
-            _memo_store(_TARGET_CACHE, cache_key, target)
+        _memo_store(_TARGET_CACHE, cache_key, target)
         return target
 
     def refinement_target(
@@ -298,19 +286,15 @@ class DiffusionModelSim:
     ) -> GenerationResult:
         """Full ``T``-step generation from pure noise (cache-miss path)."""
         image_id = self._next_image_id(prompt.prompt_id, seed)
-        content_key: Optional[Tuple] = None
-        content: Optional[np.ndarray] = None
-        if directions.enabled:
-            # The finished content is pure in (spec, space, prompt, seed,
-            # image id) — the id pins prompt and seed, plus the per-sim
-            # sequence position that keys the sampling noise.
-            content_key = self._memo_prefix + (image_id,)
-            content = _CONTENT_CACHE.get(content_key)
+        # The finished content is pure in (spec, space, prompt, seed,
+        # image id) — the id pins prompt and seed, plus the per-sim
+        # sequence position that keys the sampling noise.
+        content_key = self._memo_prefix + (image_id,)
+        content = _CONTENT_CACHE.get(content_key)
         if content is None:
             target = self.target_content(prompt, seed)
             content = self._finish(target, image_id)
-            if content_key is not None:
-                _memo_store(_CONTENT_CACHE, content_key, content)
+            _memo_store(_CONTENT_CACHE, content_key, content)
         image = SyntheticImage(
             image_id=image_id,
             prompt_id=prompt.prompt_id,
@@ -351,20 +335,17 @@ class DiffusionModelSim:
         image_id = self._next_image_id(
             prompt.prompt_id, seed, source_id=source.image_id
         )
-        content_key: Optional[Tuple] = None
-        content: Optional[np.ndarray] = None
-        if directions.enabled:
-            # Pure in (spec, space, prompt+seed+sequence via image id,
-            # skip depth, source content).  The source's content *bytes*
-            # are part of the key: a refined image's id does not encode
-            # the skip depth that produced it, so the same source id can
-            # carry different content under different serving configs.
-            content_key = self._memo_prefix + (
-                image_id,
-                skipped_steps,
-                source.content.tobytes(),
-            )
-            content = _CONTENT_CACHE.get(content_key)
+        # Pure in (spec, space, prompt+seed+sequence via image id, skip
+        # depth, source content).  The source's content *bytes* are part
+        # of the key: a refined image's id does not encode the skip depth
+        # that produced it, so the same source id can carry different
+        # content under different serving configs.
+        content_key = self._memo_prefix + (
+            image_id,
+            skipped_steps,
+            source.content.tobytes(),
+        )
+        content = _CONTENT_CACHE.get(content_key)
         if content is None:
             retention = self._retention_cache.get(skipped_steps)
             if retention is None:
@@ -399,8 +380,7 @@ class DiffusionModelSim:
                 )
                 blend = normalize((1.0 - drift) * blend + drift * residue)
             content = self._finish(blend, image_id)
-            if content_key is not None:
-                _memo_store(_CONTENT_CACHE, content_key, content)
+            _memo_store(_CONTENT_CACHE, content_key, content)
         steps_run = total - skipped_steps
         image = SyntheticImage(
             image_id=image_id,

@@ -61,29 +61,26 @@ class ClipLikeImageEncoder:
 
     def encode(self, image: ImageLike) -> np.ndarray:
         """Embed one image; results are cached by ``image_id``."""
-        memo_key = None
         if self._cache is not None:
             hit = self._cache.get(image.image_id)
             if hit is not None:
                 return hit
-            if directions.enabled:
-                memo_key = (
-                    self._memo_key,
-                    image.image_id,
-                    image.content.tobytes(),
-                )
-                hit = _EMBED_MEMO.get(memo_key)
-                if hit is not None:
-                    self._cache[image.image_id] = hit
-                    return hit
+            memo_key = (
+                self._memo_key,
+                image.image_id,
+                image.content.tobytes(),
+            )
+            hit = _EMBED_MEMO.get(memo_key)
+            if hit is not None:
+                self._cache[image.image_id] = hit
+                return hit
         embedding = self._encode_content(image.content, image.image_id)
         if self._cache is not None:
             self._cache[image.image_id] = embedding
-            if memo_key is not None:
-                embedding.flags.writeable = False
-                if len(_EMBED_MEMO) >= _EMBED_MEMO_MAX:
-                    _EMBED_MEMO.clear()
-                _EMBED_MEMO[memo_key] = embedding
+            embedding.flags.writeable = False
+            if len(_EMBED_MEMO) >= _EMBED_MEMO_MAX:
+                _EMBED_MEMO.clear()
+            _EMBED_MEMO[memo_key] = embedding
         return embedding
 
     def encode_batch(self, images: Sequence[ImageLike]) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
 
-from repro._rng import directions, normalize
+from repro._rng import normalize
 from repro.embedding.space import SemanticSpace
 from repro.embedding.vocab import surface_vector
 
@@ -39,22 +39,19 @@ def prompt_mixture(space: SemanticSpace, prompt: "PromptLike") -> np.ndarray:
     conditions on — the model renders the wording as well as the intent, so
     a faithful generation agrees with this mixture, not with the raw deep
     semantics alone.  Because both consumers need it for every request, the
-    mixture is memoized per ``prompt_id`` on the shared space (the fast
-    path's ``directions`` switch also governs this cache).
+    mixture is memoized per ``prompt_id`` on the shared space.
     """
-    cache = space.mixture_cache if directions.enabled else None
-    if cache is not None:
-        hit = cache.get(prompt.prompt_id)
-        if hit is not None:
-            return hit
+    cache = space.mixture_cache
+    hit = cache.get(prompt.prompt_id)
+    if hit is not None:
+        return hit
     cfg = space.config
     surface = surface_vector(list(prompt.tokens), cfg.semantic_dim)
     mixture = cfg.deep_weight * prompt.semantics
     mixture = mixture + cfg.surface_weight * surface
     mixture = normalize(mixture)
-    if cache is not None:
-        mixture.flags.writeable = False
-        cache[prompt.prompt_id] = mixture
+    mixture.flags.writeable = False
+    cache[prompt.prompt_id] = mixture
     return mixture
 
 
@@ -77,7 +74,7 @@ class ClipLikeTextEncoder:
     cache_embeddings:
         Keep a per-``prompt_id`` embedding cache (the paper's scheduler hosts
         one CLIP model and embeds each request once).  Caching instances
-        also share the process-wide memo above when the fast path is on.
+        also share the process-wide memo above.
     """
 
     def __init__(self, space: SemanticSpace, cache_embeddings: bool = True):
@@ -102,27 +99,24 @@ class ClipLikeTextEncoder:
 
     def encode(self, prompt: PromptLike) -> np.ndarray:
         """Embed one prompt; results are cached by ``prompt_id``."""
-        memo_key = None
         if self._cache is not None:
             hit = self._cache.get(prompt.prompt_id)
             if hit is not None:
                 return hit
-            if directions.enabled:
-                memo_key = (self._memo_key, prompt.prompt_id)
-                hit = _EMBED_MEMO.get(memo_key)
-                if hit is not None:
-                    self._cache[prompt.prompt_id] = hit
-                    return hit
+            memo_key = (self._memo_key, prompt.prompt_id)
+            hit = _EMBED_MEMO.get(memo_key)
+            if hit is not None:
+                self._cache[prompt.prompt_id] = hit
+                return hit
         mixture = self.semantic_mixture(prompt)
         scaled = self._space.config.modality_scale * self._space.pad(mixture)
         embedding = normalize(scaled + self._anchor)
         if self._cache is not None:
             self._cache[prompt.prompt_id] = embedding
-            if memo_key is not None:
-                embedding.flags.writeable = False
-                if len(_EMBED_MEMO) >= _EMBED_MEMO_MAX:
-                    _EMBED_MEMO.clear()
-                _EMBED_MEMO[memo_key] = embedding
+            embedding.flags.writeable = False
+            if len(_EMBED_MEMO) >= _EMBED_MEMO_MAX:
+                _EMBED_MEMO.clear()
+            _EMBED_MEMO[memo_key] = embedding
         return embedding
 
     def encode_batch(self, prompts: Sequence[PromptLike]) -> np.ndarray:
@@ -145,13 +139,14 @@ class ClipLikeTextEncoder:
         fresh: List[int] = []
         first_row: Dict[str, int] = {}
         uncached: List[PromptLike] = []
-        memo_enabled = cache is not None and directions.enabled
         for i, prompt in enumerate(prompts):
-            hit = cache.get(prompt.prompt_id) if cache is not None else None
-            if hit is None and memo_enabled:
-                hit = _EMBED_MEMO.get((self._memo_key, prompt.prompt_id))
-                if hit is not None:
-                    cache[prompt.prompt_id] = hit
+            hit = None
+            if cache is not None:
+                hit = cache.get(prompt.prompt_id)
+                if hit is None:
+                    hit = _EMBED_MEMO.get((self._memo_key, prompt.prompt_id))
+                    if hit is not None:
+                        cache[prompt.prompt_id] = hit
             if hit is not None:
                 out[i] = hit
                 continue
@@ -177,17 +172,15 @@ class ClipLikeTextEncoder:
         for i in fresh:
             out[i] = mat[first_row[prompts[i].prompt_id]]
         if cache is not None:
-            if memo_enabled:
-                # Cached rows are shared process-wide; freeze the backing
-                # matrix so no caller can mutate them in place.
-                mat.flags.writeable = False
+            # Cached rows are shared process-wide; freeze the backing
+            # matrix so no caller can mutate them in place.
+            mat.flags.writeable = False
             for r, prompt in enumerate(uncached):
                 row = mat[r]
                 cache[prompt.prompt_id] = row
-                if memo_enabled:
-                    if len(_EMBED_MEMO) >= _EMBED_MEMO_MAX:
-                        _EMBED_MEMO.clear()
-                    _EMBED_MEMO[(self._memo_key, prompt.prompt_id)] = row
+                if len(_EMBED_MEMO) >= _EMBED_MEMO_MAX:
+                    _EMBED_MEMO.clear()
+                _EMBED_MEMO[(self._memo_key, prompt.prompt_id)] = row
         return out
 
     def clear_cache(self) -> None:

@@ -1,4 +1,4 @@
-"""Vectorized retrieval equivalence, eviction-policy registry, sharding.
+"""Vectorized retrieval equivalence and the eviction-policy registry.
 
 The retrieval core replaced a full ``np.argsort`` scan with a masked
 vectorized ``argmax``; these tests pin the new path to a reference
@@ -14,10 +14,8 @@ from repro._rng import rng_for, unit_vector
 from repro.core.cache import (
     EVICTION_POLICIES,
     EvictionPolicy,
-    ShardedVectorCache,
     VectorCache,
     make_eviction_policy,
-    make_image_cache,
     register_eviction_policy,
 )
 
@@ -289,113 +287,3 @@ class TestEvictionOrder:
         # "c" (0 hits) now loses to "a" (2 hits).
         assert cache.insert("d", _vec("ud"), now=5.0).payload == "c"
 
-
-class TestShardedVectorCache:
-    def test_capacity_partitioned(self):
-        cache = ShardedVectorCache(
-            capacity=10, embed_dim=DIM, n_shards=4
-        )
-        assert cache.capacity == 10
-        assert cache.n_shards == 4
-        sizes = [s["capacity"] for s in cache.shard_stats()]
-        assert sorted(sizes) == [2, 2, 3, 3]
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            ShardedVectorCache(capacity=2, embed_dim=DIM, n_shards=0)
-        with pytest.raises(ValueError):
-            ShardedVectorCache(capacity=2, embed_dim=DIM, n_shards=3)
-
-    def test_insert_round_robins_and_len_tracks(self):
-        cache = ShardedVectorCache(capacity=8, embed_dim=DIM, n_shards=2)
-        for i in range(6):
-            cache.insert(f"p{i}", _vec(("sh", i)), now=float(i))
-        assert len(cache) == 6
-        per_shard = [s["size"] for s in cache.shard_stats()]
-        assert per_shard == [3, 3]
-
-    def test_retrieve_finds_best_across_shards(self):
-        cache = ShardedVectorCache(capacity=8, embed_dim=DIM, n_shards=4)
-        vecs = {f"p{i}": _vec(("best", i)) for i in range(8)}
-        for name, vec in vecs.items():
-            cache.insert(name, vec, now=0.0)
-        for name, vec in vecs.items():
-            entry, sim = cache.retrieve(vec)
-            assert entry.payload == name
-            assert np.isclose(sim, 1.0)
-
-    def test_matches_unsharded_on_same_contents(self):
-        flat = VectorCache(capacity=12, embed_dim=DIM)
-        sharded = ShardedVectorCache(
-            capacity=12, embed_dim=DIM, n_shards=3
-        )
-        for i in range(12):
-            vec = _vec(("par", i))
-            flat.insert(f"p{i}", vec, now=float(i))
-            sharded.insert(f"p{i}", vec, now=float(i))
-        for q in range(8):
-            query = _vec(("parq", q))
-            fe, fs = flat.retrieve(query)
-            se, ss = sharded.retrieve(query)
-            assert fe.payload == se.payload
-            assert np.isclose(fs, ss)
-            f_top = [e.payload for e, _ in flat.retrieve_topk(query, 4)]
-            s_top = [e.payload for e, _ in sharded.retrieve_topk(query, 4)]
-            assert f_top == s_top
-
-    def test_entries_global_oldest_first(self):
-        cache = ShardedVectorCache(capacity=9, embed_dim=DIM, n_shards=3)
-        for i in range(7):
-            cache.insert(f"p{i}", _vec(("ord", i)), now=float(i))
-        assert [e.payload for e in cache.entries()] == [
-            f"p{i}" for i in range(7)
-        ]
-
-    def test_record_hit_routed_to_owning_shard(self):
-        cache = ShardedVectorCache(
-            capacity=4, embed_dim=DIM, n_shards=2, policy="utility"
-        )
-        vec = _vec("hot-sharded")
-        cache.insert("hot", vec, now=0.0)
-        entry, _ = cache.retrieve(vec)
-        cache.record_hit(entry, now=1.0)
-        assert entry.hits == 1
-        assert entry.last_hit_at == 1.0
-
-    def test_batch_and_stats(self):
-        cache = ShardedVectorCache(capacity=6, embed_dim=DIM, n_shards=2)
-        for i in range(6):
-            cache.insert(f"p{i}", _vec(("bs", i)), now=float(i))
-        queries = np.stack([_vec(("bsq", i)) for i in range(3)])
-        batched = cache.retrieve_batch(queries)
-        for i, (entry, sim) in enumerate(batched):
-            ref_entry, ref_sim = cache.retrieve(queries[i])
-            assert entry is ref_entry
-            assert np.isclose(sim, ref_sim)
-        assert cache.insertions == 6
-        # Logical queries, matching the unsharded counter: 3 batch rows
-        # plus the 3 reference retrieves — not one per shard scan.
-        assert cache.lookups == 6
-
-    def test_eviction_and_latency_model(self):
-        cache = ShardedVectorCache(capacity=4, embed_dim=DIM, n_shards=2)
-        for i in range(10):
-            cache.insert(f"p{i}", _vec(("ev", i)), now=float(i))
-        assert len(cache) == 4
-        assert cache.evictions == 6
-        # Shards scan in parallel: modelled latency is the largest
-        # shard's, strictly below an unsharded scan of the same size.
-        flat = VectorCache(capacity=4, embed_dim=DIM)
-        for i in range(4):
-            flat.insert(f"p{i}", _vec(("ev2", i)), now=float(i))
-        assert cache.retrieval_latency_s() < flat.retrieval_latency_s()
-
-    def test_make_image_cache_factory(self, sample_images):
-        flat = make_image_cache(capacity=4, embed_dim=DIM)
-        sharded = make_image_cache(
-            capacity=4, embed_dim=DIM, n_shards=2
-        )
-        assert not isinstance(flat, ShardedVectorCache)
-        assert isinstance(sharded, ShardedVectorCache)
-        sharded.insert(sample_images[0], _vec("img"), now=0.0)
-        assert sharded.storage_bytes() == sample_images[0].size_bytes

@@ -4,7 +4,6 @@
 import numpy as np
 import pytest
 
-from repro.core.cache import ShardedImageCache
 from repro.core.config import (
     CacheAdmission,
     ClusterConfig,
@@ -12,7 +11,7 @@ from repro.core.config import (
     MonitorMode,
 )
 from repro.core.request import RequestRecord
-from repro.core.serving import MoDMSystem, _ReadyQueue
+from repro.core.serving import MoDMSystem, _ReadyQueue, clear_hotpath_memos
 from repro.diffusion.registry import get_model
 
 
@@ -265,28 +264,34 @@ class TestReadyQueueOrdering:
         assert list(queue) == records[1:]
 
 
-class TestShardedServing:
-    def test_sharded_cache_run_completes(self, space, small_trace):
-        system = _system(space, cache_shards=4)
-        assert isinstance(system.cache, ShardedImageCache)
-        report = system.run(small_trace)
-        assert report.n_completed == len(small_trace)
-        assert report.cache_size > 0
-        stats = system.cache.shard_stats()
-        assert len(stats) == 4
-        assert sum(s["size"] for s in stats) == report.cache_size
-
-    def test_sharded_matches_unsharded_closely(self, space, ddb_trace):
-        trace = ddb_trace.slice(100, 200).rebase()
+class TestMemoNeutrality:
+    def test_cold_and_warm_memos_serve_identically(self, space, ddb_trace):
+        """Process-wide synthesis/embedding memos are pure caches: a run
+        from empty memos and a rerun with them warm make the same
+        decisions at the same times and render the same image bytes."""
+        trace = ddb_trace.slice(100, 220).rebase()
         warm = [r.prompt for r in ddb_trace.requests[:100]]
-        flat_sys = _system(space)
-        flat_sys.warm_cache(warm)
-        shard_sys = _system(space, cache_shards=4)
-        shard_sys.warm_cache(warm)
-        flat = flat_sys.run(trace)
-        sharded = shard_sys.run(trace)
-        # Same contents, same retrieval results -> same decisions.
-        assert sharded.hit_rate == flat.hit_rate
+
+        def outcome():
+            system = _system(space)
+            system.warm_cache(warm)
+            report = system.run(trace)
+            return [
+                (
+                    r.decision.hit,
+                    r.decision.k_steps,
+                    r.decision.similarity,
+                    r.completion_s,
+                    r.image.content.tobytes(),
+                )
+                for r in report.records
+            ]
+
+        clear_hotpath_memos(space)
+        cold = outcome()
+        warm_run = outcome()
+        assert any(hit for hit, *_ in cold)
+        assert cold == warm_run
 
 
 class TestReportMetrics:

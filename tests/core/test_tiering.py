@@ -96,7 +96,7 @@ class TestTieredCacheConfig:
         # Explicit hot capacity clamps to the cache capacity.
         assert cfg.resolved_hot_capacity(20) == 20
 
-    def test_modm_config_requires_ivf_fifo_unsharded(self):
+    def test_modm_config_requires_ivf_and_fifo(self):
         base = dict(
             cluster=ClusterConfig(gpu_name="MI210", n_workers=2),
             cache_capacity=100,
@@ -105,10 +105,6 @@ class TestTieredCacheConfig:
         )
         with pytest.raises(ValueError, match="ivf"):
             MoDMConfig(**base)
-        with pytest.raises(ValueError, match="shard"):
-            MoDMConfig(
-                **base, retrieval_backend="ivf", cache_shards=2
-            )
         with pytest.raises(ValueError, match="fifo"):
             MoDMConfig(
                 **base, retrieval_backend="ivf", cache_policy="utility"
@@ -134,14 +130,6 @@ class TestTieredCacheConfig:
             backend="ivf",
         )
         assert isinstance(cache, TieredImageCache)
-        with pytest.raises(ValueError, match="shard"):
-            make_image_cache(
-                capacity=32,
-                embed_dim=DIM,
-                n_shards=2,
-                tiering=TieredCacheConfig(),
-                backend="ivf",
-            )
 
 
 # ----------------------------------------------------------------------
