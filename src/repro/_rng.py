@@ -14,23 +14,33 @@ Two implementations of keyed synthesis coexist:
 * The **fast path** (:class:`DirectionCache`, exposed as the module-level
   :data:`directions`) produces bit-identical values by (a) memoizing draws
   whose key tuples recur and (b) replaying numpy's ``SeedSequence`` entropy
-  mixing and PCG64 seeding in optimized form so a single long-lived
-  generator can be re-pointed at any keyed stream without paying full
-  object construction per draw.  ``tests/test_rng.py`` pins the two paths
-  bit-for-bit against each other.
+  mixing and PCG64 seeding in generated, unrolled Python so a single
+  long-lived generator can be re-pointed at any keyed stream without
+  paying full object construction per draw.  The replay is generated per
+  lane count: for ``n`` seeds it mixes all of them at once in one Python
+  int holding ``n`` 64-bit lanes, so :meth:`DirectionCache.draw_batch`
+  seeds every draw one image needs in a single call.
+  ``tests/test_rng.py`` pins the two paths bit-for-bit against each other.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 Key = Union[str, int, float, bytes]
 
 _SEPARATOR = b"\x1f"
+_SEPARATOR_STR = "\x1f"
+_ALL_STR = {str}
+
+#: One :meth:`DirectionCache.draw_batch` item — ``(dim or None for a
+#: scalar, memoize, key tuple)`` — and its result.
+DrawItem = Tuple[Optional[int], bool, Tuple[Key, ...]]
+Draw = Union[np.ndarray, float]
 
 
 def seed_for(*keys: Key) -> int:
@@ -39,19 +49,27 @@ def seed_for(*keys: Key) -> int:
     The mapping is independent of Python's per-process ``hash()``
     randomization, so it is stable across interpreter invocations.  The
     key material is assembled into one buffer and hashed in a single call
-    (identical digest to incremental updates, fewer C round-trips).
+    (identical digest to incremental updates, fewer C round-trips).  Key
+    tuples made only of plain ``str`` — the common case — are joined in
+    one call; the material is the same as the per-key path's.
     """
-    parts = []
-    for key in keys:
-        if isinstance(key, bytes):
-            parts.append(key)
-        elif isinstance(key, float):
-            # repr() keeps full precision and differentiates 1 from 1.0.
-            parts.append(repr(key).encode("utf-8"))
-        else:
-            parts.append(str(key).encode("utf-8"))
-        parts.append(_SEPARATOR)
-    digest = hashlib.blake2b(b"".join(parts), digest_size=8)
+    if set(map(type, keys)) == _ALL_STR:
+        material = (
+            _SEPARATOR_STR.join(keys) + _SEPARATOR_STR
+        ).encode("utf-8")
+    else:
+        parts = []
+        for key in keys:
+            if isinstance(key, bytes):
+                parts.append(key)
+            elif isinstance(key, float):
+                # repr() keeps full precision and differentiates 1 from 1.0.
+                parts.append(repr(key).encode("utf-8"))
+            else:
+                parts.append(str(key).encode("utf-8"))
+            parts.append(_SEPARATOR)
+        material = b"".join(parts)
+    digest = hashlib.blake2b(material, digest_size=8)
     return int.from_bytes(digest.digest(), "little")
 
 
@@ -200,116 +218,151 @@ _MIX_PAIRS = tuple(
 )
 
 
-def _build_raw_state_fn():
-    """Generate a fully unrolled ``_pcg64_raw_state`` with inlined constants.
+#: Seeds replayed together per generated function (64-bit lanes each).
+_MAX_LANES = 8
+
+
+def _build_raw_state_fn(n: int) -> Callable:
+    """Generate a fully unrolled PCG64 seeding replay for ``n`` seeds.
 
     Replays SeedSequence's entropy mixing (4-word pool, two 32-bit entropy
     words — a 64-bit seed never exceeds two, and a high word of zero mixes
     identically to absent entropy) and PCG64's two-step seeding.  The
     unrolled form avoids all loop/indexing overhead on the per-draw hot
     path; bit-identity with numpy is pinned by ``tests/test_rng.py``.
+
+    For ``n == 1`` the function is ``_pcg64_raw_state(seed) -> (state,
+    inc)``.  For ``n > 1`` it takes ``n`` seeds and returns a list of
+    ``n`` pairs, mixing every seed at once: one Python int holds seed
+    ``j``'s 32-bit pool word in its 64-bit lane ``j``, the xor constants
+    are replicated across lanes, and a 32-bit multiply never carries out
+    of its lane.  Each ``>> 16`` is masked so no bits shift in from the
+    lane above, and the mix step adds ``2**32`` per lane before
+    subtracting so no borrow crosses a lane.  Only the 128-bit state
+    assembly and the PCG multiply run per seed.
     """
-    lines = [
-        "def _pcg64_raw_state(seed):",
+    packed = n > 1
+    ones = sum(1 << (64 * j) for j in range(n))
+    rep = ones if packed else 1
+    mask_shift = " & M" if packed else ""
+    no_borrow = f" + {(1 << 32) * ones}" if packed else ""
+    if packed:
+        name = f"_pcg64_raw_states_{n}"
+        args = ", ".join(f"s{j}" for j in range(n))
+        lines = [
+            f"def {name}({args}):",
+            "    seed = "
+            + " | ".join(f"s{j} << {64 * j}" if j else "s0" for j in range(n)),
+        ]
+    else:
+        name = "_pcg64_raw_state"
+        lines = [f"def {name}(seed):"]
+    lines += [
         "    e0 = seed & M",
         "    e1 = (seed >> 32) & M",
     ]
     pool_expr = ["e0", "e1", "0", "0"]
     step = 0
     for i in range(4):
-        lines.append(
-            f"    v = ({pool_expr[i]} ^ {_HC_MIX_PRE[step]}) "
-            f"* {_HC_MIX[step]} & M"
-        )
-        lines.append(f"    p{i} = v ^ (v >> 16)")
+        if packed and pool_expr[i] == "0":
+            # Seed-independent: fold the absent-entropy words to constants.
+            v = (_HC_MIX_PRE[step] * _HC_MIX[step]) & _M32
+            lines.append(f"    p{i} = {(v ^ (v >> 16)) * ones}")
+        else:
+            lines.append(
+                f"    v = ({pool_expr[i]} ^ {_HC_MIX_PRE[step] * rep}) "
+                f"* {_HC_MIX[step]} & M"
+            )
+            lines.append(f"    p{i} = v ^ (v >> 16{mask_shift})")
         pool_expr[i] = f"p{i}"
         step += 1
     for i_src, i_dst in _MIX_PAIRS:
         lines.append(
-            f"    v = (p{i_src} ^ {_HC_MIX_PRE[step]}) "
+            f"    v = (p{i_src} ^ {_HC_MIX_PRE[step] * rep}) "
             f"* {_HC_MIX[step]} & M"
         )
-        lines.append("    v ^= v >> 16")
+        lines.append(f"    v ^= v >> 16{mask_shift}")
         lines.append(
-            f"    r = (p{i_dst} * {_MIX_L} & M) - (v * {_MIX_R} & M) & M"
+            f"    r = (p{i_dst} * {_MIX_L} & M){no_borrow} "
+            f"- (v * {_MIX_R} & M) & M"
         )
-        lines.append(f"    p{i_dst} = r ^ (r >> 16)")
+        lines.append(f"    p{i_dst} = r ^ (r >> 16{mask_shift})")
         step += 1
     for i in range(8):
         lines.append(
-            f"    v = (p{i & 3} ^ {_HC_GEN_PRE[i]}) * {_HC_GEN[i]} & M"
+            f"    v = (p{i & 3} ^ {_HC_GEN_PRE[i] * rep}) "
+            f"* {_HC_GEN[i]} & M"
         )
-        lines.append(f"    w{i} = v ^ (v >> 16)")
-    lines += [
-        "    initstate = (w1 << 96) | (w0 << 64) | (w3 << 32) | w2",
-        "    initseq = (w5 << 96) | (w4 << 64) | (w7 << 32) | w6",
-        "    inc = ((initseq << 1) | 1) & M128",
-        "    state = (inc + initstate) & M128",
-        f"    state = (state * {_PCG_MULT} + inc) & M128",
-        "    return state, inc",
-    ]
-    namespace = {"M": _M32, "M128": _M128}
+        lines.append(f"    w{i} = v ^ (v >> 16{mask_shift})")
+    if not packed:
+        lines += [
+            "    initstate = (w1 << 96) | (w0 << 64) | (w3 << 32) | w2",
+            "    initseq = (w5 << 96) | (w4 << 64) | (w7 << 32) | w6",
+            "    inc = ((initseq << 1) | 1) & M128",
+            "    state = (inc + initstate) & M128",
+            f"    state = (state * {_PCG_MULT} + inc) & M128",
+            "    return state, inc",
+        ]
+    else:
+        # 64-bit halves of initstate / initseq, still one per lane.
+        lines += [
+            "    hs = w1 << 32 | w0",
+            "    ls = w3 << 32 | w2",
+            "    hq = w5 << 32 | w4",
+            "    lq = w7 << 32 | w6",
+        ]
+        for j in range(n):
+            if j == 0:
+                lane = "{} & M64"
+            elif j == n - 1:
+                lane = f"{{}} >> {64 * j}"
+            else:
+                lane = f"{{}} >> {64 * j} & M64"
+            seq = f"({lane.format('hq')}) << 65 | ({lane.format('lq')}) << 1"
+            lines.append(f"    i{j} = ({seq} | 1) & M128")
+            lines.append(
+                f"    t{j} = ((({lane.format('hs')}) << 64 | "
+                f"({lane.format('ls')})) + i{j}) * {_PCG_MULT} "
+                f"+ i{j} & M128"
+            )
+        pairs = ", ".join(f"(t{j}, i{j})" for j in range(n))
+        lines.append(f"    return [{pairs}]")
+    namespace = {
+        "M": _M32 * ones,
+        "M64": (1 << 64) - 1,
+        "M128": _M128,
+    }
     exec("\n".join(lines), namespace)
-    return namespace["_pcg64_raw_state"]
+    return namespace[name]
+
+
+_RAW_STATE_FNS: Dict[int, Callable] = {}
+
+
+def _raw_state_fn(n: int) -> Callable:
+    """The generated replay for ``n`` seeds, built once per lane count."""
+    fn = _RAW_STATE_FNS.get(n)
+    if fn is None:
+        fn = _RAW_STATE_FNS[n] = _build_raw_state_fn(n)
+    return fn
 
 
 #: (state, inc) of ``PCG64(seed)`` for a 64-bit ``seed``, replayed exactly.
-_pcg64_raw_state = _build_raw_state_fn()
+_pcg64_raw_state = _raw_state_fn(1)
 
 
 def _pcg64_raw_states(seeds: Sequence[int]) -> List[Tuple[int, int]]:
-    """Vectorized :func:`_pcg64_raw_state` over many seeds.
+    """(state, inc) of ``PCG64(seed)`` per seed, replayed in packed chunks.
 
-    One pass of uint32 numpy arithmetic mixes every seed's entropy pool
-    simultaneously — the per-step hash constants are seed-independent, so
-    the whole SeedSequence walk becomes ~60 elementwise array ops
-    regardless of batch size.
+    Seeds go through the generated replay :data:`_MAX_LANES` at a time.
     """
-    arr = np.asarray(seeds, dtype=np.uint64)
-    ent = np.empty((4, arr.shape[0]), dtype=np.uint32)
-    ent[0] = (arr & np.uint64(_M32)).astype(np.uint32)
-    ent[1] = (arr >> np.uint64(32)).astype(np.uint32)
-    ent[2] = 0
-    ent[3] = 0
-    with np.errstate(over="ignore"):
-        pool = [None] * 4
-        for i in range(4):
-            v = (ent[i] ^ np.uint32(_HC_MIX_PRE[i])) * np.uint32(_HC_MIX[i])
-            pool[i] = v ^ (v >> np.uint32(16))
-        step = 4
-        for i_src, i_dst in _MIX_PAIRS:
-            v = (pool[i_src] ^ np.uint32(_HC_MIX_PRE[step])) * np.uint32(
-                _HC_MIX[step]
-            )
-            v ^= v >> np.uint32(16)
-            r = pool[i_dst] * np.uint32(_MIX_L) - v * np.uint32(_MIX_R)
-            pool[i_dst] = r ^ (r >> np.uint32(16))
-            step += 1
-        words = []
-        for i in range(8):
-            v = (pool[i & 3] ^ np.uint32(_HC_GEN_PRE[i])) * np.uint32(
-                _HC_GEN[i]
-            )
-            words.append(v ^ (v >> np.uint32(16)))
-    w_lists = [w.tolist() for w in words]
     out: List[Tuple[int, int]] = []
-    for j in range(arr.shape[0]):
-        initstate = (
-            (w_lists[1][j] << 96)
-            | (w_lists[0][j] << 64)
-            | (w_lists[3][j] << 32)
-            | w_lists[2][j]
-        )
-        initseq = (
-            (w_lists[5][j] << 96)
-            | (w_lists[4][j] << 64)
-            | (w_lists[7][j] << 32)
-            | w_lists[6][j]
-        )
-        inc = ((initseq << 1) | 1) & _M128
-        state = (inc + initstate) & _M128
-        state = (state * _PCG_MULT + inc) & _M128
-        out.append((state, inc))
+    for start in range(0, len(seeds), _MAX_LANES):
+        chunk = seeds[start:start + _MAX_LANES]
+        if len(chunk) == 1:
+            out.append(_pcg64_raw_state(chunk[0]))
+        else:
+            out.extend(_raw_state_fn(len(chunk))(*chunk))
     return out
 
 
@@ -365,7 +418,8 @@ class DirectionCache:
     keys recur and
     (b) synthesizes cache misses through :class:`_FastStream` instead of a
     fresh ``default_rng`` per key.  Both layers are bit-identical to the
-    reference path.
+    reference path.  :meth:`draw_batch` takes every draw one caller needs
+    (memoized or fresh, vector or scalar) and seeds them together.
 
     Cached arrays are marked read-only: callers share them.
     """
@@ -399,10 +453,14 @@ class DirectionCache:
         self.misses += 1
         vec = _finish_unit(self._stream.standard_normal(seed, dim))
         vec.flags.writeable = False
-        if len(self._units) >= self.max_entries:
-            self._units.clear()
-        self._units[cache_key] = vec
+        self._memoize(self._units, cache_key, vec)
         return vec
+
+    def _memoize(self, table: Dict, key: object, value: Draw) -> None:
+        """Store one draw, dropping the whole memo at ``max_entries``."""
+        if len(table) >= self.max_entries:
+            table.clear()
+        table[key] = value
 
     def units(
         self, dim: int, key_tuples: Sequence[Tuple[Key, ...]]
@@ -410,51 +468,69 @@ class DirectionCache:
         """Batched :meth:`unit`: one ``(n, dim)`` row per key tuple.
 
         Cached rows are gathered straight from the memo; misses are
-        synthesized together — their SeedSequence mixing runs as one
-        vectorized uint32 pass over all missing seeds.
+        seeded together by :meth:`draw_batch`.
         """
-        n = len(key_tuples)
-        out = np.empty((n, dim), dtype=float)
-        miss_idx: List[int] = []
-        miss_seeds: List[int] = []
-        for i, keys in enumerate(key_tuples):
-            seed = seed_for(*keys)
-            cached = self._units.get((dim, seed))
-            if cached is not None:
-                self.hits += 1
-                out[i] = cached
-            else:
-                miss_idx.append(i)
-                miss_seeds.append(seed)
-        if miss_idx:
-            self.misses += len(miss_idx)
-            raws = _pcg64_raw_states(miss_seeds)
-            stream = self._stream
-            if len(self._units) + len(miss_idx) > self.max_entries:
-                self._units.clear()
-            for i, seed, raw in zip(miss_idx, miss_seeds, raws):
-                vec = _finish_unit(stream.seek(raw).standard_normal(dim))
-                vec.flags.writeable = False
-                self._units[(dim, seed)] = vec
-                out[i] = vec
-        return out
+        rows = self.draw_batch([(dim, True, keys) for keys in key_tuples])
+        return np.array(rows, dtype=float).reshape(len(rows), dim)
 
-    def normal(self, *keys: Key) -> float:
-        """Memoized scalar ``rng_for(*keys).standard_normal()``."""
-        seed = seed_for(*keys)
-        vals = self._scalars
-        val = vals.get(seed)
-        if val is not None:
-            self.hits += 1
-            return val
-        self.misses += 1
-        val = float(
-            self._stream.seek(_pcg64_raw_state(seed)).standard_normal()
-        )
-        if len(vals) >= self.max_entries:
-            vals.clear()
-        vals[seed] = val
-        return val
+    def draw_batch(self, items: Sequence[DrawItem]) -> List[Draw]:
+        """Many keyed draws, seeded in one packed replay.
+
+        Each item is ``(dim, memoize, keys)``: ``dim`` is a vector
+        dimension for ``unit_vector(rng_for(*keys), dim)`` or ``None`` for
+        the scalar ``float(rng_for(*keys).standard_normal())``;
+        ``memoize`` selects the memo (as :meth:`unit`) or a fresh,
+        uncached draw (as :meth:`fresh_unit`).  Every item is hashed
+        once, memo hits are served, all remaining seeds go through
+        :func:`_pcg64_raw_states` together, and the draws then run in
+        item order.  A memoized key repeated within the batch is drawn
+        once and counted as a hit the second time, as sequential calls
+        would count it.  Results are bit-identical to the one-at-a-time
+        methods.
+        """
+        out: List[Draw] = [None] * len(items)  # type: ignore[list-item]
+        units, scalars = self._units, self._scalars
+        todo: List[Tuple[int, Optional[int], bool, int]] = []
+        first: Dict[Tuple[Optional[int], int], int] = {}
+        repeats: List[Tuple[int, int]] = []
+        for i, (dim, memoize, keys) in enumerate(items):
+            seed = seed_for(*keys)
+            if memoize:
+                memo_key = (dim, seed)
+                cached = (
+                    scalars.get(seed) if dim is None else units.get(memo_key)
+                )
+                if cached is not None:
+                    self.hits += 1
+                    out[i] = cached
+                    continue
+                j = first.get(memo_key)
+                if j is not None:
+                    self.hits += 1
+                    repeats.append((i, j))
+                    continue
+                self.misses += 1
+                first[memo_key] = i
+            todo.append((i, dim, memoize, seed))
+        if not todo:
+            return out
+        seeds = list(dict.fromkeys(t[3] for t in todo))
+        raw_of = dict(zip(seeds, _pcg64_raw_states(seeds)))
+        seek = self._stream.seek
+        for i, dim, memoize, seed in todo:
+            gen = seek(raw_of[seed])
+            if dim is None:
+                out[i] = value = float(gen.standard_normal())
+                if memoize:
+                    self._memoize(scalars, seed, value)
+            else:
+                out[i] = vec = _finish_unit(gen.standard_normal(dim))
+                if memoize:
+                    vec.flags.writeable = False
+                    self._memoize(units, (dim, seed), vec)
+        for i, j in repeats:
+            out[i] = out[j]
+        return out
 
     # ------------------------------------------------------------------
     # Non-memoized fast draws (unique keys, e.g. per-image noise)
@@ -468,14 +544,6 @@ class DirectionCache:
         """
         return _finish_unit(
             self._stream.standard_normal(seed_for(*keys), dim)
-        )
-
-    def fresh_normal(self, *keys: Key) -> float:
-        """Fast-path scalar draw without caching."""
-        return float(
-            self._stream.seek(
-                _pcg64_raw_state(seed_for(*keys))
-            ).standard_normal()
         )
 
     # ------------------------------------------------------------------

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._rng import directions, normalize, seed_for
+from repro._rng import Draw, DrawItem, directions, normalize, seed_for
 from repro.core.journal import SnapCounter
 from repro.diffusion.latent import SyntheticImage
 from repro.diffusion.registry import ModelSpec
@@ -139,7 +139,8 @@ class DiffusionModelSim:
             self._spec_digest,
             f"{seed_for(repr(space.config)):016x}",
         )
-        self._retention_cache: Dict[int, float] = {}
+        # Per skip depth: (anchor weight, refine alignment, refine realism).
+        self._skip_cache: Dict[int, Tuple[float, float, float]] = {}
 
     @property
     def spec(self) -> ModelSpec:
@@ -178,6 +179,24 @@ class DiffusionModelSim:
         under-aligned refinement looks generic, it does not grow extra
         artifacts — so FID stays governed by ``realism``.
         """
+        items, assemble = self._target_plan(prompt, seed, alignment, realism)
+        return assemble(directions.draw_batch(items))
+
+    def _target_plan(
+        self,
+        prompt: PromptLike,
+        seed: str,
+        alignment: Optional[float],
+        realism: Optional[float],
+    ) -> Tuple[List[DrawItem], Callable[[Sequence[Draw]], np.ndarray]]:
+        """The keyed draws a target needs, and its assembly from them.
+
+        Returns ``(items, assemble)``: ``items`` are
+        :meth:`DirectionCache.draw_batch` items (empty on a target-memo
+        hit) and ``assemble(drawn)`` builds, memoizes and returns the
+        target from their draws, in item order.  Callers append their own
+        per-image draws so that one batch seeds the whole image.
+        """
         spec = self._spec
         cache_key = self._memo_prefix + (
             prompt.prompt_id,
@@ -187,29 +206,16 @@ class DiffusionModelSim:
         )
         cached = _TARGET_CACHE.get(cache_key)
         if cached is not None:
-            return cached
+            return [], lambda drawn: cached
         dim = self._space.config.semantic_dim
-        mixture = prompt_mixture(self._space, prompt)
-        if alignment is None:
-            alignment = spec.alignment
-        if realism is None:
-            realism = spec.realism
-        if spec.alignment_jitter > 0.0:
-            jitter = directions.normal(
-                _JITTER_STREAM, spec.name, prompt.prompt_id, seed
+        jittered = spec.alignment_jitter > 0.0
+        items: List[DrawItem] = []
+        if jittered:
+            items.append(
+                (None, True, (_JITTER_STREAM, spec.name, prompt.prompt_id, seed))
             )
-            drawn = alignment + spec.alignment_jitter * jitter
-            # Same clamp as np.clip(drawn, 0.05, 0.98).
-            alignment = min(max(drawn, 0.05), 0.98)
-        # The model's intrinsic artifact budget is fixed by its standalone
-        # alignment; any further alignment loss becomes generic content.
-        artifact_scale = self._artifact_scale
-        deficit_scale = math.sqrt(
-            max(0.0, 1.0 - alignment**2 - artifact_scale**2)
-        )
-
-        natural = directions.unit(
-            dim, _NAT_STREAM, self._space.config.seed, prompt.prompt_id
+        items.append(
+            (dim, True, (_NAT_STREAM, self._space.config.seed, prompt.prompt_id))
         )
         # The artifact direction is pure in (model, prompt); it recurs when
         # the same prompt is rendered again (ground-truth sets, baseline
@@ -217,27 +223,67 @@ class DiffusionModelSim:
         artifact_key = self._memo_prefix + (prompt.prompt_id,)
         artifact = _ARTIFACT_CACHE.get(artifact_key)
         if artifact is None:
-            idiosyncratic = directions.unit(
-                dim, _MODEL_STREAM, spec.name, prompt.prompt_id
+            items.append(
+                (dim, True, (_MODEL_STREAM, spec.name, prompt.prompt_id))
             )
-            artifact = normalize(
-                spec.fingerprint * self._fingerprint
-                + self._idiosyncratic_weight * idiosyncratic
-            )
-            _memo_store(_ARTIFACT_CACHE, artifact_key, artifact)
-        residual = normalize(
-            realism * natural + (1.0 - realism) * artifact
-        )
+        items.append((dim, True, (_SET_STREAM, spec.name, seed)))
 
-        set_drift = directions.unit(dim, _SET_STREAM, spec.name, seed)
-        target = normalize(
-            alignment * mixture
-            + artifact_scale * residual
-            + deficit_scale * natural
-            + spec.set_shift * set_drift
+        def assemble(drawn: Sequence[Draw]) -> np.ndarray:
+            mixture = prompt_mixture(self._space, prompt)
+            aligned = spec.alignment if alignment is None else alignment
+            real = spec.realism if realism is None else realism
+            pos = 0
+            if jittered:
+                shifted = aligned + spec.alignment_jitter * drawn[0]
+                # Same clamp as np.clip(shifted, 0.05, 0.98).
+                aligned = min(max(shifted, 0.05), 0.98)
+                pos = 1
+            # The model's intrinsic artifact budget is fixed by its
+            # standalone alignment; any further alignment loss becomes
+            # generic content.
+            artifact_scale = self._artifact_scale
+            deficit_scale = math.sqrt(
+                max(0.0, 1.0 - aligned**2 - artifact_scale**2)
+            )
+            natural = drawn[pos]
+            pos += 1
+            art = artifact
+            if art is None:
+                art = normalize(
+                    spec.fingerprint * self._fingerprint
+                    + self._idiosyncratic_weight * drawn[pos]
+                )
+                pos += 1
+                _memo_store(_ARTIFACT_CACHE, artifact_key, art)
+            residual = normalize(real * natural + (1.0 - real) * art)
+            target = normalize(
+                aligned * mixture
+                + artifact_scale * residual
+                + deficit_scale * natural
+                + spec.set_shift * drawn[pos]
+            )
+            _memo_store(_TARGET_CACHE, cache_key, target)
+            return target
+
+        return items, assemble
+
+    def _refine_terms(self, structure_retention: float) -> Tuple[float, float]:
+        """``(alignment, realism)`` of the refinement target."""
+        spec = self._spec
+        floor = spec.refine_discount_floor
+        scale = floor + (1.0 - floor) * structure_retention
+        discounted = spec.alignment * (
+            1.0 - spec.refine_alignment_discount * scale
         )
-        _memo_store(_TARGET_CACHE, cache_key, target)
-        return target
+        # Refinement inherits the retained structure's realism: artifacts
+        # the refiner would have introduced from scratch are attenuated in
+        # proportion to how much of the original image survives (this is
+        # why MoDM's FID lands between the large and small models' in
+        # Tables 2-3).
+        recovered_realism = (
+            spec.realism + (1.0 - spec.realism) * structure_retention
+        )
+        return discounted, recovered_realism
 
     def refinement_target(
         self,
@@ -257,22 +303,9 @@ class DiffusionModelSim:
         """
         if not 0.0 <= structure_retention <= 1.0:
             raise ValueError("structure_retention must be in [0, 1]")
-        spec = self._spec
-        floor = spec.refine_discount_floor
-        scale = floor + (1.0 - floor) * structure_retention
-        discounted = spec.alignment * (
-            1.0 - spec.refine_alignment_discount * scale
-        )
-        # Refinement inherits the retained structure's realism: artifacts
-        # the refiner would have introduced from scratch are attenuated in
-        # proportion to how much of the original image survives (this is
-        # why MoDM's FID lands between the large and small models' in
-        # Tables 2-3).
-        recovered_realism = (
-            spec.realism + (1.0 - spec.realism) * structure_retention
-        )
+        alignment, realism = self._refine_terms(structure_retention)
         return self.target_content(
-            prompt, seed, alignment=discounted, realism=recovered_realism
+            prompt, seed, alignment=alignment, realism=realism
         )
 
     # ------------------------------------------------------------------
@@ -292,8 +325,10 @@ class DiffusionModelSim:
         content_key = self._memo_prefix + (image_id,)
         content = _CONTENT_CACHE.get(content_key)
         if content is None:
-            target = self.target_content(prompt, seed)
-            content = self._finish(target, image_id)
+            items, assemble = self._target_plan(prompt, seed, None, None)
+            items.append(self._noise_item(image_id))
+            drawn = directions.draw_batch(items)
+            content = self._finish(assemble(drawn), drawn[-1])
             _memo_store(_CONTENT_CACHE, content_key, content)
         image = SyntheticImage(
             image_id=image_id,
@@ -347,39 +382,45 @@ class DiffusionModelSim:
         )
         content = _CONTENT_CACHE.get(content_key)
         if content is None:
-            retention = self._retention_cache.get(skipped_steps)
-            if retention is None:
+            terms = self._skip_cache.get(skipped_steps)
+            if terms is None:
                 retention = self._schedule.structure_retention(
                     skipped_steps
                 )
-                self._retention_cache[skipped_steps] = retention
-            target = self.refinement_target(
-                prompt, seed, structure_retention=retention
+                terms = self._skip_cache[skipped_steps] = (
+                    self._anchor_weight(retention),
+                    *self._refine_terms(retention),
+                )
+            anchor, alignment, realism = terms
+            items, assemble = self._target_plan(
+                prompt, seed, alignment, realism
             )
-            anchor = self._anchor_weight(retention)
-            blend = normalize(
-                anchor * normalize(source.content)
-                + (1.0 - anchor) * target
-            )
-
             # Under-refinement: with few remaining steps, residual noise
             # from the Eq. 2 re-noising survives into the output.  The
             # residue is image-specific (it is leftover sampling noise),
             # so it attenuates prompt alignment without shifting the
-            # population mean.
+            # population mean.  Never memoized: the image-id key is
+            # unique per run, and replays short-circuit on the content
+            # memo above, so a DirectionCache entry would be write-only
+            # pollution.
             drift = self._spec.skip_penalty * (skipped_steps / total)
             if drift > 0.0:
-                # Never memoized: the image-id key is unique per run, and
-                # replays short-circuit on the content memo above, so a
-                # DirectionCache entry would be write-only pollution.
-                residue = directions.fresh_unit(
-                    self._space.config.semantic_dim,
-                    _GENERIC_STREAM,
-                    self._spec.name,
-                    image_id,
+                items.append(
+                    (
+                        self._space.config.semantic_dim,
+                        False,
+                        (_GENERIC_STREAM, self._spec.name, image_id),
+                    )
                 )
-                blend = normalize((1.0 - drift) * blend + drift * residue)
-            content = self._finish(blend, image_id)
+            items.append(self._noise_item(image_id))
+            drawn = directions.draw_batch(items)
+            blend = normalize(
+                anchor * normalize(source.content)
+                + (1.0 - anchor) * assemble(drawn)
+            )
+            if drift > 0.0:
+                blend = normalize((1.0 - drift) * blend + drift * drawn[-2])
+            content = self._finish(blend, drawn[-1])
             _memo_store(_CONTENT_CACHE, content_key, content)
         steps_run = total - skipped_steps
         image = SyntheticImage(
@@ -409,22 +450,25 @@ class DiffusionModelSim:
             self._spec.anchor_intercept
             + self._spec.anchor_slope * structure_retention
         )
-        return float(np.clip(weight, 0.0, 0.97))
+        # Same clamp as np.clip(weight, 0.0, 0.97).
+        return min(max(weight, 0.0), 0.97)
 
-    def _finish(self, direction: np.ndarray, image_id: str) -> np.ndarray:
-        """Apply per-image sampling noise and return the final content.
+    def _noise_item(self, image_id: str) -> DrawItem:
+        """The per-image sampling-noise draw.
 
-        The noise draw is deliberately *not* memoized: image-id keys are
-        unique within a run, and replays hit the finished-content memo
-        before ever reaching this method, so caching the draw would only
-        fill the DirectionCache with write-only entries.
+        Deliberately *not* memoized: image-id keys are unique within a
+        run, and replays hit the finished-content memo before ever
+        drawing it, so caching the draw would only fill the
+        DirectionCache with write-only entries.
         """
-        noise = directions.fresh_unit(
+        return (
             self._space.config.semantic_dim,
-            _IMAGE_STREAM,
-            self._spec.name,
-            image_id,
+            False,
+            (_IMAGE_STREAM, self._spec.name, image_id),
         )
+
+    def _finish(self, direction: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Apply per-image sampling noise and return the final content."""
         return normalize(direction + self._spec.image_noise * noise)
 
     def _next_image_id(

@@ -173,6 +173,62 @@ class TestSpecDigestDisambiguation:
         assert np.allclose(img_a.content, img_b.content)
 
 
+class TestContentPin:
+    """Image contents of a fixed generate/refine sequence, byte for byte.
+
+    The digest was recorded before per-image draws were batched; any
+    change to how the keyed draws are seeded, memoized or assembled
+    shows up here as a different digest.
+    """
+
+    CONTENT_SHA256 = (
+        "4cf4438b82f1affc6cccf6070bf28e30b6761d2b327a490ed3d50d85c0347a4c"
+    )
+
+    def test_sequence_contents_pinned(self, space, prompts):
+        import hashlib
+
+        from repro.diffusion import model as model_mod
+
+        model_mod.clear_model_memos()
+        targets = model_mod._TARGET_CACHE
+        artifacts = model_mod._ARTIFACT_CACHE
+        large = DiffusionModelSim(get_model("sd3.5-large"), space)
+        small = DiffusionModelSim(get_model("sdxl"), space)
+        steady = DiffusionModelSim(
+            dataclasses.replace(MODEL_ZOO["sdxl"], alignment_jitter=0.0),
+            space,
+        )
+        p0, p1, p2 = prompts[0], prompts[1], prompts[2]
+        images = []
+
+        def step(result, n_targets, n_artifacts):
+            images.append(result.image)
+            assert (len(targets), len(artifacts)) == (n_targets, n_artifacts)
+            return result.image
+
+        src = step(large.generate(p0, seed="pin"), 1, 1)
+        # Same prompt and seed: target memo hit, fresh sampling noise.
+        step(large.generate(p0, seed="pin"), 1, 1)
+        step(large.generate(p1, seed="pin-b"), 2, 2)
+        # Skip 0: no under-refinement residue.
+        step(small.refine(p1, src, 0, seed="pin"), 3, 3)
+        deep = step(small.refine(p2, src, 30, seed="pin"), 4, 4)
+        # Same refinement target, new source: target and artifact hits.
+        step(small.refine(p2, deep, 30, seed="pin"), 4, 4)
+        # New seed: target miss, artifact memo hit.
+        step(small.refine(p1, deep, 10, seed="pin-c"), 5, 4)
+        # No alignment jitter draw.
+        step(steady.generate(p2, seed="pin"), 6, 5)
+        step(steady.refine(p0, src, 25, seed="pin"), 7, 6)
+
+        digest = hashlib.sha256()
+        for image in images:
+            digest.update(image.image_id.encode("utf-8"))
+            digest.update(image.content.tobytes())
+        assert digest.hexdigest() == self.CONTENT_SHA256
+
+
 class TestImageIdLenCap:
     """``image_id_len_cap`` — bounded image-id lineages (opt-in)."""
 

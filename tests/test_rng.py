@@ -30,6 +30,26 @@ class TestSeedFor:
         value = seed_for("anything")
         assert 0 <= value < 2**64
 
+    def test_all_str_keys_hash_separated_material(self):
+        import hashlib
+
+        def digest(material):
+            raw = hashlib.blake2b(material, digest_size=8).digest()
+            return int.from_bytes(raw, "little")
+
+        assert seed_for("a", "bé") == digest(b"a\x1fb\xc3\xa9\x1f")
+        assert seed_for("a", 1) == digest(b"a\x1f1\x1f")
+        assert seed_for() == digest(b"")
+
+    def test_str_subclass_keys_hash_their_str(self):
+        import enum
+
+        class Mode(str, enum.Enum):
+            FAST = "fast"
+
+        # The per-key path hashes str(key), not the raw str payload.
+        assert seed_for(Mode.FAST) == seed_for(str(Mode.FAST))
+
 
 class TestRngFor:
     def test_same_keys_same_stream(self):
@@ -97,14 +117,41 @@ class TestFastSynthesis:
             assert state == ref["state"]
             assert inc == ref["inc"]
 
-    def test_batched_raw_states_match_scalar(self):
-        from repro._rng import _pcg64_raw_state, _pcg64_raw_states
+    #: SeedSequence edge cases: zero high/low words and all-ones words.
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
-        seeds = [seed_for("batch", i) for i in range(64)]
-        seeds += [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-        assert _pcg64_raw_states(seeds) == [
-            _pcg64_raw_state(s) for s in seeds
-        ]
+    @staticmethod
+    def _numpy_raw(seed):
+        ref = np.random.PCG64(seed).state["state"]
+        return ref["state"], ref["inc"]
+
+    def test_packed_replay_matches_numpy_pcg64(self):
+        from repro._rng import _MAX_LANES, _pcg64_raw_state, _raw_state_fn
+
+        seeds = self.EDGE_SEEDS + [seed_for("lane", i) for i in range(10)]
+        ref = [self._numpy_raw(s) for s in seeds]
+        assert _MAX_LANES == 8
+        for n in range(1, _MAX_LANES + 1):
+            fn = _raw_state_fn(n)
+            assert _raw_state_fn(n) is fn  # generated once per lane count
+            # Every window, so each edge seed sits in every lane.
+            for start in range(len(seeds) - n + 1):
+                window = seeds[start:start + n]
+                got = fn(*window) if n > 1 else [fn(window[0])]
+                assert got == ref[start:start + n], (n, start)
+        assert _raw_state_fn(1) is _pcg64_raw_state
+
+    def test_raw_states_chunk_past_max_lanes(self):
+        from repro._rng import _pcg64_raw_states
+
+        # 8 + 8 + 1 + ... : full chunks plus a scalar tail.
+        for count in (9, 17, 23):
+            seeds = [seed_for("chunk", count, i) for i in range(count)]
+            seeds[::5] = self.EDGE_SEEDS[: len(seeds[::5])]
+            assert _pcg64_raw_states(seeds) == [
+                self._numpy_raw(s) for s in seeds
+            ]
+        assert _pcg64_raw_states([]) == []
 
     def test_unit_bit_identical_to_reference(self):
         from repro._rng import DirectionCache
@@ -128,16 +175,90 @@ class TestFastSynthesis:
         for i, k in enumerate(keys):
             assert (out[i] == unit_vector(rng_for(*k), 48)).all()
 
+    def test_units_past_max_lanes_all_fresh(self):
+        from repro._rng import DirectionCache
+
+        cache = DirectionCache()
+        keys = [("wide", i) for i in range(19)]
+        out = cache.units(50, keys)
+        assert out.shape == (19, 50)
+        assert (cache.hits, cache.misses) == (0, 19)
+        for i, k in enumerate(keys):
+            assert (out[i] == unit_vector(rng_for(*k), 50)).all()
+        assert cache.units(50, []).shape == (0, 50)
+
     def test_normal_and_fresh_match_reference(self):
         from repro._rng import DirectionCache
 
         cache = DirectionCache()
         for keys in self._keys(50):
             ref_scalar = float(rng_for(*keys).standard_normal())
-            assert cache.normal(*keys) == ref_scalar
-            assert cache.fresh_normal(*keys) == ref_scalar
+            memo, fresh = cache.draw_batch(
+                [(None, True, keys), (None, False, keys)]
+            )
+            assert memo == ref_scalar and fresh == ref_scalar
+            assert type(memo) is float and type(fresh) is float
             ref_vec = unit_vector(rng_for(*keys), 24)
             assert (cache.fresh_unit(24, *keys) == ref_vec).all()
+
+    def test_draw_batch_mixed_items_match_reference(self):
+        from repro._rng import DirectionCache
+
+        cache = DirectionCache()
+        keys = self._keys(12)
+        # Pre-warm some memos so the batch mixes hits and misses.
+        cache.unit(48, *keys[0])
+        cache.draw_batch([(None, True, keys[1])])
+        items = []
+        for i, k in enumerate(keys):
+            dim = None if i % 3 == 1 else (48, 50, 48)[i % 3]
+            items.append((dim, i % 4 != 3, k))
+        out = cache.draw_batch(items)
+        assert len(out) == len(items)
+        for (dim, memoize, k), value in zip(items, out):
+            rng = rng_for(*k)
+            if dim is None:
+                assert value == float(rng.standard_normal())
+            else:
+                assert (value == unit_vector(rng, dim)).all()
+                assert value.flags.writeable != memoize
+        # Memoized results are the ones the single-key methods return.
+        assert out[0] is cache.unit(48, *keys[0])
+        assert cache.draw_batch([]) == []
+
+    def test_draw_batch_repeated_key_and_counters(self):
+        from repro._rng import DirectionCache
+
+        cache = DirectionCache()
+        cache.unit(16, "rep", "warm")
+        hits, misses = cache.hits, cache.misses
+        items = [
+            (16, True, ("rep", "a")),
+            (16, True, ("rep", "warm")),  # memo hit
+            (16, True, ("rep", "a")),  # repeat within the batch: a hit
+            (8, True, ("rep", "a")),  # same key, other dim: its own memo
+            (None, True, ("rep", "a")),  # scalar memo is separate too
+            (None, True, ("rep", "a")),  # repeated scalar: a hit
+            (16, False, ("rep", "a")),  # fresh: never counted
+            (16, False, ("rep", "a")),
+        ]
+        out = cache.draw_batch(items)
+        assert (cache.hits - hits, cache.misses - misses) == (3, 3)
+        assert out[2] is out[0] and out[5] == out[4]
+        assert out[6] is not out[0] and out[7] is not out[6]
+        ref = unit_vector(rng_for("rep", "a"), 16)
+        for i in (0, 2, 6, 7):
+            assert (out[i] == ref).all()
+        assert (out[3] == unit_vector(rng_for("rep", "a"), 8)).all()
+        assert out[4] == float(rng_for("rep", "a").standard_normal())
+        # A sequential replay of the memoized items counts the same.
+        seq = DirectionCache()
+        seq.unit(16, "rep", "warm")
+        for dim, memoize, keys in items:
+            if memoize and dim is not None:
+                seq.unit(dim, *keys)
+        seq.draw_batch([(None, True, ("rep", "a"))] * 2)
+        assert (seq.hits, seq.misses) == (cache.hits, cache.misses)
 
     def test_memo_returns_shared_readonly_array(self):
         from repro._rng import DirectionCache
