@@ -9,7 +9,7 @@ local default-scale (10M-entry) run.  Three claims are checked:
   semantic-cache regime), the tiered cache's top-1 result matches the
   exact brute-force best for >= 95% of queries, despite the fp16 scan
   tier.  Ground truth is computed by streaming the cold file with
-  ``np.fromfile`` — never a whole-corpus memmap pass, whose touched
+  ``pread`` chunks — never a whole-corpus memmap pass, whose touched
   pages would count against the resident-memory budget.
 * **Memory** — at default (10M) scale the peak resident set stays under
   8 GiB: quantized blocks (~1 GiB) + hot tier (~0.5 GiB) + columnar

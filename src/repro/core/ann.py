@@ -25,7 +25,8 @@ Design, in the order a request sees it:
   float16 for the tiered cache's quantized hot tier), so probing a
   cell is one sequential block-matvec instead of a row gather from the
   big matrix — gather overhead, not flops, dominates the re-rank at
-  scale.  Inserts assign their slot to the nearest coarse centroid in
+  scale.  A row-aligned int64 array holds each cell's member slots.
+  Inserts assign their slot to the nearest coarse centroid in
   O(nlist·d) and append to that cell's block; evictions flip a
   row-valid bit (a lazy tombstone) and cells compact once tombstones
   outnumber live rows.  Cells also keep a running sum of their live
@@ -35,12 +36,12 @@ Design, in the order a request sees it:
   sketch.
 * **Multi-probe search with exact re-rank** — a query scores the
   ``nlist`` coarse centroids (one small matvec), scans the ``nprobe``
-  best cells' blocks in float32, masks tombstoned rows, and re-scores
-  the winners against the cache's float64 embedding matrix — so the
-  *similarities* the scheduler thresholds are always exact; only
-  *which* entries were considered is approximate.  Ties break toward
-  the lowest slot id and every step is a deterministic function of the
-  index state.
+  best cells' blocks in float32 (one matvec per cell), keeps only the
+  rows still valid, and re-scores the winners against the cache's
+  float64 embedding matrix — so the *similarities* the scheduler
+  thresholds are always exact; only *which* entries were considered is
+  approximate.  Ties break toward the lowest slot id and every step is
+  a deterministic function of the index state.
 * **Drift control** — assignment anchors are fixed between trainings;
   after ``retrain_inserts`` insertions (default: two full cache
   turnovers) the index retrains from the current live set so anchors
@@ -184,10 +185,12 @@ class IVFIndex:
     :meth:`add` / :meth:`remove` on insert/evict and :meth:`ready` /
     :meth:`search` / :meth:`search_topk` on retrieval.
 
-    Per-cell state is row-parallel: ``_lists[c][r]`` is the slot whose
-    float32 embedding sits in ``_blocks[c][r]`` and whose liveness bit
-    is ``_valid[c][r]``.  ``_row_of[slot]`` locates a live slot's row in
-    its assigned cell, so eviction flips one bit without scanning.
+    Per-cell state is row-parallel: ``_members[c][r]`` (an int64 array
+    that grows with the block) is the slot whose embedding sits in
+    ``_blocks[c][r]`` and whose liveness bit is ``_valid[c][r]``; the
+    first ``_fill[c]`` rows are in use.  ``_row_of[slot]`` locates a
+    live slot's row in its assigned cell, so eviction flips one bit
+    without scanning.
     """
 
     def __init__(
@@ -212,9 +215,10 @@ class IVFIndex:
         # snap: derived (from params)
         self._block_dtype = params.resolved_block_dtype()
         self._centroids: Optional[np.ndarray] = None  # (nlist, d), unit
-        self._lists: List[List[int]] = []
-        # snap: derived (per-cell memo of _lists; rebuilt lazily)
-        self._list_arrays: List[Optional[np.ndarray]] = []
+        # Per-cell member slots, row-aligned with the block (same
+        # length, slack included); rows [:_fill[c]] are in use.
+        self._members: List[Optional[np.ndarray]] = []
+        self._fill: List[int] = []
         self._blocks: List[Optional[np.ndarray]] = []  # (cap, d) f32
         self._valid: List[Optional[np.ndarray]] = []  # (cap,) bool
         self._stale: List[int] = []  # tombstoned rows per cell
@@ -388,14 +392,11 @@ class IVFIndex:
                 self._blocks[cell][cur:stop] = rows[grp]
                 member_arrays[cell][cur:stop] = slots[grp]
                 cursors[cell] = stop
-        self._lists = [
-            [] if arr is None else arr.tolist()
-            for arr in member_arrays
-        ]
         for arr in member_arrays:
             if arr is not None:
                 self._row_of[arr] = np.arange(arr.size)
-        self._list_arrays = list(member_arrays)
+        self._members = member_arrays
+        self._fill = [int(c) for c in counts]
         self._stale = [0] * nlist
         self._cell_sums = sums
         self._cell_counts = counts
@@ -414,7 +415,8 @@ class IVFIndex:
         self._assign[slots] = assign
         order = np.argsort(assign, kind="stable")
         counts = np.bincount(assign, minlength=nlist)
-        self._lists = []
+        self._members = []
+        self._fill = []
         self._blocks = []
         self._valid = []
         start = 0
@@ -422,17 +424,18 @@ class IVFIndex:
             stop = start + int(counts[cell])
             members = slots[order[start:stop]]
             self._row_of[members] = np.arange(members.size)
-            self._lists.append(members.tolist())
+            self._fill.append(members.size)
             if members.size:
+                self._members.append(members)
                 self._blocks.append(
                     self._matrix[members].astype(self._block_dtype)
                 )
                 self._valid.append(np.ones(members.size, dtype=bool))
             else:
+                self._members.append(None)
                 self._blocks.append(None)
                 self._valid.append(None)
             start = stop
-        self._list_arrays = [None] * nlist
         self._stale = [0] * nlist
         self._cell_sums = np.zeros((nlist, dim))
         np.add.at(self._cell_sums, assign, self._matrix[slots])
@@ -445,24 +448,27 @@ class IVFIndex:
     def _append_row(
         self, cell: int, slot: int, embedding: np.ndarray
     ) -> None:
-        row = len(self._lists[cell])
+        row = self._fill[cell]
         block = self._blocks[cell]
         if block is None or row >= block.shape[0]:
+            rows = max(8, 2 * row)
             grown = np.empty(
-                (max(8, 2 * row), self._matrix.shape[1]),
-                dtype=self._block_dtype,
+                (rows, self._matrix.shape[1]), dtype=self._block_dtype
             )
-            valid = np.zeros(grown.shape[0], dtype=bool)
+            valid = np.zeros(rows, dtype=bool)
+            members = np.empty(rows, dtype=np.int64)
             if block is not None:
                 grown[:row] = block[:row]
                 valid[:row] = self._valid[cell][:row]
+                members[:row] = self._members[cell][:row]
             self._blocks[cell] = grown
             self._valid[cell] = valid
+            self._members[cell] = members
             block = grown
         block[row] = embedding
         self._valid[cell][row] = True
-        self._lists[cell].append(slot)
-        self._list_arrays[cell] = None
+        self._members[cell][row] = slot
+        self._fill[cell] = row + 1
         self._row_of[slot] = row
 
     def add(self, slot: int, embedding: np.ndarray) -> None:
@@ -493,24 +499,23 @@ class IVFIndex:
         self._cell_counts[cell] -= 1
         self._coarse_memo = None
         self._stale[cell] += 1
-        live_members = len(self._lists[cell]) - self._stale[cell]
+        live_members = self._fill[cell] - self._stale[cell]
         if self._stale[cell] > max(16, live_members):
             self._compact(cell)
 
     def _compact(self, cell: int) -> None:
         """Drop a cell's tombstoned rows, repacking the live ones."""
-        members = self._cell_members(cell)
-        keep = self._valid[cell][: members.size]
-        kept = members[keep]
-        self._lists[cell] = kept.tolist()
-        self._list_arrays[cell] = None
+        m = self._fill[cell]
+        keep = self._valid[cell][:m]
+        kept = self._members[cell][:m][keep]
+        self._fill[cell] = kept.size
         if kept.size:
-            self._blocks[cell] = self._blocks[cell][: members.size][
-                keep
-            ]
+            self._members[cell] = kept
+            self._blocks[cell] = self._blocks[cell][:m][keep]
             self._valid[cell] = np.ones(kept.size, dtype=bool)
             self._row_of[kept] = np.arange(kept.size)
         else:
+            self._members[cell] = None
             self._blocks[cell] = None
             self._valid[cell] = None
         self._stale[cell] = 0
@@ -518,23 +523,21 @@ class IVFIndex:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def _cell_members(self, cell: int) -> np.ndarray:
-        arr = self._list_arrays[cell]
-        if arr is None:
-            arr = np.asarray(self._lists[cell], dtype=np.int64)
-            self._list_arrays[cell] = arr
-        return arr
-
     def _probe(
         self, query_unit: np.ndarray
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """Concatenated (slots, f32 sims) over the probed cells.
+        """Concatenated (slots, f32 sims) over the probed cells' live rows.
 
-        Tombstoned rows score ``-inf`` so they can never win; cells are
-        visited in a deterministic order, so the concatenation — and
-        therefore every downstream argmax tie-break — is a pure
-        function of the index state.  Returns ``(None, None)`` when
-        every probed cell is empty (callers fall back to exact).
+        Each cell is scored with its own matvec over all of its rows
+        (tombstones included), then only the valid rows are kept.  The
+        per-cell ``block[:m] @ q32`` is deliberate: BLAS sgemv rounding
+        depends on a row's position in the matrix, so fusing, padding
+        or compacting cells would change f32 similarities and with them
+        the shortlist.  Cells are visited in a deterministic order, so
+        the concatenation — and therefore every downstream tie-break —
+        is a pure function of the index state.  Returns
+        ``(None, None)`` when the probed cells hold no live row
+        (callers fall back to exact).
         """
         assert self._centroids is not None
         csims = self._centroids @ query_unit
@@ -546,9 +549,8 @@ class IVFIndex:
         q32 = query_unit.astype(np.float32)
         slot_parts = []
         sim_parts = []
-        for cell in probe:
-            cell = int(cell)
-            m = len(self._lists[cell])
+        for cell in probe.tolist():
+            m = self._fill[cell]
             if m == 0:
                 continue
             block = self._blocks[cell][:m]
@@ -559,13 +561,19 @@ class IVFIndex:
                 # bounded by the probed fraction, not cache size).
                 block = block.astype(np.float32)
             sims = block @ q32
+            members = self._members[cell][:m]
             if self._stale[cell]:
-                sims[~self._valid[cell][:m]] = -np.inf
-            slot_parts.append(self._cell_members(cell))
+                keep = self._valid[cell][:m]
+                sims = sims[keep]
+                members = members[keep]
+            slot_parts.append(members)
             sim_parts.append(sims)
         if not slot_parts:
             return None, None
-        return np.concatenate(slot_parts), np.concatenate(sim_parts)
+        sims = np.concatenate(sim_parts)
+        if sims.size == 0:
+            return None, None  # every probed row tombstoned
+        return np.concatenate(slot_parts), sims
 
     def _exact_sim(self, slot: int, query_unit: np.ndarray) -> float:
         """Full-precision cosine of one slot (winners are re-scored
@@ -591,22 +599,16 @@ class IVFIndex:
         slots, sims = self._probe(query_unit)
         if slots is None:
             return None
-        best = int(np.argmax(sims))
-        best_sim = sims[best]
-        if best_sim == -np.inf:
-            return None  # every probed row tombstoned
         rerank = self.params.rerank
         if rerank <= 1:
+            best_sim = sims.max()
             best_slot = int(slots[sims == best_sim].min())
             return best_slot, self._exact_sim(best_slot, query_unit)
-        valid = np.flatnonzero(sims > -np.inf)
-        vsims = sims[valid]
-        r = min(rerank, valid.size)
-        if r < valid.size:
-            kth = vsims[np.argpartition(vsims, -r)[-r:]].min()
-            sel = slots[valid[vsims >= kth]]
+        if rerank < sims.size:
+            kth = np.partition(sims, -rerank)[-rerank]
+            sel = slots[sims >= kth]
         else:
-            sel = slots[valid]
+            sel = slots
         exact = self._matrix[sel] @ query_unit
         order = np.lexsort((sel, -exact))
         top = int(order[0])
@@ -626,22 +628,18 @@ class IVFIndex:
         slots, sims = self._probe(query_unit)
         if slots is None:
             return []
-        valid = np.flatnonzero(sims > -np.inf)
-        if valid.size == 0:
-            return []
         # The shortlist is at least ``rerank`` wide so a quantized block
         # scan cannot silently drop the exact winner (rerank=1 keeps
         # the historical selection width bit-for-bit).
         r = max(k, self.params.rerank)
-        if r < valid.size:
-            vsims = sims[valid]
-            kth = vsims[np.argpartition(vsims, -r)[-r:]].min()
+        if r < sims.size:
+            kth = np.partition(sims, -r)[-r]
             # >= kth keeps every candidate tied at the selection
-            # boundary, so the f64 re-rank — not argpartition's
+            # boundary, so the f64 re-rank — not the partition's
             # arbitrary tie order — decides which of them survive.
-            sel = slots[valid[vsims >= kth]]
+            sel = slots[sims >= kth]
         else:
-            sel = slots[valid]
+            sel = slots
         exact = self._matrix[sel] @ query_unit
         order = np.lexsort((sel, -exact))[:k]
         return [(int(sel[i]), float(exact[i])) for i in order]
@@ -666,7 +664,10 @@ class IVFIndex:
                 if self._centroids is None
                 else self._centroids.copy()
             ),
-            lists=[list(members) for members in self._lists],
+            lists=[
+                [] if members is None else members[:m].tolist()
+                for members, m in zip(self._members, self._fill)
+            ],
             blocks=(
                 [
                     None if block is None else block.copy()
@@ -703,14 +704,13 @@ class IVFIndex:
         A block-free snapshot (``include_blocks=False``) restores to
         exact-size zeroed blocks; the owner must refill the *valid* rows
         from its row source afterwards (tombstoned rows may stay zero —
-        the probe masks them to ``-inf`` before they can influence any
-        result, and exact-size blocks only drop doubling slack the
-        search never reads).
+        the probe drops them before they can influence any result, and
+        exact-size blocks only drop doubling slack the search never
+        reads).
         """
         self._centroids = (
             None if state.centroids is None else state.centroids.copy()
         )
-        self._lists = [list(members) for members in state.lists]
         if state.blocks is None:
             dim = self._matrix.shape[1]
             self._blocks = [
@@ -724,6 +724,16 @@ class IVFIndex:
                 None if block is None else block.copy()
                 for block in state.blocks
             ]
+        # Member arrays match their block's length (slack included).
+        self._fill = [len(members) for members in state.lists]
+        self._members = []
+        for members, block in zip(state.lists, self._blocks):
+            if block is None:
+                self._members.append(None)
+                continue
+            arr = np.empty(block.shape[0], dtype=np.int64)
+            arr[: len(members)] = members
+            self._members.append(arr)
         self._valid = [
             None if valid is None else valid.copy()
             for valid in state.valid
@@ -741,7 +751,6 @@ class IVFIndex:
         self._row_of[:] = state.row_of
         self._inserts_since_train = state.inserts_since_train
         self.trainings = state.trainings
-        self._list_arrays = [None] * len(self._lists)
         self._coarse_memo = None
 
     def refill_rows(self, slots: np.ndarray, rows: np.ndarray) -> None:
@@ -784,8 +793,8 @@ class IVFIndex:
         training in a way a real reboot never would.
         """
         self._centroids = None
-        self._lists = []
-        self._list_arrays = []
+        self._members = []
+        self._fill = []
         self._blocks = []
         self._valid = []
         self._stale = []

@@ -12,9 +12,9 @@ module splits storage across two tiers behind the same cache surface:
   (``IVFParams.rerank`` shortlist) keeps returned similarities exact.
 * **Hot tier** — a small float64 row store for the frequently-hit
   entries.  Shortlist re-ranks against hot rows are RAM reads.
-* **Cold tier** — an append-only file of exact float64 rows
-  (:class:`ColdStore`) holding every entry's embedding.  Shortlist
-  re-ranks against cold rows are positioned ``pread`` gathers.
+* **Cold tier** — a file of exact float64 rows written at a logical
+  append cursor (:class:`ColdStore`) holding every entry's embedding.
+  Shortlist re-ranks against cold rows are positioned ``pread`` gathers.
 
 Promotion is driven by access counts: an entry's ``promote_hits``-th
 recorded hit copies its exact row from the cold file into the hot store,
@@ -117,23 +117,30 @@ class TieredCacheConfig:
 
 
 class ColdStore:
-    """Append-only float64 row file with positioned-read gathers.
+    """Float64 row file written at an append cursor, read by ``pread``.
 
-    Row reads use ``os.pread`` rather than an ``np.memmap`` view: on
-    Linux, faulting a page of a file-backed mapping drags in a
-    fault-around window (~64 KiB) that ``MADV_RANDOM`` does not
-    suppress, so a replay phase's scattered shortlist gathers would pin
-    most of a multi-GiB cold file into the process's resident set.
-    ``pread`` serves the same bytes through the page cache without
-    mapping them, keeping resident memory bounded by live data
-    structures instead of access history.
+    All I/O is positioned (``os.pwrite`` / ``os.pread``) on the file's
+    raw descriptor: there is no buffered-file layer, so appends are
+    visible to every read path without a flush, and no call moves a
+    shared file offset.  Reads use ``pread`` rather than an
+    ``np.memmap`` view: on Linux, faulting a page of a file-backed
+    mapping drags in a fault-around window (~64 KiB) that
+    ``MADV_RANDOM`` does not suppress, so a replay phase's scattered
+    shortlist gathers would pin most of a multi-GiB cold file into the
+    process's resident set.  ``pread`` serves the same bytes through the
+    page cache without mapping them, keeping resident memory bounded by
+    live data structures instead of access history.
 
-    Rows are immutable once appended — the log-structured property that
-    makes block-free snapshots sound: any snapshot taken when the append
-    cursor was at ``r`` can rebuild every row it references from the
-    first ``r`` rows of the file.  :meth:`rewind` moves the logical
-    cursor without truncating, so restore simply abandons the suffix
-    (later appends overwrite it deterministically).
+    Rows are **not** immutable: the append cursor is logical, and
+    :meth:`rewind` moves it without truncating, so the next append
+    overwrites whatever row sits at the cursor.  ``clear()`` on the
+    owning cache rewinds to 0 and ``restore`` rewinds to the snapshot's
+    cursor.  The invariant block-free snapshots rely on is narrower: a
+    snapshot taken with the cursor at ``r`` can rebuild every row it
+    references from the first ``r`` rows of the file *until the cursor
+    is next rewound below ``r`` and rows are appended over them*.  A
+    snapshot older than a rewind can therefore alias rows written after
+    it (ROADMAP, "cold-store aliasing").
 
     ``path=None`` backs the store with an anonymous temp file (deleted
     on close/exit); a real path reattaches on construction so a fresh
@@ -145,11 +152,16 @@ class ColdStore:
             raise ValueError("dim must be >= 1")
         self._dim = dim
         self._path = path
+        self._row_bytes = dim * 8
+        # Unbuffered file objects own the descriptor's lifetime (closed
+        # on ``close()`` or collection); every read and write goes
+        # through ``self._fd`` with an explicit offset.
         if path is None:
-            self._file = tempfile.TemporaryFile()
+            self._file = tempfile.TemporaryFile(buffering=0)
         else:
             mode = "r+b" if os.path.exists(path) else "w+b"
-            self._file = open(path, mode)
+            self._file = open(path, mode, buffering=0)
+        self._fd = self._file.fileno()
         self._rows = 0
 
     @property
@@ -165,9 +177,6 @@ class ColdStore:
         """Logical append-cursor position (rows readable)."""
         return self._rows
 
-    def _row_bytes(self) -> int:
-        return self._dim * 8
-
     def append_rows(self, rows: np.ndarray) -> int:
         """Append a (n, dim) block; returns the first row's index."""
         rows = np.ascontiguousarray(rows, dtype=np.float64)
@@ -177,8 +186,12 @@ class ColdStore:
                 f"got {rows.shape}"
             )
         start = self._rows
-        self._file.seek(start * self._row_bytes())
-        rows.tofile(self._file)
+        data = memoryview(rows).cast("B")
+        offset = start * self._row_bytes
+        while data:
+            written = os.pwrite(self._fd, data, offset)
+            data = data[written:]
+            offset += written
         self._rows += rows.shape[0]
         return start
 
@@ -186,63 +199,68 @@ class ColdStore:
         """Append one row; returns its row index."""
         return self.append_rows(row[None, :])
 
-    def _pread_row(self, row: int) -> np.ndarray:
-        rb = self._row_bytes()
-        buf = os.pread(self._file.fileno(), rb, row * rb)
-        if len(buf) != rb:
-            raise IOError(
-                f"cold store short read at row {row}: "
-                f"{len(buf)} of {rb} bytes"
-            )
-        return np.frombuffer(buf, dtype=np.float64)
+    def _short_read(self, row: int, got: int, want: int) -> IOError:
+        return IOError(
+            f"cold store short read at row {row}: {got} of {want} bytes"
+        )
 
     def read_row(self, row: int) -> np.ndarray:
         """One row as a fresh float64 array."""
         if not 0 <= row < self._rows:
             raise IndexError(f"row {row} out of range [0, {self._rows})")
-        self._file.flush()
-        return self._pread_row(int(row)).copy()
+        rb = self._row_bytes
+        buf = os.pread(self._fd, rb, int(row) * rb)
+        if len(buf) != rb:
+            raise self._short_read(int(row), len(buf), rb)
+        return np.frombuffer(buf, dtype=np.float64).copy()
 
     def read_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Gathered rows as a fresh (n, dim) float64 array."""
-        idx = np.asarray(rows, dtype=np.int64)
-        if idx.size == 0:
+        """Gathered rows as a fresh (n, dim) float64 array.
+
+        One ``pread`` per row, joined into a single buffer that is
+        decoded once.
+        """
+        idx = np.asarray(rows, dtype=np.int64).tolist()
+        if not idx:
             return np.empty((0, self._dim), dtype=np.float64)
-        if idx.min() < 0 or idx.max() >= self._rows:
+        lo = min(idx)
+        hi = max(idx)
+        if lo < 0 or hi >= self._rows:
             raise IndexError(
-                f"rows out of range [0, {self._rows}): "
-                f"[{idx.min()}, {idx.max()}]"
+                f"rows out of range [0, {self._rows}): [{lo}, {hi}]"
             )
-        self._file.flush()
-        out = np.empty((idx.size, self._dim), dtype=np.float64)
-        for i, row in enumerate(idx):
-            out[i] = self._pread_row(int(row))
-        return out
+        rb = self._row_bytes
+        parts = []
+        for row in idx:
+            part = os.pread(self._fd, rb, row * rb)
+            if len(part) != rb:
+                raise self._short_read(row, len(part), rb)
+            parts.append(part)
+        return (
+            np.frombuffer(b"".join(parts), dtype=np.float64)
+            .reshape(len(idx), self._dim)
+            .copy()
+        )
 
     def chunks(
         self, chunk_rows: int = _STREAM_CHUNK_ROWS
     ) -> Iterator[Tuple[int, np.ndarray]]:
         """Yield ``(start_row, rows)`` sequentially over the extent.
 
-        Streams with ``np.fromfile`` — bounded resident memory (one
-        chunk), unlike a memmap pass whose touched pages all count
-        against the process's resident set.
+        One ``pread`` per chunk into a fresh array — bounded resident
+        memory (one chunk), unlike a memmap pass whose touched pages all
+        count against the process's resident set.
         """
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
-        self._file.flush()
         for start in range(0, self._rows, chunk_rows):
             count = min(chunk_rows, self._rows - start)
-            self._file.seek(start * self._row_bytes())
-            flat = np.fromfile(
-                self._file, dtype=np.float64, count=count * self._dim
-            )
-            if flat.size != count * self._dim:
-                raise IOError(
-                    f"cold store short read at row {start}: "
-                    f"{flat.size} of {count * self._dim} values"
-                )
-            yield start, flat.reshape(count, self._dim)
+            out = np.empty((count, self._dim), dtype=np.float64)
+            want = count * self._row_bytes
+            got = os.preadv(self._fd, [out], start * self._row_bytes)
+            if got != want:
+                raise self._short_read(start, got, want)
+            yield start, out
 
     def rewind(self, rows: int) -> None:
         """Move the logical cursor to ``rows`` (snapshot restore).
@@ -254,11 +272,10 @@ class ColdStore:
         """
         if rows < 0:
             raise ValueError("rows must be >= 0")
-        self._file.flush()
-        size = os.fstat(self._file.fileno()).st_size
-        if rows * self._row_bytes() > size:
+        size = os.fstat(self._fd).st_size
+        if rows * self._row_bytes > size:
             raise ValueError(
-                f"cold store holds {size // self._row_bytes()} rows, "
+                f"cold store holds {size // self._row_bytes} rows, "
                 f"cannot rewind to {rows}"
             )
         self._rows = rows
@@ -342,16 +359,13 @@ class _SlotRows:
         if isinstance(key, (int, np.integer)):
             return cache._row_copy(int(key))
         slots = np.asarray(key, dtype=np.int64)
-        out = np.empty(
-            (slots.size, cache._embed_dim), dtype=np.float64
-        )
         hot_rows = cache._hot_row[slots]
-        hot = hot_rows >= 0
-        if hot.any():
-            out[hot] = cache._hot_store[hot_rows[hot]]
-        cold = ~hot
-        if cold.any():
-            cache.cold_reads += int(cold.sum())
+        # One gather serves every hot row; cold positions (hot row -1)
+        # pick up a placeholder row that the cold gather overwrites.
+        out = cache._hot_store[hot_rows]
+        cold = np.flatnonzero(hot_rows < 0)
+        if cold.size:
+            cache.cold_reads += cold.size
             out[cold] = cache._cold.read_rows(
                 cache._cold_row[slots[cold]]
             )
@@ -1017,8 +1031,7 @@ class TieredVectorCache:
 
         Live slots are matched to stream positions through their
         (sorted, unique) cold rows; tombstoned block rows stay zero —
-        the probe masks them to ``-inf`` before they can influence any
-        result.
+        the probe drops them before they can influence any result.
         """
         live_slots = np.flatnonzero(self._live)
         if live_slots.size == 0:
@@ -1077,10 +1090,12 @@ class TieredVectorCache:
         surface).
 
         The snapshot is block-free, so exact embeddings come from this
-        cache's append-only cold file: every row the snapshot references
-        sits below its ``cold_rows`` cursor and is never overwritten by
-        later inserts, so the file outlives a simulated crash and the
-        dead replica's rows stay readable for survivors to adopt.
+        cache's cold file: every row the snapshot references sits below
+        its ``cold_rows`` cursor, and the file outlives a simulated
+        crash, so the dead replica's rows stay readable for survivors to
+        adopt.  Those rows are overwritten only after the cursor is
+        rewound below them (``clear`` or ``restore``) and rows are
+        appended again — see :class:`ColdStore`.
         """
         slots = np.flatnonzero(state.live)
         order = np.argsort(state.entry_ids[slots], kind="stable")

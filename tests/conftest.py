@@ -6,7 +6,10 @@ the object is read-only for tests; function-scoped otherwise.
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.core.config import ClusterConfig
 from repro.diffusion.model import DiffusionModelSim
@@ -19,6 +22,14 @@ from repro.workloads import (
     diffusiondb_trace,
     mjhq_trace,
 )
+
+# Hypothesis profiles.  Property tests that pin ``max_examples`` keep
+# their own budget; the rest (the IVF masked-probe oracle, the tiered
+# residency property) take it from the profile: bounded for tier-1,
+# heavier when ``HYPOTHESIS_PROFILE=ci-heavy`` is set.
+settings.register_profile("tier1", max_examples=20)
+settings.register_profile("ci-heavy", max_examples=300)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture(scope="session")

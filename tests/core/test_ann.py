@@ -13,16 +13,21 @@ the properties the serving system actually relies on:
 * the whole index (training included) is deterministic across runs;
 * the default ``"exact"`` backend is byte-identical to the pre-index
   decision path (the seed golden regression pins the full engine; here
-  a direct cache-level comparison pins the primitive).
+  a direct cache-level comparison pins the primitive);
+* search and top-k agree bit for bit with a reference that scores every
+  probed row and masks tombstones to ``-inf`` in place, under
+  hypothesis-driven churn and across a block-free snapshot restore.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro._rng import rng_for
-from repro.core.ann import IVFIndex, IVFParams
+from repro.core.ann import BLOCK_DTYPES, IVFIndex, IVFParams
 from repro.core.cache import VectorCache
 from repro.core.config import MoDMConfig
 
@@ -227,8 +232,8 @@ class TestChurnConsistency:
         index = ivf.index
         assert index.trained
         assert index.trainings == 1
-        total_listed = sum(len(cell) for cell in index._lists)
-        assert total_listed <= 2 * n + 16 * len(index._lists)
+        total_listed = sum(index._fill)
+        assert total_listed <= 2 * n + 16 * len(index._fill)
 
     def test_cell_counts_match_live_members(self):
         """Running per-cell sums/counts stay consistent under churn."""
@@ -399,3 +404,245 @@ class TestServingIntegration:
         assert report.hit_rate > 0.0
         # The modelled scan is sublinear once the index is trained.
         assert system.cache.scan_entries() < len(system.cache)
+
+
+# ----------------------------------------------------------------------
+# Oracle: the masked probe the array-native cells replaced
+# ----------------------------------------------------------------------
+def reference_probe(index, query_unit):
+    """Concatenated (slots, f32 sims) with tombstones scored ``-inf``.
+
+    The probe as it was written before cells dropped tombstoned rows:
+    each probed cell's rows are scored by one matvec and tombstones are
+    overwritten with ``-inf`` in place, so they stay in the result.
+    """
+    csims = index._centroids @ query_unit
+    nprobe = min(index.params.nprobe, csims.shape[0])
+    if nprobe < csims.shape[0]:
+        probe = np.argpartition(csims, -nprobe)[-nprobe:]
+    else:
+        probe = np.arange(csims.shape[0])
+    q32 = query_unit.astype(np.float32)
+    slot_parts = []
+    sim_parts = []
+    for cell in probe:
+        cell = int(cell)
+        m = index._fill[cell]
+        if m == 0:
+            continue
+        block = index._blocks[cell][:m]
+        if block.dtype != np.float32:
+            block = block.astype(np.float32)
+        sims = block @ q32
+        if index._stale[cell]:
+            sims[~index._valid[cell][:m]] = -np.inf
+        slot_parts.append(index._members[cell][:m])
+        sim_parts.append(sims)
+    if not slot_parts:
+        return None, None
+    return np.concatenate(slot_parts), np.concatenate(sim_parts)
+
+
+def reference_search(index, query_unit):
+    slots, sims = reference_probe(index, query_unit)
+    if slots is None:
+        return None
+    best = int(np.argmax(sims))
+    best_sim = sims[best]
+    if best_sim == -np.inf:
+        return None
+    rerank = index.params.rerank
+    if rerank <= 1:
+        best_slot = int(slots[sims == best_sim].min())
+        return best_slot, float(np.dot(index._matrix[best_slot], query_unit))
+    valid = np.flatnonzero(sims > -np.inf)
+    vsims = sims[valid]
+    r = min(rerank, valid.size)
+    if r < valid.size:
+        kth = vsims[np.argpartition(vsims, -r)[-r:]].min()
+        sel = slots[valid[vsims >= kth]]
+    else:
+        sel = slots[valid]
+    exact = index._matrix[sel] @ query_unit
+    top = int(np.lexsort((sel, -exact))[0])
+    return int(sel[top]), float(exact[top])
+
+
+def reference_search_topk(index, query_unit, k):
+    slots, sims = reference_probe(index, query_unit)
+    if slots is None:
+        return []
+    valid = np.flatnonzero(sims > -np.inf)
+    if valid.size == 0:
+        return []
+    r = max(k, index.params.rerank)
+    if r < valid.size:
+        vsims = sims[valid]
+        kth = vsims[np.argpartition(vsims, -r)[-r:]].min()
+        sel = slots[valid[vsims >= kth]]
+    else:
+        sel = slots[valid]
+    exact = index._matrix[sel] @ query_unit
+    order = np.lexsort((sel, -exact))[:k]
+    return [(int(sel[i]), float(exact[i])) for i in order]
+
+
+def bits(pairs):
+    """(slot, similarity bytes) per result: exact-equality currency."""
+    return [(slot, np.float64(sim).tobytes()) for slot, sim in pairs]
+
+
+def assert_matches_reference(index, query_unit, k):
+    got = index.search(query_unit)
+    want = reference_search(index, query_unit)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert bits([got]) == bits([want])
+    assert bits(index.search_topk(query_unit, k)) == bits(
+        reference_search_topk(index, query_unit, k)
+    )
+    slots, sims = index._probe(query_unit)
+    ref_slots, ref_sims = reference_probe(index, query_unit)
+    if ref_slots is None or not (ref_sims > -np.inf).any():
+        assert slots is None
+    else:
+        live = ref_sims > -np.inf
+        np.testing.assert_array_equal(slots, ref_slots[live])
+        assert sims.tobytes() == ref_sims[live].tobytes()
+    return got
+
+
+_ORACLE = settings(
+    deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+_CHURN = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**16),
+        "capacity": st.integers(24, 96),
+        "nlist": st.integers(2, 8),
+        "nprobe": st.integers(1, 8),
+        "n_inserts": st.integers(40, 240),
+        "dup_every": st.integers(2, 40),
+        "query_every": st.integers(2, 6),
+        "k": st.integers(1, 6),
+    }
+)
+
+
+def churned_index(block_dtype, rerank, spec, check=True, dim=12):
+    """An IVF cache driven through ``spec``'s insert/evict churn; with
+    ``check`` every interleaved query is compared with the reference."""
+    rng = rng_for("ann-oracle", spec["seed"])
+    data = rng.standard_normal((spec["n_inserts"], dim))
+    data /= np.linalg.norm(data, axis=1, keepdims=True)
+    dup = spec["dup_every"]
+    data[dup::dup] = data[: data[dup::dup].shape[0]]  # exact ties
+    cache = VectorCache(
+        capacity=spec["capacity"],
+        embed_dim=dim,
+        backend="ivf",
+        ann=IVFParams(
+            nlist=spec["nlist"],
+            nprobe=spec["nprobe"],
+            train_min=16,
+            retrain_inserts=3 * spec["capacity"],
+            block_dtype=block_dtype,
+            rerank=rerank,
+            seed="ann-oracle",
+        ),
+    )
+    noise = rng.standard_normal((spec["n_inserts"], dim))
+    queries = []
+    for i in range(spec["n_inserts"]):
+        cache.insert(i, data[i], now=float(i))
+        if i % spec["query_every"]:
+            continue
+        # Near-duplicates of live rows, exact copies (ties), and copies
+        # of long-evicted rows whose cells hold their tombstones.
+        query = data[(i * 7) % (i + 1)] + 0.02 * (i % 3) * noise[i]
+        query_unit = query / np.linalg.norm(query)
+        queries.append(query_unit)
+        cache.retrieve(query)  # trains lazily
+        if check and cache.index.trained:
+            assert_matches_reference(cache.index, query_unit, spec["k"])
+    return cache, queries
+
+
+class TestMaskedProbeOracle:
+    @pytest.mark.parametrize("rerank", [1, 8])
+    @pytest.mark.parametrize("block_dtype", BLOCK_DTYPES)
+    @_ORACLE
+    @given(spec=_CHURN)
+    def test_search_matches_reference_under_churn(
+        self, block_dtype, rerank, spec
+    ):
+        cache, queries = churned_index(block_dtype, rerank, spec)
+        index = cache.index
+        if index.trained:
+            for query_unit in queries:
+                assert_matches_reference(index, query_unit, spec["k"])
+
+    @pytest.mark.parametrize("rerank", [1, 8])
+    @pytest.mark.parametrize("block_dtype", BLOCK_DTYPES)
+    @_ORACLE
+    @given(spec=_CHURN)
+    def test_block_free_restore_matches_reference(
+        self, block_dtype, rerank, spec
+    ):
+        """Snapshot without blocks, restore into a fresh index, refill
+        the live rows: tombstoned rows come back as zeros, and results
+        equal both the reference and the uninterrupted index."""
+        cache, queries = churned_index(
+            block_dtype, rerank, spec, check=False
+        )
+        index = cache.index
+        if not index.trained:
+            return
+        fresh = IVFIndex(cache._matrix, cache._live, index.params)
+        fresh.restore_state(index.snapshot_state(include_blocks=False))
+        live = np.flatnonzero(cache._live)
+        fresh.refill_rows(live, cache._matrix[live])
+        for query_unit in queries:
+            got = assert_matches_reference(fresh, query_unit, spec["k"])
+            want = index.search(query_unit)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert bits([got]) == bits([want])
+            assert bits(fresh.search_topk(query_unit, spec["k"])) == bits(
+                index.search_topk(query_unit, spec["k"])
+            )
+
+    @pytest.mark.parametrize("rerank", [1, 8])
+    @pytest.mark.parametrize("block_dtype", BLOCK_DTYPES)
+    def test_all_tombstoned_probe_returns_nothing(self, block_dtype, rerank):
+        """A probe whose rows are all tombstones (not yet compacted)
+        finds nothing, which sends the owning cache to its exact scan."""
+        dim = 8
+        matrix = clustered_embeddings(64, dim, n_topics=4, seed="ann-tomb")
+        live = np.ones(64, dtype=bool)
+        index = IVFIndex(
+            matrix,
+            live,
+            IVFParams(
+                nlist=4,
+                nprobe=1,
+                train_min=64,
+                block_dtype=block_dtype,
+                rerank=rerank,
+                seed="ann-tomb",
+            ),
+        )
+        assert index.ready(64)
+        cell = int(np.argmin(np.where(index._fill, index._fill, 65)))
+        members = index._members[cell][: index._fill[cell]].copy()
+        assert 0 < members.size <= 16  # stays below the compaction bar
+        for slot in members:
+            live[slot] = False
+            index.remove(int(slot), matrix[slot])
+        assert index._stale[cell] == members.size
+        query_unit = index._centroids[cell]
+        assert reference_search(index, query_unit) is None
+        assert reference_search_topk(index, query_unit, 3) == []
+        assert index.search(query_unit) is None
+        assert index.search_topk(query_unit, 3) == []

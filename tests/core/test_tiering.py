@@ -11,6 +11,9 @@ durable cold file).
 
 from __future__ import annotations
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +210,75 @@ class TestColdStore:
             store.read_row(0)
         store.close()
 
+    def test_appends_visible_to_every_read_path(self, tmp_path):
+        """Single-row and block appends are readable at once through
+        read_row, read_rows and chunks(), interleaved with appends and
+        without any flush, and a fresh store on the same path reads
+        the same bytes back."""
+        path = str(tmp_path / "cold.f64")
+        data = embeddings(9, seed="cold-visible")
+        store = ColdStore(DIM, path=path)
+        for i in range(4):
+            assert store.append_row(data[i]) == i
+            np.testing.assert_array_equal(store.read_row(i), data[i])
+        assert store.append_rows(data[4:]) == 4
+        picks = np.array([8, 0, 4, 4, 3])
+        np.testing.assert_array_equal(store.read_rows(picks), data[picks])
+        streamed = np.vstack([rows for _, rows in store.chunks(4)])
+        np.testing.assert_array_equal(streamed, data)
+        fresh = ColdStore(DIM, path=path)
+        fresh.rewind(9)
+        np.testing.assert_array_equal(fresh.read_rows(np.arange(9)), data)
+        np.testing.assert_array_equal(fresh.read_row(5), data[5])
+        fresh.close()
+        store.close()
+
+    def test_read_results_are_fresh_writable_arrays(self):
+        store = ColdStore(DIM)
+        data = embeddings(3, seed="cold-fresh")
+        store.append_rows(data)
+        row = store.read_row(1)
+        rows = store.read_rows(np.array([2, 0]))
+        row[:] = 0.0
+        rows[:] = 0.0
+        np.testing.assert_array_equal(store.read_row(1), data[1])
+        np.testing.assert_array_equal(
+            store.read_rows(np.array([2, 0])), data[[2, 0]]
+        )
+        assert store.read_rows(np.array([], dtype=np.int64)).shape == (
+            0,
+            DIM,
+        )
+        store.close()
+
+    def test_out_of_range_rows_raise_index_error(self):
+        store = ColdStore(DIM)
+        store.append_rows(embeddings(5, seed="cold-range"))
+        for bad in (-1, 5):
+            with pytest.raises(IndexError):
+                store.read_row(bad)
+            with pytest.raises(IndexError):
+                store.read_rows(np.array([0, bad]))
+        store.close()
+
+    def test_truncated_file_raises_io_error(self, tmp_path):
+        """Rows the cursor vouches for but the file no longer holds are
+        short reads on every read path, never silent garbage."""
+        path = str(tmp_path / "cold.f64")
+        store = ColdStore(DIM, path=path)
+        store.append_rows(embeddings(6, seed="cold-trunc"))
+        os.truncate(path, 4 * DIM * 8 + 5)
+        np.testing.assert_array_equal(
+            store.read_row(3), embeddings(6, seed="cold-trunc")[3]
+        )
+        with pytest.raises(IOError, match="short read"):
+            store.read_row(4)
+        with pytest.raises(IOError, match="short read at row 5"):
+            store.read_rows(np.array([1, 5, 2]))
+        with pytest.raises(IOError, match="short read"):
+            list(store.chunks(chunk_rows=4))
+        store.close()
+
 
 # ----------------------------------------------------------------------
 # Retrieval parity with the exact cache
@@ -261,8 +333,63 @@ class TestExactParity:
             assert entry.payload == single_entry.payload
 
 
+class TestPinnedSequence:
+    """A fixed insert/retrieve/record_hit sequence through every tier
+    path — exact fallback before training, fp16 probe + shortlist
+    re-rank after it, a retraining, FIFO evictions (tombstones and
+    compactions), duplicate embeddings (exact ties), promotions and
+    demotions — hashed over (slot, similarity bytes) against a recorded
+    digest, so any change to a returned slot or a single similarity
+    bit fails it."""
+
+    DIGEST = (
+        "d89bb3773af57b6a4b0bb9f31f6c02130af6b29d5e4c6e35e2afe495a38b8a16"
+    )
+
+    @staticmethod
+    def run_sequence():
+        cache = TieredVectorCache(
+            capacity=192,
+            embed_dim=DIM,
+            tiering=TieredCacheConfig(hot_capacity=12, promote_hits=1),
+            ann=IVFParams(nlist=8, nprobe=3, train_min=64, seed="pin"),
+        )
+        data = embeddings(640, seed="tier-pin")
+        for i in range(37, 640, 37):
+            data[i] = data[i - 30]  # exact duplicates tie in the scan
+        noise = rng_for("tier-pin-noise").standard_normal((640, DIM))
+        digest = hashlib.sha256()
+
+        def record(slot, sim):
+            digest.update(np.int64(slot).tobytes())
+            digest.update(np.float64(sim).tobytes())
+
+        for i in range(640):
+            cache.insert(i, data[i], now=float(i))
+            if i % 2:
+                continue
+            query = data[max(0, i - (7 * i) % 150)] + 0.05 * noise[i]
+            entry, sim = cache.retrieve(query)
+            record(entry.slot, sim)
+            if i % 4 == 0:
+                cache.record_hit(entry, now=float(i))
+            if i % 16 == 0:
+                for view, top_sim in cache.retrieve_topk(query, 3):
+                    record(view.slot, top_sim)
+        return cache, digest.hexdigest()
+
+    def test_digest_and_tier_traffic_are_pinned(self):
+        cache, digest = self.run_sequence()
+        assert cache.index.trainings == 2
+        assert cache.evictions == 640 - 192
+        assert cache.promotions > cache.hot_capacity
+        assert cache.demotions > 0
+        assert digest == self.DIGEST
+
+
 class TestResidencyIndependence:
-    @settings(max_examples=20, deadline=None)
+    # Example budget from the hypothesis profile (tests/conftest.py).
+    @settings(deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_hot_capacity_never_changes_results(self, seed):
         data = embeddings(120, seed=f"resid-{seed}")
