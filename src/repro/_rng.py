@@ -6,28 +6,45 @@ bit-for-bit reproducible across runs and machines.  A stream is identified by
 an arbitrary tuple of keys (strings, ints, floats); the tuple is hashed with
 BLAKE2b into a 64-bit seed for a :class:`numpy.random.Generator`.
 
-Two implementations of keyed synthesis coexist:
+Three paths produce keyed draws, all bit-identical to each other:
 
-* The **reference path** (:func:`rng_for` + :func:`unit_vector`) constructs a
-  fresh ``numpy.random.default_rng`` per key tuple.  It is the correctness
-  oracle.
-* The **fast path** (:class:`DirectionCache`, exposed as the module-level
-  :data:`directions`) produces bit-identical values by (a) memoizing draws
-  whose key tuples recur and (b) replaying numpy's ``SeedSequence`` entropy
-  mixing and PCG64 seeding in generated, unrolled Python so a single
-  long-lived generator can be re-pointed at any keyed stream without
-  paying full object construction per draw.  The replay is generated per
-  lane count: for ``n`` seeds it mixes all of them at once in one Python
-  int holding ``n`` 64-bit lanes, so :meth:`DirectionCache.draw_batch`
-  seeds every draw one image needs in a single call.
-  ``tests/test_rng.py`` pins the two paths bit-for-bit against each other.
+* **The oracle** (:func:`rng_for` + :func:`unit_vector`) constructs a fresh
+  ``numpy.random.default_rng`` per key tuple.  It defines what every
+  stream contains; the remaining library callers draw a handful of
+  streams each (arrivals, topic vectors, IVF training).
+* **``DirectionCache`` draws** (the module-level :data:`directions`)
+  memoize keyed unit vectors and scalars whose key tuples recur and seed
+  the misses of one caller (one image) together through
+  :meth:`DirectionCache.draw_batch`.
+* **Batched streams** (:func:`rngs_for`) seed a list of key tuples
+  together and yield one long-lived generator re-pointed at each
+  tuple's stream in turn, for callers that need whole streams —
+  ``integers``, ``random`` and ``standard_normal`` draws — rather than
+  one vector per key.  Trace synthesis builds each session this way.
+
+The last two rest on one replay: numpy's ``SeedSequence`` entropy mixing
+and PCG64 seeding regenerated as unrolled Python, so a long-lived PCG64
+can be set to the state ``PCG64(seed)`` would have without paying full
+object construction per key.  The replay is generated per lane count:
+for ``n`` seeds it mixes all of them at once in one Python int holding
+``n`` 64-bit lanes.  ``tests/test_rng.py`` pins every path bit-for-bit
+against the oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -35,7 +52,7 @@ Key = Union[str, int, float, bytes]
 
 _SEPARATOR = b"\x1f"
 _SEPARATOR_STR = "\x1f"
-_ALL_STR = {str}
+_STR_INT = {str, int}
 
 #: One :meth:`DirectionCache.draw_batch` item — ``(dim or None for a
 #: scalar, memoize, key tuple)`` — and its result.
@@ -50,12 +67,14 @@ def seed_for(*keys: Key) -> int:
     randomization, so it is stable across interpreter invocations.  The
     key material is assembled into one buffer and hashed in a single call
     (identical digest to incremental updates, fewer C round-trips).  Key
-    tuples made only of plain ``str`` — the common case — are joined in
-    one call; the material is the same as the per-key path's.
+    tuples made only of plain ``str`` and ``int`` — the common case — are
+    joined in one call; the material is the same as the per-key path's.
+    Exact types keep ``bool``, ``IntEnum`` and ``str`` subclasses on the
+    per-key path, and the empty tuple keeps its empty material.
     """
-    if set(map(type, keys)) == _ALL_STR:
+    if keys and set(map(type, keys)) <= _STR_INT:
         material = (
-            _SEPARATOR_STR.join(keys) + _SEPARATOR_STR
+            _SEPARATOR_STR.join(map(str, keys)) + _SEPARATOR_STR
         ).encode("utf-8")
     else:
         parts = []
@@ -393,6 +412,35 @@ class _FastStream:
 
     def standard_normal(self, seed: int, dim: int) -> np.ndarray:
         return self.seek(_pcg64_raw_state(seed)).standard_normal(dim)
+
+
+#: Idle streams for :func:`rngs_for`; constructing one costs about as
+#: much as the oracle's ``default_rng``, so they are reused.
+_STREAM_POOL: List[_FastStream] = []
+
+
+def rngs_for(
+    key_tuples: Sequence[Tuple[Key, ...]],
+) -> Iterator[np.random.Generator]:
+    """Batched :func:`rng_for`: one stream per key tuple, in order.
+
+    Every tuple is hashed once and all seeds go through the packed
+    replay together.  The iterator then yields one long-lived
+    PCG64-backed generator, re-pointed at each tuple's stream in turn:
+    each yield starts in exactly the state ``rng_for(*keys)`` would, so
+    any sequence of draws from it is bit-identical to the oracle's.
+    Because the generator is shared, a stream is only valid until the
+    iterator advances or is closed — draw what a key needs before
+    taking the next one.  Iterators that are alive at the same time
+    hold separate generators.
+    """
+    raws = _pcg64_raw_states([seed_for(*keys) for keys in key_tuples])
+    stream = _STREAM_POOL.pop() if _STREAM_POOL else _FastStream()
+    try:
+        for raw in raws:
+            yield stream.seek(raw)
+    finally:
+        _STREAM_POOL.append(stream)
 
 
 def _finish_unit(vec: np.ndarray) -> np.ndarray:

@@ -323,6 +323,9 @@ class VectorCache(Generic[PayloadT]):
         # Running sum of live embeddings — an O(d) centroid sketch the
         # cluster router's cache-affinity policy reads on every arrival.
         self._embedding_sum = np.zeros(embed_dim)
+        # Running total of the live payloads' ``size_bytes``.
+        # snap: derived (recounted from the entries on restore)
+        self._storage_bytes = 0
         self._entries: List[Optional[CacheEntry[PayloadT]]] = (
             [None] * capacity
         )
@@ -369,12 +372,13 @@ class VectorCache(Generic[PayloadT]):
         return ordered
 
     def storage_bytes(self) -> int:
-        """Total payload storage (uses each payload's ``size_bytes``)."""
-        return sum(
-            getattr(e.payload, "size_bytes", 0)
-            for e in self._entries
-            if e is not None
-        )
+        """Total payload storage (uses each payload's ``size_bytes``).
+
+        A running total kept on insert, evict, restore and clear;
+        payloads are immutable once cached, so it equals the per-entry
+        sum.
+        """
+        return self._storage_bytes
 
     def scan_entries(self) -> int:
         """Modelled entries touched per query (sublinear once IVF trains)."""
@@ -447,6 +451,7 @@ class VectorCache(Generic[PayloadT]):
         self._matrix[slot] = entry.embedding
         self._live[slot] = True
         self._embedding_sum += entry.embedding
+        self._storage_bytes += getattr(payload, "size_bytes", 0)
         if self._index is not None:
             self._index.add(slot, entry.embedding)
         self._slot_of[entry.entry_id] = slot
@@ -465,6 +470,7 @@ class VectorCache(Generic[PayloadT]):
         self._matrix[slot] = 0.0
         self._live[slot] = False
         self._embedding_sum -= entry.embedding
+        self._storage_bytes -= getattr(entry.payload, "size_bytes", 0)
         self._slot_of.pop(entry.entry_id, None)
         self._free_slots.append(slot)
         self._policy.on_evict(slot, entry)
@@ -730,6 +736,10 @@ class VectorCache(Generic[PayloadT]):
             self._slot_of[entry_id] = slot
             by_id[entry_id] = entry
         self._free_slots = list(state.free_slots)
+        self._storage_bytes = sum(
+            getattr(payload, "size_bytes", 0)
+            for _, _, payload, *_ in state.entries
+        )
         # The running sum is order-dependent float accumulation — it
         # cannot be recomputed from the entries without drifting from
         # the live cache by rounding, so the captured copy is adopted.
@@ -765,6 +775,7 @@ class VectorCache(Generic[PayloadT]):
         self._matrix[:] = 0.0
         self._live[:] = False
         self._embedding_sum[:] = 0.0
+        self._storage_bytes = 0
         self._free_slots = list(range(self._capacity - 1, -1, -1))
         self._slot_of = {}
         self._policy = make_eviction_policy(self._policy_name)

@@ -469,6 +469,9 @@ class TieredVectorCache:
         self._cursor = 0  # FIFO ring position: next insert/evict slot
         self._n_live = 0
         self._embedding_sum = np.zeros(embed_dim)
+        # Running total of the live payloads' ``size_bytes``.
+        # snap: derived (recounted from the payloads on restore)
+        self._storage_bytes = 0
         # Hot tier: exact f64 rows for the frequently-hit entries.
         # snap: derived (refilled from the cold file on restore)
         self._hot_store = np.zeros((self._hot_capacity, embed_dim))
@@ -570,11 +573,12 @@ class TieredVectorCache:
         return [self._view(int(s)) for s in slots[order]]
 
     def storage_bytes(self) -> int:
-        """Total payload storage (uses each payload's ``size_bytes``)."""
-        return sum(
-            getattr(self._payloads[int(s)], "size_bytes", 0)
-            for s in np.flatnonzero(self._live)
-        )
+        """Total payload storage (uses each payload's ``size_bytes``).
+
+        A running total kept on insert, evict, restore and clear, as in
+        :meth:`VectorCache.storage_bytes`.
+        """
+        return self._storage_bytes
 
     def scan_entries(self) -> int:
         """Modelled entries touched per query, tier-aware.
@@ -653,6 +657,7 @@ class TieredVectorCache:
         self._last_hit_at[slot] = np.nan
         self._cold_row[slot] = self._cold.append_row(emb)
         self._payloads[slot] = payload
+        self._storage_bytes += getattr(payload, "size_bytes", 0)
         self._live[slot] = True
         self._n_live += 1
         self._embedding_sum += emb
@@ -691,6 +696,7 @@ class TieredVectorCache:
             self._tier_policy.on_evict(slot, view)
         self._entry_ids[slot] = -1
         self._cold_row[slot] = -1
+        self._storage_bytes -= getattr(entry.payload, "size_bytes", 0)
         self._payloads[slot] = None
         self._live[slot] = False
         self._n_live -= 1
@@ -995,6 +1001,10 @@ class TieredVectorCache:
         self._hot_row[:] = state.hot_row_of
         self._payloads = list(state.payloads)
         self._live[:] = state.live
+        self._storage_bytes = sum(
+            getattr(self._payloads[int(s)], "size_bytes", 0)
+            for s in np.flatnonzero(self._live)
+        )
         self._cursor = state.cursor
         self._n_live = state.n_live
         # Order-dependent float accumulation: adopt, never recompute.
@@ -1073,6 +1083,7 @@ class TieredVectorCache:
         self._cursor = 0
         self._n_live = 0
         self._embedding_sum[:] = 0.0
+        self._storage_bytes = 0
         self._hot_free = list(range(self._hot_capacity - 1, -1, -1))
         self._hot_view = [None] * self._capacity
         self._tier_policy = make_eviction_policy(

@@ -19,6 +19,7 @@ With the default calibration:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Tuple
 
 import numpy as np
 
@@ -112,22 +113,29 @@ class SemanticSpace:
             self._topic_cache[topic_id] = vec
         return vec
 
+    def drift_keys(self, *keys) -> Tuple:
+        """Key tuple of the noise stream :meth:`drift` draws for ``keys``."""
+        return (self.config.seed, "drift", *keys)
+
     def drift(
         self,
         base: np.ndarray,
         magnitude: float,
-        *keys,
+        rng: np.random.Generator,
     ) -> np.ndarray:
-        """Return ``base`` perturbed by a deterministic random direction.
+        """Perturb ``base`` by ``magnitude`` in a direction drawn from ``rng``.
 
         Used for session-level intent drift (a user's take on a topic) and
         prompt-level wording drift (iterative refinement of one intent).
+        ``rng`` is the stream of :meth:`drift_keys` for the drift being
+        made, seeded alone (``rng_for``) or with others
+        (:func:`repro._rng.rngs_for`).  A zero magnitude draws nothing
+        and returns a copy of ``base``.
         """
         if magnitude < 0:
             raise ValueError("drift magnitude must be non-negative")
         if magnitude == 0.0:
             return np.array(base, copy=True)
-        rng = rng_for(self.config.seed, "drift", *keys)
         noise = unit_vector(rng, self.config.semantic_dim)
         return normalize(base + magnitude * noise)
 

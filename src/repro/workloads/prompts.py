@@ -9,12 +9,12 @@ prompt-level drift (iterative refinement of one intent) layered on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._rng import rng_for
+from repro._rng import rngs_for
 from repro.embedding.space import SemanticSpace
 from repro.embedding.vocab import Vocabulary
 
@@ -67,6 +67,10 @@ class PromptFactory:
     namespace: str = "trace"
     session_drift: float = 0.35
     prompt_drift: float = 0.12
+    #: Memo of :meth:`topic_tokens`, keyed by ``(namespace, topic_id)``.
+    _topics: Dict[Tuple[str, int], dict] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.vocab.dim != self.space.config.semantic_dim:
@@ -76,26 +80,29 @@ class PromptFactory:
             )
 
     # ------------------------------------------------------------------
-    # Topic / session structure
+    # Topic structure
     # ------------------------------------------------------------------
     def topic_tokens(self, topic_id: int) -> dict:
         """Token pools characteristic of a topic.
 
         A topic pins one subject and narrows styles/settings to a couple of
-        options, so prompts about the same topic overlap in wording.
+        options, so prompts about the same topic overlap in wording.  The
+        pools are a pure function of ``(namespace, topic_id)`` and are
+        memoized; the returned dict is shared, so do not mutate it.
         """
-        rng = rng_for(self.namespace, "topic-tokens", topic_id)
-        return {
-            "subject": self.vocab.sample("subject", rng),
-            "styles": [self.vocab.sample("style", rng) for _ in range(2)],
-            "settings": [self.vocab.sample("setting", rng) for _ in range(2)],
-        }
-
-    def session_semantics(self, topic_id: int, session_key: str) -> np.ndarray:
-        base = self.space.topic_vector(topic_id)
-        return self.space.drift(
-            base, self.session_drift, self.namespace, "session", session_key
-        )
+        memo_key = (self.namespace, topic_id)
+        topic = self._topics.get(memo_key)
+        if topic is None:
+            streams = rngs_for([(self.namespace, "topic-tokens", topic_id)])
+            rng = next(streams)
+            topic = self._topics[memo_key] = {
+                "subject": self.vocab.sample("subject", rng),
+                "styles": [self.vocab.sample("style", rng) for _ in range(2)],
+                "settings": [
+                    self.vocab.sample("setting", rng) for _ in range(2)
+                ],
+            }
+        return topic
 
     # ------------------------------------------------------------------
     # Prompt construction
@@ -116,41 +123,10 @@ class PromptFactory:
         """
         if iteration < 0:
             raise ValueError("iteration must be non-negative")
-        topic = self.topic_tokens(topic_id)
-        session_rng = rng_for(self.namespace, "session-tokens", session_key)
-        style = topic["styles"][int(session_rng.integers(2))]
-        setting = topic["settings"][int(session_rng.integers(2))]
-
-        prompt_rng = rng_for(
-            self.namespace, "prompt-tokens", session_key, iteration
+        (prompt,) = self._build(
+            topic_id, session_key, (iteration,), user_id, session_semantics
         )
-        modifiers = [
-            self.vocab.sample("modifier", prompt_rng) for _ in range(2)
-        ]
-        tokens: List[str] = [topic["subject"], style, setting, *modifiers]
-        if prompt_rng.random() < 0.5:
-            tokens.append(self.vocab.sample("quality", prompt_rng))
-
-        if session_semantics is None:
-            session_semantics = self.session_semantics(topic_id, session_key)
-        semantics = self.space.drift(
-            session_semantics,
-            self.prompt_drift,
-            self.namespace,
-            "prompt",
-            session_key,
-            iteration,
-        )
-        prompt_id = f"{self.namespace}/{session_key}/{iteration}"
-        return Prompt(
-            prompt_id=prompt_id,
-            text=" ".join(tokens),
-            tokens=tuple(tokens),
-            semantics=semantics,
-            topic_id=topic_id,
-            session_id=session_key,
-            user_id=user_id,
-        )
+        return prompt
 
     def make_session(
         self,
@@ -162,17 +138,69 @@ class PromptFactory:
         """Build a full session of ``length`` iteratively refined prompts."""
         if length < 1:
             raise ValueError("session length must be >= 1")
-        base = self.session_semantics(topic_id, session_key)
-        return [
-            self.make_prompt(
-                topic_id,
-                session_key,
-                iteration,
-                user_id=user_id,
-                session_semantics=base,
+        return self._build(
+            topic_id, session_key, range(length), user_id, None
+        )
+
+    def _build(
+        self,
+        topic_id: int,
+        session_key: str,
+        iterations: Sequence[int],
+        user_id: str,
+        session_semantics: Optional[np.ndarray],
+    ) -> List[Prompt]:
+        """The given iterations of one session, seeded in one batch.
+
+        Each key owns one stream: the session's tokens, its drift from
+        the topic centre (unless ``session_semantics`` is given), and per
+        iteration the prompt's tokens and its drift from the session.
+        All of them are seeded together by :func:`rngs_for` and consumed
+        in that order; every draw matches the stream's keyed oracle.
+        """
+        ns, space = self.namespace, self.space
+        keys = [(ns, "session-tokens", session_key)]
+        if session_semantics is None:
+            keys.append(space.drift_keys(ns, "session", session_key))
+        for iteration in iterations:
+            keys.append((ns, "prompt-tokens", session_key, iteration))
+            keys.append(space.drift_keys(ns, "prompt", session_key, iteration))
+        topic = self.topic_tokens(topic_id)
+        streams = rngs_for(keys)
+
+        rng = next(streams)
+        core = (
+            topic["subject"],
+            topic["styles"][int(rng.integers(2))],
+            topic["settings"][int(rng.integers(2))],
+        )
+        if session_semantics is None:
+            session_semantics = space.drift(
+                space.topic_vector(topic_id), self.session_drift, next(streams)
             )
-            for iteration in range(length)
-        ]
+
+        sample = self.vocab.sample
+        prompts = []
+        for iteration in iterations:
+            rng = next(streams)
+            tokens = [*core, sample("modifier", rng), sample("modifier", rng)]
+            if rng.random() < 0.5:
+                tokens.append(sample("quality", rng))
+            semantics = space.drift(
+                session_semantics, self.prompt_drift, next(streams)
+            )
+            prompts.append(
+                Prompt(
+                    prompt_id=f"{ns}/{session_key}/{iteration}",
+                    text=" ".join(tokens),
+                    tokens=tuple(tokens),
+                    semantics=semantics,
+                    topic_id=topic_id,
+                    session_id=session_key,
+                    user_id=user_id,
+                )
+            )
+        return prompts
 
 
 def zipf_topic_sampler(

@@ -387,6 +387,67 @@ class TestPinnedSequence:
         assert digest == self.DIGEST
 
 
+class _Sized:
+    """A payload carrying only a storage size."""
+
+    def __init__(self, size_bytes):
+        self.size_bytes = size_bytes
+
+
+class TestStorageBytesRunningTotal:
+    """Both caches keep ``storage_bytes()`` as a running total; it must
+    equal the per-entry payload sum after any churn, clear and
+    snapshot -> restore."""
+
+    # Example budget from the hypothesis profile (tests/conftest.py).
+    @settings(deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["insert"] * 6 + ["hit", "snapshot", "restore", "clear"]
+                ),
+                st.integers(0, 10_000),
+            ),
+            min_size=8,
+            max_size=60,
+        ),
+        kind=st.sampled_from(["fifo", "lru", "utility", "tiered"]),
+    )
+    def test_matches_per_entry_sum(self, ops, kind):
+        data = embeddings(40, seed="storage-total")
+        # Capacity 3, so most runs evict.
+        if kind == "tiered":
+            cache = exact_tiered(3, hot_capacity=1, promote_hits=1)
+        else:
+            cache = VectorCache(capacity=3, embed_dim=DIM, policy=kind)
+
+        def per_entry():
+            return sum(
+                getattr(e.payload, "size_bytes", 0) for e in cache.entries()
+            )
+
+        state = cache.snapshot()
+        for i, (op, arg) in enumerate(ops):
+            if op == "insert":
+                # Every fifth payload has no size_bytes (counts as 0).
+                payload = _Sized(arg) if arg % 5 else f"unsized-{i}"
+                cache.insert(payload, data[i % 40], now=float(i))
+            elif op == "hit":
+                entry, _ = cache.retrieve(data[arg % 40])
+                if entry is not None:
+                    cache.record_hit(entry, now=float(i))
+            elif op == "snapshot":
+                state = cache.snapshot()
+            elif op == "restore":
+                cache.restore(state)
+            else:
+                cache.clear()
+            assert cache.storage_bytes() == per_entry()
+        cache.restore(cache.snapshot())
+        assert cache.storage_bytes() == per_entry()
+
+
 class TestResidencyIndependence:
     # Example budget from the hypothesis profile (tests/conftest.py).
     @settings(deadline=None)

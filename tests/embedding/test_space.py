@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._rng import normalize, rng_for, unit_vector
 from repro.embedding.space import (
     SpaceConfig,
     cosine,
@@ -50,19 +51,29 @@ class TestSemanticSpace:
 
     def test_drift_zero_magnitude_is_copy(self, space):
         base = space.topic_vector(0)
-        drifted = space.drift(base, 0.0, "key")
+        drifted = space.drift(base, 0.0, rng_for(*space.drift_keys("key")))
         assert np.allclose(drifted, base)
         assert drifted is not base
 
     def test_drift_reduces_similarity_with_magnitude(self, space):
         base = space.topic_vector(0)
-        near = space.drift(base, 0.1, "k")
-        far = space.drift(base, 0.8, "k")
+        near = space.drift(base, 0.1, rng_for(*space.drift_keys("k")))
+        far = space.drift(base, 0.8, rng_for(*space.drift_keys("k")))
         assert cosine(base, near) > cosine(base, far)
 
     def test_drift_negative_magnitude_rejected(self, space):
         with pytest.raises(ValueError):
-            space.drift(space.topic_vector(0), -0.1, "k")
+            space.drift(space.topic_vector(0), -0.1, rng_for("k"))
+
+    def test_drift_matches_keyed_oracle(self, space):
+        base = space.topic_vector(4)
+        keys = ("ns", "prompt", "s9", 3)
+        rng = rng_for(space.config.seed, "drift", *keys)
+        noise = unit_vector(rng, space.config.semantic_dim)
+        expected = normalize(base + 0.3 * noise)
+        assert space.drift_keys(*keys) == (space.config.seed, "drift", *keys)
+        drifted = space.drift(base, 0.3, rng_for(*space.drift_keys(*keys)))
+        assert drifted.tobytes() == expected.tobytes()
 
     def test_anchor_geometry(self, space):
         t_anchor = space.text_anchor()

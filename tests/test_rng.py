@@ -1,9 +1,32 @@
 """Tests for the deterministic RNG utilities."""
 
+import enum
+
 import numpy as np
 import pytest
 
-from repro._rng import normalize, rng_for, seed_for, unit_vector
+from repro._rng import normalize, rng_for, rngs_for, seed_for, unit_vector
+
+
+class _Level(enum.IntEnum):
+    HIGH = 2
+
+
+def _per_key_seed(*keys):
+    """``seed_for`` material built key by key, as the general path does."""
+    import hashlib
+
+    parts = []
+    for key in keys:
+        if isinstance(key, bytes):
+            parts.append(key)
+        elif isinstance(key, float):
+            parts.append(repr(key).encode("utf-8"))
+        else:
+            parts.append(str(key).encode("utf-8"))
+        parts.append(b"\x1f")
+    raw = hashlib.blake2b(b"".join(parts), digest_size=8).digest()
+    return int.from_bytes(raw, "little")
 
 
 class TestSeedFor:
@@ -50,6 +73,28 @@ class TestSeedFor:
         # The per-key path hashes str(key), not the raw str payload.
         assert seed_for(Mode.FAST) == seed_for(str(Mode.FAST))
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ("a", 1),
+            (3, "b", -7),
+            (-1,),
+            (0, 0),
+            (2**64 + 5, "big"),
+            (-(2**70), "neg-big", 12),
+            ("x", True),
+            (False, 1),
+            # str() of an IntEnum differs across Python versions;
+            # whatever it is, the material is the per-key path's.
+            ("lvl", _Level.HIGH),
+            ("x", 1.0, 2),
+            (b"raw", 3),
+            (),
+        ],
+    )
+    def test_str_int_keys_hash_per_key_material(self, keys):
+        assert seed_for(*keys) == _per_key_seed(*keys)
+
 
 class TestRngFor:
     def test_same_keys_same_stream(self):
@@ -61,6 +106,65 @@ class TestRngFor:
         a = rng_for("stream", 7).standard_normal(8)
         b = rng_for("stream", 8).standard_normal(8)
         assert not np.allclose(a, b)
+
+
+class TestRngsFor:
+    """Batched streams must replay the oracle ``rng_for`` exactly."""
+
+    @staticmethod
+    def _draws(rng, i):
+        # A mixed sequence: buffered 32-bit integers, wide integers,
+        # doubles and gaussians, in an order that varies per stream.
+        out = [int(rng.integers(2)), int(rng.integers(7 + i))]
+        if i % 2:
+            out.append(float(rng.random()))
+        out.append(rng.standard_normal(5 + i % 3).tobytes())
+        out.append(int(rng.integers(0, 2**40)))
+        out.append(float(rng.standard_normal()))
+        return out
+
+    @staticmethod
+    def _key_tuples(n):
+        return [
+            ("rngs", i) if i % 3 == 0 else ("rngs", f"k{i}", -i, 0.5 * i)
+            for i in range(n)
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 20])
+    def test_matches_rng_for(self, n):
+        keys = self._key_tuples(n)
+        batched = [
+            self._draws(rng, i) for i, rng in enumerate(rngs_for(keys))
+        ]
+        oracle = [self._draws(rng_for(*k), i) for i, k in enumerate(keys)]
+        assert batched == oracle
+
+    def test_repeated_keys_restart_the_stream(self):
+        keys = [("rep",), ("other",), ("rep",)]
+        draws = [rng.standard_normal(3).tobytes() for rng in rngs_for(keys)]
+        assert draws[0] == draws[2] != draws[1]
+
+    def test_empty_batch_yields_nothing(self):
+        assert list(rngs_for([])) == []
+
+    def test_live_iterators_hold_separate_generators(self):
+        keys_a = self._key_tuples(4)
+        keys_b = [("rngs-b", i) for i in range(4)]
+        it_a, it_b = rngs_for(keys_a), rngs_for(keys_b)
+        out_a, out_b = [], []
+        for i in range(4):
+            rng_a = next(it_a)
+            first = int(rng_a.integers(1000))
+            rng_b = next(it_b)  # must not re-point rng_a
+            assert rng_b is not rng_a
+            out_b.append(self._draws(rng_b, i))
+            out_a.append([first] + self._draws(rng_a, i))
+        for i, k in enumerate(keys_a):
+            rng = rng_for(*k)
+            assert out_a[i] == [int(rng.integers(1000))] + self._draws(rng, i)
+        assert out_b == [
+            self._draws(rng_for(*k), i) for i, k in enumerate(keys_b)
+        ]
 
 
 class TestUnitVector:

@@ -1,12 +1,117 @@
 """Tests for prompt construction and session structure."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro._rng import rng_for
-from repro.embedding.space import cosine
+from repro._rng import normalize, rng_for, unit_vector
+from repro.embedding.space import SemanticSpace, cosine
 from repro.embedding.vocab import Vocabulary
 from repro.workloads.prompts import Prompt, PromptFactory, zipf_topic_sampler
+
+
+@dataclass
+class ReferencePromptFactory:
+    """The per-key prompt factory: one ``rng_for`` generator per key.
+
+    The oracle for :class:`PromptFactory`, which seeds each session's
+    streams in one batch; every prompt must come out bit-identical.
+    """
+
+    space: SemanticSpace
+    vocab: Vocabulary
+    namespace: str = "trace"
+    session_drift: float = 0.35
+    prompt_drift: float = 0.12
+
+    def drift(self, base, magnitude, *keys):
+        if magnitude < 0:
+            raise ValueError("drift magnitude must be non-negative")
+        if magnitude == 0.0:
+            return np.array(base, copy=True)
+        rng = rng_for(self.space.config.seed, "drift", *keys)
+        noise = unit_vector(rng, self.space.config.semantic_dim)
+        return normalize(base + magnitude * noise)
+
+    def topic_tokens(self, topic_id):
+        rng = rng_for(self.namespace, "topic-tokens", topic_id)
+        return {
+            "subject": self.vocab.sample("subject", rng),
+            "styles": [self.vocab.sample("style", rng) for _ in range(2)],
+            "settings": [self.vocab.sample("setting", rng) for _ in range(2)],
+        }
+
+    def session_semantics(self, topic_id, session_key):
+        base = self.space.topic_vector(topic_id)
+        return self.drift(
+            base, self.session_drift, self.namespace, "session", session_key
+        )
+
+    def make_prompt(
+        self, topic_id, session_key, iteration, user_id="anon",
+        session_semantics=None,
+    ):
+        if iteration < 0:
+            raise ValueError("iteration must be non-negative")
+        topic = self.topic_tokens(topic_id)
+        session_rng = rng_for(self.namespace, "session-tokens", session_key)
+        style = topic["styles"][int(session_rng.integers(2))]
+        setting = topic["settings"][int(session_rng.integers(2))]
+        prompt_rng = rng_for(
+            self.namespace, "prompt-tokens", session_key, iteration
+        )
+        modifiers = [
+            self.vocab.sample("modifier", prompt_rng) for _ in range(2)
+        ]
+        tokens = [topic["subject"], style, setting, *modifiers]
+        if prompt_rng.random() < 0.5:
+            tokens.append(self.vocab.sample("quality", prompt_rng))
+        if session_semantics is None:
+            session_semantics = self.session_semantics(topic_id, session_key)
+        semantics = self.drift(
+            session_semantics,
+            self.prompt_drift,
+            self.namespace,
+            "prompt",
+            session_key,
+            iteration,
+        )
+        return Prompt(
+            prompt_id=f"{self.namespace}/{session_key}/{iteration}",
+            text=" ".join(tokens),
+            tokens=tuple(tokens),
+            semantics=semantics,
+            topic_id=topic_id,
+            session_id=session_key,
+            user_id=user_id,
+        )
+
+    def make_session(self, topic_id, session_key, length, user_id="anon"):
+        if length < 1:
+            raise ValueError("session length must be >= 1")
+        base = self.session_semantics(topic_id, session_key)
+        return [
+            self.make_prompt(
+                topic_id, session_key, i, user_id=user_id,
+                session_semantics=base,
+            )
+            for i in range(length)
+        ]
+
+
+def _fields(prompt):
+    return (
+        prompt.prompt_id,
+        prompt.text,
+        prompt.tokens,
+        prompt.semantics.tobytes(),
+        prompt.topic_id,
+        prompt.session_id,
+        prompt.user_id,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +210,64 @@ class TestPromptFactory:
     def test_text_joins_tokens(self, factory):
         prompt = factory.make_prompt(0, "s-text", 0)
         assert prompt.text == " ".join(prompt.tokens)
+
+
+class TestReferenceOracle:
+    """The batched factory against the per-key oracle, bit for bit."""
+
+    DRIFTS = st.one_of(
+        st.just(0.0), st.floats(0.0, 1.5, allow_nan=False)
+    )
+
+    # Example budget from the hypothesis profile (tests/conftest.py).
+    @settings(deadline=None)
+    @given(
+        topic_id=st.integers(0, 2_000),
+        session_key=st.text(min_size=1, max_size=12),
+        length=st.integers(1, 12),
+        session_drift=DRIFTS,
+        prompt_drift=DRIFTS,
+        namespace=st.sampled_from(["trace", "mjhq-v1", "ns\u00e9"]),
+    )
+    def test_matches_per_key_factory(
+        self, space, vocab, topic_id, session_key, length, session_drift,
+        prompt_drift, namespace,
+    ):
+        kw = dict(
+            space=space,
+            vocab=vocab,
+            namespace=namespace,
+            session_drift=session_drift,
+            prompt_drift=prompt_drift,
+        )
+        new, ref = PromptFactory(**kw), ReferencePromptFactory(**kw)
+        session = new.make_session(topic_id, session_key, length, "u1")
+        assert [_fields(p) for p in session] == [
+            _fields(p)
+            for p in ref.make_session(topic_id, session_key, length, "u1")
+        ]
+        last = length - 1
+        assert _fields(new.make_prompt(topic_id, session_key, last)) == (
+            _fields(ref.make_prompt(topic_id, session_key, last))
+        )
+        base = session[0].semantics
+        assert _fields(
+            new.make_prompt(topic_id, session_key, length, "u2", base)
+        ) == _fields(
+            ref.make_prompt(topic_id, session_key, length, "u2", base)
+        )
+        assert new.topic_tokens(topic_id) == ref.topic_tokens(topic_id)
+
+    @pytest.mark.parametrize("which", ["session_drift", "prompt_drift"])
+    def test_negative_drift_rejected(self, space, vocab, which):
+        factory = PromptFactory(space=space, vocab=vocab, **{which: -0.1})
+        with pytest.raises(ValueError):
+            factory.make_session(3, "s-neg", 2)
+        with pytest.raises(ValueError):
+            factory.make_prompt(3, "s-neg", 0)
+
+    def test_topic_tokens_memoized(self, factory):
+        assert factory.topic_tokens(11) is factory.topic_tokens(11)
 
 
 class TestZipfSampler:

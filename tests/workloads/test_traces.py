@@ -1,6 +1,8 @@
 """Tests for trace containers and the two dataset generators."""
 
 import collections
+import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -158,3 +160,68 @@ class TestMJHQTrace:
         ddb_ids = {r.prompt.prompt_id for r in ddb_trace}
         mjhq_ids = {r.prompt.prompt_id for r in mjhq_small}
         assert not (ddb_ids & mjhq_ids)
+
+
+def trace_sha256(trace):
+    """Digest of everything a trace carries: prompt fields, semantics
+    bytes and arrival times, in request order."""
+    h = hashlib.sha256()
+    for r in trace.requests:
+        p = r.prompt
+        fields = (
+            r.request_id,
+            p.prompt_id,
+            p.text,
+            p.tokens,
+            p.topic_id,
+            p.session_id,
+            p.user_id,
+        )
+        h.update(repr(fields).encode())
+        h.update(struct.pack("<d", r.arrival_s))
+        h.update(p.semantics.tobytes())
+    return h.hexdigest()
+
+
+class TestTracePins:
+    """Byte-level pins of synthesized traces, recorded before trace
+    sessions were seeded in batches; synthesis must keep reproducing
+    them exactly."""
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (
+                "pin-1",
+                "8e823b313a05c206bcdd86e43c4cea60"
+                "86ab60c53046d9012a09268180fed2fd",
+            ),
+            (
+                "pin-1729",
+                "98938c258cbc73852610923991993ceca"
+                "7b748f620178ecb2c651b6cfc72220d",
+            ),
+        ],
+    )
+    def test_diffusiondb(self, space, seed, digest):
+        trace = diffusiondb_trace(
+            space, DiffusionDBConfig(n_requests=1500, seed=seed)
+        )
+        assert trace_sha256(trace) == digest
+
+    def test_mjhq(self, space):
+        trace = mjhq_trace(space, MJHQConfig(n_prompts=1500, seed="pin-mjhq"))
+        assert trace_sha256(trace) == (
+            "419eadd5b95813ec04e7d3fa486ff598"
+            "2c6efa6603de641c97f77c6e904edcdd"
+        )
+
+    def test_mjhq_without_drift(self, space):
+        cfg = MJHQConfig(
+            n_prompts=300, seed="pin-mjhq0", family_drift=0.0,
+            prompt_drift=0.0,
+        )
+        assert trace_sha256(mjhq_trace(space, cfg)) == (
+            "adbc69abc034f3cbb759fcddca728fb1"
+            "06a25d6ab66a7790047c46475b00804b"
+        )
