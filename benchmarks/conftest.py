@@ -66,8 +66,14 @@ def bench_scale() -> str:
     return scale
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture(scope="module")
 def ctx() -> ExperimentContext:
+    """A fresh context per bench module.
+
+    The context's model simulators are stateful (each generation
+    advances an image-id counter), so a shared one would make a
+    bench's numbers depend on which benches ran before it.
+    """
     return ExperimentContext(scale=bench_scale())
 
 

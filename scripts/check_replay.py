@@ -113,9 +113,7 @@ def run_gate(suffix: bool = False) -> tuple:
     resumed = MoDMSystem(space, _config())
     if suffix:
         snapshot.restore(resumed, install_timeline=False)
-        replayer = JournalReplayer(
-            resumed, straight._journal.entries()
-        )
+        replayer = JournalReplayer(resumed, straight._journal)
         resumed_report = replayer.replay(trace_name=trace.name)
         replayer.verify()
     else:

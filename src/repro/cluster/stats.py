@@ -334,12 +334,11 @@ class StatsCollector:
         hits = int(np.count_nonzero(hit_col))
         misses = arrivals - hits
         if hits:
-            ks, counts = np.unique(
-                self._events.col("k")[start:][hit_col],
-                return_counts=True,
-            )
+            # A hit's k is always >= 0, so bincount keys ascend like
+            # np.unique's and the empty bins drop out.
+            counts = np.bincount(self._events.col("k")[start:][hit_col])
             k_rates = {
-                int(k): int(c) / hits for k, c in zip(ks, counts)
+                k: c / hits for k, c in enumerate(counts.tolist()) if c
             }
         else:
             k_rates = {}

@@ -323,6 +323,10 @@ class VectorCache(Generic[PayloadT]):
         # Running sum of live embeddings — an O(d) centroid sketch the
         # cluster router's cache-affinity policy reads on every arrival.
         self._embedding_sum = np.zeros(embed_dim)
+        # Memoized 1-row coarse_centroids(); every write to the running
+        # sum resets it.
+        # snap: derived (recomputed from embedding_sum on first read)
+        self._sketch_memo: Optional[np.ndarray] = None
         # Running total of the live payloads' ``size_bytes``.
         # snap: derived (recounted from the entries on restore)
         self._storage_bytes = 0
@@ -397,16 +401,22 @@ class VectorCache(Generic[PayloadT]):
         With a trained IVF index this is the per-cell running means —
         the multi-centroid sketch cache-affinity routing scores against;
         otherwise it degrades to the single running-mean
-        :meth:`centroid` as a 1-row matrix.  ``None`` when empty.
+        :meth:`centroid` as a 1-row matrix.  ``None`` when empty.  The
+        result is read-only and the same object until the cache next
+        changes, so a reader can key derived values on its identity.
         """
         if self._index is not None:
             coarse = self._index.coarse_centroids()
             if coarse is not None:
                 return coarse
-        single = self.centroid()
-        if single is None:
-            return None
-        return single[None, :]
+        sketch = self._sketch_memo
+        if sketch is None:
+            single = self.centroid()
+            if single is None:
+                return None
+            sketch = self._sketch_memo = single[None, :]
+            sketch.flags.writeable = False
+        return sketch
 
     def centroid(self) -> Optional[np.ndarray]:
         """Mean of the live embeddings, or None when the cache is empty.
@@ -451,6 +461,7 @@ class VectorCache(Generic[PayloadT]):
         self._matrix[slot] = entry.embedding
         self._live[slot] = True
         self._embedding_sum += entry.embedding
+        self._sketch_memo = None
         self._storage_bytes += getattr(payload, "size_bytes", 0)
         if self._index is not None:
             self._index.add(slot, entry.embedding)
@@ -470,6 +481,7 @@ class VectorCache(Generic[PayloadT]):
         self._matrix[slot] = 0.0
         self._live[slot] = False
         self._embedding_sum -= entry.embedding
+        self._sketch_memo = None
         self._storage_bytes -= getattr(entry.payload, "size_bytes", 0)
         self._slot_of.pop(entry.entry_id, None)
         self._free_slots.append(slot)
@@ -744,6 +756,7 @@ class VectorCache(Generic[PayloadT]):
         # cannot be recomputed from the entries without drifting from
         # the live cache by rounding, so the captured copy is adopted.
         self._embedding_sum[:] = state.embedding_sum
+        self._sketch_memo = None
         self._policy = make_eviction_policy(self._policy_name)
         self._policy.restore_state(state.policy_state)
         self.last_inserted = (
@@ -775,6 +788,7 @@ class VectorCache(Generic[PayloadT]):
         self._matrix[:] = 0.0
         self._live[:] = False
         self._embedding_sum[:] = 0.0
+        self._sketch_memo = None
         self._storage_bytes = 0
         self._free_slots = list(range(self._capacity - 1, -1, -1))
         self._slot_of = {}

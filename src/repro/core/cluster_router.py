@@ -40,6 +40,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Type,
 )
 
@@ -66,6 +67,7 @@ from repro.core.journal import (
     ReplicaState,
     _copy_store,
     _HEAP_KINDS,
+    _journal_prefix,
     _replica_fingerprint,
 )
 from repro.core.monitor import estimate_workloads
@@ -248,10 +250,42 @@ class CacheAffinityRouting(RoutingPolicy):
             raise ValueError("spill_slack must be non-negative")
         self.imbalance_cap = imbalance_cap
         self.spill_slack = spill_slack
+        # Replica index -> (sketch, its norms).  Caches hand back the
+        # same read-only sketch object until their contents change, so
+        # the norms are recomputed only when the object does.
+        # snap: derived (recomputed from the sketches on first read)
+        self._norm_memo: Dict[int, Tuple[np.ndarray, object]] = {}
+
+    def reset(self) -> None:
+        self._norm_memo = {}
+
+    def _memo_norms(self, i: int, sketch: np.ndarray) -> object:
+        """Replica ``i``'s :meth:`_sketch_norms`, keyed on the sketch
+        object's identity."""
+        memo = self._norm_memo.get(i)
+        if memo is not None and memo[0] is sketch:
+            return memo[1]
+        norms = self._sketch_norms(sketch)
+        self._norm_memo[i] = (sketch, norms)
+        return norms
+
+    @staticmethod
+    def _sketch_norms(sketch: np.ndarray) -> object:
+        """What :meth:`_sketch_similarity` needs of a sketch's norms.
+
+        A 1-row (running-mean) sketch gets its scalar norm; a
+        multi-row IVF sketch gets ``(occupied, occupied_norms)``.
+        """
+        if sketch.ndim == 1 or sketch.shape[0] == 1:
+            row = sketch if sketch.ndim == 1 else sketch[0]
+            return math.sqrt(float(np.dot(row, row)))
+        norms = np.sqrt(np.einsum("ij,ij->i", sketch, sketch))
+        occupied = norms > 0.0
+        return occupied, norms[occupied]
 
     @staticmethod
     def _sketch_similarity(
-        query: np.ndarray, qnorm: float, sketch: np.ndarray
+        query: np.ndarray, qnorm: float, sketch: np.ndarray, norms
     ) -> float:
         """Best cosine between the query and the sketch's centroid rows.
 
@@ -259,19 +293,18 @@ class CacheAffinityRouting(RoutingPolicy):
         the pre-IVF single-centroid scorer, keeping multi-replica
         routing decisions bit-identical on the exact backend.  Multi-row
         IVF sketches score as one matvec — O(nlist·d) BLAS work per
-        replica, not nlist python-level dot calls.
+        replica, not nlist python-level dot calls.  ``norms`` comes
+        from :meth:`_sketch_norms`.
         """
         if sketch.ndim == 1 or sketch.shape[0] == 1:
-            row = sketch if sketch.ndim == 1 else sketch[0]
-            cnorm = math.sqrt(float(np.dot(row, row)))
-            if cnorm == 0.0:
+            if norms == 0.0:
                 return -math.inf
-            return float(np.dot(query, row)) / (qnorm * cnorm)
-        norms = np.sqrt(np.einsum("ij,ij->i", sketch, sketch))
-        occupied = norms > 0.0
-        if not occupied.any():
+            row = sketch if sketch.ndim == 1 else sketch[0]
+            return float(np.dot(query, row)) / (qnorm * norms)
+        occupied, occupied_norms = norms
+        if not occupied_norms.size:
             return -math.inf
-        sims = (sketch @ query)[occupied] / (qnorm * norms[occupied])
+        sims = (sketch @ query)[occupied] / (qnorm * occupied_norms)
         return float(sims.max())
 
     def route(self, query, loads, centroids) -> int:
@@ -283,7 +316,9 @@ class CacheAffinityRouting(RoutingPolicy):
                 for i, sketch in enumerate(centroids):
                     if sketch is None:
                         continue
-                    sim = self._sketch_similarity(query, qnorm, sketch)
+                    sim = self._sketch_similarity(
+                        query, qnorm, sketch, self._memo_norms(i, sketch)
+                    )
                     if sim > best_sim:
                         best = i
                         best_sim = sim
@@ -371,6 +406,10 @@ def _migrate_nearest_centroid(entries, survivors, replicas) -> List[int]:
     sketches = [
         ClusterRouter._centroid(replicas[idx]) for idx in survivors
     ]
+    norms = [
+        None if sketch is None else CacheAffinityRouting._sketch_norms(sketch)
+        for sketch in sketches
+    ]
     assignment: List[int] = []
     for position, (_entry_id, _payload, embedding, _at) in enumerate(
         entries
@@ -384,7 +423,7 @@ def _migrate_nearest_centroid(entries, survivors, replicas) -> List[int]:
                 if sketch is None:
                     continue
                 sim = CacheAffinityRouting._sketch_similarity(
-                    query, qnorm, sketch
+                    query, qnorm, sketch, norms[j]
                 )
                 if sim > best_sim:
                     best = j
@@ -1464,11 +1503,7 @@ class ClusterSnapshot:
     probe_schedule: Dict[float, List[int]]
     policy_state: object
     autoscaler_state: Optional[Dict[str, Any]]
-    journal_entries: List[Tuple[float, int, int, int, float]]
-    # snap: derived (verification metadata: restore() rebuilds the
-    # journal from journal_entries; kept so replay tooling can
-    # cross-check integrity)
-    journal_digest: str
+    journal: EventJournal
     next_snapshot_s: float
     replica_states: List[ReplicaState]
 
@@ -1478,7 +1513,6 @@ class ClusterSnapshot:
         cls, cluster: "ClusterServingSystem"
     ) -> "ClusterSnapshot":
         loop = cluster.loop
-        journal = cluster.journal
         return cls(
             time_s=loop.now,
             fingerprint=_cluster_fingerprint(cluster),
@@ -1508,18 +1542,18 @@ class ClusterSnapshot:
                 if cluster._autoscaler is not None
                 else None
             ),
-            journal_entries=(
-                journal.entries() if journal is not None else []
-            ),
-            journal_digest=(
-                journal.digest() if journal is not None else ""
-            ),
+            journal=_journal_prefix(cluster.journal),
             next_snapshot_s=cluster._next_snapshot_s,
             replica_states=[
                 ReplicaState.capture(replica)
                 for replica in cluster.replicas
             ],
         )
+
+    @property
+    def journal_digest(self) -> str:
+        """sha256 of the captured fleet journal rows."""
+        return self.journal.digest()
 
     # ------------------------------------------------------------------
     def restore(
@@ -1569,7 +1603,7 @@ class ClusterSnapshot:
                 )
             cluster._autoscaler.restore_state(self.autoscaler_state)
         cluster.journal = (
-            EventJournal.from_entries(self.journal_entries)
+            self.journal.prefix()
             if (
                 cluster.routing.failures is not None
                 or cluster.routing.journal

@@ -122,6 +122,9 @@ class SnapCounter:
         return f"SnapCounter({self.value})"
 
 
+_COLUMNS = ("_time", "_kind", "_a", "_b", "_x")
+
+
 class EventJournal:
     """Append-only columnar journal of engine events.
 
@@ -147,8 +150,10 @@ class EventJournal:
         return self._n
 
     def _grow(self) -> None:
-        cap = 2 * len(self._time)
-        for name in ("_time", "_kind", "_a", "_b", "_x"):
+        # Always into fresh arrays: the old ones may back a captured
+        # prefix, so growing is what makes a prefix copy-on-write.
+        cap = max(8, 2 * len(self._time))
+        for name in _COLUMNS:
             col = getattr(self, name)
             grown = np.zeros(cap, dtype=col.dtype)
             grown[: self._n] = col[: self._n]
@@ -172,10 +177,49 @@ class EventJournal:
         self._x[n] = x
         self._n = n + 1
 
+    def prefix(self) -> "EventJournal":
+        """A journal over read-only views of the live rows ``[0, n)``.
+
+        O(1): no copy and no per-row work.  Safe because the journal is
+        append-only — rows below ``n`` are never written again, and
+        :meth:`_grow` moves the live journal into new arrays instead of
+        resizing the old ones.  The prefix is exactly full, so its own
+        first append grows it into a private copy: appending to a
+        prefix never writes to the columns it shares.
+        """
+        n = self._n
+        clone = EventJournal.__new__(EventJournal)
+        for name in _COLUMNS:
+            view = getattr(self, name)[:n]
+            view.flags.writeable = False
+            setattr(clone, name, view)
+        clone._n = n
+        return clone
+
+    def diverges_at(self, other: "EventJournal") -> Optional[int]:
+        """First row where the two journals differ, ``None`` if equal.
+
+        Rows compare by their column bytes (floats bit for bit, as the
+        digest sees them).  When one journal is a strict prefix of the
+        other the answer is the shorter length.
+        """
+        n = min(self._n, other._n)
+        differs = np.zeros(n, dtype=bool)
+        for name in _COLUMNS:
+            mine = getattr(self, name)[:n]
+            theirs = getattr(other, name)[:n]
+            if mine.dtype.kind == "f":
+                mine = mine.view(np.int64)
+                theirs = theirs.view(np.int64)
+            differs |= mine != theirs
+        if differs.any():
+            return int(np.argmax(differs))
+        return None if self._n == other._n else n
+
     def entries(
         self, start: int = 0
     ) -> List[Tuple[float, int, int, int, float]]:
-        """Rows ``[start, n)`` as plain tuples (journal-suffix replay)."""
+        """Rows ``[start, n)`` as plain tuples (readable row asserts)."""
         n = self._n
         return [
             (
@@ -192,7 +236,7 @@ class EventJournal:
         """sha256 over the live rows — two equal paths share a digest."""
         h = hashlib.sha256()
         n = self._n
-        for name in ("_time", "_kind", "_a", "_b", "_x"):
+        for name in _COLUMNS:
             h.update(np.ascontiguousarray(getattr(self, name)[:n]).tobytes())
         return h.hexdigest()
 
@@ -224,6 +268,18 @@ class EventJournal:
         for time, kind, a, b, x in entries:
             journal.append(time, kind, a, b, x)
         return journal
+
+
+def _journal_prefix(journal: Optional[EventJournal]) -> EventJournal:
+    """What a snapshot keeps of ``journal``: its O(1) read-only prefix.
+
+    Restore installs ``prefix()`` of the kept journal, a fresh wrapper
+    over the same read-only columns, so every restored system appends
+    into its own copy and the snapshot itself never changes.
+    """
+    if journal is None:
+        journal = EventJournal(initial=0)
+    return journal.prefix()
 
 
 # ----------------------------------------------------------------------
@@ -338,12 +394,9 @@ class Snapshot:
     next_snapshot_tick_s: float
     # Stats windows
     stats_state: Dict[str, Any]
-    # Journal
-    journal_entries: List[Tuple[float, int, int, int, float]]
-    # snap: derived (verification metadata: restore() rebuilds the
-    # journal from journal_entries and the digest is recomputed; kept
-    # in the snapshot so replay tooling can cross-check integrity)
-    journal_digest: str
+    # Journal: a read-only prefix of the live columns (zero rows when
+    # the system keeps no journal)
+    journal: EventJournal
     # MoDM-specific (None for other engines)
     miss_queue_state: Optional[tuple] = None
     hit_queue_state: Optional[tuple] = None
@@ -396,9 +449,6 @@ class Snapshot:
             )
             for w in system.workers
         ]
-        journal = system._journal
-        journal_entries = journal.entries() if journal is not None else []
-        journal_digest = journal.digest() if journal is not None else ""
         snap = cls(
             time_s=loop.now,
             fingerprint=_fingerprint(system),
@@ -419,8 +469,7 @@ class Snapshot:
             ),
             next_snapshot_tick_s=system._next_snapshot_tick_s,
             stats_state=system.stats.snapshot_state(),
-            journal_entries=journal_entries,
-            journal_digest=journal_digest,
+            journal=_journal_prefix(system._journal),
         )
         if hasattr(system, "cache"):
             snap.miss_queue_state = system._miss_queue.snapshot_state()
@@ -435,6 +484,11 @@ class Snapshot:
             for name, sim in sorted(system._model_sims.items())
         }
         return snap
+
+    @property
+    def journal_digest(self) -> str:
+        """sha256 of the captured journal rows."""
+        return self.journal.digest()
 
     # ------------------------------------------------------------------
     def restore(self, system, install_timeline: bool = True) -> None:
@@ -561,9 +615,7 @@ class Snapshot:
         for name, value in self.model_counters.items():
             system.model_sim(name)._counter.value = value
         if system._journal is not None:
-            system._journal = EventJournal.from_entries(
-                self.journal_entries
-            )
+            system._journal = self.journal.prefix()
 
 
 class _TraceStub:
@@ -602,11 +654,7 @@ class JournalReplayer:
     autoscale periods) fires from the restored heap.
     """
 
-    def __init__(
-        self,
-        system,
-        reference_entries: List[Tuple[float, int, int, int, float]],
-    ) -> None:
+    def __init__(self, system, reference: EventJournal) -> None:
         self._system = system
         journal = self._journal_of(system)
         if journal is None:
@@ -615,22 +663,24 @@ class JournalReplayer:
                 "(enable MoDMConfig.journal / ClusterRoutingConfig"
                 ".journal)"
             )
-        have = journal.entries()
-        self._start = len(have)
-        self._reference = [tuple(row) for row in reference_entries]
-        if self._reference[: self._start] != have:
+        self._start = start = len(journal)
+        # A read-only prefix: later appends to the reference journal
+        # cannot move the record this replay is checked against.
+        self._reference = reference = reference.prefix()
+        diverged = journal.diverges_at(reference)
+        if diverged is not None and diverged < start:
             raise ValueError(
                 "journal prefix mismatch: the restored system's "
-                f"{self._start} journal rows are not a prefix of the "
+                f"{start} journal rows are not a prefix of the "
                 "reference record — wrong snapshot or wrong run"
             )
-        arrivals = [
-            (time, a, b)
-            for time, kind, a, b, _x in self._reference[self._start :]
-            if kind == ARRIVAL
-        ]
-        self.n_cohorts = len(arrivals)
-        self._install(arrivals)
+        rows = start + np.flatnonzero(
+            reference._kind[start:] == ARRIVAL
+        )
+        self.n_cohorts = len(rows)
+        self._install(
+            reference._time[rows], reference._a[rows], reference._b[rows]
+        )
 
     @staticmethod
     def _journal_of(system) -> Optional[EventJournal]:
@@ -639,8 +689,10 @@ class JournalReplayer:
             journal = getattr(system, "journal", None)
         return journal
 
-    def _install(self, arrivals: List[Tuple[float, int, int]]) -> None:
-        if not arrivals:
+    def _install(
+        self, times: np.ndarray, first_rids: np.ndarray, counts: np.ndarray
+    ) -> None:
+        if not len(times):
             return
         from repro.core.request import RequestRecord
 
@@ -649,7 +701,7 @@ class JournalReplayer:
         rid_col = store.column("request_id")
         row_of = {int(rid_col[i]): i for i in range(len(store))}
         cohorts = []
-        for _time, first_rid, count in arrivals:
+        for first_rid, count in zip(first_rids.tolist(), counts.tolist()):
             row = row_of[first_rid]
             cohorts.append(
                 [
@@ -657,9 +709,6 @@ class JournalReplayer:
                     for r in range(row, row + count)
                 ]
             )
-        times = np.asarray(
-            [time for time, _rid, _count in arrivals], dtype=np.float64
-        )
 
         def fire(now: float, i: int) -> None:
             system._arrive_cohort(cohorts[i], now)
@@ -676,17 +725,9 @@ class JournalReplayer:
 
     def verify(self) -> None:
         """Assert the replay regenerated the reference record exactly."""
-        regenerated = self._journal_of(self._system).entries()
-        if regenerated != self._reference:
-            n = min(len(regenerated), len(self._reference))
-            diverged = next(
-                (
-                    i
-                    for i in range(n)
-                    if regenerated[i] != self._reference[i]
-                ),
-                n,
-            )
+        regenerated = self._journal_of(self._system)
+        diverged = regenerated.diverges_at(self._reference)
+        if diverged is not None:
             raise ValueError(
                 "replayed journal diverged from the reference at row "
                 f"{diverged} ({len(regenerated)} regenerated vs "
@@ -743,7 +784,7 @@ class ReplicaState:
     next_monitor_tick_s: float
     next_snapshot_tick_s: float
     stats_state: Dict[str, Any]
-    journal_entries: List[Tuple[float, int, int, int, float]]
+    journal: EventJournal
     cache_snapshots: List[Tuple[float, object]]
     miss_queue_state: Optional[tuple] = None
     hit_queue_state: Optional[tuple] = None
@@ -757,7 +798,6 @@ class ReplicaState:
     # ------------------------------------------------------------------
     @classmethod
     def capture(cls, replica) -> "ReplicaState":
-        journal = replica._journal
         state = cls(
             fingerprint=_replica_fingerprint(replica),
             record_rows=[r._row for r in replica.records],
@@ -804,9 +844,7 @@ class ReplicaState:
             ),
             next_snapshot_tick_s=replica._next_snapshot_tick_s,
             stats_state=replica.stats.snapshot_state(),
-            journal_entries=(
-                journal.entries() if journal is not None else []
-            ),
+            journal=_journal_prefix(replica._journal),
             cache_snapshots=list(replica._cache_snapshots),
         )
         if hasattr(replica, "cache"):
@@ -918,6 +956,4 @@ class ReplicaState:
         for name, value in self.model_counters.items():
             replica.model_sim(name)._counter.value = value
         if replica._journal is not None:
-            replica._journal = EventJournal.from_entries(
-                self.journal_entries
-            )
+            replica._journal = self.journal.prefix()

@@ -469,6 +469,9 @@ class TieredVectorCache:
         self._cursor = 0  # FIFO ring position: next insert/evict slot
         self._n_live = 0
         self._embedding_sum = np.zeros(embed_dim)
+        # Memoized 1-row coarse_centroids() (see ``VectorCache``).
+        # snap: derived (recomputed from embedding_sum on first read)
+        self._sketch_memo: Optional[np.ndarray] = None
         # Running total of the live payloads' ``size_bytes``.
         # snap: derived (recounted from the payloads on restore)
         self._storage_bytes = 0
@@ -613,10 +616,14 @@ class TieredVectorCache:
         coarse = self._index.coarse_centroids()
         if coarse is not None:
             return coarse
-        single = self.centroid()
-        if single is None:
-            return None
-        return single[None, :]
+        sketch = self._sketch_memo
+        if sketch is None:
+            single = self.centroid()
+            if single is None:
+                return None
+            sketch = self._sketch_memo = single[None, :]
+            sketch.flags.writeable = False
+        return sketch
 
     def centroid(self) -> Optional[np.ndarray]:
         """Mean of the live embeddings (running sum), or ``None``."""
@@ -661,6 +668,7 @@ class TieredVectorCache:
         self._live[slot] = True
         self._n_live += 1
         self._embedding_sum += emb
+        self._sketch_memo = None
         self._index.add(slot, emb)
         self._cursor = (slot + 1) % self._capacity
         self.last_inserted = self._view(slot)
@@ -701,6 +709,7 @@ class TieredVectorCache:
         self._live[slot] = False
         self._n_live -= 1
         self._embedding_sum -= emb
+        self._sketch_memo = None
         self.evictions += 1
         return entry
 
@@ -805,6 +814,7 @@ class TieredVectorCache:
             )
             self._live[slots] = True
             self._embedding_sum += chunk.sum(axis=0)
+            self._sketch_memo = None
             total += n
         self._n_live = total
         self._cursor = total % self._capacity
@@ -1009,6 +1019,7 @@ class TieredVectorCache:
         self._n_live = state.n_live
         # Order-dependent float accumulation: adopt, never recompute.
         self._embedding_sum[:] = state.embedding_sum
+        self._sketch_memo = None
         self._hot_free = list(state.hot_free)
         self._tier_policy = make_eviction_policy(
             self._tiering.tier_policy
@@ -1083,6 +1094,7 @@ class TieredVectorCache:
         self._cursor = 0
         self._n_live = 0
         self._embedding_sum[:] = 0.0
+        self._sketch_memo = None
         self._storage_bytes = 0
         self._hot_free = list(range(self._hot_capacity - 1, -1, -1))
         self._hot_view = [None] * self._capacity

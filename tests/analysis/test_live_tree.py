@@ -62,6 +62,29 @@ def test_mutation_dropped_capture_field_turns_red(
     assert list(SnapshotCoverageRule().check_module(clean)) == []
 
 
+def test_event_journal_stays_under_snapshot_coverage(
+    repo_root, tmp_path
+):
+    """The rule finds capture/restore pairs by method name; the journal
+    must keep such a pair, so a new column it forgets to capture or
+    restore still turns the analyzer red."""
+    source = (
+        repo_root / "src" / "repro" / "core" / "journal.py"
+    ).read_text()
+    slots = '__slots__ = ("_time", "_kind", "_a", "_b", "_x", "_n")'
+    mutated = source.replace(
+        slots, slots.replace('"_n")', '"_n", "_extra")')
+    )
+    assert mutated != source, "mutation target not found"
+    victim = tmp_path / "journal_extra_column.py"
+    victim.write_text(mutated)
+    module = ParsedModule.parse(victim, tmp_path)
+    findings = list(SnapshotCoverageRule().check_module(module))
+    assert any(
+        "EventJournal._extra" in f.message for f in findings
+    ), [f.render() for f in findings]
+
+
 def _import_script(repo_root: Path, name: str):
     path = repo_root / "scripts" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)

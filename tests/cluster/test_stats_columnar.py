@@ -14,7 +14,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro._rng import rng_for
 from repro.cluster.stats import SLO_EVENT_KINDS, StatsCollector
@@ -130,6 +133,47 @@ def test_accessors_match_reference(seed, max_window_s):
             # Bit-for-bit: the columnar path replays the reference's
             # newest-to-oldest summation order.
             assert slo.mean_slack_s == mean_slack
+
+
+def _unique_k_rates(collector, now, window_s):
+    """The window's k histogram as ``np.unique`` computes it."""
+    events = collector._events
+    start = events.window_start(now - window_s)
+    hit = events.col("hit")[start:]
+    hits = int(np.count_nonzero(hit))
+    if not hits:
+        return {}
+    ks, counts = np.unique(events.col("k")[start:][hit], return_counts=True)
+    return {int(k): int(c) / hits for k, c in zip(ks, counts)}
+
+
+@given(
+    gaps=st.lists(
+        st.tuples(
+            st.floats(0.0, 30.0, allow_nan=False),
+            st.booleans(),
+            st.integers(0, 50),
+        ),
+        max_size=80,
+    ),
+    window_s=st.floats(1.0, 400.0, allow_nan=False),
+)
+@example(gaps=[], window_s=60.0)
+@example(gaps=[(1.0, False, 0), (2.0, False, 7)], window_s=60.0)
+@example(gaps=[(1.0, True, 3), (500.0, False, 0)], window_s=60.0)
+def test_window_k_rates_match_unique_oracle(gaps, window_s):
+    """bincount-built ``k_rates``: same keys, same ascending order, same
+    floats as the ``np.unique`` histogram, empty and all-miss windows
+    included."""
+    collector = StatsCollector(max_window_s=3600.0)
+    now = 0.0
+    for gap, hit, k in gaps:
+        now += gap
+        collector.record_decision(now, hit=hit, k=k if hit else -1)
+    got = collector.window(now, window_s).k_rates
+    want = _unique_k_rates(collector, now, window_s)
+    assert list(got.items()) == list(want.items())
+    assert all(type(k) is int for k in got)
 
 
 def test_merged_matches_reference_merge():

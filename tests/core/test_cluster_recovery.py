@@ -287,7 +287,7 @@ def straight_fleet(space):
         "trace": trace,
         "system": system,
         "payload": _payload(system, report),
-        "reference": system.journal.entries(),
+        "reference": system.journal,
         "kill_t": 0.55 * span,
     }
 

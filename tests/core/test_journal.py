@@ -291,7 +291,7 @@ class TestJournalSuffixReplay:
     def test_suffix_replay_is_bit_identical(self, space):
         trace = _trace(space)
         straight, payload = self._straight(space, trace)
-        reference = straight._journal.entries()
+        reference = straight._journal
 
         snapshot = straight.snapshots[len(straight.snapshots) // 2]
         resumed = MoDMSystem(
@@ -314,7 +314,7 @@ class TestJournalSuffixReplay:
         system = MoDMSystem(space, _config())
         system.run(_trace(space, n=10))
         with pytest.raises(ValueError, match="journaled system"):
-            JournalReplayer(system, [])
+            JournalReplayer(system, EventJournal())
 
     def test_replayer_rejects_prefix_mismatch(self, space):
         trace = _trace(space, n=60)
@@ -330,7 +330,162 @@ class TestJournalSuffixReplay:
         time, kind, a, b, x = tampered[0]
         tampered[0] = (time, kind, a + 1, b, x)
         with pytest.raises(ValueError, match="prefix mismatch"):
-            JournalReplayer(resumed, tampered)
+            JournalReplayer(resumed, EventJournal.from_entries(tampered))
+
+
+    def test_verify_reports_the_first_diverging_row(self, space):
+        trace = _trace(space)
+        straight, _payload_ = self._straight(space, trace)
+        rows = straight._journal.entries()
+        snapshot = straight.snapshots[len(straight.snapshots) // 2]
+        resumed = MoDMSystem(
+            space,
+            _config(journal=JournalConfig(snapshot_period_s=45.0)),
+        )
+        snapshot.restore(resumed, install_timeline=False)
+        start = len(resumed._journal)
+        # Tamper the payload of the first non-ARRIVAL suffix row, so the
+        # replayed cohorts stay the same and only that row diverges.
+        row = next(
+            i for i in range(start, len(rows)) if rows[i][1] != ARRIVAL
+        )
+        time, kind, a, b, x = rows[row]
+        rows[row] = (time, kind, a, b, x + 1.0)
+        replayer = JournalReplayer(resumed, EventJournal.from_entries(rows))
+        replayer.replay(trace_name=trace.name)
+        with pytest.raises(ValueError, match=f"at row {row} "):
+            replayer.verify()
+
+
+# ----------------------------------------------------------------------
+# Journal prefix: O(1), copy-on-write snapshot capture
+# ----------------------------------------------------------------------
+def _filled_journal(n, initial=8):
+    journal = EventJournal(initial=initial)
+    for i in range(n):
+        journal.append(0.5 * i, i % len(KIND_NAMES), a=i, b=-i, x=0.25 * i)
+    return journal
+
+
+def _no_entries(self, start=0):
+    raise AssertionError("capture must not build journal rows")
+
+
+class TestJournalPrefix:
+    def test_prefix_is_a_read_only_view(self):
+        journal = _filled_journal(5)
+        prefix = journal.prefix()
+        assert len(prefix) == 5
+        assert prefix.digest() == journal.digest()
+        for name in ("_time", "_kind", "_a", "_b", "_x"):
+            column = getattr(prefix, name)
+            assert not column.flags.writeable
+            assert np.shares_memory(column, getattr(journal, name))
+        assert journal._time.flags.writeable
+
+    def test_appends_after_capture_leave_the_prefix_unchanged(self):
+        journal = _filled_journal(5)
+        prefix = journal.prefix()
+        rows, digest = prefix.entries(), prefix.digest()
+        # Within capacity: the live journal writes row 5 of the shared
+        # arrays, outside the prefix's view.
+        journal.append(99.0, COMPLETE, a=99)
+        assert np.shares_memory(prefix._a, journal._a)
+        # Across several _grow calls: the live journal moves to new
+        # arrays and the prefix keeps the old ones.
+        for i in range(100):
+            journal.append(100.0 + i, DECISION, a=i)
+        assert not np.shares_memory(prefix._a, journal._a)
+        assert prefix.entries() == rows
+        assert prefix.digest() == digest
+        assert journal.entries()[:5] == rows
+
+    def test_prefix_appends_grow_into_a_private_copy(self):
+        journal = _filled_journal(5)
+        prefix = journal.prefix()
+        mine = prefix.prefix()
+        mine.append(7.0, COMPLETE, a=7)
+        assert mine._time.flags.writeable
+        assert not np.shares_memory(mine._time, journal._time)
+        assert mine.entries() == journal.entries() + [
+            (7.0, COMPLETE, 7, 0, 0.0)
+        ]
+        assert len(prefix) == 5 and len(journal) == 5
+
+    def test_zero_row_prefix_accepts_appends(self):
+        empty = EventJournal().prefix()
+        assert len(empty) == 0
+        assert empty.digest() == EventJournal().digest()
+        empty.append(1.0, ARRIVAL, a=0, b=2)
+        empty.append(2.0, COMPLETE, a=0)
+        assert empty.entries() == [
+            (1.0, ARRIVAL, 0, 2, 0.0),
+            (2.0, COMPLETE, 0, 0, 0.0),
+        ]
+
+    def test_diverges_at(self):
+        journal = _filled_journal(20)
+        assert journal.diverges_at(journal.prefix()) is None
+        assert journal.diverges_at(_filled_journal(12)) == 12
+        assert _filled_journal(12).diverges_at(journal) == 12
+        rows = journal.entries()
+        time, kind, a, b, x = rows[7]
+        rows[7] = (time, kind, a, b, x + 1.0)
+        assert journal.diverges_at(EventJournal.from_entries(rows)) == 7
+
+    def test_engine_capture_never_builds_rows(self, space, monkeypatch):
+        monkeypatch.setattr(EventJournal, "entries", _no_entries)
+        config = _config(journal=JournalConfig(snapshot_period_s=45.0))
+        system = MoDMSystem(space, config)
+        system.run(_trace(space))
+        assert len(system.snapshots) >= 2
+        snap = Snapshot.capture(system)
+        live = system._journal
+        assert len(snap.journal) == len(live)
+        assert snap.journal_digest == live.digest()
+        for name in ("_time", "_kind", "_a", "_b", "_x"):
+            column = getattr(snap.journal, name)
+            assert not column.flags.writeable
+            assert np.shares_memory(column, getattr(live, name))
+
+    def test_fleet_capture_never_builds_rows(self, space, monkeypatch):
+        monkeypatch.setattr(EventJournal, "entries", _no_entries)
+        fleet = modm_cluster(
+            space,
+            _config(journal=JournalConfig(snapshot_period_s=45.0)),
+            ClusterRoutingConfig(
+                n_replicas=2, journal=True, snapshot_period_s=45.0
+            ),
+        )
+        fleet.run(_trace(space))
+        assert len(fleet.snapshots) >= 2
+        last = fleet.snapshots[-1]
+        assert np.shares_memory(last.journal._kind, fleet.journal._kind)
+        assert len(last.replica_states) == 2
+        for replica, state in zip(fleet.replicas, last.replica_states):
+            assert not state.journal._a.flags.writeable
+            assert len(state.journal) <= len(replica._journal)
+
+    def test_one_snapshot_restores_into_two_systems(self, space):
+        trace = _trace(space)
+        journal = JournalConfig(snapshot_period_s=45.0)
+        straight = MoDMSystem(space, _config(journal=journal))
+        straight.run(trace)
+        snapshot = straight.snapshots[len(straight.snapshots) // 2]
+        rows, digest = snapshot.journal.entries(), snapshot.journal_digest
+        first = MoDMSystem(space, _config(journal=journal))
+        second = MoDMSystem(space, _config(journal=journal))
+        snapshot.restore(first)
+        snapshot.restore(second)
+        assert first._journal is not second._journal
+        first.resume(trace)
+        second.resume(trace)
+        assert first._journal.entries() == second._journal.entries()
+        assert first._journal.digest() == straight._journal.digest()
+        assert not np.shares_memory(first._journal._x, second._journal._x)
+        assert snapshot.journal.entries() == rows
+        assert snapshot.journal_digest == digest
+        assert not snapshot.journal._time.flags.writeable
 
 
 # ----------------------------------------------------------------------
