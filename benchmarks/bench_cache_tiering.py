@@ -7,14 +7,16 @@ local default-scale (10M-entry) run.  Three claims are checked:
 
 * **Recall** — on a clustered corpus with near-duplicate queries (the
   semantic-cache regime), the tiered cache's top-1 result matches the
-  exact brute-force best for >= 95% of queries, despite the fp16 scan
-  tier.  Ground truth is computed by streaming the cold file with
-  ``pread`` chunks — never a whole-corpus memmap pass, whose touched
-  pages would count against the resident-memory budget.
+  exact brute-force best for >= 95% of queries, despite the
+  fp16-precision scan tier.  Ground truth is computed by streaming the
+  cold file with ``pread`` chunks — never a whole-corpus memmap pass,
+  whose touched pages would count against the resident-memory budget.
 * **Memory** — at default (10M) scale the peak resident set stays under
-  8 GiB: quantized blocks (~1 GiB) + hot tier (~0.5 GiB) + columnar
-  entry state, instead of the ~8 GiB the flat float64 cache layout
-  would need before counting its IVF blocks.
+  8 GiB: scan blocks (10M × 50 × 4 B, ~1.9 GiB — fp16 precision
+  decoded at write into f32 storage, which doubles the ~0.9 GiB of
+  fp16 storage so probes skip a per-cell decode) + hot tier (~0.5
+  GiB) + columnar entry state, instead of the ~8 GiB the flat float64
+  cache layout would need before counting its IVF blocks.
 * **Warm restart** — a fresh cache object restoring the snapshot
   against the durable cold file replays a recorded query/hit phase
   bit-for-bit: same slots, same similarities, same hit rate.

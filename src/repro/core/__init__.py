@@ -8,7 +8,8 @@ The pieces of Fig. 4, as a library:
 * :mod:`repro.core.ann` — the IVF approximate-retrieval backend for
   sublinear million-entry cache lookups;
 * :mod:`repro.core.tiering` — the ten-million-entry tiered cache:
-  quantized fp16 scan blocks, a RAM-resident hot tier, and a ``pread``
+  fp16-precision scan blocks (decoded at write, stored f32), a
+  RAM-resident hot tier, and a ``pread``
   cold tier with deterministic promotion/demotion;
 * :mod:`repro.core.kselection` — similarity-thresholded choice of skipped
   de-noising steps (Fig. 5b) and its quality-constrained calibration;

@@ -21,11 +21,13 @@ Design, in the order a request sees it:
   through its exact path, so a cold cache behaves identically to the
   exact backend.
 * **Packed inverted lists** — each cell stores its members' embeddings
-  in a contiguous block (the classic IVF layout; float32 by default,
-  float16 for the tiered cache's quantized hot tier), so probing a
+  in a contiguous float32 block (the classic IVF layout), so probing a
   cell is one sequential block-matvec instead of a row gather from the
   big matrix — gather overhead, not flops, dominates the re-rank at
-  scale.  A row-aligned int64 array holds each cell's member slots.
+  scale.  Rows are rounded once, when written: to float32 by default,
+  or to float16 precision for the tiered cache's quantized scan tier
+  (decoded at write, fp16 precision, f32 storage — a probe never
+  decodes).  A row-aligned int64 array holds each cell's member slots.
   Inserts assign their slot to the nearest coarse centroid in
   O(nlist·d) and append to that cell's block; evictions flip a
   row-valid bit (a lazy tombstone) and cells compact once tombstones
@@ -48,8 +50,9 @@ Design, in the order a request sees it:
   track the workload.
 
 Memory overhead beyond the owning cache: the float32 blocks (half the
-f64 matrix's bytes, amortized-doubling slack at most 2x that) plus
-O(capacity) slot bookkeeping and O(nlist·d) centroid state.
+f64 matrix's bytes whatever the rounding, amortized-doubling slack at
+most 2x that) plus O(capacity) slot bookkeeping and O(nlist·d)
+centroid state.
 """
 
 from __future__ import annotations
@@ -65,10 +68,11 @@ from repro._rng import rng_for
 #: Retrieval backends ``VectorCache`` accepts (``config.retrieval_backend``).
 RETRIEVAL_BACKENDS: Tuple[str, ...] = ("exact", "ivf")
 
-#: Packed-block element types (``IVFParams.block_dtype``).  ``fp32`` is
-#: the historical layout; ``fp16`` halves block memory for the tiered
-#: cache's quantized hot tier (the coarse scan decodes per probed cell,
-#: and the exact f64 re-rank keeps returned similarities exact).
+#: Packed-block precisions (``IVFParams.block_dtype``).  ``fp32`` is the
+#: historical rounding; ``fp16`` rounds each row to half precision for
+#: the tiered cache's quantized scan tier.  Either way the block stores
+#: float32, decoded once at write, and the exact f64 re-rank keeps
+#: returned similarities exact.
 BLOCK_DTYPES: Tuple[str, ...] = ("fp32", "fp16")
 
 
@@ -111,16 +115,18 @@ class IVFParams:
     per-cell means track drift in between).  ``seed`` namespaces every
     random draw through :func:`repro._rng.rng_for`.
 
-    ``block_dtype`` — element type of the packed per-cell blocks:
-    ``"fp32"`` (default, the historical layout, bit-identical) or
-    ``"fp16"`` (half the block memory; probed blocks are decoded to f32
-    for the scan, and the exact re-rank keeps returned similarities
-    exact either way).  ``rerank`` — size of the exact-re-rank
-    shortlist: the top-``rerank`` block-scan candidates are re-scored
-    against the f64 matrix and the best *exact* similarity wins.  The
-    default 1 re-scores only the block-scan winner (the historical
-    behavior, preserved bit-for-bit); quantized blocks want a wider
-    shortlist because the fp16 scan can misorder near-ties.
+    ``block_dtype`` — precision the packed per-cell blocks are rounded
+    to when a row is written: ``"fp32"`` (default, the historical
+    rounding, bit-identical) or ``"fp16"`` (each f64 row rounded
+    straight to half precision).  Blocks are float32 arrays either way
+    — an fp16 row is decoded at write, not per probe, at 4 bytes per
+    element — and the exact re-rank keeps returned similarities exact.
+    ``rerank`` — size of the exact-re-rank shortlist: the
+    top-``rerank`` block-scan candidates are re-scored against the f64
+    matrix and the best *exact* similarity wins.  The default 1
+    re-scores only the block-scan winner (the historical behavior,
+    preserved bit-for-bit); quantized blocks want a wider shortlist
+    because the fp16 scan can misorder near-ties.
     """
 
     nlist: int = 0
@@ -171,6 +177,7 @@ class IVFParams:
         return 2 * capacity
 
     def resolved_block_dtype(self) -> np.dtype:
+        """The dtype a row is rounded through before its f32 store."""
         if self.block_dtype == "fp16":
             return np.dtype(np.float16)
         return np.dtype(np.float32)
@@ -212,8 +219,11 @@ class IVFIndex:
         )
         # snap: derived (from params)
         self._retrain_inserts = params.resolved_retrain_inserts(capacity)
+        # Every write rounds f64 rows straight to this dtype (never via
+        # f32: double rounding changes bits) and stores them widened,
+        # exactly, in f32 blocks, so a probe never decodes.
         # snap: derived (from params)
-        self._block_dtype = params.resolved_block_dtype()
+        self._round_dtype = params.resolved_block_dtype()
         self._centroids: Optional[np.ndarray] = None  # (nlist, d), unit
         # Per-cell member slots, row-aligned with the block (same
         # length, slack included); rows [:_fill[c]] are in use.
@@ -363,7 +373,7 @@ class IVFIndex:
             np.add.at(sums, assign, rows)
         # Exact-size blocks (no doubling slack at bulk scale).
         self._blocks = [
-            np.empty((int(c), dim), dtype=self._block_dtype)
+            np.empty((int(c), dim), dtype=np.float32)
             if c
             else None
             for c in counts
@@ -389,7 +399,9 @@ class IVFIndex:
                 grp = order[starts[j] : bounds[j + 1]]
                 cur = int(cursors[cell])
                 stop = cur + grp.size
-                self._blocks[cell][cur:stop] = rows[grp]
+                self._blocks[cell][cur:stop] = rows[grp].astype(
+                    self._round_dtype
+                )
                 member_arrays[cell][cur:stop] = slots[grp]
                 cursors[cell] = stop
         for arr in member_arrays:
@@ -428,7 +440,9 @@ class IVFIndex:
             if members.size:
                 self._members.append(members)
                 self._blocks.append(
-                    self._matrix[members].astype(self._block_dtype)
+                    self._matrix[members]
+                    .astype(self._round_dtype)
+                    .astype(np.float32, copy=False)
                 )
                 self._valid.append(np.ones(members.size, dtype=bool))
             else:
@@ -453,7 +467,7 @@ class IVFIndex:
         if block is None or row >= block.shape[0]:
             rows = max(8, 2 * row)
             grown = np.empty(
-                (rows, self._matrix.shape[1]), dtype=self._block_dtype
+                (rows, self._matrix.shape[1]), dtype=np.float32
             )
             valid = np.zeros(rows, dtype=bool)
             members = np.empty(rows, dtype=np.int64)
@@ -465,7 +479,7 @@ class IVFIndex:
             self._valid[cell] = valid
             self._members[cell] = members
             block = grown
-        block[row] = embedding
+        block[row] = embedding.astype(self._round_dtype)
         self._valid[cell][row] = True
         self._members[cell][row] = slot
         self._fill[cell] = row + 1
@@ -553,14 +567,7 @@ class IVFIndex:
             m = self._fill[cell]
             if m == 0:
                 continue
-            block = self._blocks[cell][:m]
-            if block.dtype != np.float32:
-                # Quantized (fp16) blocks decode per probed cell: numpy
-                # has no BLAS half-precision matvec, so an explicit f32
-                # upcast keeps the scan on the fast path (decode cost is
-                # bounded by the probed fraction, not cache size).
-                block = block.astype(np.float32)
-            sims = block @ q32
+            sims = self._blocks[cell][:m] @ q32
             members = self._members[cell][:m]
             if self._stale[cell]:
                 keep = self._valid[cell][:m]
@@ -714,14 +721,16 @@ class IVFIndex:
         if state.blocks is None:
             dim = self._matrix.shape[1]
             self._blocks = [
-                np.zeros((len(members), dim), dtype=self._block_dtype)
+                np.zeros((len(members), dim), dtype=np.float32)
                 if members
                 else None
                 for members in state.lists
             ]
         else:
+            # astype copies; it also widens fp16 blocks captured when
+            # blocks stored half precision, so old snapshots restore.
             self._blocks = [
-                None if block is None else block.copy()
+                None if block is None else block.astype(np.float32)
                 for block in state.blocks
             ]
         # Member arrays match their block's length (slack included).
@@ -759,9 +768,9 @@ class IVFIndex:
         The second half of a block-free snapshot restore: after
         :meth:`restore_state` allocated zeroed blocks, the owning cache
         streams its row source through here and each slot currently
-        assigned to a cell gets its exact row written back (quantized to
-        the block dtype).  Slots with no cell assignment — dead, or
-        inserted while untrained — are skipped.
+        assigned to a cell gets its exact row written back (rounded to
+        the block precision, as on insert).  Slots with no cell
+        assignment — dead, or inserted while untrained — are skipped.
         """
         if not self.trained or slots.size == 0:
             return
@@ -781,7 +790,7 @@ class IVFIndex:
             grp = order[starts[j] : bounds[j + 1]]
             block = self._blocks[cell]
             block[self._row_of[members[grp]]] = data[grp].astype(
-                self._block_dtype
+                self._round_dtype
             )
 
     def clear(self) -> None:
@@ -814,7 +823,9 @@ class IVFIndex:
         The multi-centroid semantic sketch the cluster router's
         cache-affinity policy scores against — running sums, never a
         matrix scan, memoized between cache mutations (the router reads
-        it per arrival; treat the returned array as read-only).
+        it per arrival).  The result is read-only and the same object
+        until the next insert, evict, training, clear or restore, so a
+        reader can key derived values on its identity.
         """
         if not self.trained:
             return None
@@ -822,10 +833,12 @@ class IVFIndex:
             occupied = self._cell_counts > 0
             if not occupied.any():
                 return None
-            self._coarse_memo = (
+            memo = (
                 self._cell_sums[occupied]
                 / self._cell_counts[occupied, None]
             )
+            memo.flags.writeable = False
+            self._coarse_memo = memo
         return self._coarse_memo
 
     def scan_entries(self, n_live: int) -> int:

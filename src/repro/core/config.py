@@ -460,7 +460,8 @@ class MoDMConfig:
     engine.
 
     ``cache_tiering`` opts into the tiered cache
-    (:mod:`repro.core.tiering`): a quantized fp16 scan tier, a small
+    (:mod:`repro.core.tiering`): a scan tier of fp16-precision rows
+    (decoded at write, stored f32, so a probe never decodes), a small
     RAM-resident hot tier, and a ``pread`` cold tier holding every exact
     embedding — the ten-million-entry layout.  ``None`` — the default —
     keeps the flat single-matrix cache bit-for-bit.  Tiering requires

@@ -1,4 +1,4 @@
-"""Tiered vector cache: quantized hot tier + memory-mapped cold tier.
+"""Tiered vector cache: fp16-precision scan tier, hot tier, cold tier.
 
 A :class:`~repro.core.cache.VectorCache` keeps every embedding in one
 preallocated float64 matrix — 4 GB at 10M entries of dim 50, before the
@@ -6,9 +6,11 @@ IVF blocks double it.  Past a million entries the cache is memory-bound,
 not compute-bound (ROADMAP: "Ten-million-entry cache tier"), so this
 module splits storage across two tiers behind the same cache surface:
 
-* **Scan tier** — the IVF index's packed per-cell blocks, quantized to
-  fp16 (``IVFParams.block_dtype``).  Every live entry is scannable; the
-  coarse scan runs over half-width blocks and the exact re-rank
+* **Scan tier** — the IVF index's packed per-cell blocks, rounded to
+  fp16 precision (``IVFParams.block_dtype``) and decoded at write:
+  fp16 precision, f32 storage, so the coarse scan is a plain f32
+  matvec per probed cell with no per-probe decode, at 4 bytes per
+  element.  Every live entry is scannable, and the exact re-rank
   (``IVFParams.rerank`` shortlist) keeps returned similarities exact.
 * **Hot tier** — a small float64 row store for the frequently-hit
   entries.  Shortlist re-ranks against hot rows are RAM reads.
@@ -75,11 +77,12 @@ class TieredCacheConfig:
     which a cold entry is promoted.  ``tier_policy`` — eviction-registry
     policy choosing the demotion victim when the hot store is full
     (``"utility"`` demotes the fewest-hit entry, keeping the heavy
-    hitters resident).  ``block_dtype`` — element type of the IVF scan
-    blocks (``"fp16"`` halves scan memory; the exact re-rank keeps
-    similarities exact).  ``shortlist`` — exact-re-rank width
-    (``IVFParams.rerank`` floor; wider catches fp16 near-tie
-    misordering).  ``cold_dir`` — directory for the cold row file
+    hitters resident).  ``block_dtype`` — precision of the IVF scan
+    blocks (``"fp16"``: decoded at write, fp16 precision, f32 storage —
+    no decode per probe, at the same 4 bytes per element as ``"fp32"``;
+    the exact re-rank keeps similarities exact).  ``shortlist`` —
+    exact-re-rank width (``IVFParams.rerank`` floor; wider catches fp16
+    near-tie misordering).  ``cold_dir`` — directory for the cold row file
     (``None`` = anonymous temp file: dropped on process exit, which
     still supports in-process warm restarts; a real directory makes the
     cold tier durable for cross-process warm starts).
@@ -360,15 +363,17 @@ class _SlotRows:
             return cache._row_copy(int(key))
         slots = np.asarray(key, dtype=np.int64)
         hot_rows = cache._hot_row[slots]
+        cold = np.flatnonzero(hot_rows < 0)
+        if cold.size == 0:
+            return cache._hot_store[hot_rows]
+        cache.cold_reads += cold.size
+        cold_rows = cache._cold.read_rows(cache._cold_row[slots[cold]])
+        if cold.size == slots.size:
+            return cold_rows
         # One gather serves every hot row; cold positions (hot row -1)
         # pick up a placeholder row that the cold gather overwrites.
         out = cache._hot_store[hot_rows]
-        cold = np.flatnonzero(hot_rows < 0)
-        if cold.size:
-            cache.cold_reads += cold.size
-            out[cold] = cache._cold.read_rows(
-                cache._cold_row[slots[cold]]
-            )
+        out[cold] = cold_rows
         return out
 
 

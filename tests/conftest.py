@@ -24,9 +24,10 @@ from repro.workloads import (
 )
 
 # Hypothesis profiles.  Property tests that pin ``max_examples`` keep
-# their own budget; the rest (the IVF masked-probe oracle, the tiered
-# residency and storage-total properties, the prompt-factory oracle)
-# take it from the profile: bounded for tier-1, heavier when
+# their own budget; the rest (the IVF masked-probe and block-quantization
+# oracles, the tiered residency, quantization and storage-total
+# properties, the prompt-factory oracle) take it from the profile:
+# bounded for tier-1, heavier when
 # ``HYPOTHESIS_PROFILE=ci-heavy`` is set.
 settings.register_profile("tier1", max_examples=20)
 settings.register_profile("ci-heavy", max_examples=300)

@@ -16,14 +16,17 @@ the properties the serving system actually relies on:
   a direct cache-level comparison pins the primitive);
 * search and top-k agree bit for bit with a reference that scores every
   probed row and masks tombstones to ``-inf`` in place, under
-  hypothesis-driven churn and across a block-free snapshot restore.
+  hypothesis-driven churn and across a block-free snapshot restore;
+* every block is float32 and holds, row for row, the cache's exact rows
+  rounded once to the block precision — checked against the matrix,
+  never against the index's own blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro._rng import rng_for
@@ -409,12 +412,24 @@ class TestServingIntegration:
 # ----------------------------------------------------------------------
 # Oracle: the masked probe the array-native cells replaced
 # ----------------------------------------------------------------------
+def rounded(rows, block_dtype):
+    """Exact f64 rows as a block must hold them: rounded once, straight
+    to the block precision, and widened to f32."""
+    half = block_dtype == "fp16"
+    return rows.astype(np.float16 if half else np.float32).astype(
+        np.float32
+    )
+
+
 def reference_probe(index, query_unit):
     """Concatenated (slots, f32 sims) with tombstones scored ``-inf``.
 
     The probe as it was written before cells dropped tombstoned rows:
     each probed cell's rows are scored by one matvec and tombstones are
     overwritten with ``-inf`` in place, so they stay in the result.
+    The scored rows are the owning cache's exact rows, rounded here
+    (zeros stand in for tombstones), so the index's blocks are checked,
+    not trusted.
     """
     csims = index._centroids @ query_unit
     nprobe = min(index.params.nprobe, csims.shape[0])
@@ -430,13 +445,14 @@ def reference_probe(index, query_unit):
         m = index._fill[cell]
         if m == 0:
             continue
-        block = index._blocks[cell][:m]
-        if block.dtype != np.float32:
-            block = block.astype(np.float32)
-        sims = block @ q32
+        members = index._members[cell][:m]
+        valid = index._valid[cell][:m]
+        exact = np.zeros((m, query_unit.shape[0]))
+        exact[valid] = index._matrix[members[valid]]
+        sims = rounded(exact, index.params.block_dtype) @ q32
         if index._stale[cell]:
-            sims[~index._valid[cell][:m]] = -np.inf
-        slot_parts.append(index._members[cell][:m])
+            sims[~valid] = -np.inf
+        slot_parts.append(members)
         sim_parts.append(sims)
     if not slot_parts:
         return None, None
@@ -646,3 +662,157 @@ class TestMaskedProbeOracle:
         assert reference_search_topk(index, query_unit, 3) == []
         assert index.search(query_unit) is None
         assert index.search_topk(query_unit, 3) == []
+
+
+# ----------------------------------------------------------------------
+# Oracle: block contents against independently rounded exact rows
+# ----------------------------------------------------------------------
+def assert_blocks_hold_rounded_rows(index, exact_rows, history):
+    """Every block is f32.  Each valid row is byte-equal to its slot's
+    exact row rounded to the block precision; each tombstoned row holds
+    a rounded row its slot once had (``history``) or zeros (a block-free
+    restore leaves tombstones unfilled).  ``exact_rows(slots)`` reads
+    the owning cache's rows, never the index."""
+    block_dtype = index.params.block_dtype
+    listed = []
+    for cell, block in enumerate(index._blocks):
+        m = index._fill[cell]
+        if block is None:
+            assert m == 0
+            continue
+        assert block.dtype == np.float32
+        members = index._members[cell][:m]
+        valid = index._valid[cell][:m]
+        want = rounded(exact_rows(members[valid]), block_dtype)
+        assert block[:m][valid].tobytes() == want.tobytes()
+        zero = np.zeros(block.shape[1], dtype=np.float32).tobytes()
+        for row in np.flatnonzero(~valid):
+            got = block[row].tobytes()
+            assert got == zero or got in history[int(members[row])]
+        listed.append(members[valid])
+    if index.trained:
+        live = np.flatnonzero(index._live)
+        found = np.sort(np.concatenate(listed)) if listed else live[:0]
+        np.testing.assert_array_equal(found, live)
+
+
+def block_free_restore(index, exact_rows):
+    """Reinstall ``index`` from its own block-free snapshot, refilling
+    the live rows from the owning cache."""
+    index.restore_state(index.snapshot_state(include_blocks=False))
+    live = np.flatnonzero(index._live)
+    index.refill_rows(live, exact_rows(live))
+
+
+_QUANT_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["insert"] * 8
+            + ["retrieve", "retrain", "snapshot", "restore", "block-free",
+               "clear"]
+        ),
+        st.integers(0, 63),
+    ),
+    min_size=30,
+    max_size=160,
+)
+
+# Long FIFO churn into two cells without a retrain: cells compact.
+_COMPACTING = [("insert", i % 64) for i in range(150)] + [
+    ("retrieve", 0),
+    ("block-free", 0),
+] + [("insert", (7 * i) % 64) for i in range(60)]
+
+
+class TestBlockQuantizationOracle:
+    @pytest.mark.parametrize("block_dtype", BLOCK_DTYPES)
+    @_ORACLE
+    @given(ops=_QUANT_OPS)
+    @example(ops=_COMPACTING)
+    def test_blocks_hold_rounded_exact_rows(self, block_dtype, ops):
+        dim = 10
+        data = rng_for("ann-quant").standard_normal((64, dim))
+        data[::9] = 1.0 + 2.0**-11 + 2.0**-40  # rounds differently via f32
+        cache = VectorCache(
+            capacity=24,
+            embed_dim=dim,
+            backend="ivf",
+            ann=IVFParams(
+                nlist=2,
+                nprobe=1,
+                train_min=12,
+                retrain_inserts=120,
+                block_dtype=block_dtype,
+                seed="ann-quant",
+            ),
+        )
+        index = cache.index
+
+        def exact_rows(slots):
+            return cache._matrix[slots]
+
+        history = {slot: set() for slot in range(24)}
+        saved = cache.snapshot()
+        compactions = 0
+        for step, (op, arg) in enumerate(ops):
+            stale_before = sum(index._stale)
+            if op == "insert":
+                cache.insert(step, data[arg], now=float(step))
+                slot = cache._slot_of[cache.last_inserted.entry_id]
+                history[slot].add(
+                    rounded(data[arg], block_dtype).tobytes()
+                )
+            elif op == "retrieve":
+                cache.retrieve(data[arg])  # trains or retrains lazily
+            elif op == "retrain":
+                index.train()
+            elif op == "snapshot":
+                saved = cache.snapshot()
+            elif op == "restore":
+                cache.restore(saved)
+            elif op == "block-free":
+                block_free_restore(index, exact_rows)
+            else:
+                cache.clear()
+            if op == "insert" and sum(index._stale) < stale_before:
+                compactions += 1
+            assert_blocks_hold_rounded_rows(index, exact_rows, history)
+        if ops is _COMPACTING:
+            assert compactions > 0 and index.trainings == 1
+
+    @pytest.mark.parametrize("block_dtype", BLOCK_DTYPES)
+    def test_restore_widens_half_precision_snapshot_blocks(
+        self, block_dtype
+    ):
+        """A snapshot whose blocks were stored as float16 (the layout
+        before blocks were widened at write) restores to f32 blocks
+        with identical values and identical results."""
+        cache, queries = churned_index(
+            block_dtype,
+            8,
+            dict(seed=3, capacity=64, nlist=4, nprobe=2, n_inserts=200,
+                 dup_every=7, query_every=3, k=3),
+            check=False,
+        )
+        index = cache.index
+        assert index.trained
+        state = index.snapshot_state()
+        if block_dtype == "fp16":
+            for cell, block in enumerate(state.blocks):
+                if block is not None:
+                    half = np.zeros(block.shape, dtype=np.float16)
+                    m = index._fill[cell]
+                    half[:m] = block[:m]  # exact: rows are fp16 values
+                    state.blocks[cell] = half
+        fresh = IVFIndex(cache._matrix, cache._live, index.params)
+        fresh.restore_state(state)
+        for cell, (got, want) in enumerate(zip(fresh._blocks, index._blocks)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                m = index._fill[cell]
+                assert got.dtype == np.float32
+                assert got[:m].tobytes() == want[:m].tobytes()
+        for query_unit in queries:
+            assert bits(fresh.search_topk(query_unit, 3)) == bits(
+                index.search_topk(query_unit, 3)
+            )

@@ -15,7 +15,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.ann import IVFParams
@@ -102,6 +102,97 @@ def test_coarse_centroids_memo_tracks_every_write(kind, ops):
             # A read leaves the sketch object in place.
             assert cache.coarse_centroids() is before
         _check_sketch(cache)
+
+
+def _trained_ivf_cache() -> VectorCache:
+    return VectorCache(
+        capacity=8,
+        embed_dim=DIM,
+        backend="ivf",
+        ann=IVFParams(
+            nlist=2, train_min=4, retrain_inserts=6, seed="sketch-ivf"
+        ),
+    )
+
+
+def _trained_tiered() -> TieredVectorCache:
+    return TieredVectorCache(
+        capacity=8,
+        embed_dim=DIM,
+        tiering=TieredCacheConfig(cold_dir=None),
+        ann=IVFParams(
+            nlist=2, train_min=4, retrain_inserts=6, seed="sketch-ivf"
+        ),
+    )
+
+
+BACKENDS = {
+    "exact": lambda: _vector_cache("fifo"),
+    "ivf": _trained_ivf_cache,
+    "tiered": _trained_tiered,
+}
+
+
+def _row(i: int) -> list:
+    return [float((i * 7 + j * 3) % 5 - 2) + 0.25 * j for j in range(DIM)]
+
+
+# Trains the IVF backends, evicts, retrains and restores a trained
+# snapshot; hypothesis alone rarely reaches a trained index.
+_TRAINING_OPS = (
+    [("insert", _row(i)) for i in range(5)]
+    + [("retrieve", None), ("snapshot", None)]
+    + [("insert", _row(i)) for i in range(5, 12)]
+    + [("retrieve", None), ("retrieve", None), ("restore", None)]
+    + [("clear", None), ("insert", _row(1)), ("retrieve", None)]
+)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@given(ops=_OPS)
+@example(ops=_TRAINING_OPS)
+def test_sketch_is_read_only_and_new_after_every_write(backend, ops):
+    """On every backend — the flat exact scan, the flat IVF index and
+    the tiered cache, trained by retrieval and retrained every six
+    inserts — the sketch is read-only and the same object until an
+    insert (which evicts once the cache is full), a training, ``clear``
+    or ``restore``; after each of those it is a new object."""
+    cache = BACKENDS[backend]()
+    saved = None
+    now = 0.0
+    most_trainings = 0
+    for op, arg in ops:
+        before = cache.coarse_centroids()
+        trainings = getattr(cache.index, "trainings", 0)
+        if op == "insert":
+            now += 1.0
+            cache.insert(f"p{now}", np.asarray(arg, dtype=float), now)
+        elif op == "clear":
+            cache.clear()
+        elif op == "snapshot":
+            saved = cache.snapshot()
+        elif op == "restore" and saved is not None:
+            cache.restore(saved)
+        elif op == "retrieve" and len(cache):
+            cache.retrieve(np.ones(DIM))  # may train or retrain
+        else:
+            op = "none"
+        after = cache.coarse_centroids()
+        if after is not None:
+            assert not after.flags.writeable
+            with pytest.raises(ValueError):
+                after[0, 0] = 1.0
+        wrote = op in ("insert", "clear", "restore") or (
+            getattr(cache.index, "trainings", 0) != trainings
+        )
+        if before is not None:
+            assert (after is before) == (not wrote)
+        assert cache.coarse_centroids() is after
+        most_trainings = max(
+            most_trainings, getattr(cache.index, "trainings", 0)
+        )
+    if ops is _TRAINING_OPS and backend != "exact":
+        assert most_trainings >= 2  # trained, then retrained
 
 
 def test_norm_memo_follows_sketch_identity():

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro._rng import rng_for
@@ -34,6 +34,7 @@ from repro.core.tiering import (
     TieredImageCache,
     TieredVectorCache,
 )
+from test_ann import assert_blocks_hold_rounded_rows, rounded
 
 DIM = 16
 
@@ -469,6 +470,148 @@ class TestResidencyIndependence:
             assert t_entry.payload == h_entry.payload
 
 
+# Every op in one run: FIFO churn long enough to compact a cell, hits
+# that promote and demote, a restore, a bulk load and a clear.
+_TIER_CHURN = (
+    [("insert", i % 64) for i in range(40)]
+    + [("hit", i) for i in range(0, 40, 3)]
+    + [("snapshot", 0)]
+    + [("insert", (5 * i) % 64) for i in range(60)]
+    + [("restore", 0), ("retrain", 0), ("bulk-load", 11)]
+    + [("insert", (3 * i) % 64) for i in range(50)]
+    + [("hit", i) for i in range(0, 60, 7)]
+    + [("clear", 0), ("insert", 1)]
+)
+
+
+class TestTieredQuantizationOracle:
+    """The tiered cache's scan blocks hold, row for row, its exact
+    rows (read from the hot store and the cold file) rounded once to
+    the block precision, through insert, eviction, promotion, retrain,
+    snapshot -> restore (block-free), ``bulk_load`` and ``clear``."""
+
+    @staticmethod
+    def _cache(block_dtype):
+        return TieredVectorCache(
+            capacity=24,
+            embed_dim=DIM,
+            tiering=TieredCacheConfig(
+                hot_capacity=4, promote_hits=1, block_dtype=block_dtype
+            ),
+            ann=IVFParams(
+                nlist=2, nprobe=1, train_min=12, retrain_inserts=120,
+                seed="tier-quant",
+            ),
+        )
+
+    @staticmethod
+    def exact_rows(cache, slots):
+        out = np.empty((slots.size, DIM))
+        hot_rows = cache._hot_row[slots]
+        hot = hot_rows >= 0
+        out[hot] = cache._hot_store[hot_rows[hot]]
+        out[~hot] = cache.cold_store.read_rows(
+            cache._cold_row[slots[~hot]]
+        )
+        # Residency independence: a hot row is its cold row's copy.
+        np.testing.assert_array_equal(
+            out[hot],
+            cache.cold_store.read_rows(cache._cold_row[slots[hot]]),
+        )
+        return out
+
+    @pytest.mark.parametrize("block_dtype", ["fp16", "fp32"])
+    # Example budget from the hypothesis profile (tests/conftest.py).
+    @settings(deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["insert"] * 8
+                    + ["hit", "retrain", "snapshot", "restore",
+                       "bulk-load", "clear"]
+                ),
+                st.integers(0, 63),
+            ),
+            min_size=30,
+            max_size=120,
+        ),
+    )
+    @example(ops=_TIER_CHURN)
+    def test_blocks_hold_rounded_exact_rows(self, block_dtype, ops):
+        data = embeddings(64, seed="tier-quant")
+        data[::9, :4] = 1.0 + 2.0**-11 + 2.0**-40  # rounds differently via f32
+        cache = self._cache(block_dtype)
+        history = {slot: set() for slot in range(24)}
+        saved = cache.snapshot()
+        for step, (op, arg) in enumerate(ops):
+            if op == "insert":
+                cache.insert(step, data[arg], now=float(step))
+                history[cache.last_inserted.slot].add(
+                    rounded(data[arg], block_dtype).tobytes()
+                )
+            elif op == "hit":
+                entry, _ = cache.retrieve(data[arg])  # trains lazily
+                if entry is not None:
+                    cache.record_hit(entry, now=float(step))
+            elif op == "retrain":
+                cache.index.train()
+            elif op == "snapshot":
+                saved = cache.snapshot()
+            elif op == "restore":
+                cache.restore(saved)
+            elif op == "bulk-load":
+                # bulk_load needs a never-used cache: start a new one.
+                n = 12 + arg % 13
+                cache = self._cache(block_dtype)
+                cache.bulk_load(
+                    lambda: (data[i : min(n, i + 5)] for i in range(0, n, 5)),
+                    now=float(step),
+                )
+                history = {
+                    slot: {rounded(data[slot], block_dtype).tobytes()}
+                    if slot < n
+                    else set()
+                    for slot in range(24)
+                }
+                saved = cache.snapshot()
+            else:
+                cache.clear()
+            assert_blocks_hold_rounded_rows(
+                cache.index,
+                lambda slots: self.exact_rows(cache, slots),
+                history,
+            )
+
+
+class TestShortlistGather:
+    """``_SlotRows`` (the matrix the IVF re-rank gathers from) serves
+    every residency mix with exactly one cold read per cold row."""
+
+    @pytest.mark.parametrize("mix", ["hot", "cold", "mixed", "empty"])
+    def test_rows_match_per_slot_reads(self, mix):
+        cache = exact_tiered(64, hot_capacity=8, promote_hits=1)
+        churn(cache, embeddings(100, seed="gather"))
+        live = np.flatnonzero(cache._live)
+        hot = live[cache._hot_row[live] >= 0]
+        cold = live[cache._hot_row[live] < 0]
+        assert hot.size >= 4 and cold.size >= 4
+        slots = {
+            "hot": hot[::-1],
+            "cold": cold[[3, 0, 2, 0]],  # unordered, one repeat
+            "mixed": np.array([cold[1], hot[0], cold[0], hot[2]]),
+            "empty": live[:0],
+        }[mix]
+        n_cold = int((cache._hot_row[slots] < 0).sum())
+        before = cache.cold_reads
+        got = cache._rows[slots]
+        assert cache.cold_reads - before == n_cold
+        assert got.shape == (slots.size, DIM)
+        assert got.dtype == np.float64 and got.flags.writeable
+        want = [cache._row_copy(int(slot)) for slot in slots]
+        assert got.tobytes() == np.asarray(want).reshape(-1, DIM).tobytes()
+
+
 # ----------------------------------------------------------------------
 # Tier movement
 # ----------------------------------------------------------------------
@@ -692,6 +835,52 @@ class TestBulkLoad:
         data = embeddings(9, seed="bulk-ov")
         with pytest.raises(ValueError, match="overflows"):
             cache.bulk_load(lambda: iter((data,)), now=0.0)
+
+
+class TestBulkLoadPin:
+    """The bulk-build path (``build_from_chunks``) pinned like
+    :class:`TestPinnedSequence` pins the incremental one: a 5k-row fp16
+    tiered cache loaded in uneven chunks, queried by ``retrieve`` and
+    ``retrieve_topk``, hashed over (slot, similarity bytes).  The digest
+    was recorded while fp16 blocks were still stored half-width and
+    decoded per probe."""
+
+    DIGEST = (
+        "ad31995c4cd8bf529b3d9658dcee348ed10a4b5683758a7b3638cc18d9afda0c"
+    )
+
+    @staticmethod
+    def run_sequence():
+        n = 5_000
+        cache = TieredVectorCache(
+            capacity=n,
+            embed_dim=DIM,
+            tiering=TieredCacheConfig(hot_capacity=64, block_dtype="fp16"),
+            ann=IVFParams(nlist=16, nprobe=3, seed="bulk-pin"),
+        )
+        data = embeddings(n, seed="bulk-pin")
+        data[1_000::997] = data[3:8]  # exact duplicates tie in the scan
+        cache.bulk_load(
+            lambda: (data[i : i + 1_700] for i in range(0, n, 1_700)),
+            now=0.0,
+        )
+        noise = rng_for("bulk-pin-noise").standard_normal((300, DIM))
+        digest = hashlib.sha256()
+        for i in range(300):
+            query = data[(i * 613) % n] + 0.05 * (i % 4) * noise[i]
+            entry, sim = cache.retrieve(query)
+            digest.update(np.int64(entry.slot).tobytes())
+            digest.update(np.float64(sim).tobytes())
+            for view, top_sim in cache.retrieve_topk(query, 4):
+                digest.update(np.int64(view.slot).tobytes())
+                digest.update(np.float64(top_sim).tobytes())
+        return cache, digest.hexdigest()
+
+    def test_digest_is_pinned(self):
+        cache, digest = self.run_sequence()
+        assert cache.index.trained and cache.index.trainings == 1
+        assert len(cache) == 5_000
+        assert digest == self.DIGEST
 
 
 # ----------------------------------------------------------------------
