@@ -15,20 +15,30 @@ Three paths produce keyed draws, all bit-identical to each other:
 * **``DirectionCache`` draws** (the module-level :data:`directions`)
   memoize keyed unit vectors and scalars whose key tuples recur and seed
   the misses of one caller (one image) together through
-  :meth:`DirectionCache.draw_batch`.
+  :meth:`DirectionCache.draw_batch`.  A finished image's batch also
+  draws the image encoder's noise for that image and *parks* it: the
+  cache holds the one vector, keyed by its stream's ``(dim, seed)``, and
+  :meth:`DirectionCache.fresh_unit` hands it over (once) instead of
+  drawing it again.  A parked vector is a memo of a pure function, so
+  encoding in any order, with any encoder, returns the oracle's bytes.
 * **Batched streams** (:func:`rngs_for`) seed a list of key tuples
   together and yield one long-lived generator re-pointed at each
   tuple's stream in turn, for callers that need whole streams —
   ``integers``, ``random`` and ``standard_normal`` draws — rather than
   one vector per key.  Trace synthesis builds each session this way.
 
-The last two rest on one replay: numpy's ``SeedSequence`` entropy mixing
-and PCG64 seeding regenerated as unrolled Python, so a long-lived PCG64
-can be set to the state ``PCG64(seed)`` would have without paying full
-object construction per key.  The replay is generated per lane count:
-for ``n`` seeds it mixes all of them at once in one Python int holding
-``n`` 64-bit lanes.  ``tests/test_rng.py`` pins every path bit-for-bit
-against the oracle.
+Callers that seed many streams under one fixed key prefix hash that
+prefix once: :class:`SeedPrefix` keeps the prefix's BLAKE2b state and
+copies it per suffix, and ``draw_batch`` takes the resulting ``int``
+seed in place of a key tuple.
+
+The last two paths rest on one replay: numpy's ``SeedSequence`` entropy
+mixing and PCG64 seeding regenerated as unrolled Python, so a long-lived
+PCG64 can be set to the state ``PCG64(seed)`` would have without paying
+full object construction per key.  The replay is generated per lane
+count: for ``n`` seeds it mixes all of them at once in one Python int
+holding ``n`` 64-bit lanes.  ``tests/test_rng.py`` pins every path
+bit-for-bit against the oracle.
 """
 
 from __future__ import annotations
@@ -55,8 +65,9 @@ _SEPARATOR_STR = "\x1f"
 _STR_INT = {str, int}
 
 #: One :meth:`DirectionCache.draw_batch` item — ``(dim or None for a
-#: scalar, memoize, key tuple)`` — and its result.
-DrawItem = Tuple[Optional[int], bool, Tuple[Key, ...]]
+#: scalar, memoize, key tuple or its precomputed int seed)`` — and its
+#: result.
+DrawItem = Tuple[Optional[int], bool, Union[Tuple[Key, ...], int]]
 Draw = Union[np.ndarray, float]
 
 
@@ -90,6 +101,44 @@ def seed_for(*keys: Key) -> int:
         material = b"".join(parts)
     digest = hashlib.blake2b(material, digest_size=8)
     return int.from_bytes(digest.digest(), "little")
+
+
+class SeedPrefix:
+    """:func:`seed_for` over a fixed key prefix, with the prefix hashed once.
+
+    ``SeedPrefix(*prefix)(*suffix) == seed_for(*prefix, *suffix)``.  When
+    the prefix and the suffix are made only of exact ``str`` and ``int``
+    keys (``seed_for``'s joined path), the prefix's material is absorbed
+    into a BLAKE2b state at construction and each call hashes only the
+    suffix, on a copy of that state: a BLAKE2b digest does not depend on
+    how its input is split across updates.  Any other key type, and an
+    empty suffix, go through :func:`seed_for` itself.
+    """
+
+    __slots__ = ("_prefix", "_state")
+
+    def __init__(self, *prefix: Key):
+        self._prefix = prefix
+        self._state = None
+        if set(map(type, prefix)) <= _STR_INT:
+            material = "".join(str(key) + _SEPARATOR_STR for key in prefix)
+            self._state = hashlib.blake2b(
+                material.encode("utf-8"), digest_size=8
+            )
+
+    def __call__(self, *suffix: Key) -> int:
+        state = self._state
+        if state is None or not suffix:
+            return seed_for(*self._prefix, *suffix)
+        if len(suffix) == 1 and suffix[0].__class__ is str:
+            material = suffix[0] + _SEPARATOR_STR
+        elif set(map(type, suffix)) <= _STR_INT:
+            material = _SEPARATOR_STR.join(map(str, suffix)) + _SEPARATOR_STR
+        else:
+            return seed_for(*self._prefix, *suffix)
+        digest = state.copy()
+        digest.update(material.encode("utf-8"))
+        return int.from_bytes(digest.digest(), "little")
 
 
 def rng_for(*keys: Key) -> np.random.Generator:
@@ -157,17 +206,16 @@ def normalize(vec: np.ndarray) -> np.ndarray:
             # serving hot path, so the probe stays unguarded (and fast).
             sq = math.inf
         if 1e-280 < sq < 1e280:
-            norm = math.sqrt(sq)
-        elif sq == 0.0:
+            return vec / math.sqrt(sq)
+        if sq == 0.0:
             return vec
-        else:
-            # sq under/overflowed (extreme magnitudes) or is NaN
-            # (non-finite entries); both are off the hot path.
-            if not np.isfinite(vec).all():
-                return _normalize_nonfinite(vec)
-            peak = float(np.max(np.abs(vec)))
-            scaled = vec / peak
-            norm = peak * math.sqrt(float(np.dot(scaled, scaled)))
+        # sq under/overflowed (extreme magnitudes) or is NaN (non-finite
+        # entries); both are off the hot path.
+        if not np.isfinite(vec).all():
+            return _normalize_nonfinite(vec)
+        peak = float(np.max(np.abs(vec)))
+        scaled = vec / peak
+        norm = peak * math.sqrt(float(np.dot(scaled, scaled)))
     else:
         try:
             norm = float(np.linalg.norm(vec))
@@ -457,6 +505,16 @@ def _finish_unit(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def fast_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """:func:`unit_vector` with the norm taken as ``sqrt(dot(v, v))``.
+
+    Bit-identical to :func:`unit_vector`: that is the computation
+    ``np.linalg.norm`` performs for a 1-D float vector, without its
+    dispatch overhead.
+    """
+    return _finish_unit(rng.standard_normal(dim))
+
+
 class DirectionCache:
     """Memoized, fast-path synthesis of keyed unit vectors and scalars.
 
@@ -469,6 +527,10 @@ class DirectionCache:
     reference path.  :meth:`draw_batch` takes every draw one caller needs
     (memoized or fresh, vector or scalar) and seeds them together.
 
+    One fresh vector can also be *parked* (:meth:`park`) by the caller
+    that drew it ahead of time for its eventual consumer;
+    :meth:`fresh_unit` returns it once, for its own ``(dim, seed)`` only.
+
     Cached arrays are marked read-only: callers share them.
     """
 
@@ -480,6 +542,7 @@ class DirectionCache:
         self.misses = 0
         self._units: Dict[Tuple[int, int], np.ndarray] = {}
         self._scalars: Dict[int, float] = {}
+        self._parked: Optional[Tuple[Tuple[int, int], np.ndarray]] = None
         self._stream = _FastStream()
 
     # ------------------------------------------------------------------
@@ -528,8 +591,10 @@ class DirectionCache:
         dimension for ``unit_vector(rng_for(*keys), dim)`` or ``None`` for
         the scalar ``float(rng_for(*keys).standard_normal())``;
         ``memoize`` selects the memo (as :meth:`unit`) or a fresh,
-        uncached draw (as :meth:`fresh_unit`).  Every item is hashed
-        once, memo hits are served, all remaining seeds go through
+        uncached draw (as :meth:`fresh_unit`).  ``keys`` is a key tuple
+        or its precomputed ``int`` seed (``seed_for(*keys)``, e.g. from a
+        :class:`SeedPrefix`).  Every key tuple is hashed once, memo hits
+        are served, all remaining seeds go through
         :func:`_pcg64_raw_states` together, and the draws then run in
         item order.  A memoized key repeated within the batch is drawn
         once and counted as a hit the second time, as sequential calls
@@ -542,7 +607,7 @@ class DirectionCache:
         first: Dict[Tuple[Optional[int], int], int] = {}
         repeats: List[Tuple[int, int]] = []
         for i, (dim, memoize, keys) in enumerate(items):
-            seed = seed_for(*keys)
+            seed = keys if keys.__class__ is int else seed_for(*keys)
             if memoize:
                 memo_key = (dim, seed)
                 cached = (
@@ -583,16 +648,32 @@ class DirectionCache:
     # ------------------------------------------------------------------
     # Non-memoized fast draws (unique keys, e.g. per-image noise)
     # ------------------------------------------------------------------
-    def fresh_unit(self, dim: int, *keys: Key) -> np.ndarray:
+    def fresh_unit(
+        self, dim: int, *keys: Key, seed: Optional[int] = None
+    ) -> np.ndarray:
         """Fast-path ``unit_vector(rng_for(*keys), dim)`` without caching.
 
         For keys that never recur (per-image sampling noise keyed by unique
         image ids) memoization would only leak memory; this still skips the
-        per-key generator construction.
+        per-key generator construction.  ``seed`` replaces ``keys`` with
+        their precomputed ``seed_for(*keys)``.  A vector parked for this
+        ``(dim, seed)`` is returned (and dropped) instead of a new draw.
         """
-        return _finish_unit(
-            self._stream.standard_normal(seed_for(*keys), dim)
-        )
+        if seed is None:
+            seed = seed_for(*keys)
+        parked = self._parked
+        if parked is not None and parked[0] == (dim, seed):
+            self._parked = None
+            return parked[1]
+        return _finish_unit(self._stream.standard_normal(seed, dim))
+
+    def park(self, dim: int, seed: int, vec: np.ndarray) -> None:
+        """Hold ``vec``, a fresh draw of ``seed``, for :meth:`fresh_unit`.
+
+        ``vec`` must be ``fresh_unit(dim, seed=seed)``'s result, owned by
+        no one else.  One vector is parked at a time; parking replaces it.
+        """
+        self._parked = ((dim, seed), vec)
 
     # ------------------------------------------------------------------
     # Management
@@ -600,6 +681,7 @@ class DirectionCache:
     def clear(self) -> None:
         self._units.clear()
         self._scalars.clear()
+        self._parked = None
         self.hits = 0
         self.misses = 0
 

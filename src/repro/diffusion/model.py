@@ -24,7 +24,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._rng import Draw, DrawItem, directions, normalize, seed_for
+from repro._rng import (
+    Draw,
+    DrawItem,
+    SeedPrefix,
+    directions,
+    normalize,
+    seed_for,
+)
 from repro.core.journal import SnapCounter
 from repro.diffusion.latent import SyntheticImage
 from repro.diffusion.registry import ModelSpec
@@ -115,9 +122,10 @@ class DiffusionModelSim:
         # the same id must have identical content).
         self._spec_digest = f"{seed_for(repr(spec)):016x}"[:8]
         semantic_dim = space.config.semantic_dim
-        self._fingerprint = directions.unit(
+        fingerprint = directions.unit(
             semantic_dim, _FINGERPRINT_STREAM, spec.family, spec.name
         )
+        self._fingerprint_part = spec.fingerprint * fingerprint
         self._generic_direction = directions.unit(
             semantic_dim, _GENERIC_STREAM, space.config.seed
         )
@@ -141,6 +149,14 @@ class DiffusionModelSim:
         )
         # Per skip depth: (anchor weight, refine alignment, refine realism).
         self._skip_cache: Dict[int, Tuple[float, float, float]] = {}
+        # Seeds of the keyed streams, each with its fixed key prefix
+        # hashed once: per prompt (+ seed) and per image id.
+        self._jitter_seeds = SeedPrefix(_JITTER_STREAM, spec.name)
+        self._natural_seeds = SeedPrefix(_NAT_STREAM, space.config.seed)
+        self._artifact_seeds = SeedPrefix(_MODEL_STREAM, spec.name)
+        self._set_seeds = SeedPrefix(_SET_STREAM, spec.name)
+        self._generic_seeds = SeedPrefix(_GENERIC_STREAM, spec.name)
+        self._noise_seeds = SeedPrefix(_IMAGE_STREAM, spec.name)
 
     @property
     def spec(self) -> ModelSpec:
@@ -212,21 +228,19 @@ class DiffusionModelSim:
         items: List[DrawItem] = []
         if jittered:
             items.append(
-                (None, True, (_JITTER_STREAM, spec.name, prompt.prompt_id, seed))
+                (None, True, self._jitter_seeds(prompt.prompt_id, seed))
             )
-        items.append(
-            (dim, True, (_NAT_STREAM, self._space.config.seed, prompt.prompt_id))
-        )
+        items.append((dim, True, self._natural_seeds(prompt.prompt_id)))
         # The artifact direction is pure in (model, prompt); it recurs when
         # the same prompt is rendered again (ground-truth sets, baseline
-        # comparisons over one trace, repeated experiment runs).
+        # comparisons over one trace, repeated experiment runs).  Only its
+        # normalized form is memoized: every caller reads that first, so
+        # a memo of the raw draw would never be read.
         artifact_key = self._memo_prefix + (prompt.prompt_id,)
         artifact = _ARTIFACT_CACHE.get(artifact_key)
         if artifact is None:
-            items.append(
-                (dim, True, (_MODEL_STREAM, spec.name, prompt.prompt_id))
-            )
-        items.append((dim, True, (_SET_STREAM, spec.name, seed)))
+            items.append((dim, False, self._artifact_seeds(prompt.prompt_id)))
+        items.append((dim, True, self._set_seeds(seed)))
 
         def assemble(drawn: Sequence[Draw]) -> np.ndarray:
             mixture = prompt_mixture(self._space, prompt)
@@ -250,7 +264,7 @@ class DiffusionModelSim:
             art = artifact
             if art is None:
                 art = normalize(
-                    spec.fingerprint * self._fingerprint
+                    self._fingerprint_part
                     + self._idiosyncratic_weight * drawn[pos]
                 )
                 pos += 1
@@ -327,7 +341,7 @@ class DiffusionModelSim:
         if content is None:
             items, assemble = self._target_plan(prompt, seed, None, None)
             items.append(self._noise_item(image_id))
-            drawn = directions.draw_batch(items)
+            drawn = self._draw_image(items, image_id)
             content = self._finish(assemble(drawn), drawn[-1])
             _memo_store(_CONTENT_CACHE, content_key, content)
         image = SyntheticImage(
@@ -409,11 +423,11 @@ class DiffusionModelSim:
                     (
                         self._space.config.semantic_dim,
                         False,
-                        (_GENERIC_STREAM, self._spec.name, image_id),
+                        self._generic_seeds(image_id),
                     )
                 )
             items.append(self._noise_item(image_id))
-            drawn = directions.draw_batch(items)
+            drawn = self._draw_image(items, image_id)
             blend = normalize(
                 anchor * normalize(source.content)
                 + (1.0 - anchor) * assemble(drawn)
@@ -464,8 +478,28 @@ class DiffusionModelSim:
         return (
             self._space.config.semantic_dim,
             False,
-            (_IMAGE_STREAM, self._spec.name, image_id),
+            self._noise_seeds(image_id),
         )
+
+    def _draw_image(self, items: List[DrawItem], image_id: str) -> List[Draw]:
+        """Draw one image's ``items``, plus its image-encoder noise.
+
+        Every finished image is embedded by the image encoder, whose
+        per-image noise stream is keyed by the image id.  That draw joins
+        the image's batch, so one packed replay seeds all of the image's
+        streams, and is parked in :data:`directions` for the encoder's
+        :meth:`~repro._rng.DirectionCache.fresh_unit`.  Returns the draws
+        of ``items`` alone, in order.
+        """
+        space = self._space
+        if space.config.image_encoder_noise <= 0.0:
+            return directions.draw_batch(items)
+        dim = space.config.semantic_dim
+        seed = space.image_noise_seed(image_id)
+        items.append((dim, False, seed))
+        drawn = directions.draw_batch(items)
+        directions.park(dim, seed, drawn.pop())
+        return drawn
 
     def _finish(self, direction: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """Apply per-image sampling noise and return the final content."""

@@ -41,8 +41,6 @@ _EMBED_MEMO_MAX = 300_000
 class ClipLikeImageEncoder:
     """Deterministic image encoder over a :class:`SemanticSpace`."""
 
-    _NOISE_STREAM = "image-encoder-noise"
-
     def __init__(self, space: SemanticSpace, cache_embeddings: bool = True):
         self._space = space
         self._anchor = space.image_anchor()
@@ -96,18 +94,24 @@ class ClipLikeImageEncoder:
                 "expected content of shape "
                 f"({cfg.semantic_dim},), got {content.shape}"
             )
+        sdim = cfg.semantic_dim
         semantic = normalize(content)
         if cfg.image_encoder_noise > 0.0:
             # Not memoized: image-id keys are unique within a run, and
             # replays hit the embedding memo before reaching this draw.
+            # The model that made the image has usually parked this draw
+            # already (see DiffusionModelSim._draw_image).
             noise = directions.fresh_unit(
-                cfg.semantic_dim, self._NOISE_STREAM, cfg.seed, key
+                sdim, seed=self._space.image_noise_seed(key)
             )
             semantic = normalize(
                 semantic + cfg.image_encoder_noise * noise
             )
-        scaled = cfg.modality_scale * self._space.pad(semantic)
-        return normalize(scaled + self._anchor)
+        # The anchor-padded embedding, written in place: the same
+        # element-wise ops as scaling a padded copy and adding the anchor.
+        embedding = self._anchor.copy()
+        embedding[:sdim] = cfg.modality_scale * semantic + self._anchor[:sdim]
+        return normalize(embedding)
 
     def clear_cache(self) -> None:
         """Drop this instance's cache and its space's shared memo entries.

@@ -23,7 +23,13 @@ from typing import Tuple
 
 import numpy as np
 
-from repro._rng import normalize, rng_for, unit_vector
+from repro._rng import (
+    SeedPrefix,
+    fast_unit_vector,
+    normalize,
+    rng_for,
+    unit_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,19 @@ class SemanticSpace:
     #: model conditioning on the prompt, so it is memoized on the space
     #: they share.
     mixture_cache: dict = field(default_factory=dict, repr=False)
+    #: Seeds of the image encoder's per-image noise streams, with the
+    #: fixed key prefix hashed once (see ``image_noise_seed``).
+    _image_noise_seeds: SeedPrefix = field(
+        init=False, repr=False, compare=False
+    )
+
+    #: Stream name of the image encoder's per-image noise.
+    IMAGE_NOISE_STREAM = "image-encoder-noise"
+
+    def __post_init__(self) -> None:
+        self._image_noise_seeds = SeedPrefix(
+            self.IMAGE_NOISE_STREAM, self.config.seed
+        )
 
     # ------------------------------------------------------------------
     # Topic / semantics construction
@@ -112,6 +131,17 @@ class SemanticSpace:
             vec = unit_vector(rng, self.config.semantic_dim)
             self._topic_cache[topic_id] = vec
         return vec
+
+    def image_noise_seed(self, image_id: str) -> int:
+        """Seed of the image encoder's noise stream for ``image_id``.
+
+        Equal to ``seed_for("image-encoder-noise", config.seed,
+        image_id)``.  The image encoder draws a unit vector of
+        ``semantic_dim`` from it and scales it by
+        ``config.image_encoder_noise``; a diffusion model draws it ahead
+        of time, with the rest of the image's draws.
+        """
+        return self._image_noise_seeds(image_id)
 
     def drift_keys(self, *keys) -> Tuple:
         """Key tuple of the noise stream :meth:`drift` draws for ``keys``."""
@@ -136,7 +166,7 @@ class SemanticSpace:
             raise ValueError("drift magnitude must be non-negative")
         if magnitude == 0.0:
             return np.array(base, copy=True)
-        noise = unit_vector(rng, self.config.semantic_dim)
+        noise = fast_unit_vector(rng, self.config.semantic_dim)
         return normalize(base + magnitude * noise)
 
     # ------------------------------------------------------------------

@@ -109,8 +109,14 @@ class ClipLikeTextEncoder:
                 self._cache[prompt.prompt_id] = hit
                 return hit
         mixture = self.semantic_mixture(prompt)
-        scaled = self._space.config.modality_scale * self._space.pad(mixture)
-        embedding = normalize(scaled + self._anchor)
+        # The anchor-padded embedding, written in place: the same
+        # element-wise ops as scaling a padded copy and adding the anchor.
+        sdim = self._space.config.semantic_dim
+        embedding = self._anchor.copy()
+        embedding[:sdim] = (
+            self._space.config.modality_scale * mixture + self._anchor[:sdim]
+        )
+        embedding = normalize(embedding)
         if self._cache is not None:
             self._cache[prompt.prompt_id] = embedding
             embedding.flags.writeable = False

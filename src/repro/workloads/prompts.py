@@ -216,8 +216,13 @@ def zipf_topic_sampler(
     ranks = np.arange(1, n_topics + 1, dtype=float)
     weights = ranks ** (-exponent)
     weights /= weights.sum()
+    # Inverse-CDF sampling exactly as ``rng.choice(n_topics, p=weights)``
+    # does it, with the CDF built once instead of per call: the same
+    # single uniform draw and the same rank for it.
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
 
     def sample() -> int:
-        return int(rng.choice(n_topics, p=weights))
+        return int(cdf.searchsorted(rng.random(), side="right"))
 
     return sample

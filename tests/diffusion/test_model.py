@@ -185,14 +185,19 @@ class TestContentPin:
         "4cf4438b82f1affc6cccf6070bf28e30b6761d2b327a490ed3d50d85c0347a4c"
     )
 
-    def test_sequence_contents_pinned(self, space, prompts):
-        import hashlib
+    #: Image embeddings of the same sequence, each image encoded four
+    #: ways (see :meth:`test_sequence_embeddings_pinned`).
+    EMBEDDING_SHA256 = (
+        "cc828c80e12522ad5c796e20a390270290aea2e6622626896ae13968b1b6efb0"
+    )
 
-        from repro.diffusion import model as model_mod
+    @staticmethod
+    def _run_sequence(space, prompts, on_image):
+        """Run the pinned generate/refine sequence.
 
-        model_mod.clear_model_memos()
-        targets = model_mod._TARGET_CACHE
-        artifacts = model_mod._ARTIFACT_CACHE
+        ``on_image(image, n_targets, n_artifacts)`` is called after each
+        step with the memo sizes it expects at that point.
+        """
         large = DiffusionModelSim(get_model("sd3.5-large"), space)
         small = DiffusionModelSim(get_model("sdxl"), space)
         steady = DiffusionModelSim(
@@ -200,11 +205,9 @@ class TestContentPin:
             space,
         )
         p0, p1, p2 = prompts[0], prompts[1], prompts[2]
-        images = []
 
         def step(result, n_targets, n_artifacts):
-            images.append(result.image)
-            assert (len(targets), len(artifacts)) == (n_targets, n_artifacts)
+            on_image(result.image, n_targets, n_artifacts)
             return result.image
 
         src = step(large.generate(p0, seed="pin"), 1, 1)
@@ -222,11 +225,65 @@ class TestContentPin:
         step(steady.generate(p2, seed="pin"), 6, 5)
         step(steady.refine(p0, src, 25, seed="pin"), 7, 6)
 
+    def test_sequence_contents_pinned(self, space, prompts):
+        import hashlib
+
+        from repro.diffusion import model as model_mod
+
+        model_mod.clear_model_memos()
+        targets = model_mod._TARGET_CACHE
+        artifacts = model_mod._ARTIFACT_CACHE
+        images = []
+
+        def on_image(image, n_targets, n_artifacts):
+            images.append(image)
+            assert (len(targets), len(artifacts)) == (n_targets, n_artifacts)
+
+        self._run_sequence(space, prompts, on_image)
         digest = hashlib.sha256()
         for image in images:
             digest.update(image.image_id.encode("utf-8"))
             digest.update(image.content.tobytes())
         assert digest.hexdigest() == self.CONTENT_SHA256
+
+    def test_sequence_embeddings_pinned(self, space, prompts):
+        """Every encode order and encoder instance gives the same bytes.
+
+        Each image is embedded right after its generation, again after
+        the next generation, again after the direction memos are
+        cleared, and by a second encoder instance.  The four embeddings
+        must be equal, and their bytes are pinned.
+        """
+        import hashlib
+
+        from repro._rng import directions
+        from repro.core.serving import clear_hotpath_memos
+        from repro.embedding.image_encoder import ClipLikeImageEncoder
+
+        clear_hotpath_memos(space)
+        encoder = ClipLikeImageEncoder(space, cache_embeddings=False)
+        images, ways = [], []
+
+        def on_image(image, n_targets, n_artifacts):
+            if images:
+                ways[-1].append(encoder.encode(images[-1]))
+            images.append(image)
+            ways.append([encoder.encode(image)])
+
+        self._run_sequence(space, prompts, on_image)
+        ways[-1].append(encoder.encode(images[-1]))
+        directions.clear()
+        second = ClipLikeImageEncoder(space, cache_embeddings=False)
+        for image, encoded in zip(images, ways):
+            encoded.append(encoder.encode(image))
+            encoded.append(second.encode(image))
+        digest = hashlib.sha256()
+        for encoded in ways:
+            assert len(encoded) == 4
+            for embedding in encoded:
+                assert embedding.tobytes() == encoded[0].tobytes()
+                digest.update(embedding.tobytes())
+        assert digest.hexdigest() == self.EMBEDDING_SHA256
 
 
 class TestImageIdLenCap:

@@ -4,8 +4,18 @@ import enum
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro._rng import normalize, rng_for, rngs_for, seed_for, unit_vector
+from repro._rng import (
+    DirectionCache,
+    SeedPrefix,
+    normalize,
+    rng_for,
+    rngs_for,
+    seed_for,
+    unit_vector,
+)
 
 
 class _Level(enum.IntEnum):
@@ -94,6 +104,187 @@ class TestSeedFor:
     )
     def test_str_int_keys_hash_per_key_material(self, keys):
         assert seed_for(*keys) == _per_key_seed(*keys)
+
+
+class _Tag(str):
+    """A ``str`` subclass: ``seed_for`` hashes it on its per-key path."""
+
+
+#: Keys ``seed_for`` joins on its fast path: exact ``str`` and ``int``,
+#: with the separator, non-ASCII text and ints beyond 64 bits.
+_EXACT_KEYS = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["", "\x1f", "a\x1fb", "\u00e9\u6f22\U0001f600", "1"]),
+    st.integers(),
+    st.integers(-(2**130), 2**130),
+)
+#: Keys that take ``seed_for``'s per-key path (and the prefix fallback).
+_OTHER_KEYS = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.binary(max_size=8),
+    st.sampled_from(list(_Level)),
+    st.builds(_Tag, st.text(max_size=6)),
+)
+_ANY_KEYS = st.one_of(_EXACT_KEYS, _OTHER_KEYS)
+
+
+class TestSeedPrefix:
+    """``SeedPrefix(*prefix)(*suffix)`` is ``seed_for(*prefix, *suffix)``."""
+
+    @given(
+        prefix=st.lists(_EXACT_KEYS, max_size=4),
+        suffix=st.lists(_EXACT_KEYS, max_size=4),
+    )
+    def test_exact_keys_match_seed_for(self, prefix, suffix):
+        seeds = SeedPrefix(*prefix)
+        assert seeds(*suffix) == seed_for(*prefix, *suffix)
+        # The cached prefix state is copied, never consumed.
+        assert seeds(*suffix) == seed_for(*prefix, *suffix)
+
+    @given(
+        prefix=st.lists(_ANY_KEYS, max_size=3),
+        suffix=st.lists(_ANY_KEYS, max_size=3),
+    )
+    def test_any_keys_match_seed_for(self, prefix, suffix):
+        assert SeedPrefix(*prefix)(*suffix) == seed_for(*prefix, *suffix)
+
+    @pytest.mark.parametrize(
+        "prefix, suffix",
+        [
+            (("image-noise", "sdxl"), ("img/1",)),
+            (("s",), ("",)),
+            ((), ("a", 1)),
+            (("a",), ()),
+            ((), ()),
+            (("x", True), ("y",)),
+            (("x",), (True,)),
+            (("x",), (1.0,)),
+            (("x",), (b"raw",)),
+            (("x",), (_Level.HIGH,)),
+            ((_Tag("t"),), ("y",)),
+            (("x",), (_Tag("t"), 2)),
+            (("\x1f",), ("\x1f",)),
+            ((-(2**70),), (2**64 + 1, "\u00e9")),
+        ],
+    )
+    def test_edge_cases_match_seed_for(self, prefix, suffix):
+        assert SeedPrefix(*prefix)(*suffix) == seed_for(*prefix, *suffix)
+
+
+class TestKeyedDrawOracle:
+    """``draw_batch`` items may carry a precomputed int seed."""
+
+    _ITEMS = st.lists(
+        st.tuples(
+            st.sampled_from([None, 2, 16, 48]),
+            st.booleans(),
+            st.lists(_ANY_KEYS, min_size=1, max_size=3).map(tuple),
+            st.booleans(),
+        ),
+        max_size=12,
+    )
+
+    @given(items=_ITEMS)
+    def test_int_seed_items_match_key_tuples(self, items):
+        keyed = [(dim, memo, keys) for dim, memo, keys, _ in items]
+        seeded = [
+            (dim, memo, seed_for(*keys) if as_int else keys)
+            for dim, memo, keys, as_int in items
+        ]
+        by_keys = DirectionCache().draw_batch(keyed)
+        cache = DirectionCache()
+        by_seeds = cache.draw_batch(seeded)
+        for (dim, _, keys), a, b in zip(keyed, by_keys, by_seeds):
+            rng = rng_for(*keys)
+            if dim is None:
+                assert a == b == float(rng.standard_normal())
+            else:
+                ref = unit_vector(rng, dim)
+                assert a.tobytes() == b.tobytes() == ref.tobytes()
+        # Memos are keyed by seed, whichever form the item used.
+        for dim, memo, keys in keyed:
+            if memo and dim is not None:
+                hits = cache.hits
+                cache.unit(dim, *keys)
+                assert cache.hits == hits + 1
+
+
+class TestParkedDraw:
+    """A parked vector is a one-shot memo of ``fresh_unit``."""
+
+    @staticmethod
+    def _parked(cache, dim, keys):
+        seed = seed_for(*keys)
+        vec = cache.draw_batch([(dim, False, seed)])[0]
+        cache.park(dim, seed, vec)
+        return seed, vec
+
+    def test_returned_once_for_its_key(self):
+        cache = DirectionCache()
+        seed, vec = self._parked(cache, 48, ("park", "img-1"))
+        assert cache.fresh_unit(48, "park", "img-1") is vec
+        again = cache.fresh_unit(48, seed=seed)
+        assert again is not vec
+        assert again.tobytes() == vec.tobytes()
+        ref = unit_vector(rng_for("park", "img-1"), 48)
+        assert vec.tobytes() == ref.tobytes()
+
+    def test_other_keys_draw_and_keep_it_parked(self):
+        cache = DirectionCache()
+        seed, vec = self._parked(cache, 48, ("park", "img-2"))
+        other = cache.fresh_unit(48, "park", "img-3")
+        assert other.tobytes() == (
+            unit_vector(rng_for("park", "img-3"), 48).tobytes()
+        )
+        # Same seed, other dimension: a different stream prefix.
+        narrow = cache.fresh_unit(16, seed=seed)
+        assert narrow.tobytes() == (
+            unit_vector(rng_for("park", "img-2"), 16).tobytes()
+        )
+        assert cache.fresh_unit(48, seed=seed) is vec
+
+    def test_parking_replaces_the_slot(self):
+        cache = DirectionCache()
+        seed_a, vec_a = self._parked(cache, 48, ("park", "a"))
+        seed_b, vec_b = self._parked(cache, 48, ("park", "b"))
+        fresh_a = cache.fresh_unit(48, seed=seed_a)
+        assert fresh_a is not vec_a
+        assert fresh_a.tobytes() == vec_a.tobytes()
+        assert cache.fresh_unit(48, seed=seed_b) is vec_b
+
+    def test_clear_drops_it(self):
+        cache = DirectionCache()
+        seed, vec = self._parked(cache, 48, ("park", "c"))
+        cache.clear()
+        assert cache.fresh_unit(48, seed=seed) is not vec
+
+    def test_clear_hotpath_memos_drops_it(self):
+        from repro._rng import directions
+        from repro.core.serving import clear_hotpath_memos
+
+        seed, vec = self._parked(directions, 48, ("park", "d"))
+        clear_hotpath_memos()
+        assert directions.fresh_unit(48, seed=seed) is not vec
+
+    def test_model_parks_the_encoder_noise(self, space, prompts):
+        from repro._rng import directions
+        from repro.diffusion.model import DiffusionModelSim, clear_model_memos
+        from repro.diffusion.registry import get_model
+
+        clear_model_memos()  # a content-memo hit would draw nothing
+        model = DiffusionModelSim(get_model("sdxl"), space)
+        image = model.generate(prompts[0], seed="park").image
+        dim = space.config.semantic_dim
+        keys = ("image-encoder-noise", space.config.seed, image.image_id)
+        seed = space.image_noise_seed(image.image_id)
+        assert seed == seed_for(*keys)
+        parked = directions._parked
+        assert parked is not None and parked[0] == (dim, seed)
+        assert directions.fresh_unit(dim, seed=seed) is parked[1]
+        ref = unit_vector(rng_for(*keys), dim)
+        assert parked[1].tobytes() == ref.tobytes()
+        assert directions._parked is None
 
 
 class TestRngFor:

@@ -285,3 +285,21 @@ class TestZipfSampler:
     def test_invalid_topic_count(self):
         with pytest.raises(ValueError):
             zipf_topic_sampler(0, 1.0, rng_for("z"))
+
+
+class TestZipfOracle:
+    """The sampler draws exactly what ``rng.choice(n, p=weights)`` does."""
+
+    @given(
+        n_topics=st.integers(1, 400),
+        exponent=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_generator_choice(self, n_topics, exponent, seed):
+        sample = zipf_topic_sampler(n_topics, exponent, rng_for("zo", seed))
+        oracle = rng_for("zo", seed)
+        weights = np.arange(1, n_topics + 1, dtype=float) ** (-exponent)
+        weights /= weights.sum()
+        got = [sample() for _ in range(50)]
+        want = [int(oracle.choice(n_topics, p=weights)) for _ in range(50)]
+        assert got == want
