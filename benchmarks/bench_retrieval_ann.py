@@ -55,8 +55,10 @@ RECALL_FLOOR = 0.95
 MIN_SPEEDUP = {100_000: 3.0, 1_000_000: 10.0}
 
 
-def _build_cache(n_entries: int, nprobe: int) -> VectorCache:
-    """IVF-backed cache filled with clustered topic embeddings."""
+def _build_cache(n_entries: int, nprobe: int):
+    """``(cache, matrix)``: an IVF-backed cache filled with the rows
+    of ``matrix`` (clustered topic embeddings), slot ``i`` holding entry
+    ``i``."""
     rng = rng_for("bench-retrieval-ann", n_entries)
     n_topics = max(64, n_entries // 250)
     topics = rng.standard_normal((n_topics, EMBED_DIM))
@@ -74,32 +76,30 @@ def _build_cache(n_entries: int, nprobe: int) -> VectorCache:
     )
     for i in range(n_entries):
         cache.insert(i, matrix[i], now=float(i))
-    return cache
+    return cache, matrix
 
 
-def _queries(cache: VectorCache, n_queries: int) -> np.ndarray:
+def _queries(matrix: np.ndarray, n_queries: int) -> np.ndarray:
     """Noisy near-duplicates of cached entries (the cache-hit regime)."""
-    rng = rng_for("bench-retrieval-ann", "queries", cache.capacity)
-    picks = rng.choice(cache.capacity, size=n_queries, replace=False)
-    queries = cache._matrix[picks] + 0.1 * rng.standard_normal(
+    n_entries = matrix.shape[0]
+    rng = rng_for("bench-retrieval-ann", "queries", n_entries)
+    picks = rng.choice(n_entries, size=n_queries, replace=False)
+    queries = matrix[picks] + 0.1 * rng.standard_normal(
         (n_queries, EMBED_DIM)
     )
     return queries / np.linalg.norm(queries, axis=1, keepdims=True)
 
 
-def _recall(cache: VectorCache, queries: np.ndarray):
-    """(recall@1, recall@TOPK) of the IVF path vs exact ground truth."""
+def _recall(cache: VectorCache, matrix: np.ndarray, queries: np.ndarray):
+    """(recall@1, recall@TOPK) of the IVF path vs exact ground truth
+    (entry ids are row indices of ``matrix``)."""
     hit1 = 0
     hitk = 0
     for query in queries:
-        slot, sims = _exact_retrieve(cache, query)
-        truth_entry = cache._entries[slot]
-        order = np.argpartition(sims, -TOPK)[-TOPK:]
-        truth_topk = {
-            cache._entries[int(s)].entry_id for s in order
-        }
+        truth, sims = _exact_retrieve(matrix, query)
+        truth_topk = set(np.argpartition(sims, -TOPK)[-TOPK:].tolist())
         found, _ = cache.retrieve(query)
-        hit1 += found.entry_id == truth_entry.entry_id
+        hit1 += found.entry_id == truth
         found_topk = {
             e.entry_id for e, _ in cache.retrieve_topk(query, TOPK)
         }
@@ -107,15 +107,12 @@ def _recall(cache: VectorCache, queries: np.ndarray):
     return hit1 / len(queries), hitk / (len(queries) * TOPK)
 
 
-def _exact_retrieve(cache: VectorCache, query: np.ndarray):
-    """The exact masked-argmax path, replayed against the same matrix."""
+def _exact_retrieve(matrix: np.ndarray, query: np.ndarray):
+    """The exact backend's scan of a full cache: one matrix-vector
+    product over every row, then ``argmax``."""
     qnorm = float(np.linalg.norm(query))
-    sims = cache._matrix @ (query / qnorm)
-    if cache._free_slots:
-        slot = int(np.argmax(np.where(cache._live, sims, -np.inf)))
-    else:
-        slot = int(np.argmax(sims))
-    return slot, sims
+    sims = matrix @ (query / qnorm)
+    return int(np.argmax(sims)), sims
 
 
 def _per_query_s(fn, repeats=3) -> float:
@@ -142,14 +139,14 @@ def test_retrieval_ann(benchmark):
         )
         for n_entries in sizes:
             nprobe = NPROBE[n_entries]
-            cache = _build_cache(n_entries, nprobe)
+            cache, matrix = _build_cache(n_entries, nprobe)
             # Recall on a wide sample before timing (trains the index).
             recall_1, recall_k = _recall(
-                cache, _queries(cache, N_RECALL_QUERIES)
+                cache, matrix, _queries(matrix, N_RECALL_QUERIES)
             )
-            timed = _queries(cache, N_RECALL_QUERIES)[:N_QUERIES]
+            timed = _queries(matrix, N_RECALL_QUERIES)[:N_QUERIES]
             exact_s = _per_query_s(
-                lambda: [_exact_retrieve(cache, q) for q in timed]
+                lambda: [_exact_retrieve(matrix, q) for q in timed]
             )
             ivf_s = _per_query_s(
                 lambda: [cache.retrieve(q) for q in timed]

@@ -3,14 +3,17 @@
 The pieces of Fig. 4, as a library:
 
 * :mod:`repro.core.cache` — the model-agnostic final-image cache (FIFO
-  sliding window, utility ablation) plus Nirvana's latent cache;
+  sliding window, utility ablation) plus Nirvana's latent cache: one
+  columnar core, :class:`VectorCache`, whose docstring is the cache
+  contract every backend keeps;
 * :mod:`repro.core.retrieval` — text-to-image vs text-to-text retrieval;
 * :mod:`repro.core.ann` — the IVF approximate-retrieval backend for
   sublinear million-entry cache lookups;
-* :mod:`repro.core.tiering` — the ten-million-entry tiered cache:
+* :mod:`repro.core.tiering` — the ten-million-entry tiered cache, a
+  :class:`VectorCache` subclass that only decides where rows live:
   fp16-precision scan blocks (decoded at write, stored f32), a
-  RAM-resident hot tier, and a ``pread``
-  cold tier with deterministic promotion/demotion;
+  RAM-resident hot tier, and a ``pread`` cold tier with deterministic
+  promotion/demotion;
 * :mod:`repro.core.kselection` — similarity-thresholded choice of skipped
   de-noising steps (Fig. 5b) and its quality-constrained calibration;
 * :mod:`repro.core.scheduler` — the Request Scheduler (embed, retrieve,
@@ -31,7 +34,12 @@ from repro.core.baselines import (
     PineconeSystem,
     VanillaSystem,
 )
-from repro.core.cache import CacheEntry, ImageCache, LatentCache
+from repro.core.cache import (
+    CacheEntry,
+    ImageCache,
+    LatentCache,
+    VectorCache,
+)
 from repro.core.cluster_router import (
     ClusterReport,
     ClusterRouter,
@@ -73,7 +81,6 @@ from repro.core.slo import (
 from repro.core.tiering import (
     ColdStore,
     TieredCacheConfig,
-    TieredImageCache,
     TieredVectorCache,
 )
 
@@ -115,9 +122,9 @@ __all__ = [
     "TextToImageRetrieval",
     "TextToTextRetrieval",
     "TieredCacheConfig",
-    "TieredImageCache",
     "TieredVectorCache",
     "VanillaSystem",
+    "VectorCache",
     "derive_thresholds",
     "modm_cluster",
     "modm_default_selector",

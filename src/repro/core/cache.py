@@ -1,25 +1,19 @@
-"""Image and latent caches.
+"""Image and latent caches: one columnar cache core.
 
 The MoDM cache stores *final images* plus their CLIP image embeddings — a
-model-agnostic representation retrievable by any model family (§3.1, §5.5).
-Maintenance is a FIFO sliding window by default (§5.4); alternative
-policies (LRU, utility-based) are available through the eviction-policy
-registry, including the Nirvana-style utility eviction the paper argues
-against.
+model-agnostic representation retrievable by any model family (§3.1,
+§5.5), scanned by cosine similarity and maintained as a FIFO sliding
+window by default (§5.4).  LRU and the Nirvana-style utility eviction
+the paper argues against are available through the eviction-policy
+registry.
 
-Retrieval is one masked matrix-vector product followed by an ``argmax`` —
-O(n) with vectorized constants — instead of a full O(n log n) sort, which
-is what lets the scan stay at the paper's 0.05 s / 100k-entry budget as
-occupancy grows (§5.2).  Eviction bookkeeping is O(1) amortized (FIFO/LRU)
-or O(log n) (utility heap) via lazy tombstones, never an O(n) list scan.
-
-Past that budget — million-entry caches — even the exact O(n) scan is the
-bottleneck, so retrieval is pluggable: ``backend="ivf"`` puts an
-IVF-partitioned approximate index (:mod:`repro.core.ann`) behind the same
-``retrieve``/``retrieve_topk``/``retrieve_batch`` surface, scanning only
-the ``nprobe`` nearest coarse cells per query with an exact re-rank over
-the gathered candidates.  The default ``"exact"`` backend leaves every
-scan path byte-identical to the pre-index implementation.
+:class:`VectorCache` is the one cache implementation: per-slot columns
+read through :class:`CacheEntry` views, one query path (the exact scan,
+or the IVF index of :mod:`repro.core.ann` for million-entry caches),
+running sketches and one snapshot format.  Its rows sit in one dense
+float64 matrix; :class:`~repro.core.tiering.TieredVectorCache` is the
+same cache with its rows split across a hot store and a ``pread`` cold
+file.
 
 :class:`LatentCache` models what Nirvana stores instead: per-image stacks of
 intermediate latents that are heavier (~2.5 MB vs ~1.4 MB) and only usable
@@ -37,7 +31,6 @@ from typing import (
     Generic,
     List,
     Optional,
-    Sequence,
     Tuple,
     Type,
     TypeVar,
@@ -56,21 +49,58 @@ RETRIEVAL_SECONDS_PER_ENTRY = 0.05 / 100_000
 PayloadT = TypeVar("PayloadT")
 
 
-@dataclass
 class CacheEntry(Generic[PayloadT]):
-    """A cached payload with its retrieval embedding and usage stats."""
+    """Live view of one cached entry: ``(cache, entry_id, slot)``.
 
-    entry_id: int
-    payload: PayloadT
-    embedding: np.ndarray
-    inserted_at: float
-    hits: int = 0
-    last_hit_at: float = float("-inf")
+    The cache stores no per-entry objects — at 10M entries they would
+    cost more RAM than the embeddings they describe — so retrieval hands
+    out these views, whose properties read the cache's columns.  Views
+    are ephemeral: once the slot is recycled, ``record_hit`` sees the
+    slot's new entry id and ignores the view, so a stale view is inert
+    rather than wrong.  ``insert`` returns the entry it evicted
+    *detached* — a view over a copy of that entry's columns — so it
+    stays readable after its slot is reused.
+    """
+
+    __slots__ = ("_cache", "entry_id", "slot")
+
+    def __init__(self, cache, entry_id: int, slot: int):
+        self._cache = cache
+        self.entry_id = entry_id
+        self.slot = slot
 
     @property
-    def image(self) -> PayloadT:
-        """Alias for image caches, where the payload is the image."""
-        return self.payload
+    def payload(self) -> PayloadT:
+        return self._cache._payloads[self.slot]
+
+    image = payload  # image caches: the payload is the image
+
+    @property
+    def embedding(self) -> np.ndarray:
+        return self._cache._row(self.slot)
+
+    @property
+    def inserted_at(self) -> float:
+        return float(self._cache._inserted_at[self.slot])
+
+    @property
+    def hits(self) -> int:
+        return int(self._cache._hits[self.slot])
+
+
+class _Detached:
+    """One evicted entry's columns, read by its :class:`CacheEntry`."""
+
+    __slots__ = ("_payloads", "_inserted_at", "_hits", "_embedding")
+
+    def __init__(self, slot, payload, embedding, inserted_at, hits):
+        self._payloads = {slot: payload}
+        self._inserted_at = {slot: inserted_at}
+        self._hits = {slot: hits}
+        self._embedding = embedding
+
+    def _row(self, slot: int) -> np.ndarray:
+        return self._embedding
 
 
 # ----------------------------------------------------------------------
@@ -79,27 +109,24 @@ class CacheEntry(Generic[PayloadT]):
 class EvictionPolicy:
     """Decides which slot a full cache vacates next.
 
-    Implementations keep their own bookkeeping keyed by ``(entry_id, slot)``
-    and invalidate lazily: stale references (evicted or replaced entries)
-    are detected on access by comparing against the live entry table, so no
-    operation ever scans or removes from the middle of a container.
+    Implementations keep their own bookkeeping keyed by ``(entry_id,
+    slot)`` and invalidate lazily: a reference is stale once the slot's
+    entry-id column no longer holds its id, which is detected on access,
+    so no operation ever scans or removes from the middle of a container.
     """
 
-    name = "base"
+    def on_insert(self, slot: int, entry_id: int, hits: int) -> None:
+        """Record a freshly inserted (or promoted) entry."""
 
-    def on_insert(self, slot: int, entry: CacheEntry) -> None:
-        """Record a freshly inserted entry."""
-
-    def on_hit(self, slot: int, entry: CacheEntry) -> None:
+    def on_hit(self, slot: int, entry_id: int, hits: int) -> None:
         """Record a confirmed cache hit against a live entry."""
 
-    def on_evict(self, slot: int, entry: CacheEntry) -> None:
-        """Forget an entry the cache just removed."""
+    def on_evict(self, slot: int) -> None:
+        """Forget the entry the cache just removed from ``slot``."""
 
-    def victim(
-        self, entries: Sequence[Optional[CacheEntry]]
-    ) -> int:
-        """Slot to evict next; ``entries`` is the live slot table."""
+    def victim(self, entry_ids: np.ndarray) -> int:
+        """Slot to evict next; ``entry_ids`` maps slot -> live entry id
+        (-1 where no entry this policy tracks lives)."""
         raise NotImplementedError
 
     def state(self):
@@ -119,7 +146,6 @@ def register_eviction_policy(name: str):
     """Class decorator adding an :class:`EvictionPolicy` to the registry."""
 
     def decorate(cls: Type[EvictionPolicy]) -> Type[EvictionPolicy]:
-        cls.name = name
         EVICTION_POLICIES[name] = cls
         return cls
 
@@ -138,32 +164,27 @@ def make_eviction_policy(name: str) -> EvictionPolicy:
     return cls()
 
 
-def _is_stale(
-    entries: Sequence[Optional[CacheEntry]], entry_id: int, slot: int
-) -> bool:
-    entry = entries[slot]
-    return entry is None or entry.entry_id != entry_id
-
-
 @register_eviction_policy("fifo")
 class FifoEviction(EvictionPolicy):
     """Sliding window (§5.4): evict the oldest insertion.
 
+    A cache evicts FIFO through its ring cursor and never consults this
+    class; it picks tier demotions (``TieredCacheConfig.tier_policy``).
     A :class:`collections.deque` of ``(entry_id, slot)`` pairs, oldest at
-    the left.  Stale pairs (slots since reused) are lazy tombstones popped
-    on the way to the next victim — every operation is O(1) amortized.
+    the left.  Stale pairs are lazy tombstones popped on the way to the
+    next victim — every operation is O(1) amortized.
     """
 
     def __init__(self) -> None:
         self._queue: collections.deque = collections.deque()
 
-    def on_insert(self, slot: int, entry: CacheEntry) -> None:
-        self._queue.append((entry.entry_id, slot))
+    def on_insert(self, slot: int, entry_id: int, hits: int) -> None:
+        self._queue.append((entry_id, slot))
 
-    def victim(self, entries: Sequence[Optional[CacheEntry]]) -> int:
+    def victim(self, entry_ids: np.ndarray) -> int:
         while self._queue:
             entry_id, slot = self._queue[0]
-            if _is_stale(entries, entry_id, slot):
+            if entry_ids[slot] != entry_id:
                 self._queue.popleft()
                 continue
             return slot
@@ -189,20 +210,20 @@ class LruEviction(EvictionPolicy):
             collections.OrderedDict()
         )
 
-    def on_insert(self, slot: int, entry: CacheEntry) -> None:
-        self._order[slot] = entry.entry_id
+    def on_insert(self, slot: int, entry_id: int, hits: int) -> None:
+        self._order[slot] = entry_id
         self._order.move_to_end(slot)
 
-    def on_hit(self, slot: int, entry: CacheEntry) -> None:
-        if self._order.get(slot) == entry.entry_id:
+    def on_hit(self, slot: int, entry_id: int, hits: int) -> None:
+        if self._order.get(slot) == entry_id:
             self._order.move_to_end(slot)
 
-    def on_evict(self, slot: int, entry: CacheEntry) -> None:
+    def on_evict(self, slot: int) -> None:
         self._order.pop(slot, None)
 
-    def victim(self, entries: Sequence[Optional[CacheEntry]]) -> int:
+    def victim(self, entry_ids: np.ndarray) -> int:
         for slot, entry_id in self._order.items():
-            if not _is_stale(entries, entry_id, slot):
+            if entry_ids[slot] == entry_id:
                 return slot
         raise RuntimeError("lru policy asked for a victim on empty cache")
 
@@ -230,26 +251,22 @@ class UtilityEviction(EvictionPolicy):
         self._heap: List[Tuple[int, int, int]] = []
         self._current: Dict[int, Tuple[int, int]] = {}
 
-    def _push(self, slot: int, entry: CacheEntry) -> None:
-        self._current[slot] = (entry.hits, entry.entry_id)
-        heapq.heappush(self._heap, (entry.hits, entry.entry_id, slot))
+    def on_insert(self, slot: int, entry_id: int, hits: int) -> None:
+        self._current[slot] = (hits, entry_id)
+        heapq.heappush(self._heap, (hits, entry_id, slot))
         if len(self._heap) > 2 * len(self._current) + 16:
             self._heap = [
-                (hits, entry_id, s)
-                for s, (hits, entry_id) in self._current.items()
+                (h, e, s) for s, (h, e) in self._current.items()
             ]
             heapq.heapify(self._heap)
 
-    def on_insert(self, slot: int, entry: CacheEntry) -> None:
-        self._push(slot, entry)
+    # A hit pushes the entry's new key exactly as an insert does.
+    on_hit = on_insert
 
-    def on_hit(self, slot: int, entry: CacheEntry) -> None:
-        self._push(slot, entry)
-
-    def on_evict(self, slot: int, entry: CacheEntry) -> None:
+    def on_evict(self, slot: int) -> None:
         self._current.pop(slot, None)
 
-    def victim(self, entries: Sequence[Optional[CacheEntry]]) -> int:
+    def victim(self, entry_ids: np.ndarray) -> int:
         while self._heap:
             hits, entry_id, slot = self._heap[0]
             if self._current.get(slot) != (hits, entry_id):
@@ -273,19 +290,43 @@ class UtilityEviction(EvictionPolicy):
 # Vector cache
 # ----------------------------------------------------------------------
 class VectorCache(Generic[PayloadT]):
-    """Fixed-capacity cache with cosine-similarity retrieval.
+    """Fixed-capacity columnar cache with cosine-similarity retrieval.
 
     Embeddings live in a preallocated matrix so retrieval is one matrix-
     vector product — mirroring the paper's GPU-resident embedding store
     (100k embeddings fit in 0.29 GB; retrieval takes 0.05 s).  The best
     match is a masked ``argmax`` over live slots, O(n) instead of the
-    O(n log n) full sort.
+    O(n log n) full sort, which keeps the scan at the paper's 0.05 s /
+    100k-entry budget (§5.2).  Past it, ``backend="ivf"`` scans only the
+    ``nprobe`` nearest coarse cells per query, with an exact re-rank.
 
     ``policy`` selects eviction from :data:`EVICTION_POLICIES`:
     ``"fifo"`` implements the sliding window of §5.4, ``"lru"`` evicts the
     least recently used entry, and ``"utility"`` evicts the entry with the
     fewest hits (oldest breaking ties), the Nirvana-style alternative §5.4
-    ablates.
+    ablates.  Slot choice needs no free list: a filling cache inserts at
+    slot ``len(cache)``; a full one overwrites the FIFO ring cursor
+    (always the oldest entry) or the LRU/utility policy's victim.
+
+    **The cache contract** — what callers may use, on every backend
+    (``tests/core/test_cache_contract.py`` holds each one to it):
+
+    * scheduler and serving engine: ``retrieve``, ``retrieve_batch``,
+      ``record_hit``, ``insert``, ``retrieval_latency_s``,
+      ``storage_bytes`` and ``len()``;
+    * cluster router and cache migration: ``centroid``,
+      ``coarse_centroids``, ``snapshot_entries`` and ``insert``;
+    * journal and recovery: ``snapshot``, ``restore`` and ``clear``;
+    * perfbench: ``scan_entries`` and the ``lookups``, ``insertions``
+      and ``evictions`` counters;
+    * benches and tests: ``retrieve_topk``, ``entries``, ``capacity``,
+      ``backend`` and ``index``.
+
+    Returned entries are :class:`CacheEntry` views.  Every other member
+    is private.  The row-store hooks (``_init_rows``, ``_row``,
+    ``_store_row``, ``_exact_scan``, ``_exact_batch``, ``_on_hit`` and
+    the ``*_rows`` snapshot hooks) are where
+    :class:`~repro.core.tiering.TieredVectorCache` differs.
     """
 
     def __init__(
@@ -305,21 +346,21 @@ class VectorCache(Generic[PayloadT]):
                 f"unknown retrieval backend {backend!r}; "
                 f"available: {list(RETRIEVAL_BACKENDS)}"
             )
+        # snap: derived (immutable configuration; a snapshot carries it
+        # as its ``shape``, which restore checks)
         self._capacity = capacity
-        self._embed_dim = embed_dim
-        self._policy_name = policy
-        self._backend = backend
-        self._policy = make_eviction_policy(policy)
-        # snap: derived (both buffers rebuilt from entries on restore)
-        self._matrix = np.zeros((capacity, embed_dim))
-        self._live = np.zeros(capacity, dtype=bool)  # snap: derived
-        # IVF index over the (fixed) matrix/live buffers; None on the
-        # exact backend, which keeps the pre-index scan path untouched.
-        self._index: Optional[IVFIndex] = (
-            IVFIndex(self._matrix, self._live, ann or IVFParams())
-            if backend == "ivf"
-            else None
-        )
+        self._embed_dim = embed_dim  # snap: derived (see above)
+        self._policy_name = policy  # snap: derived (see above)
+        self._backend = backend  # snap: derived (see above)
+        self._policy = self._new_policy()
+        # Per-slot columns; an empty slot holds entry id -1.
+        self._entry_ids = np.full(capacity, -1, dtype=np.int64)
+        self._inserted_at = np.zeros(capacity)
+        self._hits = np.zeros(capacity, dtype=np.int64)
+        self._payloads: List[Optional[PayloadT]] = [None] * capacity
+        self._live = np.zeros(capacity, dtype=bool)
+        self._n_live = 0  # snap: derived (counted from live on restore)
+        self._cursor = 0  # FIFO ring: the next slot to fill or overwrite
         # Running sum of live embeddings — an O(d) centroid sketch the
         # cluster router's cache-affinity policy reads on every arrival.
         self._embedding_sum = np.zeros(embed_dim)
@@ -328,21 +369,28 @@ class VectorCache(Generic[PayloadT]):
         # snap: derived (recomputed from embedding_sum on first read)
         self._sketch_memo: Optional[np.ndarray] = None
         # Running total of the live payloads' ``size_bytes``.
-        # snap: derived (recounted from the entries on restore)
+        # snap: derived (recounted from the payloads on restore)
         self._storage_bytes = 0
-        self._entries: List[Optional[CacheEntry[PayloadT]]] = (
-            [None] * capacity
-        )
-        self._free_slots: List[int] = list(range(capacity - 1, -1, -1))
-        # snap: derived (entry_id -> slot, rebuilt on restore)
-        self._slot_of: Dict[int, int] = {}
         # SnapCounter, not itertools.count: entry ids key staleness
         # checks and must survive snapshot/restore exactly.
         self._ids = SnapCounter()
-        self.last_inserted: Optional[CacheEntry[PayloadT]] = None
         self.insertions = 0
         self.evictions = 0
         self.lookups = 0
+        rows = self._init_rows()
+        # IVF index over the row store and the live column; None on the
+        # exact backend.
+        self._index: Optional[IVFIndex] = (
+            IVFIndex(rows, self._live, ann or IVFParams())
+            if backend == "ivf"
+            else None
+        )
+
+    def _new_policy(self) -> Optional[EvictionPolicy]:
+        # FIFO needs no bookkeeping: the ring cursor is the oldest slot.
+        if self._policy_name == "fifo":
+            return None
+        return make_eviction_policy(self._policy_name)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -350,10 +398,6 @@ class VectorCache(Generic[PayloadT]):
     @property
     def capacity(self) -> int:
         return self._capacity
-
-    @property
-    def policy(self) -> str:
-        return self._policy_name
 
     @property
     def backend(self) -> str:
@@ -365,15 +409,16 @@ class VectorCache(Generic[PayloadT]):
         return self._index
 
     def __len__(self) -> int:
-        return self._capacity - len(self._free_slots)
+        return self._n_live
+
+    def _view(self, slot: int) -> CacheEntry[PayloadT]:
+        return CacheEntry(self, self._entry_ids.item(slot), slot)
 
     def entries(self) -> List[CacheEntry[PayloadT]]:
-        """Live entries, oldest first."""
-        ordered = sorted(
-            (e for e in self._entries if e is not None),
-            key=lambda e: e.entry_id,
-        )
-        return ordered
+        """Views of the live entries, oldest (lowest id) first."""
+        slots = np.flatnonzero(self._live)
+        order = np.argsort(self._entry_ids[slots], kind="stable")
+        return [self._view(slot) for slot in slots[order].tolist()]
 
     def storage_bytes(self) -> int:
         """Total payload storage (uses each payload's ``size_bytes``).
@@ -386,7 +431,7 @@ class VectorCache(Generic[PayloadT]):
 
     def scan_entries(self) -> int:
         """Modelled entries touched per query (sublinear once IVF trains)."""
-        n = len(self)
+        n = self._n_live
         if self._index is not None and self._index.trained:
             return self._index.scan_entries(n)
         return n
@@ -427,7 +472,7 @@ class VectorCache(Generic[PayloadT]):
         from the exact column mean by float-accumulation error only,
         which is irrelevant at routing granularity.
         """
-        n = len(self)
+        n = self._n_live
         if n == 0:
             return None
         return self._embedding_sum / n
@@ -441,155 +486,172 @@ class VectorCache(Generic[PayloadT]):
         embedding: np.ndarray,
         now: float,
     ) -> Optional[CacheEntry[PayloadT]]:
-        """Insert a payload; returns the evicted entry, if any."""
+        """Insert a payload; returns the evicted entry (detached), if any.
+
+        A filling cache uses slot ``len(self)``; a full one overwrites
+        the FIFO ring cursor or, under LRU/utility, the policy's victim.
+        """
         if embedding.shape != (self._embed_dim,):
             raise ValueError(
                 f"embedding must have shape ({self._embed_dim},), "
                 f"got {embedding.shape}"
             )
-        evicted: Optional[CacheEntry[PayloadT]] = None
-        if not self._free_slots:
-            evicted = self._evict()
-        slot = self._free_slots.pop()
-        entry = CacheEntry(
-            entry_id=next(self._ids),
-            payload=payload,
-            embedding=np.asarray(embedding, dtype=float),
-            inserted_at=now,
-        )
-        self._entries[slot] = entry
-        self._matrix[slot] = entry.embedding
+        full = self._n_live == self._capacity
+        if self._policy is None:
+            slot = self._cursor
+            self._cursor = (slot + 1) % self._capacity
+        elif full:
+            slot = self._policy.victim(self._entry_ids)
+        else:
+            slot = self._n_live
+        evicted = self._evict(slot) if full else None
+        emb = np.asarray(embedding, dtype=float)
+        entry_id = next(self._ids)
+        self._entry_ids[slot] = entry_id
+        self._inserted_at[slot] = now
+        self._hits[slot] = 0
+        self._payloads[slot] = payload
         self._live[slot] = True
-        self._embedding_sum += entry.embedding
-        self._sketch_memo = None
+        self._store_row(slot, emb)
         self._storage_bytes += getattr(payload, "size_bytes", 0)
+        self._embedding_sum += emb
+        self._sketch_memo = None
         if self._index is not None:
-            self._index.add(slot, entry.embedding)
-        self._slot_of[entry.entry_id] = slot
-        self._policy.on_insert(slot, entry)
-        self.last_inserted = entry
+            self._index.add(slot, emb)
+        if self._policy is not None:
+            self._policy.on_insert(slot, entry_id, 0)
+        if not full:
+            self._n_live += 1
         self.insertions += 1
         return evicted
 
-    def _evict(self) -> CacheEntry[PayloadT]:
-        slot = self._policy.victim(self._entries)
-        entry = self._entries[slot]
-        assert entry is not None
+    def _evict(self, slot: int) -> CacheEntry[PayloadT]:
+        """Drop the entry at ``slot`` ahead of the insert that reuses
+        the slot (and overwrites its columns); returns it detached."""
+        embedding = self._row(slot)
+        payload = self._payloads[slot]
+        detached = _Detached(
+            slot,
+            payload,
+            embedding,
+            float(self._inserted_at[slot]),
+            int(self._hits[slot]),
+        )
+        entry = CacheEntry(detached, self._entry_ids.item(slot), slot)
         if self._index is not None:
-            self._index.remove(slot, entry.embedding)
-        self._entries[slot] = None
-        self._matrix[slot] = 0.0
-        self._live[slot] = False
-        self._embedding_sum -= entry.embedding
-        self._sketch_memo = None
-        self._storage_bytes -= getattr(entry.payload, "size_bytes", 0)
-        self._slot_of.pop(entry.entry_id, None)
-        self._free_slots.append(slot)
-        self._policy.on_evict(slot, entry)
+            self._index.remove(slot, embedding)
+        if self._policy is not None:
+            self._policy.on_evict(slot)
+        self._storage_bytes -= getattr(payload, "size_bytes", 0)
+        self._embedding_sum -= embedding
         self.evictions += 1
         return entry
+
+    def record_hit(self, entry: CacheEntry[PayloadT], now: float) -> None:
+        """Count a confirmed cache hit against ``entry``.
+
+        A stale view (its slot recycled since retrieval) is inert.
+        """
+        slot = entry.slot
+        if self._entry_ids[slot] != entry.entry_id:
+            return
+        hits = int(self._hits[slot]) + 1
+        self._hits[slot] = hits
+        self._on_hit(slot, entry.entry_id, hits, now)
 
     # ------------------------------------------------------------------
     # Retrieval
     # ------------------------------------------------------------------
-    def retrieve(
-        self, query: np.ndarray
-    ) -> Tuple[Optional[CacheEntry[PayloadT]], float]:
-        """Most-similar entry and its cosine similarity (Eq. 1).
-
-        Returns ``(None, 0.0)`` on an empty cache.  Does not count a hit —
-        the scheduler decides hit/miss after thresholding and then calls
-        :meth:`record_hit`.
-        """
-        self._check_query(query)
+    def _check_query(self, query: np.ndarray) -> Optional[np.ndarray]:
+        """Validate ``query`` and count the lookup; returns the unit
+        query, or None when nothing can match (empty cache, zero query)."""
+        if query.shape != (self._embed_dim,):
+            raise ValueError(
+                f"query must have shape ({self._embed_dim},), "
+                f"got {query.shape}"
+            )
         self.lookups += 1
-        if len(self) == 0:
-            return None, 0.0
+        if self._n_live == 0:
+            return None
         # sqrt(dot) is exactly what np.linalg.norm computes for 1-D floats,
         # without the linalg dispatch overhead (hot path: one call per
         # scheduler decision).
         qnorm = math.sqrt(float(np.dot(query, query)))
         if qnorm == 0.0:
+            return None
+        return query / qnorm
+
+    def retrieve(
+        self, query: np.ndarray
+    ) -> Tuple[Optional[CacheEntry[PayloadT]], float]:
+        """Most-similar entry and its cosine similarity (Eq. 1).
+
+        Returns ``(None, 0.0)`` on an empty cache or a zero query.  Does
+        not count a hit — the scheduler decides hit/miss after
+        thresholding and then calls :meth:`record_hit`.  Exact
+        similarity ties resolve to the lowest slot.
+        """
+        query_unit = self._check_query(query)
+        if query_unit is None:
             return None, 0.0
-        if self._index is not None and self._index.ready(len(self)):
-            found = self._index.search(query / qnorm)
+        if self._index is not None and self._index.ready(self._n_live):
+            found = self._index.search(query_unit)
             if found is not None:
                 slot, sim = found
-                entry = self._entries[slot]
-                assert entry is not None
-                return entry, sim
+                return self._view(slot), sim
             # Every probed cell empty/tombstoned: exact fallback below.
-        sims = self._matrix @ (query / qnorm)
-        # Mask dead slots (zero rows, sim exactly 0.0) so they can never
-        # shadow a live entry with a negative similarity.  A full cache —
-        # the steady state — has no dead slots and skips the masking pass.
-        if self._free_slots:
-            slot = int(np.argmax(np.where(self._live, sims, -np.inf)))
-        else:
-            slot = int(np.argmax(sims))
-        entry = self._entries[slot]
-        assert entry is not None
-        return entry, float(sims[slot])
+        slots, sims = self._exact_scan(query_unit)
+        best = int(np.argmax(sims))
+        slot = best if slots is None else int(slots[best])
+        return self._view(slot), float(sims[best])
 
     def retrieve_topk(
         self, query: np.ndarray, k: int
     ) -> List[Tuple[CacheEntry[PayloadT], float]]:
-        """The ``k`` most-similar live entries, best first.
+        """The ``k`` most-similar live entries, ordered by
+        ``(-similarity, slot)``.
 
-        Uses ``argpartition`` — O(n + k log k), not a full sort.  Returns
-        fewer than ``k`` pairs when occupancy is below ``k`` — or, on
-        the IVF backend, when the probed cells hold fewer than ``k``
-        live entries (entries outside the probe set are invisible to
-        an approximate lookup).
+        A partition, not a full sort: O(n + k log k).  Returns fewer
+        than ``k`` pairs when occupancy is below ``k`` — or, on the IVF
+        backend, when the probed cells hold fewer than ``k`` live
+        entries (entries outside the probe set are invisible to an
+        approximate lookup).
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        self._check_query(query)
-        self.lookups += 1
-        n_live = len(self)
-        if n_live == 0:
+        query_unit = self._check_query(query)
+        if query_unit is None:
             return []
-        qnorm = math.sqrt(float(np.dot(query, query)))
-        if qnorm == 0.0:
-            return []
-        if self._index is not None and self._index.ready(n_live):
-            found = self._index.search_topk(query / qnorm, k)
+        if self._index is not None and self._index.ready(self._n_live):
+            found = self._index.search_topk(query_unit, k)
             if found:
-                out = []
-                for slot, sim in found:
-                    entry = self._entries[slot]
-                    assert entry is not None
-                    out.append((entry, sim))
-                return out
+                return [(self._view(slot), sim) for slot, sim in found]
             # Every probed cell empty/tombstoned: exact fallback below.
-        sims = self._matrix @ (query / qnorm)
-        masked = (
-            np.where(self._live, sims, -np.inf)
-            if self._free_slots
-            else sims
-        )
-        k_eff = min(k, n_live)
-        if k_eff < masked.shape[0]:
-            top = np.argpartition(masked, -k_eff)[-k_eff:]
-        else:
-            top = np.arange(masked.shape[0])
-        top = top[np.argsort(masked[top])[::-1]][:k_eff]
-        out: List[Tuple[CacheEntry[PayloadT], float]] = []
-        for slot in top:
-            entry = self._entries[int(slot)]
-            if entry is not None:
-                out.append((entry, float(sims[int(slot)])))
-        return out
+        slots, sims = self._exact_scan(query_unit)
+        if slots is None:
+            slots = np.arange(sims.size)
+        k = min(k, self._n_live)
+        if k < sims.size:
+            # >= the k-th best keeps every candidate tied at the
+            # boundary, so the slot tie-break decides which survive.
+            keep = sims >= np.partition(sims, -k)[-k]
+            slots, sims = slots[keep], sims[keep]
+        order = np.lexsort((slots, -sims))[:k]
+        return [
+            (self._view(int(slots[i])), float(sims[i])) for i in order
+        ]
 
     def retrieve_batch(
         self, queries: np.ndarray
     ) -> List[Tuple[Optional[CacheEntry[PayloadT]], float]]:
-        """Best match per row of ``queries`` via one matrix-matrix product.
+        """Best match per row of ``queries``.
 
-        The batched path the Request Scheduler uses for same-tick arrivals;
-        a single-row batch takes the exact matrix-vector path of
-        :meth:`retrieve` so singleton batches are bit-for-bit identical to
-        sequential calls.
+        The batched path the Request Scheduler uses for same-tick
+        arrivals.  A single-row batch, and every IVF batch, runs
+        :meth:`retrieve` per row, so each row is bit-for-bit a
+        sequential call (IVF candidate gathering is per query anyway,
+        and each row still pays only its probed cells).  The rest is the
+        row store's exact batch scan.
         """
         if queries.ndim != 2 or queries.shape[1] != self._embed_dim:
             raise ValueError(
@@ -597,57 +659,92 @@ class VectorCache(Generic[PayloadT]):
                 f"got {queries.shape}"
             )
         n = queries.shape[0]
-        if n == 1:
-            return [self.retrieve(queries[0])]
-        if (
+        if n == 1 or (
             self._index is not None
-            and len(self)
-            and self._index.ready(len(self))
+            and self._n_live
+            and self._index.ready(self._n_live)
         ):
-            # Per-row IVF searches: candidate gathering is inherently
-            # per-query, and routing every row through the single-query
-            # path keeps batched results bit-identical to sequential
-            # calls (each row still pays only the probed cells, so the
-            # batch stays sublinear in cache size).
             return [self.retrieve(queries[i]) for i in range(n)]
+        return self._exact_batch(queries)
+
+    # ------------------------------------------------------------------
+    # Row store: one dense matrix (TieredVectorCache overrides these)
+    # ------------------------------------------------------------------
+    def _init_rows(self) -> np.ndarray:
+        """Allocate the row store; returns the matrix the index reads."""
+        self._matrix = np.zeros((self._capacity, self._embed_dim))
+        # The inserted embedding arrays by slot (what an entry's
+        # ``embedding`` returns), so a snapshot copies references, not
+        # the matrix.
+        self._embeddings: List[Optional[np.ndarray]] = (
+            [None] * self._capacity
+        )
+        return self._matrix
+
+    def _row(self, slot: int) -> np.ndarray:
+        return self._embeddings[slot]
+
+    def _store_row(self, slot: int, embedding: np.ndarray) -> None:
+        self._matrix[slot] = embedding
+        self._embeddings[slot] = embedding
+
+    def _exact_scan(
+        self, query_unit: np.ndarray
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """``(slots, sims)`` of the exact scan; ``slots`` None means
+        ``sims`` is indexed by slot, dead slots at ``-inf``."""
+        sims = self._matrix @ query_unit
+        # Mask dead slots (zero rows, sim exactly 0.0) so they can never
+        # shadow a live entry with a negative similarity.  A full cache —
+        # the steady state — has no dead slots and skips the masking pass.
+        if self._n_live < self._capacity:
+            sims = np.where(self._live, sims, -np.inf)
+        return None, sims
+
+    def _exact_batch(
+        self, queries: np.ndarray
+    ) -> List[Tuple[Optional[CacheEntry[PayloadT]], float]]:
+        """One matrix-matrix product for the whole batch (its
+        similarities can differ from per-row calls in the last ulp)."""
+        n = queries.shape[0]
         self.lookups += n
         empty: Tuple[Optional[CacheEntry[PayloadT]], float] = (None, 0.0)
-        if len(self) == 0:
+        if self._n_live == 0:
             return [empty] * n
         norms = np.linalg.norm(queries, axis=1)
         safe = np.where(norms == 0.0, 1.0, norms)
         sims = (queries / safe[:, None]) @ self._matrix.T
-        if self._free_slots:
-            best = np.argmax(
-                np.where(self._live[None, :], sims, -np.inf), axis=1
-            )
-        else:
-            best = np.argmax(sims, axis=1)
-        out: List[Tuple[Optional[CacheEntry[PayloadT]], float]] = []
-        for i in range(n):
-            if norms[i] == 0.0:
-                out.append(empty)
-                continue
-            slot = int(best[i])
-            entry = self._entries[slot]
-            assert entry is not None
-            out.append((entry, float(sims[i, slot])))
-        return out
+        if self._n_live < self._capacity:
+            sims = np.where(self._live[None, :], sims, -np.inf)
+        best = np.argmax(sims, axis=1).tolist()
+        return [
+            empty
+            if norms[i] == 0.0
+            else (self._view(best[i]), float(sims[i, best[i]]))
+            for i in range(n)
+        ]
 
-    def record_hit(self, entry: CacheEntry[PayloadT], now: float) -> None:
-        """Count a confirmed cache hit against ``entry``."""
-        entry.hits += 1
-        entry.last_hit_at = now
-        slot = self._slot_of.get(entry.entry_id)
-        if slot is not None:
-            self._policy.on_hit(slot, entry)
+    def _on_hit(
+        self, slot: int, entry_id: int, hits: int, now: float
+    ) -> None:
+        if self._policy is not None:
+            self._policy.on_hit(slot, entry_id, hits)
 
-    def _check_query(self, query: np.ndarray) -> None:
-        if query.shape != (self._embed_dim,):
-            raise ValueError(
-                f"query must have shape ({self._embed_dim},), "
-                f"got {query.shape}"
-            )
+    def _snapshot_rows(self) -> List[Optional[np.ndarray]]:
+        return list(self._embeddings)
+
+    def _restore_rows(self, embeddings: List[Optional[np.ndarray]]) -> None:
+        self._embeddings = list(embeddings)
+        self._matrix[:] = 0.0
+        for slot in np.flatnonzero(self._live).tolist():
+            self._matrix[slot] = self._embeddings[slot]
+
+    def _clear_rows(self) -> None:
+        self._matrix[:] = 0.0
+        self._embeddings = [None] * self._capacity
+
+    def _snapshot_row(self, state: "VectorCacheState", slot: int):
+        return state.rows[slot]
 
     # ------------------------------------------------------------------
     # Snapshot / restore / clear (fault-tolerance surface)
@@ -655,37 +752,42 @@ class VectorCache(Generic[PayloadT]):
     def snapshot(self) -> "VectorCacheState":
         """Copy of the full cache state, IVF index included.
 
-        Payloads and embeddings are shared by reference (immutable once
-        cached); the mutable per-entry stats (``hits``/``last_hit_at``)
-        are copied as scalars, so the snapshot is unaffected by later
-        hits against the live cache.  Side-effect-free.
+        Columns are copied; payloads and embeddings are shared by
+        reference (immutable once cached), so the snapshot is unaffected
+        by later hits against the live cache.  Side-effect-free.
         """
-        entries = [
-            (
-                slot,
-                e.entry_id,
-                e.payload,
-                e.embedding,
-                e.inserted_at,
-                e.hits,
-                e.last_hit_at,
-            )
-            for slot, e in enumerate(self._entries)
-            if e is not None
-        ]
-        return VectorCacheState(
+        return self._capture(self._snapshot_rows(), blocks=True)
+
+    def restore(self, state: "VectorCacheState") -> None:
+        """Adopt a snapshot in place.
+
+        In place matters: the IVF index holds references to this
+        cache's row store and ``_live`` column, so restore writes into
+        them instead of reallocating.
+        """
+        self._adopt(state)
+        self._restore_rows(state.rows)
+
+    def _shape(self) -> Dict[str, object]:
+        return dict(
             capacity=self._capacity,
-            embed_dim=self._embed_dim,
-            policy_name=self._policy_name,
+            dim=self._embed_dim,
+            policy=self._policy_name,
             backend=self._backend,
-            entries=entries,
-            free_slots=list(self._free_slots),
+        )
+
+    def _capture(self, rows, blocks: bool) -> "VectorCacheState":
+        return VectorCacheState(
+            shape=self._shape(),
+            entry_ids=self._entry_ids.copy(),
+            inserted_at=self._inserted_at.copy(),
+            hits=self._hits.copy(),
+            payloads=list(self._payloads),
+            live=self._live.copy(),
+            cursor=self._cursor,
             embedding_sum=self._embedding_sum.copy(),
-            policy_state=self._policy.state(),
-            last_inserted_id=(
-                None
-                if self.last_inserted is None
-                else self.last_inserted.entry_id
+            policy_state=(
+                None if self._policy is None else self._policy.state()
             ),
             ids_value=self._ids.value,
             insertions=self.insertions,
@@ -694,85 +796,42 @@ class VectorCache(Generic[PayloadT]):
             index_state=(
                 None
                 if self._index is None
-                else self._index.snapshot_state()
+                else self._index.snapshot_state(include_blocks=blocks)
             ),
+            rows=rows,
         )
 
-    def restore(self, state: "VectorCacheState") -> None:
-        """Adopt a snapshot in place.
-
-        In place matters: the IVF index holds references to this
-        cache's ``_matrix``/``_live`` buffers, so restore writes into
-        them instead of reallocating.
-        """
-        if (
-            state.capacity != self._capacity
-            or state.embed_dim != self._embed_dim
-            or state.policy_name != self._policy_name
-            or state.backend != self._backend
-        ):
+    def _adopt(self, state: "VectorCacheState") -> None:
+        """Restore the columns, counters and IVF structure."""
+        if state.shape != self._shape():
             raise ValueError(
-                "cache snapshot shape mismatch: snapshot is "
-                f"(capacity={state.capacity}, dim={state.embed_dim}, "
-                f"policy={state.policy_name!r}, "
-                f"backend={state.backend!r}); cache is "
-                f"(capacity={self._capacity}, dim={self._embed_dim}, "
-                f"policy={self._policy_name!r}, "
-                f"backend={self._backend!r})"
+                f"cache snapshot shape mismatch: snapshot is "
+                f"{state.shape}; cache is {self._shape()}"
             )
-        self._entries = [None] * self._capacity
-        self._matrix[:] = 0.0
-        self._live[:] = False
-        self._slot_of = {}
-        by_id: Dict[int, CacheEntry[PayloadT]] = {}
-        for (
-            slot,
-            entry_id,
-            payload,
-            embedding,
-            inserted_at,
-            hits,
-            last_hit_at,
-        ) in state.entries:
-            entry = CacheEntry(
-                entry_id=entry_id,
-                payload=payload,
-                embedding=embedding,
-                inserted_at=inserted_at,
-                hits=hits,
-                last_hit_at=last_hit_at,
-            )
-            self._entries[slot] = entry
-            self._matrix[slot] = embedding
-            self._live[slot] = True
-            self._slot_of[entry_id] = slot
-            by_id[entry_id] = entry
-        self._free_slots = list(state.free_slots)
-        self._storage_bytes = sum(
-            getattr(payload, "size_bytes", 0)
-            for _, _, payload, *_ in state.entries
-        )
+        self._entry_ids[:] = state.entry_ids
+        self._inserted_at[:] = state.inserted_at
+        self._hits[:] = state.hits
+        self._payloads = list(state.payloads)
+        self._live[:] = state.live
+        self._n_live = int(np.count_nonzero(self._live))
+        self._cursor = state.cursor
         # The running sum is order-dependent float accumulation — it
         # cannot be recomputed from the entries without drifting from
         # the live cache by rounding, so the captured copy is adopted.
         self._embedding_sum[:] = state.embedding_sum
         self._sketch_memo = None
-        self._policy = make_eviction_policy(self._policy_name)
-        self._policy.restore_state(state.policy_state)
-        self.last_inserted = (
-            None
-            if state.last_inserted_id is None
-            else by_id.get(state.last_inserted_id)
+        self._storage_bytes = sum(
+            getattr(self._payloads[slot], "size_bytes", 0)
+            for slot in np.flatnonzero(self._live).tolist()
         )
+        self._policy = self._new_policy()
+        if self._policy is not None:
+            self._policy.restore_state(state.policy_state)
         self._ids.value = state.ids_value
         self.insertions = state.insertions
         self.evictions = state.evictions
         self.lookups = state.lookups
         if self._index is not None:
-            if state.index_state is None:
-                raise ValueError(
-                    "snapshot has no IVF state but cache has an index"
-                )
             self._index.restore_state(state.index_state)
 
     def clear(self) -> None:
@@ -784,18 +843,20 @@ class VectorCache(Generic[PayloadT]):
         (a reboot does not un-serve past lookups), and the IVF index
         keeps its RNG stream position for the same reason.
         """
-        self._entries = [None] * self._capacity
-        self._matrix[:] = 0.0
+        self._entry_ids[:] = -1
+        self._inserted_at[:] = 0.0
+        self._hits[:] = 0
+        self._payloads = [None] * self._capacity
         self._live[:] = False
+        self._n_live = 0
+        self._cursor = 0
         self._embedding_sum[:] = 0.0
         self._sketch_memo = None
         self._storage_bytes = 0
-        self._free_slots = list(range(self._capacity - 1, -1, -1))
-        self._slot_of = {}
-        self._policy = make_eviction_policy(self._policy_name)
-        self.last_inserted = None
+        self._policy = self._new_policy()
         if self._index is not None:
             self._index.clear()
+        self._clear_rows()
 
     def snapshot_entries(
         self, state: "VectorCacheState"
@@ -803,43 +864,43 @@ class VectorCache(Generic[PayloadT]):
         """``(entry_id, payload, embedding, inserted_at)`` per entry of
         a snapshot, ascending entry id (the cache-migration surface:
         deterministic order, no slot/index internals exposed)."""
-        return sorted(
+        slots = np.flatnonzero(state.live)
+        slots = slots[np.argsort(state.entry_ids[slots], kind="stable")]
+        return [
             (
-                (entry_id, payload, embedding, inserted_at)
-                for (
-                    _slot,
-                    entry_id,
-                    payload,
-                    embedding,
-                    inserted_at,
-                    _hits,
-                    _last_hit_at,
-                ) in state.entries
-            ),
-            key=lambda item: item[0],
-        )
+                int(state.entry_ids[slot]),
+                state.payloads[slot],
+                self._snapshot_row(state, slot),
+                float(state.inserted_at[slot]),
+            )
+            for slot in slots.tolist()
+        ]
 
 
 @dataclass
 class VectorCacheState:
-    """Opaque snapshot of a :class:`VectorCache` (see ``snapshot``)."""
+    """Opaque snapshot of a :class:`VectorCache` (see ``snapshot``).
 
-    capacity: int
-    embed_dim: int
-    policy_name: str
-    backend: str
-    # (slot, entry_id, payload, embedding, inserted_at, hits,
-    #  last_hit_at) per live entry, ascending slot.
-    entries: List[tuple]
-    free_slots: List[int]
+    ``rows`` is the row store's part: the flat cache's embedding
+    references by slot, or the tiered cache's
+    :class:`~repro.core.tiering.TierState`.
+    """
+
+    shape: Dict[str, object]
+    entry_ids: np.ndarray
+    inserted_at: np.ndarray
+    hits: np.ndarray
+    payloads: List[object]
+    live: np.ndarray
+    cursor: int
     embedding_sum: np.ndarray
     policy_state: object
-    last_inserted_id: Optional[int]
     ids_value: int
     insertions: int
     evictions: int
     lookups: int
     index_state: Optional[IVFState]
+    rows: object
 
 
 class ImageCache(VectorCache[SyntheticImage]):
@@ -853,16 +914,16 @@ def make_image_cache(
     backend: str = "exact",
     ann: Optional[IVFParams] = None,
     tiering=None,
-):
+) -> VectorCache[SyntheticImage]:
     """Build an image cache: tiered (quantized hot tier + ``pread`` cold
     tier, :mod:`repro.core.tiering`) when a ``TieredCacheConfig`` is
     passed, a flat :class:`ImageCache` otherwise."""
     if tiering is not None:
-        # Imported lazily: tiering builds on this module's eviction
-        # registry, so a top-level import would be circular.
-        from repro.core.tiering import TieredImageCache
+        # Imported lazily: tiering subclasses this module's cache, so a
+        # top-level import would be circular.
+        from repro.core.tiering import TieredVectorCache
 
-        return TieredImageCache(
+        return TieredVectorCache(
             capacity=capacity,
             embed_dim=embed_dim,
             tiering=tiering,
@@ -890,21 +951,22 @@ class LatentCache(VectorCache[CachedLatent]):
     def retrieve_for_model(
         self, query: np.ndarray, model_name: str
     ) -> Tuple[Optional[CacheEntry[CachedLatent]], float]:
-        entry, sim = self.retrieve(query)
-        if entry is not None and not entry.payload.usable_by(model_name):
-            return None, 0.0
-        return entry, sim
+        return _usable(self.retrieve(query), model_name)
 
     def retrieve_batch_for_model(
         self, queries: np.ndarray, model_name: str
     ) -> List[Tuple[Optional[CacheEntry[CachedLatent]], float]]:
         """Batched :meth:`retrieve_for_model` over rows of ``queries``."""
-        out = []
-        for entry, sim in self.retrieve_batch(queries):
-            if entry is not None and not entry.payload.usable_by(
-                model_name
-            ):
-                out.append((None, 0.0))
-            else:
-                out.append((entry, sim))
-        return out
+        return [
+            _usable(found, model_name)
+            for found in self.retrieve_batch(queries)
+        ]
+
+
+def _usable(found, model_name: str):
+    """A retrieval result, or ``(None, 0.0)`` if ``model_name`` cannot
+    use the entry's latents."""
+    entry, _ = found
+    if entry is not None and not entry.payload.usable_by(model_name):
+        return None, 0.0
+    return found

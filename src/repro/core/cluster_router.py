@@ -1108,11 +1108,14 @@ class ClusterServingSystem:
         Entries come out of the snapshot in ascending-id order
         (``cache.snapshot_entries``), the configured
         :data:`MIGRATION_POLICY_REGISTRY` policy assigns each one a
-        surviving replica, and adoption re-inserts them with their
-        *original* ``inserted_at`` so staleness and eviction order
-        treat adopted entries by true age.  One MIGRATE row per
-        adopting survivor journals the transfer.  Returns the number
-        of entries migrated.
+        surviving replica, and adoption re-inserts them, passing the
+        original ``inserted_at`` as the insert time.  That value is
+        only recorded: no eviction policy or staleness check reads
+        ``inserted_at``, so each adopted entry is a fresh insert to the
+        survivor — under FIFO the adopted entries become its newest, in
+        ascending original-id order.  One MIGRATE row per adopting
+        survivor journals the transfer.  Returns the number of entries
+        migrated.
         """
         replica = self.replicas[dead_idx]
         cache = getattr(replica, "cache", None)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.cluster.stats import StatsCollector
-from repro.core.cache import ImageCache
+from repro.core.cache import VectorCache
 from repro.core.config import CacheAdmission
 from repro.core.kselection import KSelector
 from repro.core.request import Decision
@@ -39,7 +39,7 @@ class RequestScheduler:
 
     def __init__(
         self,
-        cache: ImageCache,
+        cache: VectorCache,
         retrieval: RetrievalPolicy,
         selector: KSelector,
         stats: StatsCollector,
@@ -62,7 +62,7 @@ class RequestScheduler:
         self._embed_latency_s = embed_latency_s
 
     @property
-    def cache(self) -> ImageCache:
+    def cache(self) -> VectorCache:
         return self._cache
 
     def bind_stats(self, stats: StatsCollector) -> None:

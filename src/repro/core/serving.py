@@ -39,7 +39,7 @@ from repro.cluster.events import EventLoop
 from repro.cluster.stats import StatsCollector
 from repro.cluster.worker import GPUWorker, Job
 from repro.core.ann import IVFParams
-from repro.core.cache import make_image_cache
+from repro.core.cache import VectorCache, make_image_cache
 from repro.core.config import (
     ClusterConfig,
     JournalConfig,
@@ -1088,7 +1088,7 @@ class MoDMSystem(BaseServingSystem):
             retrieval = TextToImageRetrieval(space)
         else:
             retrieval = TextToTextRetrieval(space)
-        self.cache = make_image_cache(
+        self.cache: VectorCache = make_image_cache(
             capacity=config.cache_capacity,
             embed_dim=retrieval.embed_dim,
             policy=config.cache_policy,

@@ -152,7 +152,7 @@ class TestBatchEquivalence:
         batched = ivf.retrieve_batch(queries)
         sequential = [ivf.retrieve(q) for q in queries]
         for (be, bs), (se, ss) in zip(batched, sequential):
-            assert be is se
+            assert (be.entry_id, be.slot) == (se.entry_id, se.slot)
             assert bs == ss
 
 
@@ -299,7 +299,7 @@ class TestTieBreaks:
         assert entry.entry_id == top[0][0].entry_id
         # Sequential fills use slots 0,1,2,... so the original copy in
         # slot 123 is the lowest-slot holder of this embedding.
-        assert ivf._slot_of[entry.entry_id] == 123
+        assert entry.slot == 123
 
 
 class TestDeterminism:
@@ -758,7 +758,7 @@ class TestBlockQuantizationOracle:
             stale_before = sum(index._stale)
             if op == "insert":
                 cache.insert(step, data[arg], now=float(step))
-                slot = cache._slot_of[cache.last_inserted.entry_id]
+                slot = cache.entries()[-1].slot
                 history[slot].add(
                     rounded(data[arg], block_dtype).tobytes()
                 )

@@ -1,9 +1,12 @@
 """Tests for the image and latent caches."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro._rng import rng_for, unit_vector
+from repro.core.ann import IVFParams
 from repro.core.cache import (
     RETRIEVAL_SECONDS_PER_ENTRY,
     ImageCache,
@@ -190,4 +193,88 @@ class TestHitRecording:
         assert entry.hits == 0
         cache.record_hit(entry, now=5.0)
         assert entry.hits == 1
-        assert entry.last_hit_at == 5.0
+
+
+class TestFlatPinnedSequence:
+    """The flat cache's twin of the tiered ``TestPinnedSequence``: a
+    fixed insert/retrieve/record_hit sequence with exact duplicates
+    (ties), multi-row batches, a snapshot -> restore and a ``clear()``
+    in the middle, hashed over (slot, similarity bytes) of every answer
+    and the id of every evicted entry.  One digest per backend/policy;
+    all four were recorded before the columnar cache core existed, so
+    any change to a returned slot, a similarity bit or the eviction
+    order fails them."""
+
+    DIGESTS = {
+        ("exact", "fifo"): (
+            "9475a41de9f2996d3afa5fd449516c08cb4644eb21cc0f2fcb2019fc6ee68167"
+        ),
+        ("exact", "lru"): (
+            "ced1ff14b4adde12b48e2494aa906a3553dd5f61341004713b90d47a8fbfa866"
+        ),
+        ("exact", "utility"): (
+            "09a8aeae10f22f82707e703fe464321d6954ef60798d3a7c67ba717643c55d6e"
+        ),
+        ("ivf", "fifo"): (
+            "3c70b03cfc3e187ba3fbca185631057a45608d36f3d7a898078e0f301bf8e904"
+        ),
+    }
+
+    @staticmethod
+    def run_sequence(backend, policy):
+        dim = 16
+        cache = VectorCache(
+            capacity=96,
+            embed_dim=dim,
+            policy=policy,
+            backend=backend,
+            ann=IVFParams(nlist=8, nprobe=3, train_min=48, seed="flat-pin"),
+        )
+        data = rng_for("flat-pin", dim).standard_normal((480, dim))
+        data /= np.linalg.norm(data, axis=1, keepdims=True)
+        for i in range(41, 480, 41):
+            data[i] = data[i - 33]  # exact duplicates tie in the scan
+        noise = rng_for("flat-pin-noise").standard_normal((480, dim))
+        digest = hashlib.sha256()
+
+        def record(entry, sim):
+            slot = -1 if entry is None else entry.slot
+            digest.update(np.int64(slot).tobytes())
+            digest.update(np.float64(sim).tobytes())
+
+        saved = None
+        for i in range(480):
+            evicted = cache.insert(i, data[i], now=float(i))
+            digest.update(
+                np.int64(-1 if evicted is None else evicted.entry_id)
+                .tobytes()
+            )
+            if i == 200:
+                saved = cache.snapshot()
+            elif i == 260:
+                cache.restore(saved)
+            elif i == 420:
+                cache.clear()
+            if i % 2:
+                continue
+            query = data[max(0, i - (7 * i) % 90)] + 0.05 * noise[i]
+            entry, sim = cache.retrieve(query)
+            record(entry, sim)
+            if entry is not None and i % 4 == 0:
+                cache.record_hit(entry, now=float(i))
+            if i % 16 == 0:
+                for view, top_sim in cache.retrieve_topk(query, 3):
+                    record(view, top_sim)
+            if i % 32 == 0:
+                rows = data[[i, i // 2, i // 3]] + 0.05 * noise[: 3]
+                for view, batch_sim in cache.retrieve_batch(rows):
+                    record(view, batch_sim)
+        return cache, digest.hexdigest()
+
+    @pytest.mark.parametrize("backend,policy", sorted(DIGESTS))
+    def test_digest_is_pinned(self, backend, policy):
+        cache, digest = self.run_sequence(backend, policy)
+        assert len(cache) == 480 - 421
+        if backend == "ivf":
+            assert cache.index.trained
+        assert digest == self.DIGESTS[(backend, policy)]

@@ -28,7 +28,8 @@ def _vec(key):
 
 def _reference_argsort_retrieve(cache, query):
     """The pre-vectorization retrieval: full descending argsort, then the
-    first live slot — the behaviour the masked argmax must reproduce."""
+    first live slot — the behaviour the masked argmax must reproduce.
+    Returns ``(slot, sim)``."""
     if len(cache) == 0:
         return None, 0.0
     qnorm = float(np.linalg.norm(query))
@@ -36,9 +37,8 @@ def _reference_argsort_retrieve(cache, query):
         return None, 0.0
     sims = cache._matrix @ (query / qnorm)
     for slot in np.argsort(sims)[::-1]:
-        entry = cache._entries[int(slot)]
-        if entry is not None:
-            return entry, float(sims[int(slot)])
+        if cache._live[slot]:
+            return int(slot), float(sims[int(slot)])
     return None, 0.0
 
 
@@ -69,11 +69,11 @@ class TestArgmaxMatchesArgsort:
             )
             for q in range(10):
                 query = _vec((seed, "query", q))
-                ref_entry, ref_sim = _reference_argsort_retrieve(
+                ref_slot, ref_sim = _reference_argsort_retrieve(
                     cache, query
                 )
                 entry, sim = cache.retrieve(query)
-                assert entry is ref_entry
+                assert entry.slot == ref_slot
                 assert sim == ref_sim  # same float path, bit-identical
 
     def test_all_negative_similarities_skip_dead_slots(self):
@@ -85,8 +85,8 @@ class TestArgmaxMatchesArgsort:
         entry, sim = cache.retrieve(-vec)
         assert entry is not None and entry.payload == "only"
         assert sim < 0.0
-        ref_entry, ref_sim = _reference_argsort_retrieve(cache, -vec)
-        assert entry is ref_entry and sim == ref_sim
+        ref_slot, ref_sim = _reference_argsort_retrieve(cache, -vec)
+        assert entry.slot == ref_slot and sim == ref_sim
 
     def test_zero_query_and_empty_cache(self):
         cache = VectorCache(capacity=4, embed_dim=DIM)
@@ -105,7 +105,7 @@ class TestRetrieveTopK:
         sims = [s for _, s in top]
         assert sims == sorted(sims, reverse=True)
         best_entry, best_sim = cache.retrieve(query)
-        assert top[0][0] is best_entry
+        assert top[0][0].entry_id == best_entry.entry_id
         assert top[0][1] == best_sim
 
     def test_topk_exhaustive_against_bruteforce(self):
@@ -147,7 +147,7 @@ class TestRetrieveBatch:
         query = _vec("batch1-query")
         [(entry_b, sim_b)] = cache.retrieve_batch(query[None, :])
         entry, sim = cache.retrieve(query)
-        assert entry_b is entry
+        assert entry_b.entry_id == entry.entry_id
         assert sim_b == sim
 
     def test_batch_matches_sequential(self):
@@ -156,7 +156,7 @@ class TestRetrieveBatch:
         batched = cache.retrieve_batch(queries)
         for i, (entry, sim) in enumerate(batched):
             ref_entry, ref_sim = cache.retrieve(queries[i])
-            assert entry is ref_entry
+            assert entry.entry_id == ref_entry.entry_id
             assert np.isclose(sim, ref_sim, rtol=0, atol=1e-12)
 
     def test_zero_rows_and_empty_cache(self):
@@ -189,12 +189,8 @@ class TestEvictionPolicyRegistry:
         class NewestEviction(EvictionPolicy):
             """Evicts the newest entry (for the registration test)."""
 
-            def victim(self, entries):
-                return max(
-                    (e.entry_id, s)
-                    for s, e in enumerate(entries)
-                    if e is not None
-                )[1]
+            def victim(self, entry_ids):
+                return int(np.argmax(entry_ids))
 
         try:
             cache = VectorCache(
@@ -220,7 +216,7 @@ def _eviction_order(cache, n_total, hit_schedule=()):
                 entry = by_payload[payload]
                 cache.record_hit(entry, now=float(i))
         out = cache.insert(f"p{i}", _vec(("evo", i)), now=float(i))
-        by_payload[f"p{i}"] = cache.last_inserted
+        by_payload[f"p{i}"] = cache.entries()[-1]
         if out is not None:
             evicted.append(out.payload)
     return evicted
@@ -254,12 +250,12 @@ class TestEvictionOrder:
         entries = {}
         for i in range(3):
             cache.insert(f"p{i}", _vec(("ut", i)), now=float(i))
-            entries[f"p{i}"] = cache.last_inserted
+            entries[f"p{i}"] = cache.entries()[-1]
         cache.record_hit(entries["p0"], now=3.0)
         cache.record_hit(entries["p2"], now=4.0)
         # p1 has the fewest hits and goes first.
         assert cache.insert("p3", _vec(("ut", 3)), now=5.0).payload == "p1"
-        cache.record_hit(cache.last_inserted, now=6.0)
+        cache.record_hit(cache.entries()[-1], now=6.0)
         # Now p0, p2, p3 all have one hit: ties evict oldest (p0).
         assert cache.insert("p4", _vec(("ut", 4)), now=7.0).payload == "p0"
 
@@ -269,7 +265,7 @@ class TestEvictionOrder:
         cache = VectorCache(capacity=4, embed_dim=DIM, policy="utility")
         for i in range(4):
             cache.insert(f"p{i}", _vec(("hb", i)), now=float(i))
-        hot = cache.last_inserted
+        hot = cache.entries()[-1]
         for i in range(10_000):
             cache.record_hit(hot, now=float(i))
         assert len(cache._policy._heap) <= 2 * 4 + 17
@@ -279,7 +275,7 @@ class TestEvictionOrder:
     def test_utility_heap_tracks_hit_updates(self):
         cache = VectorCache(capacity=2, embed_dim=DIM, policy="utility")
         cache.insert("a", _vec("ua"), now=0.0)
-        a_entry = cache.last_inserted
+        a_entry = cache.entries()[-1]
         cache.insert("b", _vec("ub"), now=1.0)
         cache.record_hit(a_entry, now=2.0)
         cache.record_hit(a_entry, now=3.0)

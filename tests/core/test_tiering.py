@@ -31,7 +31,6 @@ from repro.core.tiering import (
     COLD_FETCH_UNITS,
     ColdStore,
     TieredCacheConfig,
-    TieredImageCache,
     TieredVectorCache,
 )
 from test_ann import assert_blocks_hold_rounded_rows, rounded
@@ -133,7 +132,7 @@ class TestTieredCacheConfig:
             tiering=TieredCacheConfig(),
             backend="ivf",
         )
-        assert isinstance(cache, TieredImageCache)
+        assert isinstance(cache, TieredVectorCache)
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +219,7 @@ class TestColdStore:
         data = embeddings(9, seed="cold-visible")
         store = ColdStore(DIM, path=path)
         for i in range(4):
-            assert store.append_row(data[i]) == i
+            assert store.append_rows(data[i : i + 1]) == i
             np.testing.assert_array_equal(store.read_row(i), data[i])
         assert store.append_rows(data[4:]) == 4
         picks = np.array([8, 0, 4, 4, 3])
@@ -547,7 +546,7 @@ class TestTieredQuantizationOracle:
         for step, (op, arg) in enumerate(ops):
             if op == "insert":
                 cache.insert(step, data[arg], now=float(step))
-                history[cache.last_inserted.slot].add(
+                history[cache.entries()[-1].slot].add(
                     rounded(data[arg], block_dtype).tobytes()
                 )
             elif op == "hit":
@@ -608,7 +607,7 @@ class TestShortlistGather:
         assert cache.cold_reads - before == n_cold
         assert got.shape == (slots.size, DIM)
         assert got.dtype == np.float64 and got.flags.writeable
-        want = [cache._row_copy(int(slot)) for slot in slots]
+        want = [cache._row(int(slot)) for slot in slots]
         assert got.tobytes() == np.asarray(want).reshape(-1, DIM).tobytes()
 
 
@@ -622,12 +621,11 @@ class TestPromotionDemotion:
         for i in range(8):
             cache.insert(i, data[i], now=float(i))
         entry, _ = cache.retrieve(data[3])
-        assert entry.payload == 3 and not entry.hot
+        assert entry.payload == 3 and cache.hot_count == 0
         cache.record_hit(entry, now=10.0)
-        assert not entry.hot and cache.promotions == 0
+        assert cache.hot_count == 0 and cache.promotions == 0
         cache.record_hit(entry, now=11.0)
-        assert entry.hot and cache.promotions == 1
-        assert cache.hot_count == 1
+        assert cache.hot_count == 1 and cache.promotions == 1
 
     def test_full_hot_store_demotes_a_victim(self):
         cache = exact_tiered(16, hot_capacity=2, promote_hits=1)
@@ -905,7 +903,7 @@ class TestServingIntegration:
 
         trace = ddb_trace.slice(0, 120).rebase()
         system = MoDMSystem(space, self._config())
-        assert isinstance(system.cache, TieredImageCache)
+        assert isinstance(system.cache, TieredVectorCache)
         report = system.run(trace)
         assert report.n_completed == len(trace)
         # Hits drove promotions through the serving loop.
