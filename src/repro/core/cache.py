@@ -57,9 +57,9 @@ class CacheEntry(Generic[PayloadT]):
     out these views, whose properties read the cache's columns.  Views
     are ephemeral: once the slot is recycled, ``record_hit`` sees the
     slot's new entry id and ignores the view, so a stale view is inert
-    rather than wrong.  ``insert`` returns the entry it evicted
-    *detached* — a view over a copy of that entry's columns — so it
-    stays readable after its slot is reused.
+    rather than wrong.  ``insert`` returns the entry it evicted as an
+    :class:`EvictedEntry`, whose fields stay readable after the slot is
+    reused.
     """
 
     __slots__ = ("_cache", "entry_id", "slot")
@@ -88,19 +88,17 @@ class CacheEntry(Generic[PayloadT]):
         return int(self._cache._hits[self.slot])
 
 
-class _Detached:
-    """One evicted entry's columns, read by its :class:`CacheEntry`."""
+@dataclass
+class EvictedEntry(Generic[PayloadT]):
+    """An evicted entry's fields, copied out before ``insert`` reuses
+    its slot; named as on :class:`CacheEntry`."""
 
-    __slots__ = ("_payloads", "_inserted_at", "_hits", "_embedding")
-
-    def __init__(self, slot, payload, embedding, inserted_at, hits):
-        self._payloads = {slot: payload}
-        self._inserted_at = {slot: inserted_at}
-        self._hits = {slot: hits}
-        self._embedding = embedding
-
-    def _row(self, slot: int) -> np.ndarray:
-        return self._embedding
+    entry_id: int
+    slot: int
+    payload: PayloadT
+    embedding: np.ndarray
+    inserted_at: float
+    hits: int
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +375,10 @@ class VectorCache(Generic[PayloadT]):
         self.insertions = 0
         self.evictions = 0
         self.lookups = 0
-        rows = self._init_rows()
+        rows, embeddings = self._init_rows()
+        # The inserted embedding arrays by slot (None on the tiered
+        # cache): views return them and snapshots copy the references.
+        self._embeddings: Optional[List[Optional[np.ndarray]]] = embeddings
         # IVF index over the row store and the live column; None on the
         # exact backend.
         self._index: Optional[IVFIndex] = (
@@ -485,8 +486,8 @@ class VectorCache(Generic[PayloadT]):
         payload: PayloadT,
         embedding: np.ndarray,
         now: float,
-    ) -> Optional[CacheEntry[PayloadT]]:
-        """Insert a payload; returns the evicted entry (detached), if any.
+    ) -> Optional[EvictedEntry[PayloadT]]:
+        """Insert a payload; returns the evicted entry, if any.
 
         A filling cache uses slot ``len(self)``; a full one overwrites
         the FIFO ring cursor or, under LRU/utility, the policy's victim.
@@ -525,19 +526,19 @@ class VectorCache(Generic[PayloadT]):
         self.insertions += 1
         return evicted
 
-    def _evict(self, slot: int) -> CacheEntry[PayloadT]:
+    def _evict(self, slot: int) -> EvictedEntry[PayloadT]:
         """Drop the entry at ``slot`` ahead of the insert that reuses
-        the slot (and overwrites its columns); returns it detached."""
+        the slot (and overwrites its columns); returns its fields."""
         embedding = self._row(slot)
         payload = self._payloads[slot]
-        detached = _Detached(
+        entry = EvictedEntry(
+            self._entry_ids.item(slot),
             slot,
             payload,
             embedding,
             float(self._inserted_at[slot]),
             int(self._hits[slot]),
         )
-        entry = CacheEntry(detached, self._entry_ids.item(slot), slot)
         if self._index is not None:
             self._index.remove(slot, embedding)
         if self._policy is not None:
@@ -670,16 +671,11 @@ class VectorCache(Generic[PayloadT]):
     # ------------------------------------------------------------------
     # Row store: one dense matrix (TieredVectorCache overrides these)
     # ------------------------------------------------------------------
-    def _init_rows(self) -> np.ndarray:
-        """Allocate the row store; returns the matrix the index reads."""
+    def _init_rows(self) -> Tuple[np.ndarray, Optional[list]]:
+        """Allocate the row store: ``(rows the index reads, embedding
+        references by slot)``."""
         self._matrix = np.zeros((self._capacity, self._embed_dim))
-        # The inserted embedding arrays by slot (what an entry's
-        # ``embedding`` returns), so a snapshot copies references, not
-        # the matrix.
-        self._embeddings: List[Optional[np.ndarray]] = (
-            [None] * self._capacity
-        )
-        return self._matrix
+        return self._matrix, [None] * self._capacity
 
     def _row(self, slot: int) -> np.ndarray:
         return self._embeddings[slot]

@@ -480,10 +480,10 @@ class TieredVectorCache(VectorCache):
     # ------------------------------------------------------------------
     # Row store: hot rows, cold file
     # ------------------------------------------------------------------
-    def _init_rows(self) -> _SlotRows:
+    def _init_rows(self) -> Tuple[_SlotRows, None]:
         # snap: derived (stateless adapter over the tier split)
         self._rows = _SlotRows(self)
-        return self._rows
+        return self._rows, None
 
     def _row(self, slot: int) -> np.ndarray:
         """Exact f64 row of a live slot (hot copy or cold fetch)."""

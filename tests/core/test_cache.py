@@ -14,6 +14,7 @@ from repro.core.cache import (
     VectorCache,
 )
 from repro.diffusion.latent import CachedLatent
+from test_cache_contract import slot_of
 
 
 def _vec(key, dim=8):
@@ -203,7 +204,9 @@ class TestFlatPinnedSequence:
     and the id of every evicted entry.  One digest per backend/policy;
     all four were recorded before the columnar cache core existed, so
     any change to a returned slot, a similarity bit or the eviction
-    order fails them."""
+    order fails them.  Slots are read through ``slot_of``, which also
+    works on that earlier layout, so each digest can be re-derived
+    there."""
 
     DIGESTS = {
         ("exact", "fifo"): (
@@ -238,7 +241,7 @@ class TestFlatPinnedSequence:
         digest = hashlib.sha256()
 
         def record(entry, sim):
-            slot = -1 if entry is None else entry.slot
+            slot = -1 if entry is None else slot_of(cache, entry)
             digest.update(np.int64(slot).tobytes())
             digest.update(np.float64(sim).tobytes())
 

@@ -621,11 +621,16 @@ class TestPromotionDemotion:
         for i in range(8):
             cache.insert(i, data[i], now=float(i))
         entry, _ = cache.retrieve(data[3])
-        assert entry.payload == 3 and cache.hot_count == 0
+        # The hit entry itself moves: its slot gains a hot-store row.
+        assert entry.payload == 3 and cache._hot_row[entry.slot] < 0
         cache.record_hit(entry, now=10.0)
-        assert cache.hot_count == 0 and cache.promotions == 0
+        assert cache._hot_row[entry.slot] < 0 and cache.promotions == 0
         cache.record_hit(entry, now=11.0)
-        assert cache.hot_count == 1 and cache.promotions == 1
+        assert cache._hot_row[entry.slot] >= 0 and cache.promotions == 1
+        assert cache.hot_count == 1
+        np.testing.assert_array_equal(
+            cache._hot_store[cache._hot_row[entry.slot]], data[3]
+        )
 
     def test_full_hot_store_demotes_a_victim(self):
         cache = exact_tiered(16, hot_capacity=2, promote_hits=1)
@@ -680,7 +685,7 @@ class TestPromotionDemotion:
         assert cache.hot_count == 4
         evicted = cache.insert(4, data[4], now=4.0)
         assert evicted is not None and evicted.entry_id == 0
-        # The detached entry keeps a real embedding copy.
+        # The evicted record keeps a real embedding copy.
         np.testing.assert_array_equal(evicted.embedding, data[0])
         assert cache.hot_count == 3
 
