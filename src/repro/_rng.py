@@ -37,7 +37,12 @@ mixing and PCG64 seeding regenerated as unrolled Python, so a long-lived
 PCG64 can be set to the state ``PCG64(seed)`` would have without paying
 full object construction per key.  The replay is generated per lane
 count: for ``n`` seeds it mixes all of them at once in one Python int
-holding ``n`` 64-bit lanes.  ``tests/test_rng.py`` pins every path
+holding ``n`` 64-bit lanes.  Pointing the long-lived PCG64 at a
+replayed state (:meth:`_FastStream.seek`) writes the state's four
+64-bit words straight into the bit generator's C struct and clears its
+buffered half-draw; each stream checks that layout once, against
+numpy's ``state`` setter, and seeks through that setter instead on any
+build where the check fails.  ``tests/test_rng.py`` pins every path
 bit-for-bit against the oracle.
 """
 
@@ -57,6 +62,11 @@ from typing import (
 )
 
 import numpy as np
+
+try:
+    import ctypes
+except ImportError:  # pragma: no cover - ctypes-less builds
+    ctypes = None  # type: ignore[assignment]
 
 Key = Union[str, int, float, bytes]
 
@@ -433,25 +443,123 @@ def _pcg64_raw_states(seeds: Sequence[int]) -> List[Tuple[int, int]]:
     return out
 
 
+#: A ``(state, inc)`` pair every layout check writes and reads back.
+_PROBE_RAW = _pcg64_raw_state(seed_for("fast-stream-layout-probe"))
+#: ``has_uint32`` and ``uinteger`` cleared: no buffered 32-bit half-draw.
+_NO_HALF_DRAW = bytes(8)
+
+
+def _state_views(
+    bg: np.random.PCG64,
+) -> Optional[Tuple[memoryview, memoryview]]:
+    """Writable byte views of ``bg``'s PCG64 state, or ``None``.
+
+    ``bg.ctypes.state_address`` points to numpy's ``pcg64_state``: a
+    pointer to the ``pcg64_random_t`` holding the 128-bit ``state`` and
+    ``inc``, then the ``has_uint32`` / ``uinteger`` buffer of a half-used
+    64-bit draw.  The first view covers the 32 bytes of ``state`` and
+    ``inc``, the second the 8 bytes of the buffer.  This layout is not
+    numpy API, so it is checked before it is used:
+
+    * both structs must lie inside ``bg``'s own object memory, so no
+      probe touches memory the bit generator does not own;
+    * a probe state set through the dict setter must read back as the
+      little-endian bytes of ``state | inc << 128`` and of the buffer;
+    * the probe written through the views, over a different state, must
+      give a ``bg.state`` equal to the dict setter's and the same next
+      ``standard_normal`` draws.
+
+    Any difference — no ``ctypes``, a non-CPython object model, a build
+    that emulates 128-bit math and stores the high word first — returns
+    ``None``, and the caller keeps the dict setter.
+    """
+    if ctypes is None:
+        return None
+    state, inc = _PROBE_RAW
+    probe = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 1,
+        "uinteger": 0x9E3779B9,
+    }
+    probe_words = (state | inc << 128).to_bytes(32, "little")
+    probe_half = (1 | 0x9E3779B9 << 32).to_bytes(8, "little")
+    try:
+        base = id(bg)
+        end = base + type(bg).__basicsize__
+        addr = bg.ctypes.state_address
+        half_addr = addr + ctypes.sizeof(ctypes.c_void_p)
+        if not (base <= addr and half_addr + 8 <= end):
+            return None
+        words_addr = ctypes.c_void_p.from_address(addr).value
+        if words_addr is None or not base <= words_addr <= end - 32:
+            return None
+        words = memoryview(
+            (ctypes.c_uint8 * 32).from_address(words_addr)
+        ).cast("B")
+        half = memoryview(
+            (ctypes.c_uint8 * 8).from_address(half_addr)
+        ).cast("B")
+        gen = np.random.Generator(bg)
+        bg.state = probe
+        expected = bg.state
+        if words.tobytes() != probe_words or half.tobytes() != probe_half:
+            return None
+        draws = gen.standard_normal(8)
+        bg.state = {**probe, "state": {"state": 0, "inc": 1}}
+        words[:] = probe_words
+        half[:] = probe_half
+        if bg.state != expected or not np.array_equal(
+            gen.standard_normal(8), draws
+        ):
+            return None
+    except (AttributeError, TypeError, ValueError, NotImplementedError):
+        return None  # pragma: no cover - no such numpy build is known
+    return words, half
+
+
 class _FastStream:
     """One long-lived PCG64 generator re-pointed at keyed streams.
 
-    Setting raw PCG64 state is ~10x cheaper than constructing
-    ``default_rng`` per key; the draws are bit-identical because the state
-    is exactly what ``PCG64(seed)`` would have produced.
+    Re-pointing the generator (:meth:`seek`) is ~10x cheaper than
+    constructing ``default_rng`` per key, and the draws are bit-identical
+    because the state set is exactly what ``PCG64(seed)`` would have.
+
+    A seek writes the 128-bit ``state`` and ``inc`` as four 64-bit words
+    straight into the bit generator's ``pcg64_random_t`` and clears its
+    buffered half-draw (``has_uint32`` / ``uinteger``) in the same step,
+    so a stream whose last user drew ``integers`` starts like a fresh
+    ``PCG64(seed)`` too.  That costs ~0.3 µs; numpy's dict-validating
+    ``state`` setter costs ~1.7 µs.  Each stream checks the word layout
+    once, when it is built (:func:`_state_views`); if the check fails the
+    stream seeks through the dict setter instead, with the same bytes.
+    The views point into :attr:`_bg`, which the stream keeps alive; a
+    stream is never copied or pickled.
     """
 
     def __init__(self) -> None:
         self._bg = np.random.PCG64(0)
         self._gen = np.random.Generator(self._bg)
-        self._state_template = {
-            "bit_generator": "PCG64",
-            "state": {"state": 0, "inc": 0},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        views = _state_views(self._bg)
+        if views is None:
+            self._state_template = {
+                "bit_generator": "PCG64",
+                "state": {"state": 0, "inc": 0},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            self.seek = self._seek_dict  # type: ignore[method-assign]
+        else:
+            self._words, self._half_draw = views
 
     def seek(self, raw: Tuple[int, int]) -> np.random.Generator:
+        """Point the generator at the stream whose PCG64 state is ``raw``."""
+        self._words[:] = (raw[0] | raw[1] << 128).to_bytes(32, "little")
+        self._half_draw[:] = _NO_HALF_DRAW
+        return self._gen
+
+    def _seek_dict(self, raw: Tuple[int, int]) -> np.random.Generator:
+        """:meth:`seek` through numpy's ``state`` setter."""
         tmpl = self._state_template
         tmpl["state"]["state"] = raw[0]
         tmpl["state"]["inc"] = raw[1]
@@ -594,9 +702,9 @@ class DirectionCache:
         uncached draw (as :meth:`fresh_unit`).  ``keys`` is a key tuple
         or its precomputed ``int`` seed (``seed_for(*keys)``, e.g. from a
         :class:`SeedPrefix`).  Every key tuple is hashed once, memo hits
-        are served, all remaining seeds go through
-        :func:`_pcg64_raw_states` together, and the draws then run in
-        item order.  A memoized key repeated within the batch is drawn
+        are served, all remaining seeds go through the packed replay
+        together (one generated call for up to :data:`_MAX_LANES`), and
+        the draws then run in item order.  A memoized key repeated within the batch is drawn
         once and counted as a hit the second time, as sequential calls
         would count it.  Results are bit-identical to the one-at-a-time
         methods.
@@ -604,6 +712,7 @@ class DirectionCache:
         out: List[Draw] = [None] * len(items)  # type: ignore[list-item]
         units, scalars = self._units, self._scalars
         todo: List[Tuple[int, Optional[int], bool, int]] = []
+        seeds: List[int] = []
         first: Dict[Tuple[Optional[int], int], int] = {}
         repeats: List[Tuple[int, int]] = []
         for i, (dim, memoize, keys) in enumerate(items):
@@ -625,13 +734,19 @@ class DirectionCache:
                 self.misses += 1
                 first[memo_key] = i
             todo.append((i, dim, memoize, seed))
-        if not todo:
+            seeds.append(seed)
+        n = len(seeds)
+        if n == 0:
             return out
-        seeds = list(dict.fromkeys(t[3] for t in todo))
-        raw_of = dict(zip(seeds, _pcg64_raw_states(seeds)))
+        if n == 1:
+            raws: Sequence[Tuple[int, int]] = (_pcg64_raw_state(seeds[0]),)
+        elif n <= _MAX_LANES:
+            raws = _raw_state_fn(n)(*seeds)
+        else:
+            raws = _pcg64_raw_states(seeds)
         seek = self._stream.seek
-        for i, dim, memoize, seed in todo:
-            gen = seek(raw_of[seed])
+        for (i, dim, memoize, seed), raw in zip(todo, raws):
+            gen = seek(raw)
             if dim is None:
                 out[i] = value = float(gen.standard_normal())
                 if memoize:

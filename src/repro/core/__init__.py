@@ -79,6 +79,7 @@ from repro.core.slo import (
     summarize_slo,
 )
 from repro.core.tiering import (
+    ColdExtentError,
     ColdStore,
     TieredCacheConfig,
     TieredVectorCache,
@@ -93,6 +94,7 @@ __all__ = [
     "ClusterRouter",
     "ClusterRoutingConfig",
     "ClusterServingSystem",
+    "ColdExtentError",
     "ColdStore",
     "Decision",
     "GlobalMonitor",

@@ -83,6 +83,7 @@ from repro.core.serving import (
     ServingReport,
     install_arrival_cohorts,
 )
+from repro.core.tiering import check_cold_extents
 from repro.metrics.latency import percentile
 from repro.embedding.space import SemanticSpace
 from repro.workloads.prompts import Prompt
@@ -610,10 +611,6 @@ class ReplicaAutoscaler:
         ]
         self._smooth = [float(c) for c in initial_counts]
 
-    @property
-    def total_workers(self) -> int:
-        return self._total
-
     def snapshot_state(self) -> Dict[str, Any]:
         """PID and smoothed-split state for fleet snapshots."""
         return {
@@ -742,9 +739,6 @@ class ClusterReport:
     @property
     def n_completed(self) -> int:
         return self.fleet.n_completed
-
-    def per_replica_hit_rates(self) -> List[float]:
-        return [report.hit_rate for report in self.replicas]
 
     def latency_percentile_s(self, q: float) -> float:
         """Fleet latency percentile (0-100); 0.0 with no completions."""
@@ -1571,6 +1565,12 @@ class ClusterSnapshot:
         ``install_timeline=False`` the clock jumps to the snapshot
         instant with no future arrivals scheduled — journal-suffix
         replay then re-injects them from ARRIVAL rows.
+
+        Raises :class:`~repro.core.tiering.ColdExtentError`, before any
+        state is installed, when a replica's tiered cache state (live
+        or kept for a warm restart) needs more cold rows than that
+        replica's cold file holds — e.g. a fresh fleet with
+        ``cold_dir=None``.
         """
         fp = _cluster_fingerprint(cluster)
         if fp != self.fingerprint:
@@ -1578,6 +1578,12 @@ class ClusterSnapshot:
                 "fleet snapshot/configuration mismatch:\n"
                 f"  snapshot: {self.fingerprint}\n"
                 f"  cluster:  {fp}"
+            )
+        for replica, state in zip(cluster.replicas, self.replica_states):
+            check_cold_extents(
+                getattr(replica, "cache", None),
+                [state.cache_state]
+                + [snap for _, snap in state.cache_snapshots],
             )
         loop = EventLoop()
         cluster.loop = loop

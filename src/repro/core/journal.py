@@ -504,6 +504,10 @@ class Snapshot:
         :class:`JournalReplayer` then drives the run forward from the
         journal suffix alone — the store already holds every trace row
         (runs bulk-load the trace up front), so no trace file is needed.
+
+        Raises :class:`~repro.core.tiering.ColdExtentError`, before any
+        state is installed, when a tiered cache state needs more cold
+        rows than ``system``'s cold file holds.
         """
         fp = _fingerprint(system)
         if fp != self.fingerprint:
@@ -514,6 +518,11 @@ class Snapshot:
             )
         from repro.core.request import RequestRecord
         from repro.core.serving import _WorkItem
+        from repro.core.tiering import check_cold_extents
+
+        check_cold_extents(
+            getattr(system, "cache", None), [self.cache_state]
+        )
 
         system._reset_runtime()
         loop = system.loop

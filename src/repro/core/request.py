@@ -181,10 +181,6 @@ class RequestStore:
     def __len__(self) -> int:
         return self._n
 
-    @property
-    def n_records(self) -> int:
-        return self._n
-
     def _grow_to(self, need: int) -> None:
         cap = self._cap
         while cap < need:
@@ -611,15 +607,6 @@ class RequestRecord:
                 f"request {self.request_id} has no deadline"
             )
         return float(d) - now
-
-    @property
-    def met_deadline(self) -> Optional[bool]:
-        """Whether the deadline was met; None without a deadline."""
-        d = self._store.deadline_s[self._row]
-        if d != d:
-            return None
-        c = self._store.completion_s[self._row]
-        return bool(c == c and c <= d)
 
     @property
     def latency_s(self) -> float:

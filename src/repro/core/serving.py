@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import (
     Callable,
-    Deque,
     Dict,
     Iterator,
     List,
@@ -1034,10 +1033,6 @@ def install_arrival_cohorts(
         deliver(records[bounds[i] : bounds[i + 1]], now)
 
     loop.schedule_timeline(arrivals[starts], fire_cohort)
-
-
-def _pop_fifo(queue: Deque[RequestRecord]) -> Optional[RequestRecord]:
-    return queue.popleft() if queue else None
 
 
 def clear_hotpath_memos(space: Optional[SemanticSpace] = None) -> None:

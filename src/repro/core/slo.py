@@ -219,12 +219,6 @@ class SloSummary:
             return 0.0
         return self.shed / self.total
 
-    @property
-    def degraded_rate(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return self.degraded / self.total
-
 
 def summarize_slo(
     records: Sequence[RequestRecord],

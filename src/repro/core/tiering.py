@@ -127,6 +127,19 @@ class TieredCacheConfig:
         return max(1, capacity // 8)
 
 
+class ColdExtentError(ValueError):
+    """A snapshot references more cold rows than its cold file holds.
+
+    A tiered cache's snapshot is valid only against the first
+    ``TierState.cold_rows`` rows of its cold file.  Restoring it into a
+    cache whose file is shorter — for instance a fresh fleet with
+    ``cold_dir=None``, whose anonymous cold files start empty — cannot
+    be exact.  :meth:`ColdStore.rewind` raises this error, and
+    ``Snapshot.restore`` / ``ClusterSnapshot.restore`` raise it through
+    :func:`check_cold_extents` before they install any state.
+    """
+
+
 class ColdStore:
     """Float64 row file written at an append cursor, read by ``pread``.
 
@@ -276,13 +289,18 @@ class ColdStore:
         """
         if rows < 0:
             raise ValueError("rows must be >= 0")
+        self.check_extent(rows)
+        self._rows = rows
+
+    def check_extent(self, rows: int) -> None:
+        """Raise :class:`ColdExtentError` unless the file physically
+        holds ``rows`` rows."""
         size = os.fstat(self._fd).st_size
         if rows * self._row_bytes > size:
-            raise ValueError(
+            raise ColdExtentError(
                 f"cold store holds {size // self._row_bytes} rows, "
                 f"cannot rewind to {rows}"
             )
-        self._rows = rows
 
     def close(self) -> None:
         self._file.close()
@@ -731,3 +749,19 @@ class TieredVectorCache(VectorCache):
         self._hot_free = list(range(self._hot_capacity - 1, -1, -1))
         self._tier_policy = make_eviction_policy(self._tiering.tier_policy)
         self._cold.rewind(0)
+
+
+def check_cold_extents(
+    cache: object, states: Iterable[Optional[VectorCacheState]]
+) -> None:
+    """Raise :class:`ColdExtentError` if a state needs cold rows that
+    ``cache``'s file lacks.
+
+    Restore paths call this for every cache state they will install (or
+    keep for a later warm restart) before they touch any state.  Flat
+    caches, and states of ``None``, always pass.
+    """
+    if isinstance(cache, TieredVectorCache):
+        for state in states:
+            if state is not None:
+                cache.cold_store.check_extent(state.rows.cold_rows)

@@ -19,7 +19,7 @@ With the default calibration:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -111,6 +111,12 @@ class SemanticSpace:
     _image_noise_seeds: SeedPrefix = field(
         init=False, repr=False, compare=False
     )
+    #: The last ``(image_id, seed)`` pair ``image_noise_seed`` returned:
+    #: a diffusion model and then the image encoder ask for the same
+    #: image's seed, and the second ask is served without hashing.
+    _last_image_noise: Tuple[Optional[str], int] = field(
+        default=(None, 0), init=False, repr=False, compare=False
+    )
 
     #: Stream name of the image encoder's per-image noise.
     IMAGE_NOISE_STREAM = "image-encoder-noise"
@@ -141,7 +147,12 @@ class SemanticSpace:
         ``config.image_encoder_noise``; a diffusion model draws it ahead
         of time, with the rest of the image's draws.
         """
-        return self._image_noise_seeds(image_id)
+        last = self._last_image_noise
+        if last[0] == image_id:
+            return last[1]
+        seed = self._image_noise_seeds(image_id)
+        self._last_image_noise = (image_id, seed)
+        return seed
 
     def drift_keys(self, *keys) -> Tuple:
         """Key tuple of the noise stream :meth:`drift` draws for ``keys``."""

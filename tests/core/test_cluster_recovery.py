@@ -27,6 +27,7 @@ from repro.core.config import (
     correlated_group,
 )
 from repro.core.journal import JournalReplayer
+from repro.core.tiering import ColdExtentError, TieredCacheConfig
 from repro.workloads import DiffusionDBConfig, diffusiondb_trace
 
 _SLOW = settings(
@@ -394,3 +395,60 @@ class TestClusterSnapshot:
         replayer.verify()
         assert _payload(resumed, report) == straight_fleet["payload"]
         assert any(rec.n_migrated > 0 for rec in resumed._failures)
+
+
+class TestColdExtentCheck:
+    """A tiered fleet's snapshot restored into a fresh fleet with
+    ``cold_dir=None`` cannot be exact: the fresh fleet's anonymous cold
+    files are empty.  Restore raises the typed error before it installs
+    any state."""
+
+    def test_short_cold_extent_raises_before_any_state(self, space):
+        trace = diffusiondb_trace(
+            space,
+            DiffusionDBConfig(
+                n_requests=120, request_rate_per_min=40.0, seed="alias"
+            ),
+        )
+        span = trace.requests[-1].arrival_s
+        config = MoDMConfig(
+            cluster=ClusterConfig(gpu_name="MI210", n_workers=16),
+            cache_capacity=400,
+            small_models=("sdxl",),
+            retrieval_backend="ivf",
+            cache_tiering=TieredCacheConfig(cold_dir=None),
+        )
+        routing = ClusterRoutingConfig(
+            n_replicas=4,
+            journal=True,
+            snapshot_period_s=span / 8,
+            failures=FailurePlan(
+                events=(
+                    FailureEvent(
+                        time_s=0.3 * span, replica=2, action="kill"
+                    ),
+                    FailureEvent(
+                        time_s=0.5 * span,
+                        replica=2,
+                        action="restart",
+                        warm=False,
+                    ),
+                ),
+            ),
+        )
+        system = modm_cluster(space, config, routing)
+        system.run(trace)
+        assert system.snapshots
+        for snap in system.snapshots:
+            fresh = modm_cluster(space, config, routing)
+            with pytest.raises(ColdExtentError, match="cannot rewind"):
+                snap.restore(fresh)
+            # Still exactly as constructed: clock 0, no journal or
+            # records, every cache and cold file empty.
+            assert fresh.loop.now == 0.0
+            assert fresh.journal is None and fresh.records == []
+            assert fresh.routed_counts == [0] * 4
+            for replica in fresh.replicas:
+                assert len(replica.cache) == 0
+                assert replica.cache.cold_store.rows == 0
+                assert replica._journal is None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repro.core.journal import (
 )
 from repro.core.cluster_router import modm_cluster
 from repro.core.serving import MoDMSystem
+from repro.core.tiering import ColdExtentError, TieredCacheConfig
 from repro.workloads import DiffusionDBConfig, diffusiondb_trace
 
 
@@ -263,6 +265,22 @@ class TestSnapshotRestore:
         )
         with pytest.raises(ValueError, match="configuration mismatch"):
             snapshot.restore(other_seed)
+
+    def test_short_cold_extent_raises_before_any_state(self, space):
+        config = replace(
+            _config(journal=JournalConfig(snapshot_period_s=60.0)),
+            retrieval_backend="ivf",
+            cache_tiering=TieredCacheConfig(cold_dir=None),
+        )
+        straight = MoDMSystem(space, config)
+        straight.run(_trace(space, n=60))
+        snapshot = straight.snapshots[-1]
+        fresh = MoDMSystem(space, config)
+        with pytest.raises(ColdExtentError, match="cannot rewind"):
+            snapshot.restore(fresh)
+        assert fresh.loop.now == 0.0
+        assert fresh.records == [] and len(fresh._journal) == 0
+        assert len(fresh.cache) == 0 and fresh.cache.cold_store.rows == 0
 
     def test_cluster_replicas_refuse_full_capture(self, space):
         fleet = modm_cluster(

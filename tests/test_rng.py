@@ -1,15 +1,19 @@
 """Tests for the deterministic RNG utilities."""
 
 import enum
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import _rng
 from repro._rng import (
     DirectionCache,
     SeedPrefix,
+    _FastStream,
+    _pcg64_raw_state,
     normalize,
     rng_for,
     rngs_for,
@@ -356,6 +360,111 @@ class TestRngsFor:
         assert out_b == [
             self._draws(rng_for(*k), i) for i, k in enumerate(keys_b)
         ]
+
+
+def _dict_set(state, inc):
+    """A generator set to ``(state, inc)`` through numpy's dict setter."""
+    bg = np.random.PCG64()
+    bg.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bg)
+
+
+def _stream_draws(gen):
+    return [
+        gen.standard_normal(48).tobytes(),
+        gen.random(5).tobytes(),
+        gen.integers(7, size=5).tolist(),
+    ]
+
+
+class TestDirectSeek:
+    """``_FastStream.seek`` writes PCG64's state words directly; every
+    seek must leave the generator exactly as numpy's dict setter would."""
+
+    def test_layout_check_passes_on_this_build(self):
+        # A stream that failed its check binds the dict setter as
+        # ``seek`` on the instance; this numpy must take the direct path.
+        assert "seek" not in vars(_FastStream())
+
+    @given(
+        st.integers(0, 2**128 - 1),
+        st.integers(0, 2**128 - 1),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_matches_dict_setter(self, state, inc, prior_seed):
+        inc |= 1
+        stream = _FastStream()
+        stream.seek(_pcg64_raw_state(prior_seed)).integers(1 << 31)
+        gen = stream.seek((state, inc))
+        ref = _dict_set(state, inc)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert _stream_draws(gen) == _stream_draws(ref)
+
+    def test_clears_a_buffered_half_draw(self):
+        stream = _FastStream()
+        gen = stream.seek(_pcg64_raw_state(seed_for("half", 0)))
+        gen.integers(1 << 31)
+        assert gen.bit_generator.state["has_uint32"] == 1
+        seed = seed_for("half", 1)
+        gen = stream.seek(_pcg64_raw_state(seed))
+        fresh = np.random.Generator(np.random.PCG64(seed))
+        assert gen.bit_generator.state == fresh.bit_generator.state
+        assert [int(gen.integers(1 << 31)) for _ in range(3)] == [
+            int(fresh.integers(1 << 31)) for _ in range(3)
+        ]
+
+    @staticmethod
+    def _early_pointer_ctypes():
+        """``ctypes`` whose state pointer lands 8 bytes early, so the
+        state words read back out of place: a layout the check rejects."""
+        real = _rng.ctypes
+        return types.SimpleNamespace(
+            c_void_p=types.SimpleNamespace(
+                from_address=lambda addr: types.SimpleNamespace(
+                    value=real.c_void_p.from_address(addr).value - 8
+                )
+            ),
+            sizeof=lambda ctype: real.sizeof(real.c_void_p),
+            c_uint8=real.c_uint8,
+        )
+
+    @pytest.mark.parametrize("layout", ["no-ctypes", "early-pointer"])
+    def test_failed_layout_check_falls_back(self, monkeypatch, layout):
+        fake = None if layout == "no-ctypes" else self._early_pointer_ctypes()
+        monkeypatch.setattr(_rng, "ctypes", fake)
+        fallback = _FastStream()
+        monkeypatch.undo()
+        assert vars(fallback)["seek"] == fallback._seek_dict
+        direct = _FastStream()
+        for i in range(5):
+            raw = _pcg64_raw_state(seed_for("fallback", i))
+            a, b = fallback.seek(raw), direct.seek(raw)
+            assert a.bit_generator.state == b.bit_generator.state
+            assert _stream_draws(a) == _stream_draws(b)
+            a.integers(1 << 31)  # leave a half-draw for the next seek
+
+    def test_rngs_for_with_integers_between_streams(self):
+        keys = [("direct-seek", i, f"k{i % 3}") for i in range(20)]
+        batched, oracle = [], []
+        for rng in rngs_for(keys):
+            batched.append(
+                [rng.bit_generator.state, int(rng.integers(1 << 31))]
+                + _stream_draws(rng)
+                + [int(rng.integers(1 << 31))]
+            )
+        for k in keys:
+            rng = rng_for(*k)
+            oracle.append(
+                [rng.bit_generator.state, int(rng.integers(1 << 31))]
+                + _stream_draws(rng)
+                + [int(rng.integers(1 << 31))]
+            )
+        assert batched == oracle
 
 
 class TestUnitVector:
