@@ -29,8 +29,8 @@ Three paths produce keyed draws, all bit-identical to each other:
 
 Callers that seed many streams under one fixed key prefix hash that
 prefix once: :class:`SeedPrefix` keeps the prefix's BLAKE2b state and
-copies it per suffix, and ``draw_batch`` takes the resulting ``int``
-seed in place of a key tuple.
+copies it per suffix, and both ``draw_batch`` and ``rngs_for`` take the
+resulting ``int`` seed in place of a key tuple.
 
 The last two paths rest on one replay: numpy's ``SeedSequence`` entropy
 mixing and PCG64 seeding regenerated as unrolled Python, so a long-lived
@@ -576,21 +576,29 @@ _STREAM_POOL: List[_FastStream] = []
 
 
 def rngs_for(
-    key_tuples: Sequence[Tuple[Key, ...]],
+    key_tuples: Sequence[Union[Tuple[Key, ...], int]],
 ) -> Iterator[np.random.Generator]:
     """Batched :func:`rng_for`: one stream per key tuple, in order.
 
-    Every tuple is hashed once and all seeds go through the packed
-    replay together.  The iterator then yields one long-lived
-    PCG64-backed generator, re-pointed at each tuple's stream in turn:
-    each yield starts in exactly the state ``rng_for(*keys)`` would, so
-    any sequence of draws from it is bit-identical to the oracle's.
+    Each entry is a key tuple or its precomputed ``int`` seed
+    (``seed_for(*keys)``, e.g. from a :class:`SeedPrefix`), as in
+    :meth:`DirectionCache.draw_batch`.  Every tuple is hashed once and
+    all seeds go through the packed replay together.  The iterator then
+    yields one long-lived PCG64-backed generator, re-pointed at each
+    entry's stream in turn: each yield starts in exactly the state
+    ``rng_for(*keys)`` would, so any sequence of draws from it is
+    bit-identical to the oracle's.
     Because the generator is shared, a stream is only valid until the
     iterator advances or is closed — draw what a key needs before
     taking the next one.  Iterators that are alive at the same time
     hold separate generators.
     """
-    raws = _pcg64_raw_states([seed_for(*keys) for keys in key_tuples])
+    raws = _pcg64_raw_states(
+        [
+            keys if keys.__class__ is int else seed_for(*keys)
+            for keys in key_tuples
+        ]
+    )
     stream = _STREAM_POOL.pop() if _STREAM_POOL else _FastStream()
     try:
         for raw in raws:

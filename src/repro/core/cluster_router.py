@@ -30,6 +30,7 @@ periodic machinery runs on the shared deterministic event loop.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -1353,13 +1354,14 @@ class ClusterServingSystem:
             stats=StatsCollector.merged(
                 [r.stats for r in self.replicas]
             ),
-            allocations=sorted(
-                (
-                    event
-                    for report in per_replica
-                    for event in report.allocations
-                ),
-                key=lambda e: e.time_s,
+            # Each replica's log is appended at monitor ticks (and
+            # copied whole on restore), so it is already time-ordered:
+            # merge it.  Ties keep replica order, as a stable sort would.
+            allocations=list(
+                heapq.merge(
+                    *(report.allocations for report in per_replica),
+                    key=lambda e: e.time_s,
+                )
             ),
             cache_size=sum(r.cache_size for r in per_replica),
             cache_storage_bytes=sum(

@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro._rng import rng_for
 from repro.embedding.space import SemanticSpace
 from repro.embedding.vocab import Vocabulary
-from repro.workloads.prompts import PromptFactory, zipf_topic_sampler
+from repro.workloads.prompts import (
+    Prompt,
+    PromptFactory,
+    zipf_topic_sampler,
+)
 from repro.workloads.trace import Trace, TraceRequest
 
 
@@ -59,7 +63,17 @@ def diffusiondb_trace(
     config: Optional[DiffusionDBConfig] = None,
     vocab: Optional[Vocabulary] = None,
 ) -> Trace:
-    """Generate a DiffusionDB-like trace over ``space``."""
+    """Generate a DiffusionDB-like trace over ``space``.
+
+    Synthesis runs in two passes.  The first schedules sessions: each
+    draws its start, length and topic, then its iterations' arrival
+    times, until the event budget is met; the first ``n_requests``
+    arrivals are kept.  The second builds only the kept prompts, one
+    :meth:`PromptFactory.make_iterations` call per session that has any,
+    in session order.  Every prompt is a pure function of its own keyed
+    streams, so building a subset yields exactly the prompts that
+    building every scheduled session would.
+    """
     cfg = config or DiffusionDBConfig()
     vocab = vocab or Vocabulary(dim=space.config.semantic_dim)
     factory = PromptFactory(
@@ -79,52 +93,68 @@ def diffusiondb_trace(
     session_rate_per_s = (
         cfg.request_rate_per_min / 60.0 / cfg.session_length_mean
     )
-    events: List[tuple] = []  # (arrival_s, seq, prompt) heap
+    # (arrival_s, session, iteration) heap.  Events are pushed in
+    # (session, iteration) order, so equal arrival times pop in push
+    # order.
+    events: List[Tuple[float, int, int]] = []
+    topics: List[int] = []
     session_start = 0.0
-    session_idx = 0
-    seq = 0
-    # Generate sessions until we are confident the first n_requests arrivals
-    # are all present (sessions overlap, so overshoot then truncate).
+    # Schedule sessions until we are confident the first n_requests
+    # arrivals are all present (sessions overlap, so overshoot then
+    # truncate).  The budget is a heuristic: at small n_requests it can
+    # stop before a session that would start ahead of the last kept
+    # arrival (tests/workloads/test_traces.py::TestTraceCompleteness).
     target = int(cfg.n_requests * 1.25) + 32
     while len(events) < target:
+        session_idx = len(topics)
         session_start += rng.exponential(1.0 / session_rate_per_s)
         # Geometric on {1, 2, ...} with the configured mean, so the
         # delivered request rate matches request_rate_per_min.
         length = max(1, int(rng.geometric(1.0 / cfg.session_length_mean)))
-        session_key = f"s{session_idx}"
-        user_id = f"user{session_idx % max(1, cfg.n_topics * 4)}"
-        topic_id = sample_topic()
-        prompts = factory.make_session(
-            topic_id, session_key, length, user_id=user_id
-        )
+        topics.append(sample_topic())
         t = session_start
-        for iteration, prompt in enumerate(prompts):
-            if iteration > 0:
-                # Most iterations follow within minutes; occasionally a
-                # user resumes a session hours later (Fig. 15's tail).
-                if rng.random() < cfg.resume_probability:
-                    t += rng.exponential(cfg.resume_gap_mean_s)
-                else:
-                    t += rng.exponential(cfg.session_gap_mean_s)
-            heapq.heappush(events, (t, seq, prompt))
-            seq += 1
-        session_idx += 1
+        heapq.heappush(events, (t, session_idx, 0))
+        for iteration in range(1, length):
+            # Most iterations follow within minutes; occasionally a
+            # user resumes a session hours later (Fig. 15's tail).
+            if rng.random() < cfg.resume_probability:
+                t += rng.exponential(cfg.resume_gap_mean_s)
+            else:
+                t += rng.exponential(cfg.session_gap_mean_s)
+            heapq.heappush(events, (t, session_idx, iteration))
 
-    requests: List[TraceRequest] = []
-    while events and len(requests) < cfg.n_requests:
-        arrival, _, prompt = heapq.heappop(events)
-        requests.append(
-            TraceRequest(
-                request_id=len(requests),
-                prompt=prompt,
-                arrival_s=float(arrival),
-            )
+    kept = [heapq.heappop(events) for _ in range(cfg.n_requests)]
+    # A session's arrival times never decrease, so its kept iterations
+    # pop in ascending order.
+    iterations: Dict[int, List[int]] = {}
+    for _, session_idx, iteration in kept:
+        iterations.setdefault(session_idx, []).append(iteration)
+    n_users = max(1, cfg.n_topics * 4)
+    prompts: Dict[Tuple[int, int], Prompt] = {}
+    for session_idx in sorted(iterations):
+        kept_iterations = iterations[session_idx]
+        built = factory.make_iterations(
+            topics[session_idx],
+            f"s{session_idx}",
+            kept_iterations,
+            user_id=f"user{session_idx % n_users}",
         )
+        for iteration, prompt in zip(kept_iterations, built):
+            prompts[session_idx, iteration] = prompt
+
+    requests = [
+        TraceRequest(
+            request_id=request_id,
+            prompt=prompts[session_idx, iteration],
+            arrival_s=float(arrival),
+        )
+        for request_id, (arrival, session_idx, iteration) in enumerate(kept)
+    ]
     return Trace(
         name="diffusiondb",
         requests=requests,
         metadata={
             "config": cfg,
-            "n_sessions": session_idx,
+            "n_sessions": len(topics),
         },
     )

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._rng import rngs_for
+from repro._rng import SeedPrefix, rngs_for
 from repro.embedding.space import SemanticSpace
 from repro.embedding.vocab import Vocabulary
 
@@ -71,6 +71,12 @@ class PromptFactory:
     _topics: Dict[Tuple[str, int], dict] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: Seeds of the session-tokens, session-drift, prompt-tokens and
+    #: prompt-drift streams, with each fixed key prefix hashed once (see
+    #: :meth:`make_iterations`).
+    _seeds: Tuple[SeedPrefix, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.vocab.dim != self.space.config.semantic_dim:
@@ -78,6 +84,13 @@ class PromptFactory:
                 "vocabulary dimension must match the space's semantic_dim "
                 f"({self.vocab.dim} != {self.space.config.semantic_dim})"
             )
+        ns, space = self.namespace, self.space
+        self._seeds = (
+            SeedPrefix(ns, "session-tokens"),
+            SeedPrefix(*space.drift_keys(ns, "session")),
+            SeedPrefix(ns, "prompt-tokens"),
+            SeedPrefix(*space.drift_keys(ns, "prompt")),
+        )
 
     # ------------------------------------------------------------------
     # Topic structure
@@ -121,9 +134,7 @@ class PromptFactory:
         and intent, varying modifiers and drifting slightly in semantics —
         the iterative-refinement behaviour DiffusionDB exhibits.
         """
-        if iteration < 0:
-            raise ValueError("iteration must be non-negative")
-        (prompt,) = self._build(
+        (prompt,) = self.make_iterations(
             topic_id, session_key, (iteration,), user_id, session_semantics
         )
         return prompt
@@ -138,35 +149,47 @@ class PromptFactory:
         """Build a full session of ``length`` iteratively refined prompts."""
         if length < 1:
             raise ValueError("session length must be >= 1")
-        return self._build(
-            topic_id, session_key, range(length), user_id, None
+        return self.make_iterations(
+            topic_id, session_key, range(length), user_id
         )
 
-    def _build(
+    def make_iterations(
         self,
         topic_id: int,
         session_key: str,
         iterations: Sequence[int],
-        user_id: str,
-        session_semantics: Optional[np.ndarray],
+        user_id: str = "anon",
+        session_semantics: Optional[np.ndarray] = None,
     ) -> List[Prompt]:
         """The given iterations of one session, seeded in one batch.
 
-        Each key owns one stream: the session's tokens, its drift from
-        the topic centre (unless ``session_semantics`` is given), and per
-        iteration the prompt's tokens and its drift from the session.
-        All of them are seeded together by :func:`rngs_for` and consumed
-        in that order; every draw matches the stream's keyed oracle.
+        Each prompt equals the same iteration of :meth:`make_session`, so
+        a caller can build just the iterations it keeps.  Each key owns
+        one stream: the session's tokens, its drift from the topic
+        centre (unless ``session_semantics`` is given), and per iteration
+        the prompt's tokens and its drift from the session.  All of them
+        are seeded together by :func:`rngs_for` and consumed in that
+        order; every draw matches the stream's keyed oracle.  The seeds
+        come from :attr:`_seeds`, equal to ``seed_for`` over the full
+        key tuples.
         """
         ns, space = self.namespace, self.space
-        keys = [(ns, "session-tokens", session_key)]
+        (
+            session_tokens_seed,
+            session_drift_seed,
+            prompt_tokens_seed,
+            prompt_drift_seed,
+        ) = self._seeds
+        seeds = [session_tokens_seed(session_key)]
         if session_semantics is None:
-            keys.append(space.drift_keys(ns, "session", session_key))
+            seeds.append(session_drift_seed(session_key))
         for iteration in iterations:
-            keys.append((ns, "prompt-tokens", session_key, iteration))
-            keys.append(space.drift_keys(ns, "prompt", session_key, iteration))
+            if iteration < 0:
+                raise ValueError("iteration must be non-negative")
+            seeds.append(prompt_tokens_seed(session_key, iteration))
+            seeds.append(prompt_drift_seed(session_key, iteration))
         topic = self.topic_tokens(topic_id)
-        streams = rngs_for(keys)
+        streams = rngs_for(seeds)
 
         rng = next(streams)
         core = (

@@ -26,8 +26,9 @@ from repro.workloads import (
 # Hypothesis profiles.  Property tests that pin ``max_examples`` keep
 # their own budget; the rest (the IVF masked-probe and block-quantization
 # oracles, the tiered residency, quantization and storage-total
-# properties, the prompt-factory and zipf-sampler oracles, the prefix-seed
-# and keyed-draw properties) take it from the profile:
+# properties, the prompt-factory, kept-iteration, kept-prompt trace and
+# zipf-sampler oracles, the prefix-seed, keyed-draw and int-seed stream
+# properties) take it from the profile:
 # bounded for tier-1, heavier when
 # ``HYPOTHESIS_PROFILE=ci-heavy`` is set.
 settings.register_profile("tier1", max_examples=20)

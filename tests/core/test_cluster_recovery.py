@@ -452,3 +452,60 @@ class TestColdExtentCheck:
                 assert len(replica.cache) == 0
                 assert replica.cache.cold_store.rows == 0
                 assert replica._journal is None
+
+
+class TestFleetAllocationMerge:
+    """The fleet report merges the replicas' allocation logs, each
+    already time-ordered, into what a stable sort by time gives."""
+
+    def test_merge_equals_stable_sort(self, space):
+        trace = _trace(space, n=200, seed="alloc-merge")
+        span = trace.requests[-1].arrival_s
+        routing = ClusterRoutingConfig(
+            n_replicas=3,
+            policy="least_loaded",
+            autoscale=True,
+            autoscale_period_s=60.0,
+            journal=True,
+            snapshot_period_s=span / 4,
+            failures=FailurePlan(
+                events=(
+                    FailureEvent(
+                        time_s=0.3 * span, replica=1, action="kill"
+                    ),
+                    FailureEvent(
+                        time_s=0.6 * span,
+                        replica=1,
+                        action="restart",
+                        warm=False,
+                    ),
+                ),
+            ),
+        )
+        system = modm_cluster(space, _modm_config(n_workers=12), routing)
+        report = system.run(trace)
+        assert [rec.replica for rec in report.failures] == [1]
+        assert report.failures[0].restart_time_s is not None
+        logs = [r.allocations for r in report.replicas]
+        assert all(
+            [e.time_s for e in log] == sorted(e.time_s for e in log)
+            for log in logs
+        )
+        stable = sorted(
+            (event for log in logs for event in log),
+            key=lambda e: e.time_s,
+        )
+        assert report.fleet.allocations == stable
+        # Replicas allocate at the same monitor ticks, so the merge
+        # resolves cross-replica ties.
+        times = [e.time_s for e in stable]
+        assert len(set(times)) < len(times)
+
+        # A restored, resumed fleet rebuilds its report the same way.
+        snap = system.snapshots[len(system.snapshots) // 2]
+        resumed = modm_cluster(
+            space, _modm_config(n_workers=12), routing
+        )
+        snap.restore(resumed)
+        again = resumed.resume(trace)
+        assert again.fleet.allocations == report.fleet.allocations

@@ -362,6 +362,28 @@ class TestRngsFor:
         ]
 
 
+
+class TestRngsForIntSeeds:
+    """``rngs_for`` entries may be precomputed int seeds, mixed freely
+    with key tuples, as ``draw_batch`` items may."""
+
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.lists(_ANY_KEYS, min_size=1, max_size=3).map(tuple),
+                st.booleans(),
+            ),
+            max_size=20,
+        )
+    )
+    def test_mixed_entries_match_key_tuples(self, entries):
+        keys = [k for k, _ in entries]
+        mixed = [seed_for(*k) if as_int else k for k, as_int in entries]
+        draws = TestRngsFor._draws
+        assert [
+            draws(rng, i) for i, rng in enumerate(rngs_for(mixed))
+        ] == [draws(rng, i) for i, rng in enumerate(rngs_for(keys))]
+
 def _dict_set(state, inc):
     """A generator set to ``(state, inc)`` through numpy's dict setter."""
     bg = np.random.PCG64()

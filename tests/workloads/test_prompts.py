@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro._rng import normalize, rng_for, unit_vector
@@ -268,6 +268,34 @@ class TestReferenceOracle:
 
     def test_topic_tokens_memoized(self, factory):
         assert factory.topic_tokens(11) is factory.topic_tokens(11)
+
+
+class TestMakeIterations:
+    """A session's kept iterations, built alone, equal the same items
+    of the whole session."""
+
+    # Example budget from the hypothesis profile (tests/conftest.py).
+    @settings(deadline=None)
+    @given(
+        topic_id=st.integers(0, 400),
+        session_key=st.one_of(
+            st.text(min_size=1, max_size=8), st.integers()
+        ),
+        length=st.integers(1, 10),
+        kept=st.sets(st.integers(0, 9)),
+    )
+    @example(topic_id=7, session_key="s-sub", length=6, kept={0, 3, 5})
+    def test_matches_whole_session(
+        self, factory, topic_id, session_key, length, kept
+    ):
+        iterations = sorted(i for i in kept if i < length)
+        session = factory.make_session(topic_id, session_key, length, "u3")
+        subset = factory.make_iterations(
+            topic_id, session_key, iterations, "u3"
+        )
+        assert [_fields(p) for p in subset] == [
+            _fields(session[i]) for i in iterations
+        ]
 
 
 class TestZipfSampler:

@@ -2,17 +2,23 @@
 
 import collections
 import hashlib
+import heapq
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro._rng import rng_for
+from repro.embedding.vocab import Vocabulary
 from repro.workloads import (
     DiffusionDBConfig,
     MJHQConfig,
     diffusiondb_trace,
     mjhq_trace,
 )
+from repro.workloads.prompts import PromptFactory, zipf_topic_sampler
 from repro.workloads.trace import Trace, TraceRequest
 
 
@@ -225,3 +231,130 @@ class TestTracePins:
             "adbc69abc034f3cbb759fcddca728fb1"
             "06a25d6ab66a7790047c46475b00804b"
         )
+
+
+def eager_diffusiondb_trace(space, cfg):
+    """The DiffusionDB trace built eagerly: every scheduled session in
+    full, then truncated to the first ``n_requests`` arrivals.
+
+    The oracle for :func:`diffusiondb_trace`, which builds only the
+    prompts it keeps.  Also returns the start time the schedule gives
+    the first session it did not schedule.
+    """
+    factory = PromptFactory(
+        space=space,
+        vocab=Vocabulary(dim=space.config.semantic_dim),
+        namespace=cfg.seed,
+        session_drift=cfg.session_drift,
+        prompt_drift=cfg.prompt_drift,
+    )
+    rng = rng_for(cfg.seed, "arrivals")
+    sample_topic = zipf_topic_sampler(
+        cfg.n_topics, cfg.topic_zipf_exponent, rng_for(cfg.seed, "topics")
+    )
+    session_rate_per_s = (
+        cfg.request_rate_per_min / 60.0 / cfg.session_length_mean
+    )
+    events = []  # (arrival_s, seq, prompt) heap
+    session_start = 0.0
+    session_idx = 0
+    seq = 0
+    target = int(cfg.n_requests * 1.25) + 32
+    while len(events) < target:
+        session_start += rng.exponential(1.0 / session_rate_per_s)
+        length = max(1, int(rng.geometric(1.0 / cfg.session_length_mean)))
+        session_key = f"s{session_idx}"
+        user_id = f"user{session_idx % max(1, cfg.n_topics * 4)}"
+        topic_id = sample_topic()
+        prompts = factory.make_session(
+            topic_id, session_key, length, user_id=user_id
+        )
+        t = session_start
+        for iteration, prompt in enumerate(prompts):
+            if iteration > 0:
+                if rng.random() < cfg.resume_probability:
+                    t += rng.exponential(cfg.resume_gap_mean_s)
+                else:
+                    t += rng.exponential(cfg.session_gap_mean_s)
+            heapq.heappush(events, (t, seq, prompt))
+            seq += 1
+        session_idx += 1
+
+    requests = []
+    while events and len(requests) < cfg.n_requests:
+        arrival, _, prompt = heapq.heappop(events)
+        requests.append(
+            TraceRequest(
+                request_id=len(requests),
+                prompt=prompt,
+                arrival_s=float(arrival),
+            )
+        )
+    trace = Trace(
+        name="diffusiondb",
+        requests=requests,
+        metadata={"config": cfg, "n_sessions": session_idx},
+    )
+    next_start = session_start + rng.exponential(1.0 / session_rate_per_s)
+    return trace, next_start
+
+
+class TestLazyBuildOracle:
+    """Building only the kept prompts gives the eager trace, byte for
+    byte."""
+
+    # Example budget from the hypothesis profile (tests/conftest.py).
+    @settings(deadline=None)
+    @given(
+        n_requests=st.integers(1, 600),
+        seed=st.text(max_size=10),
+        session_length_mean=st.floats(1.0, 8.0),
+        resume_probability=st.sampled_from([0.0, 0.15, 1.0]),
+    )
+    def test_matches_eager_reference(
+        self, space, n_requests, seed, session_length_mean,
+        resume_probability,
+    ):
+        cfg = DiffusionDBConfig(
+            n_requests=n_requests,
+            seed=seed,
+            session_length_mean=session_length_mean,
+            resume_probability=resume_probability,
+        )
+        trace = diffusiondb_trace(space, cfg)
+        reference, _ = eager_diffusiondb_trace(space, cfg)
+        assert trace_sha256(trace) == trace_sha256(reference)
+        assert trace.metadata == reference.metadata
+
+
+_TAIL_DEFECT = (
+    "the int(1.25*n)+32 event budget stops scheduling sessions before "
+    "the n-th kept arrival (ROADMAP Open item 'Trace tail: an exact "
+    "stop rule for session scheduling')"
+)
+
+
+class TestTraceCompleteness:
+    """A trace holds the first ``n_requests`` arrivals of the whole
+    session process: no session the schedule would start before the
+    last kept arrival is missing."""
+
+    @pytest.mark.parametrize(
+        "n_requests, seed",
+        [
+            (12_000, "perfbench-1"),
+            (12_000, "perfbench-1729"),
+            pytest.param(
+                1500, "pin-1",
+                marks=pytest.mark.xfail(strict=True, reason=_TAIL_DEFECT),
+            ),
+            pytest.param(
+                1500, "pin-1729",
+                marks=pytest.mark.xfail(strict=True, reason=_TAIL_DEFECT),
+            ),
+        ],
+    )
+    def test_no_session_missing_from_the_tail(self, space, n_requests, seed):
+        cfg = DiffusionDBConfig(n_requests=n_requests, seed=seed)
+        trace, next_start = eager_diffusiondb_trace(space, cfg)
+        assert trace.requests[-1].arrival_s <= next_start
