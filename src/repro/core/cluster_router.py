@@ -30,10 +30,10 @@ periodic machinery runs on the shared deterministic event loop.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -1354,14 +1354,12 @@ class ClusterServingSystem:
             stats=StatsCollector.merged(
                 [r.stats for r in self.replicas]
             ),
-            # Each replica's log is appended at monitor ticks (and
-            # copied whole on restore), so it is already time-ordered:
-            # merge it.  Ties keep replica order, as a stable sort would.
-            allocations=list(
-                heapq.merge(
-                    *(report.allocations for report in per_replica),
-                    key=lambda e: e.time_s,
-                )
+            # Each replica's log is already time-ordered, so the stable
+            # sort of their concatenation merges those runs and keeps
+            # ties in replica order.
+            allocations=sorted(
+                [e for report in per_replica for e in report.allocations],
+                key=attrgetter("time_s"),
             ),
             cache_size=sum(r.cache_size for r in per_replica),
             cache_storage_bytes=sum(

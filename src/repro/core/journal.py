@@ -288,17 +288,20 @@ def _journal_prefix(journal: Optional[EventJournal]) -> EventJournal:
 def _copy_store(store: "RequestStore") -> "RequestStore":
     """Deep-enough copy of a :class:`RequestStore`.
 
-    Columns are copied; object payloads (prompts, decisions, images)
-    are shared by reference — they are immutable once attached, so a
-    snapshot and the live run can safely point at the same objects.
+    Columns are copied over their live region only (at least one row,
+    the store's minimum capacity): rows past it hold column defaults,
+    which a later append re-creates when it grows the copy.  Object
+    payloads (prompts, decisions, images) are shared by reference —
+    they are immutable once attached, so a snapshot and the live run
+    can safely point at the same objects.
     """
     from repro.core.request import COLUMNS, RequestStore
 
     clone = RequestStore.__new__(RequestStore)
     clone._n = store._n
-    clone._cap = store._cap
+    clone._cap = cap = max(1, store._n)
     for name in COLUMNS:
-        setattr(clone, name, getattr(store, name).copy())
+        setattr(clone, name, getattr(store, name)[:cap].copy())
     clone.prompts = list(store.prompts)
     clone.decisions = list(store.decisions)
     clone.images = dict(store.images)

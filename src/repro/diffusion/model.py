@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro._memo import variant_get, variant_put
 from repro._rng import (
     Draw,
     DrawItem,
@@ -54,16 +55,22 @@ _MEMO_MAX = 150_000
 #: shared process-wide.  All are pure functions of their keys: the key
 #: prefix pins the full spec parametrization (via its digest) and the
 #: space geometry; prompt ids pin prompt content by the workload contract
-#: (a prompt id identifies one immutable prompt); refine keys additionally
-#: pin the source image's *content bytes*, because a refined image's id
-#: does not encode the skip depth that produced it, so the same source id
-#: can carry different content under different serving configs.  The
-#: caches survive across system instances — the regime where they pay
-#: off: experiment suites drive the same trace through several serving
-#: systems and replays, and every system re-renders the same prompts.
+#: (a prompt id identifies one immutable prompt).  The caches survive
+#: across system instances — the regime where they pay off: experiment
+#: suites drive the same trace through several serving systems and
+#: replays, and every system re-renders the same prompts.
+#:
+#: ``_CONTENT_CACHE`` holds both generation paths under one size bound.
+#: A generated content is keyed ``prefix + (image_id,)``.  A refined
+#: content also depends on its source image's content, which the
+#: source id does not pin (a refined image's id does not encode the
+#: skip depth that produced it, so the same source id can carry
+#: different content under different serving configs): it is a
+#: :mod:`repro._memo` variant entry, keyed ``prefix + (image_id, skip,
+#: variant)`` and holding ``(source content, content)``.
 _TARGET_CACHE: Dict[Tuple, np.ndarray] = {}
 _ARTIFACT_CACHE: Dict[Tuple, np.ndarray] = {}
-_CONTENT_CACHE: Dict[Tuple, np.ndarray] = {}
+_CONTENT_CACHE: Dict[Tuple, Any] = {}
 
 
 def clear_model_memos() -> None:
@@ -385,16 +392,12 @@ class DiffusionModelSim:
             prompt.prompt_id, seed, source_id=source.image_id
         )
         # Pure in (spec, space, prompt+seed+sequence via image id, skip
-        # depth, source content).  The source's content *bytes* are part
-        # of the key: a refined image's id does not encode the skip depth
-        # that produced it, so the same source id can carry different
-        # content under different serving configs.
-        content_key = self._memo_prefix + (
-            image_id,
-            skipped_steps,
-            source.content.tobytes(),
+        # depth, source content); the source content is matched bitwise
+        # by the variant memo, not pinned by its id.
+        content_key = self._memo_prefix + (image_id, skipped_steps)
+        content, variant = variant_get(
+            _CONTENT_CACHE, content_key, source.content
         )
-        content = _CONTENT_CACHE.get(content_key)
         if content is None:
             terms = self._skip_cache.get(skipped_steps)
             if terms is None:
@@ -435,7 +438,10 @@ class DiffusionModelSim:
             if drift > 0.0:
                 blend = normalize((1.0 - drift) * blend + drift * drawn[-2])
             content = self._finish(blend, drawn[-1])
-            _memo_store(_CONTENT_CACHE, content_key, content)
+            variant_put(
+                _CONTENT_CACHE, content_key, variant, source.content,
+                content, _MEMO_MAX,
+            )
         steps_run = total - skipped_steps
         image = SyntheticImage(
             image_id=image_id,

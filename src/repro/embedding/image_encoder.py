@@ -9,10 +9,11 @@ text-to-image retrieval tracks visual alignment (§3.2's insight).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
+from repro._memo import VariantMemo, variant_get, variant_put
 from repro._rng import directions, normalize
 from repro.embedding.space import SemanticSpace
 
@@ -22,7 +23,7 @@ class ImageLike(Protocol):
 
     ``content`` is the depicted-semantics vector in the semantic subspace
     (not necessarily unit norm); ``image_id`` keys the deterministic encoder
-    perturbation and the embedding cache.
+    perturbation and the embedding memo.
     """
 
     image_id: str
@@ -30,23 +31,26 @@ class ImageLike(Protocol):
 
 
 #: Process-wide embedding memo shared by caching encoder instances.  Keys
-#: pin the space geometry, the image id (which seeds the deterministic
-#: encoder perturbation), and the image's content *bytes* — a refined
-#: image's id does not encode the skip depth that produced it, so the
-#: same id can carry different content under different serving configs.
-_EMBED_MEMO: Dict[tuple, np.ndarray] = {}
+#: pin the space geometry and the image id (which seeds the deterministic
+#: encoder perturbation); the image's content is matched bitwise by the
+#: variant memo (:mod:`repro._memo`) — a refined image's id does not
+#: encode the skip depth that produced it, so the same id can carry
+#: different content under different serving configs.
+_EMBED_MEMO: VariantMemo = {}
 _EMBED_MEMO_MAX = 300_000
 
 
 class ClipLikeImageEncoder:
-    """Deterministic image encoder over a :class:`SemanticSpace`."""
+    """Deterministic image encoder over a :class:`SemanticSpace`.
+
+    ``cache_embeddings`` serves repeat images from the process-wide
+    memo above; without it every call encodes afresh.
+    """
 
     def __init__(self, space: SemanticSpace, cache_embeddings: bool = True):
         self._space = space
         self._anchor = space.image_anchor()
-        self._cache: Optional[Dict[str, np.ndarray]] = (
-            {} if cache_embeddings else None
-        )
+        self._cache_embeddings = cache_embeddings
         self._memo_key = f"image/{space.config!r}"
 
     @property
@@ -58,27 +62,18 @@ class ClipLikeImageEncoder:
         return self._space.config.embed_dim
 
     def encode(self, image: ImageLike) -> np.ndarray:
-        """Embed one image; results are cached by ``image_id``."""
-        if self._cache is not None:
-            hit = self._cache.get(image.image_id)
-            if hit is not None:
-                return hit
-            memo_key = (
-                self._memo_key,
-                image.image_id,
-                image.content.tobytes(),
+        """Embed one image; results are memoized by id and content."""
+        content = image.content
+        if not self._cache_embeddings:
+            return self._encode_content(content, image.image_id)
+        memo_key = (self._memo_key, image.image_id)
+        embedding, variant = variant_get(_EMBED_MEMO, memo_key, content)
+        if embedding is None:
+            embedding = self._encode_content(content, image.image_id)
+            variant_put(
+                _EMBED_MEMO, memo_key, variant, content, embedding,
+                _EMBED_MEMO_MAX,
             )
-            hit = _EMBED_MEMO.get(memo_key)
-            if hit is not None:
-                self._cache[image.image_id] = hit
-                return hit
-        embedding = self._encode_content(image.content, image.image_id)
-        if self._cache is not None:
-            self._cache[image.image_id] = embedding
-            embedding.flags.writeable = False
-            if len(_EMBED_MEMO) >= _EMBED_MEMO_MAX:
-                _EMBED_MEMO.clear()
-            _EMBED_MEMO[memo_key] = embedding
         return embedding
 
     def encode_batch(self, images: Sequence[ImageLike]) -> np.ndarray:
@@ -114,13 +109,11 @@ class ClipLikeImageEncoder:
         return normalize(embedding)
 
     def clear_cache(self) -> None:
-        """Drop this instance's cache and its space's shared memo entries.
+        """Drop this space's entries from the process-wide memo.
 
-        Only entries for this encoder's space geometry are removed from
-        the process-wide memo; other spaces' embeddings stay warm.
+        Other spaces' embeddings stay warm.
         """
-        if self._cache is not None:
-            self._cache.clear()
+        if self._cache_embeddings:
             for key in [
                 k for k in _EMBED_MEMO if k[0] == self._memo_key
             ]:

@@ -11,7 +11,7 @@ sees only what was actually depicted.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, Protocol, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class PromptLike(Protocol):
     """Anything encodable as a prompt.
 
     ``semantics`` is the deep-intent unit vector in the semantic subspace;
-    ``tokens`` is the surface wording; ``prompt_id`` keys the encoder cache.
+    ``tokens`` is the surface wording; ``prompt_id`` keys the embedding memo.
     """
 
     prompt_id: str
@@ -72,17 +72,15 @@ class ClipLikeTextEncoder:
     space:
         Shared semantic space defining geometry and calibration.
     cache_embeddings:
-        Keep a per-``prompt_id`` embedding cache (the paper's scheduler hosts
-        one CLIP model and embeds each request once).  Caching instances
-        also share the process-wide memo above.
+        Serve repeat prompts from the process-wide memo above, keyed by
+        ``prompt_id`` (the paper's scheduler hosts one CLIP model and
+        embeds each request once); without it every call encodes afresh.
     """
 
     def __init__(self, space: SemanticSpace, cache_embeddings: bool = True):
         self._space = space
         self._anchor = space.text_anchor()
-        self._cache: Optional[Dict[str, np.ndarray]] = (
-            {} if cache_embeddings else None
-        )
+        self._cache_embeddings = cache_embeddings
         self._memo_key = f"text/{space.config!r}"
 
     @property
@@ -98,15 +96,11 @@ class ClipLikeTextEncoder:
         return prompt_mixture(self._space, prompt)
 
     def encode(self, prompt: PromptLike) -> np.ndarray:
-        """Embed one prompt; results are cached by ``prompt_id``."""
-        if self._cache is not None:
-            hit = self._cache.get(prompt.prompt_id)
-            if hit is not None:
-                return hit
+        """Embed one prompt; results are memoized by ``prompt_id``."""
+        if self._cache_embeddings:
             memo_key = (self._memo_key, prompt.prompt_id)
             hit = _EMBED_MEMO.get(memo_key)
             if hit is not None:
-                self._cache[prompt.prompt_id] = hit
                 return hit
         mixture = self.semantic_mixture(prompt)
         # The anchor-padded embedding, written in place: the same
@@ -117,8 +111,7 @@ class ClipLikeTextEncoder:
             self._space.config.modality_scale * mixture + self._anchor[:sdim]
         )
         embedding = normalize(embedding)
-        if self._cache is not None:
-            self._cache[prompt.prompt_id] = embedding
+        if self._cache_embeddings:
             embedding.flags.writeable = False
             if len(_EMBED_MEMO) >= _EMBED_MEMO_MAX:
                 _EMBED_MEMO.clear()
@@ -132,7 +125,7 @@ class ClipLikeTextEncoder:
         mixtures are stacked, scaled, and anchored as a single matrix and
         normalized together.  Row norms are computed with the scalar
         path's exact ``sqrt(dot(v, v))`` so the batch is bit-identical to
-        sequential :meth:`encode` calls, and the per-``prompt_id`` cache
+        sequential :meth:`encode` calls, and the per-``prompt_id`` memo
         semantics are unchanged (duplicates within the batch share one
         embedding, which is stored for later singleton encodes).
         """
@@ -141,18 +134,13 @@ class ClipLikeTextEncoder:
         if n == 0:
             return np.zeros((0, embed_dim))
         out = np.empty((n, embed_dim))
-        cache = self._cache
+        memo = _EMBED_MEMO if self._cache_embeddings else {}
+        memo_key = self._memo_key
         fresh: List[int] = []
         first_row: Dict[str, int] = {}
         uncached: List[PromptLike] = []
         for i, prompt in enumerate(prompts):
-            hit = None
-            if cache is not None:
-                hit = cache.get(prompt.prompt_id)
-                if hit is None:
-                    hit = _EMBED_MEMO.get((self._memo_key, prompt.prompt_id))
-                    if hit is not None:
-                        cache[prompt.prompt_id] = hit
+            hit = memo.get((memo_key, prompt.prompt_id))
             if hit is not None:
                 out[i] = hit
                 continue
@@ -177,26 +165,22 @@ class ClipLikeTextEncoder:
         mat /= norms[:, None]
         for i in fresh:
             out[i] = mat[first_row[prompts[i].prompt_id]]
-        if cache is not None:
-            # Cached rows are shared process-wide; freeze the backing
+        if self._cache_embeddings:
+            # Memoized rows are shared process-wide; freeze the backing
             # matrix so no caller can mutate them in place.
             mat.flags.writeable = False
             for r, prompt in enumerate(uncached):
-                row = mat[r]
-                cache[prompt.prompt_id] = row
                 if len(_EMBED_MEMO) >= _EMBED_MEMO_MAX:
                     _EMBED_MEMO.clear()
-                _EMBED_MEMO[(self._memo_key, prompt.prompt_id)] = row
+                _EMBED_MEMO[(memo_key, prompt.prompt_id)] = mat[r]
         return out
 
     def clear_cache(self) -> None:
-        """Drop this instance's cache and its space's shared memo entries.
+        """Drop this space's entries from the process-wide memo.
 
-        Only entries for this encoder's space geometry are removed from
-        the process-wide memo; other spaces' embeddings stay warm.
+        Other spaces' embeddings stay warm.
         """
-        if self._cache is not None:
-            self._cache.clear()
+        if self._cache_embeddings:
             for key in [
                 k for k in _EMBED_MEMO if k[0] == self._memo_key
             ]:

@@ -10,6 +10,9 @@ shift the feature mean, per-image noise inflates the covariance — so small
 models score high FID against a large-model reference while refined MoDM
 images (which retain large-model structure) land in between, as in
 Tables 2-3.
+
+SciPy is needed only here, and only when a distance is computed: it is
+imported inside :func:`_sqrtm`, so serving never loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg
 
 from repro.embedding.image_encoder import ImageLike
 
@@ -73,6 +75,8 @@ def shrunk_covariance(feats: np.ndarray) -> np.ndarray:
 
 def _sqrtm(matrix: np.ndarray) -> np.ndarray:
     """Matrix square root, tolerating SciPy's changing return signature."""
+    from scipy import linalg
+
     result = linalg.sqrtm(matrix)
     if isinstance(result, tuple):  # older SciPy returns (sqrtm, errest)
         result = result[0]

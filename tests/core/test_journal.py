@@ -26,8 +26,10 @@ from repro.core.journal import (
     JournalReplayer,
     SnapCounter,
     Snapshot,
+    _copy_store,
 )
 from repro.core.cluster_router import modm_cluster
+from repro.core.request import COLUMNS, RequestStore
 from repro.core.serving import MoDMSystem
 from repro.core.tiering import ColdExtentError, TieredCacheConfig
 from repro.workloads import DiffusionDBConfig, diffusiondb_trace
@@ -293,6 +295,52 @@ class TestSnapshotRestore:
         fleet.run(_trace(space, n=10))
         with pytest.raises(ValueError, match="single-engine"):
             Snapshot.capture(fleet.replicas[0])
+
+
+# ----------------------------------------------------------------------
+# Request-store copies: live rows only
+# ----------------------------------------------------------------------
+def _live_columns(store):
+    return {name: store.column(name).tobytes() for name in COLUMNS}
+
+
+class TestCopyStore:
+    def test_empty_store_copies_one_row_and_extends(self):
+        clone = _copy_store(RequestStore())
+        assert len(clone) == 0 and clone._cap == 1
+        assert all(getattr(clone, name).shape == (1,) for name in COLUMNS)
+        fresh = RequestStore()
+        for store in (clone, fresh):
+            store.new_record(7, None, 1.5)
+            store.new_record(8, None, 2.5)
+        assert _live_columns(clone) == _live_columns(fresh)
+
+    def test_restored_store_matches_straight_and_extends(self, space):
+        trace = _trace(space)
+        journal = JournalConfig(snapshot_period_s=45.0)
+        straight = MoDMSystem(space, _config(journal=journal))
+        straight.run(trace)
+        snapshot = straight.snapshots[len(straight.snapshots) // 2]
+        assert snapshot.store._cap == len(snapshot.store) == len(trace)
+        resumed = MoDMSystem(space, _config(journal=journal))
+        snapshot.restore(resumed)
+        resumed.resume(trace)
+        restored = resumed.request_store
+        assert _live_columns(restored) == _live_columns(
+            straight.request_store
+        )
+        # Extending past the copy's capacity grows it with the same
+        # defaults a full-capacity store already holds.
+        more = list(_trace(space, n=40, seed="journal-more"))
+        for store in (restored, straight.request_store):
+            store.extend(more)
+        assert len(restored) == len(trace) + len(more)
+        assert _live_columns(restored) == _live_columns(
+            straight.request_store
+        )
+        again = _copy_store(restored)
+        assert again._cap == len(again) == len(restored)
+        assert _live_columns(again) == _live_columns(restored)
 
 
 # ----------------------------------------------------------------------

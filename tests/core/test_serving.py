@@ -293,6 +293,25 @@ class TestMemoNeutrality:
         assert any(hit for hit, *_ in cold)
         assert cold == warm_run
 
+    def test_clear_leaves_no_embedding_warm(self, space, prompts):
+        """A system built before the clear re-embeds afterwards: no
+        encoder keeps embeddings outside the process-wide memos."""
+        from repro.embedding import image_encoder, text_encoder
+
+        system = _system(space)
+        retrieval = system.scheduler.retrieval
+        image = system.model_sim("sdxl").generate(prompts[0], seed="c").image
+
+        def embed():
+            retrieval.query_embedding(prompts[0])
+            retrieval.index_embedding(prompts[0], image)
+
+        embed()
+        clear_hotpath_memos(space)
+        embed()
+        assert len(text_encoder._EMBED_MEMO) == 1
+        assert len(image_encoder._EMBED_MEMO) == 1
+
 
 class TestReportMetrics:
     def test_throughput_uses_serving_span(self, space, ddb_trace):

@@ -341,3 +341,82 @@ class TestImageIdLenCap:
         b = threaded.generate(prompts[0], seed="t").image
         assert a.image_id == b.image_id
         assert np.allclose(a.content, b.content)
+
+
+def _refine_fresh(space, prompt, source):
+    """Refine ``source`` on a fresh sim: its id counter restarts, so every
+    call names the same refined image (same id, same skip)."""
+    sim = DiffusionModelSim(get_model("sdxl"), space)
+    return sim.refine(prompt, source, 20, seed="memo").image
+
+
+def _frozen(content):
+    content = content.copy()
+    content.flags.writeable = False
+    return content
+
+
+class TestRefineContentMemo:
+    """Refined contents are memoized by id and skip, plus a variant per
+    bitwise-distinct source content (no content bytes in the key)."""
+
+    @pytest.fixture
+    def base(self, large_model, prompts):
+        return large_model.generate(prompts[0], seed="memo").image
+
+    def _pairs(self, base, large_model, prompts):
+        plus = base.content.copy()
+        plus[0] = 0.0
+        minus = plus.copy()
+        minus[0] = -0.0
+        other = large_model.generate(prompts[2], seed="memo").image
+        return {
+            "sign-of-zero": (_frozen(plus), _frozen(minus)),
+            "different": (base.content, other.content),
+        }
+
+    @pytest.mark.parametrize("pair", ["sign-of-zero", "different"])
+    def test_two_sources_two_variants_each_cold_exact(
+        self, space, large_model, prompts, base, pair
+    ):
+        from repro.diffusion import model as model_mod
+
+        sources = [
+            dataclasses.replace(base, content=content)
+            for content in self._pairs(base, large_model, prompts)[pair]
+        ]
+        cold = []
+        for source in sources:
+            model_mod.clear_model_memos()
+            cold.append(_refine_fresh(space, prompts[1], source))
+        model_mod.clear_model_memos()
+        first = [_refine_fresh(space, prompts[1], s) for s in sources]
+        image_id = first[0].image_id
+        assert first[1].image_id == image_id == cold[0].image_id
+        variants = sorted(
+            key[-1] for key in model_mod._CONTENT_CACHE if image_id in key
+        )
+        assert variants == [0, 1]
+        again = [_refine_fresh(space, prompts[1], s) for s in sources]
+        for hit, fresh, reference in zip(again, first, cold):
+            assert hit.content is fresh.content
+            assert hit.content.tobytes() == reference.content.tobytes()
+
+    def test_mutated_writeable_source_does_not_poison(
+        self, space, large_model, prompts, base
+    ):
+        from repro.diffusion import model as model_mod
+
+        other = large_model.generate(prompts[2], seed="memo").image.content
+        model_mod.clear_model_memos()
+        cold = _refine_fresh(
+            space, prompts[1], dataclasses.replace(base, content=other)
+        )
+        model_mod.clear_model_memos()
+        scratch = base.content.copy()
+        source = dataclasses.replace(base, content=scratch)
+        before = _refine_fresh(space, prompts[1], source)
+        scratch[:] = other
+        after = _refine_fresh(space, prompts[1], source)
+        assert after.content.tobytes() == cold.content.tobytes()
+        assert after.content.tobytes() != before.content.tobytes()

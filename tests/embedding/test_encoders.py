@@ -126,6 +126,90 @@ class TestImageEncoder:
         assert cosine(a, b) > 0.99
 
 
+class _Image:
+    def __init__(self, image_id, content):
+        self.image_id = image_id
+        self.content = content
+
+
+def _frozen(content):
+    content = content.copy()
+    content.flags.writeable = False
+    return content
+
+
+class TestImageEmbeddingMemo:
+    """The process-wide image memo keys by id plus a variant per
+    bitwise-distinct content; each fresh encoding adds one key."""
+
+    @staticmethod
+    def _keys(image_id):
+        from repro.embedding.image_encoder import _EMBED_MEMO
+
+        return sorted(k for k in _EMBED_MEMO if k[1] == image_id)
+
+    @pytest.mark.parametrize("pair", ["sign-of-zero", "different"])
+    def test_two_contents_two_variants_each_cold_exact(
+        self, space, sample_images, pair
+    ):
+        plus = sample_images[0].content.copy()
+        plus[0] = 0.0
+        minus = plus.copy()
+        minus[0] = -0.0
+        contents = {
+            "sign-of-zero": (plus, minus),
+            "different": (sample_images[0].content, sample_images[1].content),
+        }[pair]
+        images = [_Image("memo-variant", _frozen(c)) for c in contents]
+        enc = ClipLikeImageEncoder(space)
+        enc.clear_cache()
+        first = [enc.encode(img) for img in images]
+        assert [k[-1] for k in self._keys("memo-variant")] == [0, 1]
+        cold = ClipLikeImageEncoder(space, cache_embeddings=False)
+        for img, emb in zip(reversed(images), reversed(first)):
+            assert enc.encode(img) is emb
+            assert emb.tobytes() == cold.encode(img).tobytes()
+
+    def test_mutated_writeable_content_does_not_poison(
+        self, space, sample_images
+    ):
+        enc = ClipLikeImageEncoder(space)
+        enc.clear_cache()
+        cold = ClipLikeImageEncoder(space, cache_embeddings=False)
+        scratch = sample_images[0].content.copy()
+        image = _Image("memo-mutated", scratch)
+        before = enc.encode(image)
+        scratch[:] = sample_images[1].content
+        after = enc.encode(image)
+        assert after.tobytes() == cold.encode(image).tobytes()
+        assert after.tobytes() != before.tobytes()
+
+    def test_one_key_per_fresh_encoding(self, space, sample_images):
+        from repro.embedding.image_encoder import _EMBED_MEMO
+
+        enc = ClipLikeImageEncoder(space)
+        enc.clear_cache()
+        image = sample_images[0]
+        start = len(_EMBED_MEMO)
+        enc.encode(image)
+        assert len(_EMBED_MEMO) == start + 1
+        enc.encode(image)
+        ClipLikeImageEncoder(space).encode(image)
+        assert len(_EMBED_MEMO) == start + 1
+        enc.encode(_Image(image.image_id, _frozen(-image.content)))
+        assert len(_EMBED_MEMO) == start + 2
+
+    def test_uncached_encoder_bypasses_memo(self, space, sample_images):
+        from repro.embedding.image_encoder import _EMBED_MEMO
+
+        ClipLikeImageEncoder(space).clear_cache()
+        start = len(_EMBED_MEMO)
+        enc = ClipLikeImageEncoder(space, cache_embeddings=False)
+        a = enc.encode(sample_images[0])
+        assert enc.encode(sample_images[0]) is not a
+        assert len(_EMBED_MEMO) == start
+
+
 class TestModalityGap:
     def test_text_image_similarity_in_calibrated_band(
         self, space, text_encoder, image_encoder, large_model, prompts
