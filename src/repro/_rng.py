@@ -14,11 +14,12 @@ Three paths produce keyed draws, all bit-identical to each other:
   streams each (arrivals, topic vectors, IVF training).
 * **``DirectionCache`` draws** (the module-level :data:`directions`)
   memoize keyed unit vectors and scalars whose key tuples recur and seed
-  the misses of one caller (one image) together through
-  :meth:`DirectionCache.draw_batch`.  A finished image's batch also
-  draws the image encoder's noise for that image and *parks* it: the
-  cache holds the one vector, keyed by its stream's ``(dim, seed)``, and
-  :meth:`DirectionCache.fresh_unit` hands it over (once) instead of
+  the misses of one caller (one image, or a batch of images) together
+  through :meth:`DirectionCache.draw_batch`.  A finished image's batch
+  also draws the image encoder's noise for that image and *parks* it:
+  the cache holds the vector (or one batch of them), keyed by its
+  stream's ``(dim, seed)``, and :meth:`DirectionCache.fresh_unit` /
+  :meth:`DirectionCache.fresh_units` hand it over (once) instead of
   drawing it again.  A parked vector is a memo of a pure function, so
   encoding in any order, with any encoder, returns the oracle's bytes.
 * **Batched streams** (:func:`rngs_for`) seed a list of key tuples
@@ -188,12 +189,14 @@ def _normalize_nonfinite(vec: np.ndarray) -> np.ndarray:
 def normalize(vec: np.ndarray) -> np.ndarray:
     """Return ``vec`` scaled to unit L2 norm (zero vectors pass through).
 
-    For 1-D float vectors the norm is ``sqrt(dot(v, v))`` — the exact
+    For 1-D float vectors the norm is ``sqrt(v.dot(v))`` — the exact
     computation ``np.linalg.norm`` performs for that case — evaluated
-    without the ``linalg`` dispatch overhead, so results stay bit-identical
-    to ``np.linalg.norm`` while the call is ~3x cheaper on the 48-dim
-    vectors the hot loop normalizes constantly.  Other shapes and dtypes
-    go through ``np.linalg.norm``.
+    without the ``linalg`` dispatch overhead, and through the array's own
+    ``dot`` method (the same BLAS call as ``np.dot``, without numpy's
+    array-function dispatch), so results stay bit-identical to
+    ``np.linalg.norm`` on the 48-dim vectors the hot loop normalizes
+    constantly.  Other shapes and dtypes go through ``np.linalg.norm``.
+    :func:`normalize_rows` is the row-stack form.
 
     When ``dot(v, v)`` leaves the normal double range (entries below
     ~1e-140 or above ~1e140), the squared sum under- or overflows and the
@@ -207,7 +210,7 @@ def normalize(vec: np.ndarray) -> np.ndarray:
     """
     if vec.ndim == 1 and vec.dtype.kind == "f":
         try:
-            sq = float(np.dot(vec, vec))
+            sq = float(vec.dot(vec))
         except RuntimeWarning:
             # Entries beyond ~1e154 overflow the dot's reduction; under
             # promoted warning filters (-W error::RuntimeWarning) numpy
@@ -225,7 +228,7 @@ def normalize(vec: np.ndarray) -> np.ndarray:
             return _normalize_nonfinite(vec)
         peak = float(np.max(np.abs(vec)))
         scaled = vec / peak
-        norm = peak * math.sqrt(float(np.dot(scaled, scaled)))
+        norm = peak * math.sqrt(float(scaled.dot(scaled)))
     else:
         try:
             norm = float(np.linalg.norm(vec))
@@ -243,6 +246,36 @@ def normalize(vec: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         return vec
     return vec / norm
+
+
+def normalize_rows(mat: np.ndarray) -> np.ndarray:
+    """:func:`normalize` of every row of a 2-D float array, as a new array.
+
+    Each row's squared norm is the same ``dot(row, row)`` call
+    :func:`normalize` makes, taken row by row (the BLAS dot of a
+    contiguous row does not depend on where the row sits), and the stack
+    is then divided by its row norms at once, so every row is
+    bit-identical to ``normalize(row)``.  Zero rows pass through; rows
+    whose squared norm leaves the normal range or is not finite go
+    through :func:`normalize` itself.
+    """
+    norms = []
+    odd = []
+    for r, row in enumerate(mat):
+        try:
+            sq = float(row.dot(row))
+        except RuntimeWarning:  # overflow under promoted warning filters
+            sq = math.inf
+        if 1e-280 < sq < 1e280:
+            norms.append(math.sqrt(sq))
+        else:
+            norms.append(1.0)
+            if sq != 0.0:
+                odd.append(r)
+    out = mat / np.array(norms)[:, None]
+    for r in odd:
+        out[r] = normalize(mat[r])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -613,7 +646,7 @@ def _finish_unit(vec: np.ndarray) -> np.ndarray:
     The in-place divide is safe (``vec`` is freshly drawn and owned) and
     bit-identical to the reference's out-of-place ``vec / norm``.
     """
-    norm = math.sqrt(float(np.dot(vec, vec)))
+    norm = math.sqrt(float(vec.dot(vec)))
     if norm == 0.0:  # pragma: no cover - probability zero
         vec[0] = 1.0
         norm = 1.0
@@ -643,9 +676,10 @@ class DirectionCache:
     reference path.  :meth:`draw_batch` takes every draw one caller needs
     (memoized or fresh, vector or scalar) and seeds them together.
 
-    One fresh vector can also be *parked* (:meth:`park`) by the caller
-    that drew it ahead of time for its eventual consumer;
-    :meth:`fresh_unit` returns it once, for its own ``(dim, seed)`` only.
+    Fresh vectors can also be *parked* (:meth:`park`, :meth:`park_rows`)
+    by the caller that drew them ahead of time for their eventual
+    consumer; :meth:`fresh_unit` and :meth:`fresh_units` return each
+    once, for its own ``(dim, seed)`` only.
 
     Cached arrays are marked read-only: callers share them.
     """
@@ -659,6 +693,7 @@ class DirectionCache:
         self._units: Dict[Tuple[int, int], np.ndarray] = {}
         self._scalars: Dict[int, float] = {}
         self._parked: Optional[Tuple[Tuple[int, int], np.ndarray]] = None
+        self._parked_rows: Dict[Tuple[int, int], np.ndarray] = {}
         self._stream = _FastStream()
 
     # ------------------------------------------------------------------
@@ -784,19 +819,66 @@ class DirectionCache:
         """
         if seed is None:
             seed = seed_for(*keys)
+        vec = self._take_parked(dim, seed)
+        if vec is None:
+            vec = _finish_unit(self._stream.standard_normal(seed, dim))
+        return vec
+
+    def fresh_units(self, dim: int, seeds: Sequence[int]) -> List[np.ndarray]:
+        """Batched :meth:`fresh_unit` over precomputed seeds.
+
+        Parked vectors are handed over; the other seeds are drawn
+        together in one :meth:`draw_batch` (unmemoized).
+        """
+        out: List[np.ndarray] = [None] * len(seeds)  # type: ignore[list-item]
+        todo: List[int] = []
+        for i, seed in enumerate(seeds):
+            vec = self._take_parked(dim, seed)
+            if vec is None:
+                todo.append(i)
+            else:
+                out[i] = vec
+        if todo:
+            drawn = self.draw_batch([(dim, False, seeds[i]) for i in todo])
+            for i, vec in zip(todo, drawn):
+                out[i] = vec  # type: ignore[assignment]
+        return out
+
+    def _take_parked(self, dim: int, seed: int) -> Optional[np.ndarray]:
+        """The vector parked for ``(dim, seed)``, dropped; else ``None``."""
         parked = self._parked
         if parked is not None and parked[0] == (dim, seed):
             self._parked = None
             return parked[1]
-        return _finish_unit(self._stream.standard_normal(seed, dim))
+        if self._parked_rows:
+            return self._parked_rows.pop((dim, seed), None)
+        return None
 
     def park(self, dim: int, seed: int, vec: np.ndarray) -> None:
         """Hold ``vec``, a fresh draw of ``seed``, for :meth:`fresh_unit`.
 
         ``vec`` must be ``fresh_unit(dim, seed=seed)``'s result, owned by
-        no one else.  One vector is parked at a time; parking replaces it.
+        no one else.  Parking replaces whatever was parked before.
         """
         self._parked = ((dim, seed), vec)
+        if self._parked_rows:
+            self._parked_rows = {}
+
+    def park_rows(
+        self, dim: int, seeds: Sequence[int], rows: Sequence[np.ndarray]
+    ) -> None:
+        """:meth:`park` for a batch: ``rows[i]`` is the draw of ``seeds[i]``.
+
+        Parking replaces whatever was parked before, so at most one
+        batch is held at a time.  One row goes through :meth:`park`.
+        """
+        if len(seeds) == 1:
+            self.park(dim, seeds[0], rows[0])
+            return
+        self._parked = None
+        self._parked_rows = {
+            (dim, seed): row for seed, row in zip(seeds, rows)
+        }
 
     # ------------------------------------------------------------------
     # Management
@@ -805,6 +887,7 @@ class DirectionCache:
         self._units.clear()
         self._scalars.clear()
         self._parked = None
+        self._parked_rows = {}
         self.hits = 0
         self.misses = 0
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import collections
 from typing import Deque, Optional, Sequence
 
+import numpy as np
+
 from repro.core.cache import ImageCache, LatentCache
 from repro.core.config import ClusterConfig, SLOPolicy
 from repro.core.kselection import (
@@ -175,13 +177,23 @@ class NirvanaSystem(BaseServingSystem):
     def warm_cache(
         self, prompts: Sequence[Prompt], seed: str = "warmup"
     ) -> None:
+        """Pre-populate the latent cache (§6), one batch per chunk.
+
+        Bit-identical to one prompt at a time, as in
+        :meth:`~repro.core.serving.MoDMSystem.warm_cache`.
+        """
         sim = self.model_sim(self._spec.name)
-        for prompt in prompts:
-            image = sim.generate(prompt, seed=seed).image
-            self._admit_latent(prompt, image, now=0.0)
+        for chunk, images in sim.generate_chunks(prompts, seed=seed):
+            embeddings = self._retrieval.index_embeddings(chunk, images)
+            for prompt, image, embedding in zip(chunk, images, embeddings):
+                self._admit_latent(prompt, image, 0.0, embedding)
 
     def _admit_latent(
-        self, prompt: Prompt, image: SyntheticImage, now: float
+        self,
+        prompt: Prompt,
+        image: SyntheticImage,
+        now: float,
+        embedding: np.ndarray,
     ) -> None:
         latent = CachedLatent(
             latent_id=f"latent/{image.image_id}",
@@ -191,7 +203,6 @@ class NirvanaSystem(BaseServingSystem):
             created_at=now,
             size_bytes=self._spec.latent_bytes,
         )
-        embedding = self._retrieval.index_embedding(prompt, image)
         self.cache.insert(latent, embedding, now)
 
     # ------------------------------------------------------------------
@@ -340,7 +351,12 @@ class NirvanaSystem(BaseServingSystem):
         return self._latent_fetch_s if item.source_image is not None else 0.0
 
     def _on_complete_image(self, record, image, now: float) -> None:
-        self._admit_latent(record.prompt, image, now)
+        self._admit_latent(
+            record.prompt,
+            image,
+            now,
+            self._retrieval.index_embedding(record.prompt, image),
+        )
 
     def _build_report(self, trace, energy) -> ServingReport:
         report = super()._build_report(trace, energy)
@@ -391,11 +407,16 @@ class PineconeSystem(BaseServingSystem):
     def warm_cache(
         self, prompts: Sequence[Prompt], seed: str = "warmup"
     ) -> None:
+        """Pre-populate the image cache (§6), one batch per chunk.
+
+        Bit-identical to one prompt at a time, as in
+        :meth:`~repro.core.serving.MoDMSystem.warm_cache`.
+        """
         sim = self.model_sim(self._spec.name)
-        for prompt in prompts:
-            image = sim.generate(prompt, seed=seed).image
-            embedding = self._retrieval.index_embedding(prompt, image)
-            self.cache.insert(image, embedding, now=0.0)
+        for chunk, images in sim.generate_chunks(prompts, seed=seed):
+            embeddings = self._retrieval.index_embeddings(chunk, images)
+            for image, embedding in zip(images, embeddings):
+                self.cache.insert(image, embedding, now=0.0)
 
     def _handle_arrival(self, record: RequestRecord, now: float) -> None:
         self._handle_arrivals([record], now)

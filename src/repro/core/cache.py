@@ -575,9 +575,9 @@ class VectorCache(Generic[PayloadT]):
         if self._n_live == 0:
             return None
         # sqrt(dot) is exactly what np.linalg.norm computes for 1-D floats,
-        # without the linalg dispatch overhead (hot path: one call per
-        # scheduler decision).
-        qnorm = math.sqrt(float(np.dot(query, query)))
+        # without the linalg and array-function dispatch overhead (hot
+        # path: one call per scheduler decision).
+        qnorm = math.sqrt(float(query.dot(query)))
         if qnorm == 0.0:
             return None
         return query / qnorm

@@ -85,6 +85,7 @@ from repro.core.serving import (
     install_arrival_cohorts,
 )
 from repro.core.tiering import check_cold_extents
+from repro.diffusion.model import WARM_CHUNK
 from repro.metrics.latency import percentile
 from repro.embedding.space import SemanticSpace
 from repro.workloads.prompts import Prompt
@@ -280,7 +281,7 @@ class CacheAffinityRouting(RoutingPolicy):
         """
         if sketch.ndim == 1 or sketch.shape[0] == 1:
             row = sketch if sketch.ndim == 1 else sketch[0]
-            return math.sqrt(float(np.dot(row, row)))
+            return math.sqrt(float(row.dot(row)))
         norms = np.sqrt(np.einsum("ij,ij->i", sketch, sketch))
         occupied = norms > 0.0
         return occupied, norms[occupied]
@@ -302,7 +303,7 @@ class CacheAffinityRouting(RoutingPolicy):
             if norms == 0.0:
                 return -math.inf
             row = sketch if sketch.ndim == 1 else sketch[0]
-            return float(np.dot(query, row)) / (qnorm * norms)
+            return float(query.dot(row)) / (qnorm * norms)
         occupied, occupied_norms = norms
         if not occupied_norms.size:
             return -math.inf
@@ -313,7 +314,7 @@ class CacheAffinityRouting(RoutingPolicy):
         best = -1
         best_sim = -math.inf
         if query is not None:
-            qnorm = math.sqrt(float(np.dot(query, query)))
+            qnorm = math.sqrt(float(query.dot(query)))
             if qnorm > 0.0:
                 for i, sketch in enumerate(centroids):
                     if sketch is None:
@@ -417,7 +418,7 @@ def _migrate_nearest_centroid(entries, survivors, replicas) -> List[int]:
         entries
     ):
         query = np.asarray(embedding, dtype=np.float64)
-        qnorm = math.sqrt(float(np.dot(query, query)))
+        qnorm = math.sqrt(float(query.dot(query)))
         best = -1
         best_sim = -math.inf
         if qnorm > 0.0:
@@ -533,6 +534,19 @@ class ClusterRouter:
             loads[idx] += 1
             out.append(idx)
         return out
+
+    def embed_warm(self, prompts: Sequence[Prompt]) -> None:
+        """Embed a warm set's queries in batches, ahead of placement.
+
+        The embeddings land in the encoders' memos, where each
+        :meth:`route_warm` finds its prompt's; a policy that reads no
+        query embeds nothing.  Batches hold at most :data:`WARM_CHUNK`
+        prompts, which bounds their temporaries.
+        """
+        if self._embed_batch is None or not self.policy.needs_query:
+            return
+        for start in range(0, len(prompts), WARM_CHUNK):
+            self._embed_batch(prompts[start:start + WARM_CHUNK])
 
     def route_warm(
         self,
@@ -861,9 +875,19 @@ class ClusterServingSystem:
 
         Placement runs the routing policy with cache occupancy as the
         load signal; with one replica the whole warm set lands on it in
-        order, exactly as in a single-engine run.
+        one batched warm-up, exactly as in a single-engine run.  With
+        several, the warm prompts' query embeddings are computed in
+        batches up front (the shared memos then serve each placement's
+        embed), but placement and generation stay one prompt at a time:
+        under ``cache_affinity`` each choice reads centroids that the
+        previous inserts moved, and each image's id comes from the
+        chosen replica's model.
         """
         self.router.reset()
+        if len(self.replicas) == 1:
+            self.replicas[0].warm_cache(prompts, seed=seed)
+            return
+        self.router.embed_warm(prompts)
         for prompt in prompts:
             idx = self.router.route_warm(prompt, self.replicas)
             self.replicas[idx].warm_cache([prompt], seed=seed)

@@ -13,12 +13,11 @@ prompt and the *index* embedding stored when an item enters the cache.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Protocol, Sequence
 
 import numpy as np
 
-from repro._rng import normalize
+from repro._rng import normalize, normalize_rows
 from repro.embedding.image_encoder import ClipLikeImageEncoder, ImageLike
 from repro.embedding.space import SemanticSpace
 from repro.embedding.text_encoder import ClipLikeTextEncoder, PromptLike
@@ -42,6 +41,11 @@ class RetrievalPolicy(Protocol):
         self, prompt: PromptLike, image: ImageLike
     ) -> np.ndarray:
         """Embedding stored for a cached item produced for ``prompt``."""
+
+    def index_embeddings(
+        self, prompts: Sequence[PromptLike], images: Sequence[ImageLike]
+    ) -> np.ndarray:
+        """Stacked index embeddings, one row per ``(prompt, image)``."""
 
 
 class TextToImageRetrieval:
@@ -77,6 +81,11 @@ class TextToImageRetrieval:
         # What the image depicts, independent of the wording that made it.
         return self._image_encoder.encode(image)
 
+    def index_embeddings(
+        self, prompts: Sequence[PromptLike], images: Sequence[ImageLike]
+    ) -> np.ndarray:
+        return self._image_encoder.encode_batch(images)
+
 
 class TextToTextRetrieval:
     """Prior work's policy: prompt text vs producing-prompt text.
@@ -111,8 +120,8 @@ class TextToTextRetrieval:
         """One (n, d) matrix for a same-tick arrival batch.
 
         Cached rows are gathered; the rest project and renormalize as one
-        vectorized pass (row norms use the scalar path's exact
-        ``sqrt(dot)`` so batches stay bit-identical to sequential calls).
+        vectorized pass (:func:`~repro._rng.normalize_rows`, so batches
+        stay bit-identical to sequential calls).
         """
         n = len(prompts)
         if n == 0:
@@ -132,12 +141,7 @@ class TextToTextRetrieval:
             [prompts[i] for i in fresh]
         )
         sdim = self._space.config.semantic_dim
-        sem = full[:, :sdim].copy()
-        for r in range(sem.shape[0]):
-            row = sem[r]
-            norm = math.sqrt(float(np.dot(row, row)))
-            if norm != 0.0:
-                row /= norm
+        sem = normalize_rows(full[:, :sdim])
         for r, i in enumerate(fresh):
             out[i, :sdim] = sem[r]
             # Cache an owned copy, not a view of `out`: callers hold the
@@ -154,6 +158,11 @@ class TextToTextRetrieval:
         # The image is indexed by the prompt that produced it; the image
         # content itself is invisible to this policy (§3.2's failure mode).
         return self._semantic_text_embedding(prompt)
+
+    def index_embeddings(
+        self, prompts: Sequence[PromptLike], images: Sequence[ImageLike]
+    ) -> np.ndarray:
+        return self.query_embeddings(prompts)
 
     def _semantic_text_embedding(self, prompt: PromptLike) -> np.ndarray:
         cache = self._semantic_cache

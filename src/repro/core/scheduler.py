@@ -186,3 +186,35 @@ class RequestScheduler:
         embedding = self._retrieval.index_embedding(prompt, image)
         self._cache.insert(image, embedding, now)
         return True
+
+    def admit_batch(
+        self,
+        prompts: Sequence[PromptLike],
+        images: Sequence[SyntheticImage],
+        now: float,
+    ) -> int:
+        """:meth:`admit` of every ``(prompt, image)`` pair, in order.
+
+        The admitted images' index embeddings come from one batched call
+        (bit-identical to one call per image); the inserts then run in
+        order.  Returns how many images were inserted.  One pair is
+        :meth:`admit` itself.
+        """
+        if len(images) == 1:
+            return int(self.admit(prompts[0], images[0], now))
+        if self._admission is CacheAdmission.NONE:
+            return 0
+        if self._admission is CacheAdmission.LARGE_ONLY:
+            pairs = [
+                (prompt, image)
+                for prompt, image in zip(prompts, images)
+                if image.model_name == self._large_model_name
+            ]
+            prompts = [prompt for prompt, _ in pairs]
+            images = [image for _, image in pairs]
+        if not images:
+            return 0
+        embeddings = self._retrieval.index_embeddings(prompts, images)
+        for image, embedding in zip(images, embeddings):
+            self._cache.insert(image, embedding, now)
+        return len(images)

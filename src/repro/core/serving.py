@@ -1149,11 +1149,20 @@ class MoDMSystem(BaseServingSystem):
     def warm_cache(
         self, prompts: Sequence[Prompt], seed: str = "warmup"
     ) -> None:
-        """Pre-populate the cache with large-model generations (§6)."""
+        """Pre-populate the cache with large-model generations (§6).
+
+        Bit-identical to generating and admitting one prompt at a time:
+        no warm image depends on another (each image's content is pure
+        in its own keyed draws, and the cache only receives the images),
+        so each chunk of prompts is generated as one batch
+        (:meth:`~repro.diffusion.model.DiffusionModelSim.generate_chunks`),
+        embedded as one batch, and inserted in prompt order.  Serving
+        cannot batch this way: a request's decision reads the cache its
+        predecessors filled.
+        """
         sim = self.model_sim(self._large_spec.name)
-        for prompt in prompts:
-            image = sim.generate(prompt, seed=seed).image
-            self.scheduler.admit(prompt, image, now=0.0)
+        for chunk, images in sim.generate_chunks(prompts, seed=seed):
+            self.scheduler.admit_batch(chunk, images, now=0.0)
 
     # ------------------------------------------------------------------
     # Policy

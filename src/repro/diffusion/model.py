@@ -20,17 +20,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro._memo import variant_get, variant_put
+from repro._memo import VariantMemo, variant_get, variant_put
 from repro._rng import (
     Draw,
     DrawItem,
     SeedPrefix,
     directions,
     normalize,
+    normalize_rows,
     seed_for,
 )
 from repro.core.journal import SnapCounter
@@ -38,7 +48,11 @@ from repro.diffusion.latent import SyntheticImage
 from repro.diffusion.registry import ModelSpec
 from repro.diffusion.schedule import NoiseSchedule
 from repro.embedding.space import SemanticSpace
-from repro.embedding.text_encoder import PromptLike, prompt_mixture
+from repro.embedding.text_encoder import (
+    PromptLike,
+    prompt_mixture,
+    prompt_mixtures,
+)
 
 #: Stream names for the deterministic noise sources.
 _NAT_STREAM = "residual-natural"
@@ -51,6 +65,11 @@ _JITTER_STREAM = "alignment-jitter"
 
 _MEMO_MAX = 150_000
 
+#: Prompts per :meth:`DiffusionModelSim.generate_chunks` batch: large
+#: enough that per-call costs amortize, small enough that a batch's row
+#: stacks and parked encoder noise stay a few hundred KiB.
+WARM_CHUNK = 256
+
 #: Memoized target/artifact directions and finished image contents,
 #: shared process-wide.  All are pure functions of their keys: the key
 #: prefix pins the full spec parametrization (via its digest) and the
@@ -60,17 +79,20 @@ _MEMO_MAX = 150_000
 #: suites drive the same trace through several serving systems and
 #: replays, and every system re-renders the same prompts.
 #:
-#: ``_CONTENT_CACHE`` holds both generation paths under one size bound.
-#: A generated content is keyed ``prefix + (image_id,)``.  A refined
-#: content also depends on its source image's content, which the
-#: source id does not pin (a refined image's id does not encode the
-#: skip depth that produced it, so the same source id can carry
-#: different content under different serving configs): it is a
+#: The two generation paths keep their contents in two memos, each under
+#: its own size bound, so a run that refines heavily does not wipe the
+#: generated contents (and vice versa).  A generated content
+#: (``_CONTENT_CACHE``) is keyed ``prefix + (image_id,)``.  A refined
+#: content (``_REFINE_CACHE``) also depends on its source image's
+#: content, which the source id does not pin (a refined image's id does
+#: not encode the skip depth that produced it, so the same source id can
+#: carry different content under different serving configs): it is a
 #: :mod:`repro._memo` variant entry, keyed ``prefix + (image_id, skip,
 #: variant)`` and holding ``(source content, content)``.
 _TARGET_CACHE: Dict[Tuple, np.ndarray] = {}
 _ARTIFACT_CACHE: Dict[Tuple, np.ndarray] = {}
-_CONTENT_CACHE: Dict[Tuple, Any] = {}
+_CONTENT_CACHE: Dict[Tuple, np.ndarray] = {}
+_REFINE_CACHE: VariantMemo = {}
 
 
 def clear_model_memos() -> None:
@@ -82,10 +104,44 @@ def clear_model_memos() -> None:
     _TARGET_CACHE.clear()
     _ARTIFACT_CACHE.clear()
     _CONTENT_CACHE.clear()
+    _REFINE_CACHE.clear()
+
+
+_first = itemgetter(0)
+
+
+def _column(values: Sequence[float]) -> np.ndarray:
+    """Per-row scalars as an ``(n, 1)`` column: each element of
+    ``column * stack`` is the IEEE product ``value * vector`` of its row."""
+    return np.array(values)[:, None]
+
+
+def _row_ops(n: int) -> Tuple[Callable, Callable, Callable]:
+    """``(stack, unit, column)`` for assembling ``n`` rows at once.
+
+    One row is assembled on its vector and Python-float scalars
+    (``stack`` and ``column`` take the single element, ``unit`` is
+    :func:`normalize`); several on 2-D row stacks and ``(n, 1)`` scalar
+    columns, normalized by :func:`normalize_rows`.  The same expressions
+    then give every row the same IEEE operations either way.
+    """
+    if n == 1:
+        return _first, normalize, _first
+    return np.array, normalize_rows, _column
+
+
+def _split(vecs: np.ndarray) -> List[np.ndarray]:
+    """The vectors of a :func:`_row_ops` result, in order, made read-only.
+
+    They become shared memo values, and a row of a stack is only as
+    read-only as the stack itself.
+    """
+    vecs.flags.writeable = False
+    return [vecs] if vecs.ndim == 1 else list(vecs)
 
 
 def _memo_store(cache: Dict[Tuple, np.ndarray], key: Tuple, value: np.ndarray) -> None:
-    value.flags.writeable = False
+    """Memoize ``value``, read-only already (see :func:`_split`)."""
     if len(cache) >= _MEMO_MAX:
         cache.clear()
     cache[key] = value
@@ -202,89 +258,161 @@ class DiffusionModelSim:
         under-aligned refinement looks generic, it does not grow extra
         artifacts — so FID stays governed by ``realism``.
         """
-        items, assemble = self._target_plan(prompt, seed, alignment, realism)
-        return assemble(directions.draw_batch(items))
+        items, assemble = self._target_plan(
+            (prompt,), seed, alignment, realism
+        )
+        return assemble([directions.draw_batch(items[0])])
 
     def _target_plan(
         self,
-        prompt: PromptLike,
+        prompts: Sequence[PromptLike],
         seed: str,
         alignment: Optional[float],
         realism: Optional[float],
-    ) -> Tuple[List[DrawItem], Callable[[Sequence[Draw]], np.ndarray]]:
-        """The keyed draws a target needs, and its assembly from them.
+    ) -> Tuple[
+        List[List[DrawItem]], Callable[[Sequence[Sequence[Draw]]], np.ndarray]
+    ]:
+        """The keyed draws a stack of targets needs, and its assembly.
 
-        Returns ``(items, assemble)``: ``items`` are
-        :meth:`DirectionCache.draw_batch` items (empty on a target-memo
-        hit) and ``assemble(drawn)`` builds, memoizes and returns the
-        target from their draws, in item order.  Callers append their own
-        per-image draws so that one batch seeds the whole image.
+        Returns ``(items, assemble)``: ``items[r]`` are the
+        :meth:`DirectionCache.draw_batch` items of row ``r``'s target —
+        empty on a target-memo hit and for a repeat of an earlier row's
+        target, which is built once, as the sequential memo hit would —
+        and ``assemble(drawn)``, where ``drawn[r]`` starts with the draws
+        of ``items[r]`` in order, builds, memoizes and returns the
+        targets: a vector for one prompt, a ``(len(prompts), dim)`` stack
+        for several.  Callers append their own per-image draws to each
+        row, so one batch seeds every image.
+
+        The assembly is shape-generic: the same element-wise expressions
+        run on vectors (one row) or row stacks (several), per-row scalars
+        stay Python floats (an ``(n, 1)`` column for a stack), and stacks
+        are normalized by :func:`normalize_rows`, so every row is
+        bit-identical to building its target alone.
         """
         spec = self._spec
-        cache_key = self._memo_prefix + (
-            prompt.prompt_id,
-            seed,
-            alignment,
-            realism,
-        )
-        cached = _TARGET_CACHE.get(cache_key)
-        if cached is not None:
-            return [], lambda drawn: cached
+        prefix = self._memo_prefix
         dim = self._space.config.semantic_dim
         jittered = spec.alignment_jitter > 0.0
-        items: List[DrawItem] = []
-        if jittered:
-            items.append(
-                (None, True, self._jitter_seeds(prompt.prompt_id, seed))
-            )
-        items.append((dim, True, self._natural_seeds(prompt.prompt_id)))
-        # The artifact direction is pure in (model, prompt); it recurs when
-        # the same prompt is rendered again (ground-truth sets, baseline
-        # comparisons over one trace, repeated experiment runs).  Only its
-        # normalized form is memoized: every caller reads that first, so
-        # a memo of the raw draw would never be read.
-        artifact_key = self._memo_prefix + (prompt.prompt_id,)
-        artifact = _ARTIFACT_CACHE.get(artifact_key)
-        if artifact is None:
-            items.append((dim, False, self._artifact_seeds(prompt.prompt_id)))
-        items.append((dim, True, self._set_seeds(seed)))
+        set_item = None
+        items: List[List[DrawItem]] = []
+        #: Rows built here: (row, target key, artifact key, memoized
+        #: artifact or None).
+        build: List[Tuple[int, Tuple, Tuple, Optional[np.ndarray]]] = []
+        hits: Dict[int, np.ndarray] = {}
+        #: Repeated row -> position in ``build`` of the row it repeats.
+        repeats: Dict[int, int] = {}
+        first: Dict[Tuple, int] = {}
+        for r, prompt in enumerate(prompts):
+            pid = prompt.prompt_id
+            cache_key = prefix + (pid, seed, alignment, realism)
+            cached = _TARGET_CACHE.get(cache_key)
+            if cached is not None:
+                hits[r] = cached
+                items.append([])
+                continue
+            k = first.get(cache_key)
+            if k is not None:
+                repeats[r] = k
+                items.append([])
+                continue
+            first[cache_key] = len(build)
+            row: List[DrawItem] = []
+            if jittered:
+                row.append((None, True, self._jitter_seeds(pid, seed)))
+            row.append((dim, True, self._natural_seeds(pid)))
+            # The artifact direction is pure in (model, prompt); it recurs
+            # when the same prompt is rendered again (ground-truth sets,
+            # baseline comparisons over one trace, repeated experiment
+            # runs).  Only its normalized form is memoized: every caller
+            # reads that first, so a memo of the raw draw would never be
+            # read.
+            artifact_key = prefix + (pid,)
+            artifact = _ARTIFACT_CACHE.get(artifact_key)
+            if artifact is None:
+                row.append((dim, False, self._artifact_seeds(pid)))
+            if set_item is None:
+                set_item = (dim, True, self._set_seeds(seed))
+            row.append(set_item)
+            items.append(row)
+            build.append((r, cache_key, artifact_key, artifact))
 
-        def assemble(drawn: Sequence[Draw]) -> np.ndarray:
-            mixture = prompt_mixture(self._space, prompt)
+        def assemble(drawn: Sequence[Sequence[Draw]]) -> np.ndarray:
+            if not build:
+                return _row_ops(len(prompts))[0](
+                    [hits[r] for r in range(len(prompts))]
+                )
+            stack, unit, column = _row_ops(len(build))
             aligned = spec.alignment if alignment is None else alignment
             real = spec.realism if realism is None else realism
-            pos = 0
-            if jittered:
-                shifted = aligned + spec.alignment_jitter * drawn[0]
-                # Same clamp as np.clip(shifted, 0.05, 0.98).
-                aligned = min(max(shifted, 0.05), 0.98)
-                pos = 1
             # The model's intrinsic artifact budget is fixed by its
             # standalone alignment; any further alignment loss becomes
             # generic content.
             artifact_scale = self._artifact_scale
-            deficit_scale = math.sqrt(
-                max(0.0, 1.0 - aligned**2 - artifact_scale**2)
-            )
-            natural = drawn[pos]
-            pos += 1
-            art = artifact
-            if art is None:
-                art = normalize(
-                    self._fingerprint_part
-                    + self._idiosyncratic_weight * drawn[pos]
+            # Draw positions in a row: [jitter], natural, [artifact], set.
+            nat = 1 if jittered else 0
+            aligns = []
+            deficits = []
+            naturals = []
+            artifacts = []
+            raws = []
+            raw_draws = []
+            for r, _, _, artifact in build:
+                draws = drawn[r]
+                a = aligned
+                if jittered:
+                    shifted = aligned + spec.alignment_jitter * draws[0]
+                    # Same clamp as np.clip(shifted, 0.05, 0.98).
+                    a = min(max(shifted, 0.05), 0.98)
+                aligns.append(a)
+                deficits.append(
+                    math.sqrt(max(0.0, 1.0 - a**2 - artifact_scale**2))
                 )
-                pos += 1
-                _memo_store(_ARTIFACT_CACHE, artifact_key, art)
-            residual = normalize(real * natural + (1.0 - real) * art)
-            target = normalize(
-                aligned * mixture
+                naturals.append(draws[nat])
+                if artifact is None:
+                    raws.append(len(artifacts))
+                    raw_draws.append(draws[nat + 1])
+                artifacts.append(artifact)
+            if raws:
+                stack_raws, unit_raws, _ = _row_ops(len(raws))
+                fresh = unit_raws(
+                    self._fingerprint_part
+                    + self._idiosyncratic_weight * stack_raws(raw_draws)
+                )
+                for k, vec in zip(raws, _split(fresh)):
+                    artifacts[k] = vec
+                    _memo_store(_ARTIFACT_CACHE, build[k][2], vec)
+            natural = stack(naturals)
+            residual = unit(real * natural + (1.0 - real) * stack(artifacts))
+            # Every row drew the same set-drift direction, last of its
+            # own items.
+            r, _, _, artifact = build[0]
+            set_drift = drawn[r][nat + 1 + (artifact is None)]
+            if len(build) == 1:
+                mixture = prompt_mixture(self._space, prompts[r])
+            else:
+                mixture = prompt_mixtures(
+                    self._space, [prompts[b[0]] for b in build]
+                )
+            targets = unit(
+                column(aligns) * mixture
                 + artifact_scale * residual
-                + deficit_scale * natural
-                + spec.set_shift * drawn[pos]
+                + column(deficits) * natural
+                + spec.set_shift * set_drift
             )
-            _memo_store(_TARGET_CACHE, cache_key, target)
-            return target
+            built = _split(targets)
+            for (_, cache_key, _, _), target in zip(build, built):
+                _memo_store(_TARGET_CACHE, cache_key, target)
+            if not hits and not repeats:
+                return targets
+            out = np.empty((len(prompts), dim))
+            for (r, _, _, _), target in zip(build, built):
+                out[r] = target
+            for r, target in hits.items():
+                out[r] = target
+            for r, k in repeats.items():
+                out[r] = built[k]
+            return out
 
         return items, assemble
 
@@ -338,36 +466,104 @@ class DiffusionModelSim:
         seed: str = "default",
         created_at: float = 0.0,
     ) -> GenerationResult:
-        """Full ``T``-step generation from pure noise (cache-miss path)."""
-        image_id = self._next_image_id(prompt.prompt_id, seed)
-        # The finished content is pure in (spec, space, prompt, seed,
-        # image id) — the id pins prompt and seed, plus the per-sim
-        # sequence position that keys the sampling noise.
-        content_key = self._memo_prefix + (image_id,)
-        content = _CONTENT_CACHE.get(content_key)
-        if content is None:
-            items, assemble = self._target_plan(prompt, seed, None, None)
-            items.append(self._noise_item(image_id))
-            drawn = self._draw_image(items, image_id)
-            content = self._finish(assemble(drawn), drawn[-1])
-            _memo_store(_CONTENT_CACHE, content_key, content)
-        image = SyntheticImage(
-            image_id=image_id,
-            prompt_id=prompt.prompt_id,
-            model_name=self._spec.name,
-            content=content,
-            created_at=created_at,
-            steps_run=self._spec.total_steps,
-            skipped_steps=0,
-            source_image_id=None,
-            seed=seed,
-            size_bytes=self._spec.image_bytes,
-        )
-        return GenerationResult(
-            image=image,
-            steps_run=self._spec.total_steps,
-            skipped_steps=0,
-        )
+        """Full ``T``-step generation from pure noise (cache-miss path).
+
+        The one-prompt case of :meth:`generate_batch`.
+        """
+        return self.generate_batch((prompt,), seed, created_at)[0]
+
+    def generate_batch(
+        self,
+        prompts: Sequence[PromptLike],
+        seed: str = "default",
+        created_at: float = 0.0,
+    ) -> List[GenerationResult]:
+        """:meth:`generate` of every prompt, in order, as one batch.
+
+        The contract is bit-for-bit equality with sequential
+        :meth:`generate` calls: the same image ids (the id counter
+        advances in prompt order), the same content bytes and the same
+        memo entries.  Each image's content depends only on its own keyed
+        draws, so the images are independent and are built together:
+        every draw of every fresh image is seeded in one
+        :meth:`DirectionCache.draw_batch` (packed replays, eight seeds a
+        call), targets come from one :meth:`_target_plan`, and contents
+        are finished as one row stack.  The image encoder's noise rows
+        are parked as one batch for
+        :meth:`~repro.embedding.image_encoder.ClipLikeImageEncoder.encode_batch`.
+        """
+        spec = self._spec
+        prefix = self._memo_prefix
+        images: List[Tuple[PromptLike, str, Tuple, Optional[np.ndarray]]] = []
+        fresh: List[int] = []
+        for prompt in prompts:
+            image_id = self._next_image_id(prompt.prompt_id, seed)
+            # A finished content is pure in (spec, space, prompt, seed,
+            # image id) — the id pins prompt and seed, plus the per-sim
+            # sequence position that keys the sampling noise.
+            key = prefix + (image_id,)
+            content = _CONTENT_CACHE.get(key)
+            if content is None:
+                fresh.append(len(images))
+            images.append((prompt, image_id, key, content))
+        if fresh:
+            items, assemble = self._target_plan(
+                [images[i][0] for i in fresh], seed, None, None
+            )
+            fresh_ids = []
+            for row, i in zip(items, fresh):
+                image_id = images[i][1]
+                row.append(self._noise_item(image_id))
+                fresh_ids.append(image_id)
+            drawn = self._draw_images(items, fresh_ids)
+            stack, unit, _ = _row_ops(len(fresh))
+            finished = unit(
+                assemble(drawn)
+                + spec.image_noise * stack([d[-1] for d in drawn])
+            )
+            for i, content in zip(fresh, _split(finished)):
+                prompt, image_id, key, _ = images[i]
+                images[i] = (prompt, image_id, key, content)
+                _memo_store(_CONTENT_CACHE, key, content)
+        total = spec.total_steps
+        return [
+            GenerationResult(
+                image=SyntheticImage(
+                    image_id=image_id,
+                    prompt_id=prompt.prompt_id,
+                    model_name=spec.name,
+                    content=content,
+                    created_at=created_at,
+                    steps_run=total,
+                    skipped_steps=0,
+                    source_image_id=None,
+                    seed=seed,
+                    size_bytes=spec.image_bytes,
+                ),
+                steps_run=total,
+                skipped_steps=0,
+            )
+            for prompt, image_id, _, content in images
+        ]
+
+    def generate_chunks(
+        self,
+        prompts: Sequence[PromptLike],
+        seed: str = "default",
+        created_at: float = 0.0,
+    ) -> Iterator[Tuple[Sequence[PromptLike], List[SyntheticImage]]]:
+        """:meth:`generate_batch` over consecutive chunks of ``prompts``.
+
+        Yields ``(chunk, images)`` per chunk of at most
+        :data:`WARM_CHUNK` prompts, generating each chunk only when it is
+        asked for.  A bulk caller that embeds a chunk's images before
+        taking the next one finds their encoder noise still parked, and
+        its temporaries stay bounded by the chunk size.
+        """
+        for start in range(0, len(prompts), WARM_CHUNK):
+            chunk = prompts[start:start + WARM_CHUNK]
+            results = self.generate_batch(chunk, seed, created_at)
+            yield chunk, [result.image for result in results]
 
     def refine(
         self,
@@ -396,7 +592,7 @@ class DiffusionModelSim:
         # by the variant memo, not pinned by its id.
         content_key = self._memo_prefix + (image_id, skipped_steps)
         content, variant = variant_get(
-            _CONTENT_CACHE, content_key, source.content
+            _REFINE_CACHE, content_key, source.content
         )
         if content is None:
             terms = self._skip_cache.get(skipped_steps)
@@ -410,8 +606,9 @@ class DiffusionModelSim:
                 )
             anchor, alignment, realism = terms
             items, assemble = self._target_plan(
-                prompt, seed, alignment, realism
+                (prompt,), seed, alignment, realism
             )
+            row = items[0]
             # Under-refinement: with few remaining steps, residual noise
             # from the Eq. 2 re-noising survives into the output.  The
             # residue is image-specific (it is leftover sampling noise),
@@ -422,24 +619,26 @@ class DiffusionModelSim:
             # pollution.
             drift = self._spec.skip_penalty * (skipped_steps / total)
             if drift > 0.0:
-                items.append(
+                row.append(
                     (
                         self._space.config.semantic_dim,
                         False,
                         self._generic_seeds(image_id),
                     )
                 )
-            items.append(self._noise_item(image_id))
-            drawn = self._draw_image(items, image_id)
+            row.append(self._noise_item(image_id))
+            drawn = self._draw_images(items, (image_id,))
+            draws = drawn[0]
             blend = normalize(
                 anchor * normalize(source.content)
                 + (1.0 - anchor) * assemble(drawn)
             )
             if drift > 0.0:
-                blend = normalize((1.0 - drift) * blend + drift * drawn[-2])
-            content = self._finish(blend, drawn[-1])
+                blend = normalize((1.0 - drift) * blend + drift * draws[-2])
+            # Per-image sampling noise, as generate_batch finishes a row.
+            content = normalize(blend + self._spec.image_noise * draws[-1])
             variant_put(
-                _CONTENT_CACHE, content_key, variant, source.content,
+                _REFINE_CACHE, content_key, variant, source.content,
                 content, _MEMO_MAX,
             )
         steps_run = total - skipped_steps
@@ -487,29 +686,51 @@ class DiffusionModelSim:
             self._noise_seeds(image_id),
         )
 
-    def _draw_image(self, items: List[DrawItem], image_id: str) -> List[Draw]:
-        """Draw one image's ``items``, plus its image-encoder noise.
+    def _draw_images(
+        self, items: List[List[DrawItem]], image_ids: Sequence[str]
+    ) -> List[List[Draw]]:
+        """Draw every image's items, plus its image-encoder noise.
 
-        Every finished image is embedded by the image encoder, whose
-        per-image noise stream is keyed by the image id.  That draw joins
-        the image's batch, so one packed replay seeds all of the image's
-        streams, and is parked in :data:`directions` for the encoder's
-        :meth:`~repro._rng.DirectionCache.fresh_unit`.  Returns the draws
-        of ``items`` alone, in order.
+        ``items[r]`` are image ``image_ids[r]``'s draws.  Every finished
+        image is embedded by the image encoder, whose per-image noise
+        stream is keyed by the image id.  Those draws join the batch, so
+        one :meth:`~repro._rng.DirectionCache.draw_batch` seeds all of
+        the images' streams, and are parked in :data:`directions` for
+        the encoder (:meth:`~repro._rng.DirectionCache.park_rows`).
+        Returns the draws of each ``items[r]`` alone, in order.
         """
         space = self._space
-        if space.config.image_encoder_noise <= 0.0:
-            return directions.draw_batch(items)
+        noisy = space.config.image_encoder_noise > 0.0
         dim = space.config.semantic_dim
-        seed = space.image_noise_seed(image_id)
-        items.append((dim, False, seed))
-        drawn = directions.draw_batch(items)
-        directions.park(dim, seed, drawn.pop())
-        return drawn
-
-    def _finish(self, direction: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """Apply per-image sampling noise and return the final content."""
-        return normalize(direction + self._spec.image_noise * noise)
+        if len(items) == 1:  # one image: no row bookkeeping
+            if not noisy:
+                return [directions.draw_batch(items[0])]
+            seed = space.image_noise_seed(image_ids[0])
+            drawn = directions.draw_batch(items[0] + [(dim, False, seed)])
+            directions.park(dim, seed, drawn.pop())
+            return [drawn]
+        flat: List[DrawItem] = []
+        seeds: List[int] = []
+        for row, image_id in zip(items, image_ids):
+            flat.extend(row)
+            if noisy:
+                seed = space.image_noise_seed(image_id)
+                seeds.append(seed)
+                flat.append((dim, False, seed))
+        drawn = directions.draw_batch(flat)
+        out: List[List[Draw]] = []
+        noise: List[np.ndarray] = []
+        pos = 0
+        for row in items:
+            end = pos + len(row)
+            out.append(drawn[pos:end])
+            if noisy:
+                noise.append(drawn[end])  # type: ignore[arg-type]
+                end += 1
+            pos = end
+        if noisy:
+            directions.park_rows(dim, seeds, noise)
+        return out
 
     def _next_image_id(
         self, prompt_id: str, seed: str, source_id: str = "scratch"

@@ -9,12 +9,12 @@ text-to-image retrieval tracks visual alignment (§3.2's insight).
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import List, Protocol, Sequence
 
 import numpy as np
 
 from repro._memo import VariantMemo, variant_get, variant_put
-from repro._rng import directions, normalize
+from repro._rng import directions, normalize, normalize_rows
 from repro.embedding.space import SemanticSpace
 
 
@@ -77,10 +77,56 @@ class ClipLikeImageEncoder:
         return embedding
 
     def encode_batch(self, images: Sequence[ImageLike]) -> np.ndarray:
-        """Embed a sequence of images into an ``(n, embed_dim)`` array."""
-        if not images:
+        """Embed a sequence of images into an ``(n, embed_dim)`` array.
+
+        Bit-identical to sequential :meth:`encode` calls, memo included:
+        memoized rows are gathered, the rest are embedded as one stack
+        (rows normalized with :func:`~repro._rng.normalize_rows`, the
+        encoder noise of every row taken in one
+        :meth:`~repro._rng.DirectionCache.fresh_units` call, which hands
+        over the rows a model batch parked) and memoized in order, one
+        key per fresh result.
+        """
+        n = len(images)
+        if n == 0:
             return np.zeros((0, self.embed_dim))
-        return np.stack([self.encode(img) for img in images])
+        out = np.empty((n, self.embed_dim))
+        cached = self._cache_embeddings
+        memo_key = self._memo_key
+        fresh: List[int] = []
+        for i, image in enumerate(images):
+            if cached:
+                hit, _ = variant_get(
+                    _EMBED_MEMO, (memo_key, image.image_id), image.content
+                )
+                if hit is not None:
+                    out[i] = hit
+                    continue
+            fresh.append(i)
+        if not fresh:
+            return out
+        embedded = self._encode_contents(
+            [images[i].content for i in fresh],
+            [images[i].image_id for i in fresh],
+        )
+        for r, i in enumerate(fresh):
+            embedding = embedded[r]
+            if cached:
+                # Put in order; a repeat of an earlier row's id and
+                # content finds that row's entry, as sequential encodes
+                # would.
+                image = images[i]
+                key = (memo_key, image.image_id)
+                hit, variant = variant_get(_EMBED_MEMO, key, image.content)
+                if hit is None:
+                    variant_put(
+                        _EMBED_MEMO, key, variant, image.content, embedding,
+                        _EMBED_MEMO_MAX,
+                    )
+                else:
+                    embedding = hit
+            out[i] = embedding
+        return out
 
     def _encode_content(self, content: np.ndarray, key: str) -> np.ndarray:
         cfg = self._space.config
@@ -95,7 +141,7 @@ class ClipLikeImageEncoder:
             # Not memoized: image-id keys are unique within a run, and
             # replays hit the embedding memo before reaching this draw.
             # The model that made the image has usually parked this draw
-            # already (see DiffusionModelSim._draw_image).
+            # already (see DiffusionModelSim._draw_images).
             noise = directions.fresh_unit(
                 sdim, seed=self._space.image_noise_seed(key)
             )
@@ -107,6 +153,44 @@ class ClipLikeImageEncoder:
         embedding = self._anchor.copy()
         embedding[:sdim] = cfg.modality_scale * semantic + self._anchor[:sdim]
         return normalize(embedding)
+
+    def _encode_contents(
+        self, contents: Sequence[np.ndarray], keys: Sequence[str]
+    ) -> Sequence[np.ndarray]:
+        """:meth:`_encode_content` of every content, as read-only rows.
+
+        Several contents are embedded as one stack; a single one by
+        :meth:`_encode_content` itself.
+        """
+        if len(contents) == 1:
+            embedding = self._encode_content(contents[0], keys[0])
+            embedding.flags.writeable = False
+            return [embedding]
+        cfg = self._space.config
+        sdim = cfg.semantic_dim
+        for content in contents:
+            if content.shape != (sdim,):
+                raise ValueError(
+                    "expected content of shape "
+                    f"({sdim},), got {content.shape}"
+                )
+        semantic = normalize_rows(np.array(contents))
+        if cfg.image_encoder_noise > 0.0:
+            seed = self._space.image_noise_seed
+            noise = np.array(
+                directions.fresh_units(sdim, [seed(key) for key in keys])
+            )
+            semantic = normalize_rows(
+                semantic + cfg.image_encoder_noise * noise
+            )
+        embedded = np.empty((len(contents), self.embed_dim))
+        embedded[:] = self._anchor
+        embedded[:, :sdim] = (
+            cfg.modality_scale * semantic + self._anchor[:sdim]
+        )
+        embedded = normalize_rows(embedded)
+        embedded.flags.writeable = False
+        return embedded
 
     def clear_cache(self) -> None:
         """Drop this space's entries from the process-wide memo.

@@ -10,14 +10,13 @@ sees only what was actually depicted.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Protocol, Sequence
 
 import numpy as np
 
-from repro._rng import normalize
+from repro._rng import normalize, normalize_rows
 from repro.embedding.space import SemanticSpace
-from repro.embedding.vocab import surface_vector
+from repro.embedding.vocab import surface_vector, token_vector
 
 
 class PromptLike(Protocol):
@@ -53,6 +52,79 @@ def prompt_mixture(space: SemanticSpace, prompt: "PromptLike") -> np.ndarray:
     mixture.flags.writeable = False
     cache[prompt.prompt_id] = mixture
     return mixture
+
+
+def prompt_mixtures(
+    space: SemanticSpace, prompts: Sequence["PromptLike"]
+) -> np.ndarray:
+    """:func:`prompt_mixture` of every prompt, as an ``(n, dim)`` stack.
+
+    Memoized mixtures are gathered; the others (each prompt id once) are
+    built together, a single one by :func:`prompt_mixture` itself (a
+    one-prompt stack is a read-only view of its memoized mixture).  A
+    prompt's surface is the sum of its token vectors
+    (:func:`~repro.embedding.vocab.surface_vector`): the stack adds one
+    token column at a time, in token order, from zero, with a zero
+    vector padding short prompts — the additions the per-prompt sum
+    makes, since adding ``+0.0`` to a sum that started at ``+0.0``
+    changes no bit.  Rows are then normalized with
+    :func:`~repro._rng.normalize_rows`, so every row is bit-identical
+    to the per-prompt construction, and stored in the memo.
+    """
+    if len(prompts) == 1:
+        return prompt_mixture(space, prompts[0])[None]
+    cache = space.mixture_cache
+    cfg = space.config
+    dim = cfg.semantic_dim
+    out = np.empty((len(prompts), dim))
+    rows_of: Dict[str, List[int]] = {}
+    todo: List[PromptLike] = []
+    for i, prompt in enumerate(prompts):
+        hit = cache.get(prompt.prompt_id)
+        if hit is not None:
+            out[i] = hit
+            continue
+        rows = rows_of.get(prompt.prompt_id)
+        if rows is None:
+            rows_of[prompt.prompt_id] = [i]
+            todo.append(prompt)
+        else:
+            rows.append(i)
+    if len(todo) <= 1:
+        for prompt in todo:
+            out[rows_of[prompt.prompt_id]] = prompt_mixture(space, prompt)
+        return out
+    # Token table: row 0 pads, then one row per distinct token.
+    slots: Dict[str, int] = {}
+    vectors = [np.zeros(dim)]
+    columns: List[List[int]] = []
+    for prompt in todo:
+        row = []
+        for token in prompt.tokens:
+            slot = slots.get(token)
+            if slot is None:
+                slot = slots[token] = len(vectors)
+                vectors.append(token_vector(token, dim))
+            row.append(slot)
+        columns.append(row)
+    width = max(map(len, columns))
+    index = np.array(
+        [row + [0] * (width - len(row)) for row in columns], dtype=np.intp
+    ).reshape(len(todo), width)
+    table = np.array(vectors)
+    acc = np.zeros((len(todo), dim))
+    for c in range(width):
+        acc += table[index[:, c]]
+    semantics = np.array([prompt.semantics for prompt in todo])
+    mixtures = normalize_rows(
+        cfg.deep_weight * semantics + cfg.surface_weight * normalize_rows(acc)
+    )
+    mixtures.flags.writeable = False
+    for r, prompt in enumerate(todo):
+        mixture = cache[prompt.prompt_id] = mixtures[r]
+        for i in rows_of[prompt.prompt_id]:
+            out[i] = mixture
+    return out
 
 
 #: Process-wide embedding memo shared by caching encoder instances, keyed
@@ -122,12 +194,12 @@ class ClipLikeTextEncoder:
         """Embed a sequence of prompts into an ``(n, embed_dim)`` array.
 
         Uncached prompts are embedded in one vectorized pass: their
-        mixtures are stacked, scaled, and anchored as a single matrix and
-        normalized together.  Row norms are computed with the scalar
-        path's exact ``sqrt(dot(v, v))`` so the batch is bit-identical to
-        sequential :meth:`encode` calls, and the per-``prompt_id`` memo
-        semantics are unchanged (duplicates within the batch share one
-        embedding, which is stored for later singleton encodes).
+        mixtures (:func:`prompt_mixtures`) are stacked, scaled, and
+        anchored as a single matrix and normalized with
+        :func:`~repro._rng.normalize_rows`, so the batch is bit-identical
+        to sequential :meth:`encode` calls, and the per-``prompt_id``
+        memo semantics are unchanged (duplicates within the batch share
+        one embedding, which is stored for later singleton encodes).
         """
         n = len(prompts)
         embed_dim = self.embed_dim
@@ -151,18 +223,11 @@ class ClipLikeTextEncoder:
         if not uncached:
             return out
         cfg = self._space.config
-        sdim = cfg.semantic_dim
         mat = np.zeros((len(uncached), embed_dim))
-        for r, prompt in enumerate(uncached):
-            mat[r, :sdim] = prompt_mixture(self._space, prompt)
+        mat[:, : cfg.semantic_dim] = prompt_mixtures(self._space, uncached)
         mat *= cfg.modality_scale
         mat += self._anchor
-        norms = np.empty(len(uncached))
-        for r in range(len(uncached)):
-            row = mat[r]
-            norm = math.sqrt(float(np.dot(row, row)))
-            norms[r] = norm if norm != 0.0 else 1.0
-        mat /= norms[:, None]
+        mat = normalize_rows(mat)
         for i in fresh:
             out[i] = mat[first_row[prompts[i].prompt_id]]
         if self._cache_embeddings:

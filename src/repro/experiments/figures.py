@@ -203,11 +203,13 @@ def fig5_quality_vs_similarity(
     )
     run.warm(warm)
 
+    base_prompts = serve_prompts[:200]
+    base = large.generate_batch(base_prompts, "fig5-base")
     vanilla_clip = float(
         np.mean(
             [
-                ctx.clip.score(p, large.generate(p, seed="fig5-base").image)
-                for p in serve_prompts[:200]
+                ctx.clip.score(p, result.image)
+                for p, result in zip(base_prompts, base)
             ]
         )
     )
@@ -1150,9 +1152,11 @@ def fig14_tradeoff(ctx: ExperimentContext) -> ExperimentResult:
         ("SDXL", "sdxl"),
         ("SD3.5L-Turbo", "sd3.5-large-turbo"),
     ):
-        sim = ctx.model(model)
         imgs = [
-            sim.generate(p, seed="fig14-solo").image for p in serve_prompts
+            result.image
+            for result in ctx.model(model).generate_batch(
+                serve_prompts, "fig14-solo"
+            )
         ]
         thr = serving_throughput(ctx.vanilla(cluster, model=model))
         result.add_row(

@@ -166,10 +166,19 @@ class CacheOnlyRun:
         self.records: List[CacheOnlyRecord] = []
 
     def warm(self, prompts: Sequence[Prompt], seed: str = "warmup") -> None:
-        """Fill the cache with large-model generations (§6 warm-up)."""
-        for prompt in prompts:
-            image = self.large.generate(prompt, seed=seed).image
-            self._admit(prompt, image, now=0.0)
+        """Fill the cache with large-model generations (§6 warm-up).
+
+        Generated and embedded one chunk at a time, inserted in order:
+        bit-identical to admitting one prompt at a time.
+        """
+        for chunk, images in self.large.generate_chunks(prompts, seed=seed):
+            if self.admission is CacheAdmission.NONE:
+                continue
+            # Warm images are the large model's, so LARGE_ONLY admits
+            # them all.
+            embeddings = self.retrieval.index_embeddings(chunk, images)
+            for image, embedding in zip(images, embeddings):
+                self.cache.insert(image, embedding, 0.0)
 
     def serve(
         self,
@@ -493,5 +502,5 @@ class ExperimentContext:
     ) -> FidMetric:
         sim = self.model(model)
         return FidMetric(
-            [sim.generate(p, seed=seed).image for p in prompts]
+            [result.image for result in sim.generate_batch(prompts, seed)]
         )

@@ -36,8 +36,8 @@ def _standalone_images(
     prompts: Sequence[Prompt],
     seed: str,
 ) -> List[Tuple[Prompt, object]]:
-    sim = ctx.model(model)
-    return [(p, sim.generate(p, seed=seed).image) for p in prompts]
+    results = ctx.model(model).generate_batch(prompts, seed)
+    return [(p, result.image) for p, result in zip(prompts, results)]
 
 
 def _pinecone_images(
@@ -55,9 +55,10 @@ def _pinecone_images(
     cache = ImageCache(
         capacity=ctx.scale.cache_capacity, embed_dim=retrieval.embed_dim
     )
-    for p in warm:
-        img = large_sim.generate(p, seed="warmup").image
-        cache.insert(img, retrieval.index_embedding(p, img), 0.0)
+    for chunk, images in large_sim.generate_chunks(warm, seed="warmup"):
+        embeddings = retrieval.index_embeddings(chunk, images)
+        for img, embedding in zip(images, embeddings):
+            cache.insert(img, embedding, 0.0)
     out: List[Tuple[Prompt, object]] = []
     for p in prompts:
         entry, sim = cache.retrieve(retrieval.query_embedding(p))
@@ -243,10 +244,9 @@ def a6_small_model_cache_quality(ctx: ExperimentContext) -> ExperimentResult:
         if refine:
             run.serve(batch2)
         else:
-            # Stage 2 fully regenerates every request with the large model.
-            for prompt in batch2:
-                image = large.generate(prompt, seed="a6-full").image
-                run._admit(prompt, image, now=0.0)
+            # Stage 2 fully regenerates every request with the large
+            # model and admits it (a warm-up under another seed).
+            run.warm(batch2, seed="a6-full")
         # Stage 3: serve a fresh batch with SDXL refinement against the
         # stage-2 cache; score only the cache hits (the paper evaluates
         # the reused generations).

@@ -28,7 +28,8 @@ from repro.workloads import (
 # oracles, the tiered residency, quantization and storage-total
 # properties, the prompt-factory, kept-iteration, kept-prompt trace and
 # zipf-sampler oracles, the prefix-seed, keyed-draw and int-seed stream
-# properties) take it from the profile:
+# properties, the row-normalization, generate_batch, prompt-mixture and
+# encode_batch oracles) take it from the profile:
 # bounded for tier-1, heavier when
 # ``HYPOTHESIS_PROFILE=ci-heavy`` is set.
 settings.register_profile("tier1", max_examples=20)

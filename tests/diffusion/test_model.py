@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.diffusion.model import DiffusionModelSim
 from repro.diffusion.registry import MODEL_ZOO, get_model
@@ -394,7 +396,7 @@ class TestRefineContentMemo:
         image_id = first[0].image_id
         assert first[1].image_id == image_id == cold[0].image_id
         variants = sorted(
-            key[-1] for key in model_mod._CONTENT_CACHE if image_id in key
+            key[-1] for key in model_mod._REFINE_CACHE if image_id in key
         )
         assert variants == [0, 1]
         again = [_refine_fresh(space, prompts[1], s) for s in sources]
@@ -420,3 +422,195 @@ class TestRefineContentMemo:
         after = _refine_fresh(space, prompts[1], source)
         assert after.content.tobytes() == cold.content.tobytes()
         assert after.content.tobytes() != before.content.tobytes()
+
+
+@dataclasses.dataclass(frozen=True)
+class _BarePrompt:
+    """A ``PromptLike`` without the workload's bookkeeping fields."""
+
+    prompt_id: str
+    semantics: np.ndarray
+    tokens: tuple
+
+
+class TestGenerateBatchOracle:
+    """``generate_batch`` against sequential ``generate`` calls.
+
+    Both run from the same memo state — cold, warm, or partly warm in
+    the content, target and artifact memos — built by a twin sim before
+    each run.  The batch must return the same image ids and content
+    bytes, leave the same memo entries, and (through the parked encoder
+    noise) give the same image embeddings, whichever encoder path embeds
+    them.
+    """
+
+    @pytest.fixture(scope="class")
+    def quiet_space(self):
+        from repro.embedding.space import SemanticSpace, SpaceConfig
+
+        return SemanticSpace(SpaceConfig(image_encoder_noise=0.0))
+
+    @pytest.fixture(scope="class")
+    def pool(self, prompts):
+        """Ten trace prompts plus two with no tokens."""
+        bare = [
+            _BarePrompt(f"no-tokens-{i}", prompts[20 + i].semantics, ())
+            for i in range(2)
+        ]
+        return list(prompts[:10]) + bare
+
+    @staticmethod
+    def _spec(name):
+        if name == "steady":
+            return dataclasses.replace(
+                MODEL_ZOO["sdxl"], alignment_jitter=0.0
+            )
+        return get_model(name)
+
+    @staticmethod
+    def _memo_state():
+        from repro.diffusion import model as model_mod
+
+        return {
+            name: {key: value.tobytes() for key, value in memo.items()}
+            for name, memo in (
+                ("target", model_mod._TARGET_CACHE),
+                ("artifact", model_mod._ARTIFACT_CACHE),
+                ("content", model_mod._CONTENT_CACHE),
+            )
+        }
+
+    def _run(self, space, spec, batch, seed, warm, cache_embeddings, batched):
+        from repro.core.serving import clear_hotpath_memos
+        from repro.embedding.image_encoder import ClipLikeImageEncoder
+
+        clear_hotpath_memos(space)
+        targets, artifacts, content_prefix = warm
+        twin = DiffusionModelSim(spec, space)
+        for prompt in targets:
+            twin.target_content(prompt, seed)
+        for prompt in artifacts:
+            twin.target_content(prompt, "other-seed")
+        # Same spec and seed: the twin names these images exactly as the
+        # measured sim will, so their contents are memo hits.
+        for prompt in batch[:content_prefix]:
+            twin.generate(prompt, seed=seed)
+        sim = DiffusionModelSim(spec, space)
+        encoder = ClipLikeImageEncoder(space, cache_embeddings)
+        if batched:
+            images = [
+                r.image for r in sim.generate_batch(batch, seed, 2.5)
+            ]
+            embedded = list(encoder.encode_batch(images))
+        else:
+            images, embedded = [], []
+            for prompt in batch:
+                images.append(sim.generate(prompt, seed, 2.5).image)
+                embedded.append(encoder.encode(images[-1]))
+        return (
+            [
+                (
+                    image.image_id,
+                    image.prompt_id,
+                    image.content.tobytes(),
+                    image.created_at,
+                    image.steps_run,
+                )
+                for image in images
+            ],
+            [embedding.tobytes() for embedding in embedded],
+            self._memo_state(),
+            next(sim._counter),
+        )
+
+    @given(
+        rows=st.lists(st.integers(0, 11), min_size=1, max_size=12),
+        spec_name=st.sampled_from(["sd3.5-large", "sdxl", "steady"]),
+        quiet=st.booleans(),
+        cache_embeddings=st.booleans(),
+        seed=st.sampled_from(["a", "b"]),
+        target_rows=st.sets(st.integers(0, 11)),
+        artifact_rows=st.sets(st.integers(0, 11)),
+        content_prefix=st.integers(0, 12),
+    )
+    @example(  # repeats of a later prompt, all memos cold
+        rows=[0, 1, 11, 1, 11, 0],
+        spec_name="sd3.5-large",
+        quiet=False,
+        cache_embeddings=True,
+        seed="a",
+        target_rows=set(),
+        artifact_rows=set(),
+        content_prefix=0,
+    )
+    @example(  # every path at once: partly warm memos, no jitter
+        rows=[2, 3, 10, 3, 4, 2, 5],
+        spec_name="steady",
+        quiet=True,
+        cache_embeddings=False,
+        seed="b",
+        target_rows={3, 5},
+        artifact_rows={2, 10},
+        content_prefix=2,
+    )
+    @settings(deadline=None)
+    def test_batch_equals_sequential(
+        self,
+        space,
+        quiet_space,
+        pool,
+        rows,
+        spec_name,
+        quiet,
+        cache_embeddings,
+        seed,
+        target_rows,
+        artifact_rows,
+        content_prefix,
+    ):
+        run_space = quiet_space if quiet else space
+        spec = self._spec(spec_name)
+        batch = [pool[i] for i in rows]
+        warm = (
+            [pool[i] for i in sorted(target_rows)],
+            [pool[i] for i in sorted(artifact_rows)],
+            content_prefix,
+        )
+        args = (run_space, spec, batch, seed, warm, cache_embeddings)
+        sequential = self._run(*args, batched=False)
+        batched = self._run(*args, batched=True)
+        assert batched == sequential
+
+    def test_generate_is_the_one_prompt_batch(self, space, prompts):
+        from repro.diffusion import model as model_mod
+
+        model_mod.clear_model_memos()
+        one = DiffusionModelSim(get_model("sdxl"), space)
+        many = DiffusionModelSim(get_model("sdxl"), space)
+        first = one.generate(prompts[3], seed="one").image
+        [batched] = many.generate_batch([prompts[3]], seed="one")
+        assert batched.image.content is first.content
+        assert batched.image == first
+
+    def test_empty_batch(self, space):
+        sim = DiffusionModelSim(get_model("sdxl"), space)
+        assert sim.generate_batch([], seed="none") == []
+        assert next(sim._counter) == 0
+
+    def test_chunks_cover_the_prompts_in_order(self, space, prompts):
+        from repro.diffusion import model as model_mod
+
+        model_mod.clear_model_memos()
+        n = model_mod.WARM_CHUNK + 7
+        chunked = DiffusionModelSim(get_model("sdxl"), space)
+        whole = DiffusionModelSim(get_model("sdxl"), space)
+        seen = []
+        for chunk, images in chunked.generate_chunks(prompts[:n], "c"):
+            assert len(chunk) == len(images) <= model_mod.WARM_CHUNK
+            seen.extend(images)
+        assert [image.image_id for image in seen] == [
+            r.image.image_id for r in whole.generate_batch(prompts[:n], "c")
+        ]
+        assert [p.prompt_id for p in prompts[:n]] == [
+            image.prompt_id for image in seen
+        ]

@@ -1,7 +1,11 @@
 """Tests for the CLIP-like text and image encoders."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.embedding.image_encoder import ClipLikeImageEncoder
 from repro.embedding.space import cosine
@@ -309,3 +313,209 @@ class TestRetrievalBatchPaths:
         )
         got = bat.query_embeddings(prompts[:8])
         assert (got == expected).all()
+
+
+@dataclasses.dataclass(frozen=True)
+class _BarePrompt:
+    prompt_id: str
+    semantics: np.ndarray
+    tokens: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class _BareImage:
+    image_id: str
+    content: np.ndarray
+
+
+#: A small token pool, so prompts share and repeat tokens.
+_TOKEN_POOL = ("astronaut", "dragon", "anime", "8k", "at-dawn", "noir", "owl")
+
+#: Eight prompts (ids fixed, tokens drawn), each id one immutable prompt.
+_prompt_tokens = st.lists(
+    st.lists(st.sampled_from(_TOKEN_POOL), max_size=7).map(tuple),
+    min_size=8,
+    max_size=8,
+)
+
+
+def _bare_prompts(prompts, token_lists):
+    return [
+        _BarePrompt(f"oracle-{i}", prompts[30 + i].semantics, tokens)
+        for i, tokens in enumerate(token_lists)
+    ]
+
+
+class TestPromptMixturesOracle:
+    """``prompt_mixtures`` rows against ``prompt_mixture``, byte for byte,
+    with duplicates, token-less prompts and a partly warm memo."""
+
+    @given(
+        token_lists=_prompt_tokens,
+        rows=st.lists(st.integers(0, 7), min_size=1, max_size=10),
+        warm=st.sets(st.integers(0, 7)),
+    )
+    @settings(deadline=None)
+    def test_rows_match_prompt_mixture(self, prompts, token_lists, rows, warm):
+        from repro.embedding.space import SemanticSpace
+        from repro.embedding.text_encoder import prompt_mixtures
+
+        pool = _bare_prompts(prompts, token_lists)
+        batch = [pool[i] for i in rows]
+        batched, sequential = SemanticSpace(), SemanticSpace()
+        for i in sorted(warm):
+            prompt_mixture(batched, pool[i])
+            prompt_mixture(sequential, pool[i])
+        got = prompt_mixtures(batched, batch)
+        for row, prompt in zip(got, batch):
+            expected = prompt_mixture(sequential, prompt)
+            assert row.tobytes() == expected.tobytes()
+        assert {
+            k: v.tobytes() for k, v in batched.mixture_cache.items()
+        } == {k: v.tobytes() for k, v in sequential.mixture_cache.items()}
+
+
+class TestTextEncodeBatchOracle:
+    """``ClipLikeTextEncoder.encode_batch`` against ``encode`` calls, from
+    the same (cold or partly warm) memo state."""
+
+    @staticmethod
+    def _run(prompts, batch, warm, cache_embeddings, batched):
+        from repro.embedding import text_encoder
+        from repro.embedding.space import SemanticSpace
+
+        text_encoder._EMBED_MEMO.clear()
+        encoder = ClipLikeTextEncoder(SemanticSpace(), cache_embeddings)
+        for prompt in warm:
+            encoder.encode(prompt)
+        if batched:
+            rows = list(encoder.encode_batch(batch))
+        else:
+            rows = [encoder.encode(prompt) for prompt in batch]
+        memo = {
+            k: v.tobytes() for k, v in text_encoder._EMBED_MEMO.items()
+        }
+        return [row.tobytes() for row in rows], memo
+
+    @given(
+        token_lists=_prompt_tokens,
+        rows=st.lists(st.integers(0, 7), min_size=1, max_size=10),
+        warm=st.sets(st.integers(0, 7)),
+        cache_embeddings=st.booleans(),
+    )
+    @settings(deadline=None)
+    def test_batch_equals_sequential(
+        self, prompts, token_lists, rows, warm, cache_embeddings
+    ):
+        pool = _bare_prompts(prompts, token_lists)
+        args = (
+            prompts,
+            [pool[i] for i in rows],
+            [pool[i] for i in sorted(warm)],
+            cache_embeddings,
+        )
+        assert self._run(*args, batched=True) == self._run(
+            *args, batched=False
+        )
+
+
+_content_values = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 1e170, 5e-324]),
+)
+
+
+class TestImageEncodeBatchOracle:
+    """``ClipLikeImageEncoder.encode_batch`` against ``encode`` calls.
+
+    Images repeat ids, with the same or a different content (memo
+    variants); contents include zero and extreme-magnitude vectors; the
+    encoder noise is parked for the batch (as a model batch parks it) or
+    drawn; the memo starts cold or partly warm, or is bypassed.
+    """
+
+    @staticmethod
+    def _run(space, batch, warm, cache_embeddings, park, batched):
+        from repro._rng import directions
+        from repro.embedding import image_encoder
+
+        image_encoder._EMBED_MEMO.clear()
+        directions.clear()
+        encoder = ClipLikeImageEncoder(space, cache_embeddings)
+        for image in warm:
+            encoder.encode(image)
+        if park:
+            dim = space.config.semantic_dim
+            seeds = [space.image_noise_seed(i.image_id) for i in batch]
+            drawn = directions.draw_batch([(dim, False, s) for s in seeds])
+            directions.park_rows(dim, seeds, drawn)
+        if batched:
+            rows = list(encoder.encode_batch(batch))
+        else:
+            rows = [encoder.encode(image) for image in batch]
+        memo = {
+            k: (c.tobytes(), v.tobytes())
+            for k, (c, v) in image_encoder._EMBED_MEMO.items()
+        }
+        return [row.tobytes() for row in rows], memo
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @given(
+        contents=st.lists(
+            st.lists(_content_values, min_size=48, max_size=48),
+            min_size=3,
+            max_size=3,
+        ),
+        rows=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 2)),
+            min_size=1,
+            max_size=8,
+        ),
+        warm=st.sets(st.tuples(st.integers(0, 3), st.integers(0, 2))),
+        cache_embeddings=st.booleans(),
+        park=st.booleans(),
+    )
+    @settings(deadline=None)
+    def test_batch_equals_sequential(
+        self, space, contents, rows, warm, cache_embeddings, park
+    ):
+        vectors = []
+        for values in contents:
+            vec = np.array(values)
+            vec.flags.writeable = False
+            vectors.append(vec)
+
+        def image(ref):
+            return _BareImage(f"oracle-image-{ref[0]}", vectors[ref[1]])
+
+        args = (
+            space,
+            [image(ref) for ref in rows],
+            [image(ref) for ref in sorted(warm)],
+            cache_embeddings,
+            park,
+        )
+        assert self._run(*args, batched=True) == self._run(
+            *args, batched=False
+        )
+
+    def test_model_batch_noise_is_handed_over(self, space, prompts):
+        """The rows a model batch parks are the ones the encoder uses."""
+        from repro._rng import directions
+        from repro.diffusion.model import DiffusionModelSim, clear_model_memos
+        from repro.diffusion.registry import get_model
+
+        clear_model_memos()
+        sim = DiffusionModelSim(get_model("sdxl"), space)
+        images = [r.image for r in sim.generate_batch(prompts[:5], "hand")]
+        dim = space.config.semantic_dim
+        parked = dict(directions._parked_rows)
+        assert len(parked) == 5
+        encoder = ClipLikeImageEncoder(space, cache_embeddings=False)
+        got = encoder.encode_batch(images)
+        assert not directions._parked_rows
+        reference = ClipLikeImageEncoder(space, cache_embeddings=False)
+        for row, image in zip(got, images):
+            seed = space.image_noise_seed(image.image_id)
+            assert (dim, seed) in parked
+            assert row.tobytes() == reference.encode(image).tobytes()

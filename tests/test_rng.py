@@ -15,6 +15,7 @@ from repro._rng import (
     _FastStream,
     _pcg64_raw_state,
     normalize,
+    normalize_rows,
     rng_for,
     rngs_for,
     seed_for,
@@ -774,3 +775,118 @@ class TestNormalizeExtremeRange:
             vec = rng.standard_normal(48) * float(rng.uniform(0.1, 10.0))
             ref = vec / float(np.linalg.norm(vec))
             assert (normalize(vec) == ref).all()
+
+
+_row_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        [0.0, -0.0, 1e-200, -1e-200, 1e-150, 1e200, -1e300, 5e-324]
+    ),
+)
+
+
+class TestNormalizeRowsOracle:
+    """Every row of ``normalize_rows`` is ``normalize`` of that row, byte
+    for byte: zero rows, extreme magnitudes, NaN/inf rows included."""
+
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 9)),
+        data=st.data(),
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rows_match_normalize(self, shape, data):
+        n, d = shape
+        mat = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(_row_values, min_size=d, max_size=d),
+                    min_size=n,
+                    max_size=n,
+                )
+            ),
+            dtype=float,
+        ).reshape(n, d)
+        before = mat.tobytes()
+        out = normalize_rows(mat)
+        assert mat.tobytes() == before
+        assert out.shape == mat.shape
+        for row, got in zip(mat, out):
+            assert got.tobytes() == normalize(row.copy()).tobytes()
+
+    def test_warnings_as_errors(self):
+        import warnings
+
+        mat = np.array([[1e200, -1e200, 3e199], [3.0, 4.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = normalize_rows(mat)
+            for row, got in zip(mat, out):
+                assert got.tobytes() == normalize(row.copy()).tobytes()
+
+    def test_matrix_rows_match_standalone_vectors(self):
+        mat = rng_for("normalize-rows").standard_normal((300, 48))
+        out = normalize_rows(mat)
+        for row, got in zip(mat, out):
+            assert got.tobytes() == normalize(row.copy()).tobytes()
+
+
+class TestParkedRows:
+    """``park_rows`` parks one batch; ``fresh_unit`` and ``fresh_units``
+    hand each row over once."""
+
+    @staticmethod
+    def _parked(cache, dim, names):
+        seeds = [seed_for("park-rows", name) for name in names]
+        rows = cache.draw_batch([(dim, False, s) for s in seeds])
+        cache.park_rows(dim, seeds, rows)
+        return seeds, rows
+
+    def test_each_row_returned_once(self):
+        cache = DirectionCache()
+        seeds, rows = self._parked(cache, 48, ["a", "b", "c"])
+        assert cache.fresh_unit(48, seed=seeds[1]) is rows[1]
+        again = cache.fresh_unit(48, seed=seeds[1])
+        assert again is not rows[1]
+        assert again.tobytes() == rows[1].tobytes()
+        got = cache.fresh_units(48, seeds)
+        assert got[0] is rows[0] and got[2] is rows[2]
+        assert got[1].tobytes() == rows[1].tobytes()
+        assert not cache._parked_rows
+
+    def test_fresh_units_match_the_oracle(self):
+        cache = DirectionCache()
+        seeds, rows = self._parked(cache, 16, ["d", "e"])
+        other = seed_for("park-rows", "f")
+        got = cache.fresh_units(16, [other, seeds[0], other])
+        assert got[1] is rows[0]
+        ref = unit_vector(rng_for("park-rows", "f"), 16)
+        assert got[0].tobytes() == got[2].tobytes() == ref.tobytes()
+        # Same seed, other dimension: not the parked row.
+        narrow = cache.fresh_units(8, [seeds[1]])[0]
+        ref = unit_vector(rng_for("park-rows", "e"), 8)
+        assert narrow.tobytes() == ref.tobytes()
+        assert cache.fresh_unit(16, seed=seeds[1]) is rows[1]
+
+    def test_parking_replaces_the_batch(self):
+        cache = DirectionCache()
+        seeds_a, rows_a = self._parked(cache, 48, ["g", "h"])
+        seed, vec = seeds_a[0], rows_a[0]
+        one = seed_for("park-rows", "i")
+        single = cache.draw_batch([(48, False, one)])[0]
+        cache.park(48, one, single)
+        assert cache.fresh_unit(48, seed=seed) is not vec
+        seeds_b, rows_b = self._parked(cache, 48, ["j", "k"])
+        assert cache.fresh_unit(48, seed=one) is not single
+        assert cache.fresh_unit(48, seed=seeds_b[0]) is rows_b[0]
+
+    def test_one_row_parks_in_the_single_slot(self):
+        cache = DirectionCache()
+        seeds, rows = self._parked(cache, 48, ["l"])
+        assert cache._parked == ((48, seeds[0]), rows[0])
+        assert not cache._parked_rows
+
+    def test_clear_drops_them(self):
+        cache = DirectionCache()
+        seeds, rows = self._parked(cache, 48, ["m", "n"])
+        cache.clear()
+        assert cache.fresh_unit(48, seed=seeds[0]) is not rows[0]
