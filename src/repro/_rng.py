@@ -26,7 +26,8 @@ Three paths produce keyed draws, all bit-identical to each other:
   together and yield one long-lived generator re-pointed at each
   tuple's stream in turn, for callers that need whole streams —
   ``integers``, ``random`` and ``standard_normal`` draws — rather than
-  one vector per key.  Trace synthesis builds each session this way.
+  one vector per key.  Trace synthesis seeds every kept session's
+  streams in one call this way.
 
 Callers that seed many streams under one fixed key prefix hash that
 prefix once: :class:`SeedPrefix` keeps the prefix's BLAKE2b state and
@@ -34,16 +35,27 @@ copies it per suffix, and both ``draw_batch`` and ``rngs_for`` take the
 resulting ``int`` seed in place of a key tuple.
 
 The last two paths rest on one replay: numpy's ``SeedSequence`` entropy
-mixing and PCG64 seeding regenerated as unrolled Python, so a long-lived
-PCG64 can be set to the state ``PCG64(seed)`` would have without paying
-full object construction per key.  The replay is generated per lane
-count: for ``n`` seeds it mixes all of them at once in one Python int
-holding ``n`` 64-bit lanes.  Pointing the long-lived PCG64 at a
-replayed state (:meth:`_FastStream.seek`) writes the state's four
-64-bit words straight into the bit generator's C struct and clears its
-buffered half-draw; each stream checks that layout once, against
-numpy's ``state`` setter, and seeks through that setter instead on any
-build where the check fails.  ``tests/test_rng.py`` pins every path
+mixing and PCG64 seeding redone outside numpy, so a long-lived PCG64
+can be set to the state ``PCG64(seed)`` would have without paying full
+object construction per key.  The replay has two forms, chosen by how
+many seeds one call brings:
+
+* up to :data:`_BULK_SEEDS` (every serving call, which seeds at most
+  :data:`_MAX_LANES`), unrolled Python generated per lane count: for
+  ``n`` seeds it mixes all of them at once in one Python int holding
+  ``n`` 64-bit lanes, ~2.5 µs per seed;
+* above it (trace synthesis, the warm-up's ``generate_batch`` chunks),
+  numpy columns of 32-bit words (:func:`_pcg64_records`), up to
+  :data:`_RECORD_CHUNK` seeds per pass, for a fixed ~0.3 ms plus
+  ~0.25 µs per seed.
+
+Pointing the long-lived PCG64 at a replayed state
+(:meth:`_FastStream.seek`, or :meth:`_FastStream.seek_record` for the
+column replay's 32-byte records) writes the state's four 64-bit words
+straight into the bit generator's C struct and clears its buffered
+half-draw; each stream checks that layout once, against numpy's
+``state`` setter, and seeks through that setter instead on any build
+where the check fails.  ``tests/test_rng.py`` pins every path
 bit-for-bit against the oracle.
 """
 
@@ -54,6 +66,7 @@ import math
 from typing import (
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -189,6 +202,9 @@ def _normalize_nonfinite(vec: np.ndarray) -> np.ndarray:
 def normalize(vec: np.ndarray) -> np.ndarray:
     """Return ``vec`` scaled to unit L2 norm (zero vectors pass through).
 
+    Only a vector with no non-zero entry passes through unchanged; every
+    other finite vector comes back with unit norm, however small.
+
     For 1-D float vectors the norm is ``sqrt(v.dot(v))`` — the exact
     computation ``np.linalg.norm`` performs for that case — evaluated
     without the ``linalg`` dispatch overhead, and through the array's own
@@ -220,7 +236,7 @@ def normalize(vec: np.ndarray) -> np.ndarray:
             sq = math.inf
         if 1e-280 < sq < 1e280:
             return vec / math.sqrt(sq)
-        if sq == 0.0:
+        if sq == 0.0 and not vec.any():
             return vec
         # sq under/overflowed (extreme magnitudes) or is NaN (non-finite
         # entries); both are off the hot path.
@@ -234,10 +250,10 @@ def normalize(vec: np.ndarray) -> np.ndarray:
             norm = float(np.linalg.norm(vec))
         except RuntimeWarning:
             norm = math.inf
-        if not math.isfinite(norm):
+        if not math.isfinite(norm) or (norm == 0.0 and vec.any()):
             if not np.isfinite(vec).all():
                 return _normalize_nonfinite(vec)
-            # Finite entries whose squared sum overflowed: same
+            # Finite entries whose squared sum over- or underflowed: same
             # peak-scaled two-pass as the fast path's slow branch
             # (norm(v) = peak * norm(v / peak), exact in real arithmetic).
             peak = float(np.max(np.abs(vec)))
@@ -255,9 +271,9 @@ def normalize_rows(mat: np.ndarray) -> np.ndarray:
     :func:`normalize` makes, taken row by row (the BLAS dot of a
     contiguous row does not depend on where the row sits), and the stack
     is then divided by its row norms at once, so every row is
-    bit-identical to ``normalize(row)``.  Zero rows pass through; rows
-    whose squared norm leaves the normal range or is not finite go
-    through :func:`normalize` itself.
+    bit-identical to ``normalize(row)``.  Rows with no non-zero entry
+    pass through; other rows whose squared norm leaves the normal range
+    or is not finite go through :func:`normalize` itself.
     """
     norms = []
     odd = []
@@ -270,7 +286,7 @@ def normalize_rows(mat: np.ndarray) -> np.ndarray:
             norms.append(math.sqrt(sq))
         else:
             norms.append(1.0)
-            if sq != 0.0:
+            if sq != 0.0 or row.any():
                 odd.append(r)
     out = mat / np.array(norms)[:, None]
     for r in odd:
@@ -476,6 +492,118 @@ def _pcg64_raw_states(seeds: Sequence[int]) -> List[Tuple[int, int]]:
     return out
 
 
+# ----------------------------------------------------------------------
+# Bulk seeding: the same replay over numpy columns
+# ----------------------------------------------------------------------
+#: One call seeding more streams than this takes the column replay
+#: (:func:`_pcg64_record_rows`).  Measured crossover: the column replay
+#: costs a fixed ~0.3 ms, the packed replay ~2.5 µs per seed.
+_BULK_SEEDS = 100
+#: Seeds per column pass, bounding the replay's temporaries (~32 KiB
+#: per ``uint64`` column).
+_RECORD_CHUNK = 4096
+
+# Every constant is an explicit ``np.uint64``, so numpy 1.x and 2.x
+# promote alike and no operation leaves ``uint64``.  No product or sum
+# below exceeds 64 bits: the limbs and constants are 32-bit.
+_U32 = np.uint64(_M32)
+_U16_SHIFT = np.uint64(16)
+_U31_SHIFT = np.uint64(31)
+_U32_SHIFT = np.uint64(32)
+_U_ONE = np.uint64(1)
+_U_NO_BORROW = np.uint64(1 << 32)
+_U_MIX_L = np.uint64(_MIX_L)
+_U_MIX_R = np.uint64(_MIX_R)
+_U_HC_MIX = tuple(zip(map(np.uint64, _HC_MIX_PRE), map(np.uint64, _HC_MIX)))
+_U_HC_GEN = tuple(zip(map(np.uint64, _HC_GEN_PRE), map(np.uint64, _HC_GEN)))
+#: PCG64's multiplier as four 32-bit limbs, least significant first.
+_U_PCG_MULT = tuple(
+    np.uint64(_PCG_MULT >> (32 * k) & _M32) for k in range(4)
+)
+
+
+def _hash_column(x, consts):
+    """SeedSequence's ``hashmix`` of 32-bit words (a column or a scalar)."""
+    pre, post = consts
+    v = (x ^ pre) * post & _U32
+    return v ^ (v >> _U16_SHIFT)
+
+
+def _pcg64_records(seeds: Sequence[int]) -> np.ndarray:
+    """State records of ``PCG64(seed)`` per seed, replayed column-wise.
+
+    The same SeedSequence mixing and PCG64 seeding as
+    :func:`_build_raw_state_fn`, with one ``uint64`` column per 32-bit
+    word: seed ``j`` lives in row ``j`` of every column.  The 128-bit
+    ``(initstate + inc) * mult + inc`` runs on four 32-bit limbs, with
+    each 32x32-bit partial product split into halves so no column sum
+    overflows.  Returns a ``(len(seeds), 32)`` ``uint8`` array whose row
+    ``j`` is the little-endian ``state | inc << 128`` that
+    :meth:`_FastStream.seek` writes for seed ``j``.
+    """
+    col = np.array(seeds, dtype=np.uint64)
+    hc = iter(_U_HC_MIX)
+    pool = [
+        _hash_column(col & _U32, next(hc)),
+        _hash_column(col >> _U32_SHIFT, next(hc)),
+        # Absent entropy words mix as scalars until a cross-mix writes
+        # them.
+        _hash_column(np.uint64(0), next(hc)),
+        _hash_column(np.uint64(0), next(hc)),
+    ]
+    for i_src, i_dst in _MIX_PAIRS:
+        v = _hash_column(pool[i_src], next(hc))
+        r = (
+            (pool[i_dst] * _U_MIX_L & _U32) + _U_NO_BORROW
+            - (v * _U_MIX_R & _U32)
+        ) & _U32
+        pool[i_dst] = r ^ (r >> _U16_SHIFT)
+    w = [_hash_column(pool[i & 3], c) for i, c in enumerate(_U_HC_GEN)]
+    # Limbs, least significant first: initstate = w1:w0:w3:w2 and
+    # inc = (initseq << 1 | 1) with initseq = w5:w4:w7:w6.
+    init = (w[2], w[3], w[0], w[1])
+    seq = (w[6], w[7], w[4], w[5])
+    inc = [seq[0] << _U_ONE & _U32 | _U_ONE] + [
+        seq[k] << _U_ONE & _U32 | seq[k - 1] >> _U31_SHIFT
+        for k in range(1, 4)
+    ]
+    a = []
+    carry = np.uint64(0)
+    for k in range(4):
+        t = init[k] + inc[k] + carry
+        a.append(t & _U32)
+        carry = t >> _U32_SHIFT
+    # (a * mult) mod 2**128, limb k = sum of a_i * m_j over i + j == k
+    # (low halves) and i + j == k - 1 (high halves).
+    limbs = list(inc)
+    for i in range(4):
+        for j in range(4 - i):
+            product = a[i] * _U_PCG_MULT[j]
+            limbs[i + j] = limbs[i + j] + (product & _U32)
+            if i + j < 3:
+                limbs[i + j + 1] = limbs[i + j + 1] + (product >> _U32_SHIFT)
+    out = np.empty((len(col), 8), dtype="<u4")
+    carry = np.uint64(0)
+    for k in range(4):
+        t = limbs[k] + carry
+        out[:, k] = t  # the cast keeps the low 32 bits
+        carry = t >> _U32_SHIFT
+        out[:, 4 + k] = inc[k]
+    return out.view(np.uint8)
+
+
+def _pcg64_record_rows(seeds: Sequence[int]) -> Iterator[bytes]:
+    """:func:`_pcg64_records` row by row, replayed a chunk at a time.
+
+    Each row is the 32 bytes :meth:`_FastStream.seek_record` takes; at
+    most :data:`_RECORD_CHUNK` records exist at once.
+    """
+    for start in range(0, len(seeds), _RECORD_CHUNK):
+        chunk = _pcg64_records(seeds[start:start + _RECORD_CHUNK]).tobytes()
+        for offset in range(0, len(chunk), 32):
+            yield chunk[offset:offset + 32]
+
+
 #: A ``(state, inc)`` pair every layout check writes and reads back.
 _PROBE_RAW = _pcg64_raw_state(seed_for("fast-stream-layout-probe"))
 #: ``has_uint32`` and ``uinteger`` cleared: no buffered 32-bit half-draw.
@@ -582,6 +710,9 @@ class _FastStream:
                 "uinteger": 0,
             }
             self.seek = self._seek_dict  # type: ignore[method-assign]
+            self.seek_record = (  # type: ignore[method-assign]
+                self._seek_record_dict
+            )
         else:
             self._words, self._half_draw = views
 
@@ -590,6 +721,25 @@ class _FastStream:
         self._words[:] = (raw[0] | raw[1] << 128).to_bytes(32, "little")
         self._half_draw[:] = _NO_HALF_DRAW
         return self._gen
+
+    def seek_record(self, record: bytes) -> np.random.Generator:
+        """:meth:`seek` to a 32-byte state record (:func:`_pcg64_records`).
+
+        The record is the little-endian ``state | inc << 128``, the
+        bytes :meth:`seek` writes for ``raw``.
+        """
+        self._words[:] = record
+        self._half_draw[:] = _NO_HALF_DRAW
+        return self._gen
+
+    def _seek_record_dict(self, record: bytes) -> np.random.Generator:
+        """:meth:`seek_record` through numpy's ``state`` setter."""
+        return self._seek_dict(
+            (
+                int.from_bytes(record[:16], "little"),
+                int.from_bytes(record[16:], "little"),
+            )
+        )
 
     def _seek_dict(self, raw: Tuple[int, int]) -> np.random.Generator:
         """:meth:`seek` through numpy's ``state`` setter."""
@@ -616,28 +766,42 @@ def rngs_for(
     Each entry is a key tuple or its precomputed ``int`` seed
     (``seed_for(*keys)``, e.g. from a :class:`SeedPrefix`), as in
     :meth:`DirectionCache.draw_batch`.  Every tuple is hashed once and
-    all seeds go through the packed replay together.  The iterator then
-    yields one long-lived PCG64-backed generator, re-pointed at each
-    entry's stream in turn: each yield starts in exactly the state
-    ``rng_for(*keys)`` would, so any sequence of draws from it is
-    bit-identical to the oracle's.
+    all seeds are replayed together: by the packed replay, or by the
+    column replay a chunk at a time above :data:`_BULK_SEEDS` seeds (see
+    :func:`_replayed_states`).  The iterator then yields one long-lived
+    PCG64-backed generator, re-pointed at each entry's stream in turn:
+    each yield starts in exactly the state ``rng_for(*keys)`` would, so
+    any sequence of draws from it is bit-identical to the oracle's.
     Because the generator is shared, a stream is only valid until the
     iterator advances or is closed — draw what a key needs before
     taking the next one.  Iterators that are alive at the same time
     hold separate generators.
     """
-    raws = _pcg64_raw_states(
-        [
-            keys if keys.__class__ is int else seed_for(*keys)
-            for keys in key_tuples
-        ]
-    )
+    seeds = [
+        keys if keys.__class__ is int else seed_for(*keys)
+        for keys in key_tuples
+    ]
     stream = _STREAM_POOL.pop() if _STREAM_POOL else _FastStream()
     try:
-        for raw in raws:
-            yield stream.seek(raw)
+        states, seek = _replayed_states(stream, seeds)
+        for state in states:
+            yield seek(state)
     finally:
         _STREAM_POOL.append(stream)
+
+
+def _replayed_states(
+    stream: _FastStream, seeds: Sequence[int]
+) -> Tuple[Iterable, Callable[..., np.random.Generator]]:
+    """The start states of ``seeds`` and ``stream``'s seek for them.
+
+    More than :data:`_BULK_SEEDS` seeds take the column replay, one
+    state record each; fewer take the packed replay, one ``(state,
+    inc)`` pair each.  Both seek to the same bytes.
+    """
+    if len(seeds) > _BULK_SEEDS:
+        return _pcg64_record_rows(seeds), stream.seek_record
+    return _pcg64_raw_states(seeds), stream.seek
 
 
 def _finish_unit(vec: np.ndarray) -> np.ndarray:
@@ -745,9 +909,10 @@ class DirectionCache:
         uncached draw (as :meth:`fresh_unit`).  ``keys`` is a key tuple
         or its precomputed ``int`` seed (``seed_for(*keys)``, e.g. from a
         :class:`SeedPrefix`).  Every key tuple is hashed once, memo hits
-        are served, all remaining seeds go through the packed replay
-        together (one generated call for up to :data:`_MAX_LANES`), and
-        the draws then run in item order.  A memoized key repeated within the batch is drawn
+        are served, and all remaining seeds are replayed together: up to
+        :data:`_MAX_LANES` (every serving call) in one generated packed
+        call, more through :func:`_replayed_states`.  The draws then run
+        in item order.  A memoized key repeated within the batch is drawn
         once and counted as a hit the second time, as sequential calls
         would count it.  Results are bit-identical to the one-at-a-time
         methods.
@@ -781,15 +946,15 @@ class DirectionCache:
         n = len(seeds)
         if n == 0:
             return out
-        if n == 1:
-            raws: Sequence[Tuple[int, int]] = (_pcg64_raw_state(seeds[0]),)
-        elif n <= _MAX_LANES:
-            raws = _raw_state_fn(n)(*seeds)
-        else:
-            raws = _pcg64_raw_states(seeds)
         seek = self._stream.seek
-        for (i, dim, memoize, seed), raw in zip(todo, raws):
-            gen = seek(raw)
+        if n == 1:
+            states: Iterable = (_pcg64_raw_state(seeds[0]),)
+        elif n <= _MAX_LANES:
+            states = _raw_state_fn(n)(*seeds)
+        else:
+            states, seek = _replayed_states(self._stream, seeds)
+        for (i, dim, memoize, seed), state in zip(todo, states):
+            gen = seek(state)
             if dim is None:
                 out[i] = value = float(gen.standard_normal())
                 if memoize:

@@ -22,6 +22,7 @@ from repro.embedding.vocab import Vocabulary
 from repro.workloads.prompts import (
     Prompt,
     PromptFactory,
+    SessionSpec,
     zipf_topic_sampler,
 )
 from repro.workloads.trace import Trace, TraceRequest
@@ -68,11 +69,11 @@ def diffusiondb_trace(
     Synthesis runs in two passes.  The first schedules sessions: each
     draws its start, length and topic, then its iterations' arrival
     times, until the event budget is met; the first ``n_requests``
-    arrivals are kept.  The second builds only the kept prompts, one
-    :meth:`PromptFactory.make_iterations` call per session that has any,
-    in session order.  Every prompt is a pure function of its own keyed
-    streams, so building a subset yields exactly the prompts that
-    building every scheduled session would.
+    arrivals are kept.  The second builds only the kept prompts, with
+    one :meth:`PromptFactory.make_sessions` call over every session that
+    has any, in session order.  Every prompt is a pure function of its
+    own keyed streams, so building a subset yields exactly the prompts
+    that building every scheduled session would.
     """
     cfg = config or DiffusionDBConfig()
     vocab = vocab or Vocabulary(dim=space.config.semantic_dim)
@@ -130,16 +131,21 @@ def diffusiondb_trace(
     for _, session_idx, iteration in kept:
         iterations.setdefault(session_idx, []).append(iteration)
     n_users = max(1, cfg.n_topics * 4)
+    sessions = sorted(iterations)
+    built = factory.make_sessions(
+        [
+            SessionSpec(
+                topics[session_idx],
+                f"s{session_idx}",
+                iterations[session_idx],
+                user_id=f"user{session_idx % n_users}",
+            )
+            for session_idx in sessions
+        ]
+    )
     prompts: Dict[Tuple[int, int], Prompt] = {}
-    for session_idx in sorted(iterations):
-        kept_iterations = iterations[session_idx]
-        built = factory.make_iterations(
-            topics[session_idx],
-            f"s{session_idx}",
-            kept_iterations,
-            user_id=f"user{session_idx % n_users}",
-        )
-        for iteration, prompt in zip(kept_iterations, built):
+    for session_idx, session_prompts in zip(sessions, built):
+        for iteration, prompt in zip(iterations[session_idx], session_prompts):
             prompts[session_idx, iteration] = prompt
 
     requests = [

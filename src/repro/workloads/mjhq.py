@@ -19,7 +19,11 @@ import numpy as np
 from repro._rng import rng_for
 from repro.embedding.space import SemanticSpace
 from repro.embedding.vocab import Vocabulary
-from repro.workloads.prompts import Prompt, PromptFactory, zipf_topic_sampler
+from repro.workloads.prompts import (
+    PromptFactory,
+    SessionSpec,
+    zipf_topic_sampler,
+)
 from repro.workloads.trace import Trace, TraceRequest
 
 
@@ -75,25 +79,34 @@ def mjhq_trace(
         cfg.n_topics, cfg.topic_zipf_exponent, rng_for(cfg.seed, "topics")
     )
 
-    prompts: List[Prompt] = []
-    family_idx = 0
+    # Schedule every family (size and topic), then build them all in one
+    # batch: building draws from neither the family nor the topic stream.
+    families: List[SessionSpec] = []
+    n_scheduled = 0
     target_large = int(cfg.n_prompts * cfg.large_family_fraction)
     produced_large = 0
-    while len(prompts) < cfg.n_prompts:
+    while n_scheduled < cfg.n_prompts:
         if produced_large < target_large:
             size = cfg.large_family_size
             produced_large += size
         else:
             size = 2 + int(rng.geometric(1.0 / cfg.small_family_size_mean))
-        size = min(size, cfg.n_prompts - len(prompts))
-        family_key = f"f{family_idx}"
-        topic_id = sample_topic()
-        prompts.extend(
-            factory.make_session(
-                topic_id, family_key, size, user_id=f"curator{family_idx}"
+        size = min(size, cfg.n_prompts - n_scheduled)
+        family_idx = len(families)
+        families.append(
+            SessionSpec(
+                sample_topic(),
+                f"f{family_idx}",
+                range(size),
+                user_id=f"curator{family_idx}",
             )
         )
-        family_idx += 1
+        n_scheduled += size
+    prompts = [
+        prompt
+        for family in factory.make_sessions(families)
+        for prompt in family
+    ]
 
     # Curated order: families are interleaved arbitrarily, not temporally.
     order = rng_for(cfg.seed, "shuffle").permutation(len(prompts))
@@ -111,5 +124,5 @@ def mjhq_trace(
     return Trace(
         name="mjhq",
         requests=requests,
-        metadata={"config": cfg, "n_families": family_idx},
+        metadata={"config": cfg, "n_families": len(families)},
     )

@@ -10,7 +10,15 @@ prompt-level drift (iterative refinement of one intent) layered on top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -43,6 +51,18 @@ class Prompt:
             raise ValueError("semantics must be a 1-D vector")
 
 
+class SessionSpec(NamedTuple):
+    """One session for :meth:`PromptFactory.make_sessions`."""
+
+    topic_id: int
+    session_key: str
+    #: The iterations to build, e.g. ``range(length)`` for all of them.
+    iterations: Sequence[int]
+    user_id: str = "anon"
+    #: The session's intent; ``None`` draws its drift from the topic.
+    session_semantics: Optional[np.ndarray] = None
+
+
 @dataclass
 class PromptFactory:
     """Deterministic generator of topic/session/prompt hierarchies.
@@ -73,7 +93,7 @@ class PromptFactory:
     )
     #: Seeds of the session-tokens, session-drift, prompt-tokens and
     #: prompt-drift streams, with each fixed key prefix hashed once (see
-    #: :meth:`make_iterations`).
+    #: :meth:`make_sessions`).
     _seeds: Tuple[SeedPrefix, ...] = field(
         init=False, repr=False, compare=False
     )
@@ -161,42 +181,68 @@ class PromptFactory:
         user_id: str = "anon",
         session_semantics: Optional[np.ndarray] = None,
     ) -> List[Prompt]:
-        """The given iterations of one session, seeded in one batch.
+        """The given iterations of one session (:meth:`make_sessions`
+        of one spec)."""
+        (prompts,) = self.make_sessions(
+            [
+                SessionSpec(
+                    topic_id, session_key, iterations, user_id,
+                    session_semantics,
+                )
+            ]
+        )
+        return prompts
 
-        Each prompt equals the same iteration of :meth:`make_session`, so
-        a caller can build just the iterations it keeps.  Each key owns
-        one stream: the session's tokens, its drift from the topic
-        centre (unless ``session_semantics`` is given), and per iteration
-        the prompt's tokens and its drift from the session.  All of them
-        are seeded together by :func:`rngs_for` and consumed in that
-        order; every draw matches the stream's keyed oracle.  The seeds
-        come from :attr:`_seeds`, equal to ``seed_for`` over the full
-        key tuples.
+    def make_sessions(
+        self, sessions: Sequence[SessionSpec]
+    ) -> List[List[Prompt]]:
+        """The given iterations of many sessions, seeded in one batch.
+
+        Returns one prompt list per session, in order.  Each prompt
+        equals the same iteration of :meth:`make_session`, so a caller
+        can build just the iterations it keeps.  Each key owns one
+        stream: per session its tokens, its drift from the topic centre
+        (unless the spec gives ``session_semantics``), and per iteration
+        the prompt's tokens and its drift from the session.  The streams
+        of every session are seeded together by one :func:`rngs_for`
+        call and consumed in that order; every draw matches the stream's
+        keyed oracle.  The seeds come from :attr:`_seeds`, equal to
+        ``seed_for`` over the full key tuples.
         """
-        ns, space = self.namespace, self.space
         (
             session_tokens_seed,
             session_drift_seed,
             prompt_tokens_seed,
             prompt_drift_seed,
         ) = self._seeds
-        seeds = [session_tokens_seed(session_key)]
-        if session_semantics is None:
-            seeds.append(session_drift_seed(session_key))
-        for iteration in iterations:
-            if iteration < 0:
-                raise ValueError("iteration must be non-negative")
-            seeds.append(prompt_tokens_seed(session_key, iteration))
-            seeds.append(prompt_drift_seed(session_key, iteration))
-        topic = self.topic_tokens(topic_id)
+        seeds = []
+        for spec in sessions:
+            session_key = spec.session_key
+            seeds.append(session_tokens_seed(session_key))
+            if spec.session_semantics is None:
+                seeds.append(session_drift_seed(session_key))
+            for iteration in spec.iterations:
+                if iteration < 0:
+                    raise ValueError("iteration must be non-negative")
+                seeds.append(prompt_tokens_seed(session_key, iteration))
+                seeds.append(prompt_drift_seed(session_key, iteration))
         streams = rngs_for(seeds)
+        return [self._build_session(spec, streams) for spec in sessions]
 
+    def _build_session(
+        self, spec: SessionSpec, streams: Iterator[np.random.Generator]
+    ) -> List[Prompt]:
+        """One session's prompts, drawn from its streams in ``streams``."""
+        ns, space = self.namespace, self.space
+        topic_id, session_key = spec.topic_id, spec.session_key
+        topic = self.topic_tokens(topic_id)
         rng = next(streams)
         core = (
             topic["subject"],
             topic["styles"][int(rng.integers(2))],
             topic["settings"][int(rng.integers(2))],
         )
+        session_semantics = spec.session_semantics
         if session_semantics is None:
             session_semantics = space.drift(
                 space.topic_vector(topic_id), self.session_drift, next(streams)
@@ -204,7 +250,7 @@ class PromptFactory:
 
         sample = self.vocab.sample
         prompts = []
-        for iteration in iterations:
+        for iteration in spec.iterations:
             rng = next(streams)
             tokens = [*core, sample("modifier", rng), sample("modifier", rng)]
             if rng.random() < 0.5:
@@ -220,7 +266,7 @@ class PromptFactory:
                     semantics=semantics,
                     topic_id=topic_id,
                     session_id=session_key,
-                    user_id=user_id,
+                    user_id=spec.user_id,
                 )
             )
         return prompts

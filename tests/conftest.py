@@ -27,7 +27,8 @@ from repro.workloads import (
 # their own budget; the rest (the IVF masked-probe and block-quantization
 # oracles, the tiered residency, quantization and storage-total
 # properties, the prompt-factory, kept-iteration, kept-prompt trace and
-# zipf-sampler oracles, the prefix-seed, keyed-draw and int-seed stream
+# zipf-sampler oracles, the many-sessions-in-one-call oracle, the
+# prefix-seed, keyed-draw, int-seed stream and bulk seeding-replay
 # properties, the row-normalization, generate_batch, prompt-mixture and
 # encode_batch oracles) take it from the profile:
 # bounded for tier-1, heavier when

@@ -757,6 +757,22 @@ class TestNormalizeExtremeRange:
         out = normalize(np.array([np.nan, np.nan]))
         assert (out == 0.0).all()
 
+    def test_underflowing_square_gets_unit_norm(self):
+        # dot(v, v) underflows to exactly 0.0 here; only a vector with no
+        # non-zero entry may pass through unchanged.
+        vec = np.array([1e-170, 1e-170])
+        out = normalize(vec)
+        assert np.isclose(float(np.linalg.norm(out)), 1.0)
+        assert np.allclose(out, [0.5**0.5, 0.5**0.5])
+        mat = normalize(vec[None, :])
+        assert np.isclose(float(np.linalg.norm(mat)), 1.0)
+        rows = normalize_rows(np.array([[1e-170, -1e-170], [0.0, -0.0]]))
+        assert rows[0].tobytes() == normalize(vec * [1, -1]).tobytes()
+        assert rows[1].tobytes() == np.array([0.0, -0.0]).tobytes()
+        assert normalize(np.array([0.0, -0.0])).tobytes() == (
+            np.array([0.0, -0.0]).tobytes()
+        )
+
     def test_nonfinite_matches_2d_path(self):
         # 1-D float vectors take the sqrt(dot) path, other shapes go
         # through np.linalg.norm; both fall back identically.
@@ -890,3 +906,134 @@ class TestParkedRows:
         seeds, rows = self._parked(cache, 48, ["m", "n"])
         cache.clear()
         assert cache.fresh_unit(48, seed=seeds[0]) is not rows[0]
+
+
+#: SeedSequence edge cases: zero high/low words and all-ones words.
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+_SEEDS64 = st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**64 - 1))
+
+
+def _numpy_record(seed):
+    """The 32-byte ``state | inc << 128`` of ``np.random.PCG64(seed)``."""
+    ref = np.random.PCG64(seed).state["state"]
+    return (ref["state"] | ref["inc"] << 128).to_bytes(32, "little")
+
+
+class TestBulkReplay:
+    """The column-wise seeding replay writes exactly the state records
+    of ``np.random.PCG64(seed)``, and the bulk paths of ``rngs_for`` and
+    ``draw_batch`` that use it match their oracles."""
+
+    @given(
+        seeds=st.lists(_SEEDS64, max_size=2 * _rng._BULK_SEEDS + 20),
+    )
+    def test_records_match_numpy_pcg64(self, seeds):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records = _rng._pcg64_records(seeds)
+        assert records.shape == (len(seeds), 32)
+        assert records.dtype == np.uint8
+        assert [bytes(row) for row in records] == [
+            _numpy_record(s) for s in seeds
+        ]
+
+    def test_edge_seeds_in_every_row_position(self):
+        seeds = _EDGE_SEEDS + [seed_for("bulk-edge", i) for i in range(9)]
+        for shift in range(len(_EDGE_SEEDS)):
+            window = seeds[shift:] + seeds[:shift]
+            assert [bytes(r) for r in _rng._pcg64_records(window)] == [
+                _numpy_record(s) for s in window
+            ]
+
+    def test_constants_are_uint64(self):
+        # Python-int operands would promote differently under numpy 1.x
+        # and 2.x; every constant of the replay is an explicit np.uint64.
+        consts = [
+            _rng._U32, _rng._U16_SHIFT, _rng._U31_SHIFT, _rng._U32_SHIFT,
+            _rng._U_ONE, _rng._U_NO_BORROW, _rng._U_MIX_L, _rng._U_MIX_R,
+            *_rng._U_PCG_MULT,
+        ]
+        for pair in _rng._U_HC_MIX + _rng._U_HC_GEN:
+            consts.extend(pair)
+        assert len(consts) == 12 + 2 * (16 + 8)
+        assert all(type(c) is np.uint64 for c in consts)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_record_rows_across_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(_rng, "_RECORD_CHUNK", chunk)
+        seeds = [seed_for("bulk-chunk", i) for i in range(150)]
+        seeds[::25] = _EDGE_SEEDS
+        assert list(_rng._pcg64_record_rows(seeds)) == [
+            _numpy_record(s) for s in seeds
+        ]
+
+    def test_record_rows_past_the_real_chunk(self):
+        n = _rng._RECORD_CHUNK + 3
+        seeds = [seed_for("bulk-wide", i) for i in range(n)]
+        rows = list(_rng._pcg64_record_rows(seeds))
+        assert len(rows) == n
+        assert rows == [
+            (state | inc << 128).to_bytes(32, "little")
+            for state, inc in _rng._pcg64_raw_states(seeds)
+        ]
+        assert list(_rng._pcg64_record_rows([])) == []
+
+    @pytest.mark.parametrize(
+        "n", [_rng._BULK_SEEDS, _rng._BULK_SEEDS + 1, 250]
+    )
+    def test_rngs_for_matches_rng_for(self, n):
+        keys = TestRngsFor._key_tuples(n)
+        draws = TestRngsFor._draws
+        batched = [draws(rng, i) for i, rng in enumerate(rngs_for(keys))]
+        assert batched == [draws(rng_for(*k), i) for i, k in enumerate(keys)]
+
+    @pytest.mark.parametrize(
+        "n", [_rng._BULK_SEEDS, _rng._BULK_SEEDS + 1, 300]
+    )
+    def test_draw_batch_matches_unit_vector(self, n):
+        cache = DirectionCache()
+        keys = [("bulk-draw", i) for i in range(n)]
+        cache.unit(48, *keys[3])  # one memo hit inside the batch
+        items = [
+            (None if i % 5 == 1 else 48, i % 4 != 3, k)
+            for i, k in enumerate(keys)
+        ]
+        items.append(items[0])  # a repeat within the batch
+        out = cache.draw_batch(items)
+        for (dim, _, k), value in zip(items, out):
+            rng = rng_for(*k)
+            if dim is None:
+                assert value == float(rng.standard_normal())
+            else:
+                assert value.tobytes() == unit_vector(rng, dim).tobytes()
+        assert out[-1] is out[0]
+
+    def test_seek_record_without_ctypes(self, monkeypatch):
+        monkeypatch.setattr(_rng, "ctypes", None)
+        fallback = _FastStream()
+        monkeypatch.undo()
+        assert vars(fallback)["seek_record"] == fallback._seek_record_dict
+        direct = _FastStream()
+        seeds = [seed_for("bulk-fallback", i) for i in range(5)]
+        seeds += _EDGE_SEEDS
+        for seed, record in zip(seeds, _rng._pcg64_record_rows(seeds)):
+            a, b = fallback.seek_record(record), direct.seek_record(record)
+            fresh = np.random.Generator(np.random.PCG64(seed))
+            assert a.bit_generator.state == fresh.bit_generator.state
+            assert b.bit_generator.state == fresh.bit_generator.state
+            assert _stream_draws(a) == _stream_draws(b) == (
+                _stream_draws(fresh)
+            )
+            a.integers(1 << 31)  # leave a half-draw for the next seek
+            b.integers(1 << 31)
+
+    def test_rngs_for_bulk_through_the_fallback(self, monkeypatch):
+        monkeypatch.setattr(_rng, "ctypes", None)
+        monkeypatch.setattr(_rng, "_STREAM_POOL", [_FastStream()])
+        keys = TestRngsFor._key_tuples(_rng._BULK_SEEDS + 5)
+        draws = TestRngsFor._draws
+        batched = [draws(rng, i) for i, rng in enumerate(rngs_for(keys))]
+        assert "seek_record" in vars(_rng._STREAM_POOL[0])
+        assert batched == [draws(rng_for(*k), i) for i, k in enumerate(keys)]

@@ -7,10 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro._rng import normalize, rng_for, unit_vector
+from repro._rng import _BULK_SEEDS, normalize, rng_for, rngs_for, unit_vector
 from repro.embedding.space import SemanticSpace, cosine
 from repro.embedding.vocab import Vocabulary
-from repro.workloads.prompts import Prompt, PromptFactory, zipf_topic_sampler
+from repro.workloads.prompts import (
+    Prompt,
+    PromptFactory,
+    SessionSpec,
+    zipf_topic_sampler,
+)
 
 
 @dataclass
@@ -296,6 +301,130 @@ class TestMakeIterations:
         assert [_fields(p) for p in subset] == [
             _fields(session[i]) for i in iterations
         ]
+
+
+def per_session_iterations(
+    factory, topic_id, session_key, iterations, user_id="anon",
+    session_semantics=None,
+):
+    """One session's iterations, seeded by their own ``rngs_for`` call.
+
+    The per-session loop trace synthesis ran before every kept session
+    was seeded in one batch: the oracle for
+    :meth:`PromptFactory.make_sessions`.
+    """
+    space = factory.space
+    session_tokens, session_drift, prompt_tokens, prompt_drift = (
+        factory._seeds
+    )
+    seeds = [session_tokens(session_key)]
+    if session_semantics is None:
+        seeds.append(session_drift(session_key))
+    for iteration in iterations:
+        seeds.append(prompt_tokens(session_key, iteration))
+        seeds.append(prompt_drift(session_key, iteration))
+    topic = factory.topic_tokens(topic_id)
+    streams = rngs_for(seeds)
+    rng = next(streams)
+    core = (
+        topic["subject"],
+        topic["styles"][int(rng.integers(2))],
+        topic["settings"][int(rng.integers(2))],
+    )
+    if session_semantics is None:
+        session_semantics = space.drift(
+            space.topic_vector(topic_id), factory.session_drift, next(streams)
+        )
+    prompts = []
+    for iteration in iterations:
+        rng = next(streams)
+        sample = factory.vocab.sample
+        tokens = [*core, sample("modifier", rng), sample("modifier", rng)]
+        if rng.random() < 0.5:
+            tokens.append(sample("quality", rng))
+        semantics = space.drift(
+            session_semantics, factory.prompt_drift, next(streams)
+        )
+        prompts.append(
+            Prompt(
+                prompt_id=f"{factory.namespace}/{session_key}/{iteration}",
+                text=" ".join(tokens),
+                tokens=tuple(tokens),
+                semantics=semantics,
+                topic_id=topic_id,
+                session_id=session_key,
+                user_id=user_id,
+            )
+        )
+    return prompts
+
+
+_SESSION_SPECS = st.lists(
+    st.tuples(
+        st.integers(0, 400),
+        st.sets(st.integers(0, 11)).map(sorted),
+        st.booleans(),
+    ),
+    max_size=24,
+)
+
+
+class TestMakeSessions:
+    """Many sessions built in one call equal each session built alone,
+    by the per-session oracle and by ``make_iterations``."""
+
+    @staticmethod
+    def _specs(drawn, base):
+        return [
+            SessionSpec(
+                topic_id,
+                f"ms{i}",
+                iterations,
+                user_id=f"u{i % 3}",
+                session_semantics=base if fixed else None,
+            )
+            for i, (topic_id, iterations, fixed) in enumerate(drawn)
+        ]
+
+    # Example budget from the hypothesis profile (tests/conftest.py).
+    @settings(deadline=None)
+    @given(drawn=_SESSION_SPECS, namespace=st.sampled_from(["ms", "ms\u00e9"]))
+    def test_matches_per_session_builds(self, space, vocab, drawn, namespace):
+        factory = PromptFactory(space=space, vocab=vocab, namespace=namespace)
+        base = factory.make_prompt(0, "ms-base", 0).semantics
+        specs = self._specs(drawn, base)
+        built = factory.make_sessions(specs)
+        assert len(built) == len(specs)
+        for spec, prompts in zip(specs, built):
+            oracle = per_session_iterations(factory, *spec)
+            assert [_fields(p) for p in prompts] == [
+                _fields(p) for p in oracle
+            ]
+            assert [_fields(p) for p in prompts] == [
+                _fields(p) for p in factory.make_iterations(*spec)
+            ]
+
+    def test_bulk_batch_matches_per_session_builds(self, factory):
+        # Enough streams that the one call seeds them in bulk.
+        specs = [
+            SessionSpec(i % 40, f"bulk{i}", range(i % 7), f"u{i}")
+            for i in range(60)
+        ]
+        n_streams = sum(2 + 2 * len(spec.iterations) for spec in specs)
+        assert n_streams > 4 * _BULK_SEEDS
+        built = factory.make_sessions(specs)
+        assert [[_fields(p) for p in prompts] for prompts in built] == [
+            [_fields(p) for p in per_session_iterations(factory, *spec)]
+            for spec in specs
+        ]
+
+    def test_empty_and_negative(self, factory):
+        assert factory.make_sessions([]) == []
+        assert factory.make_sessions([SessionSpec(1, "none", ())]) == [[]]
+        with pytest.raises(ValueError):
+            factory.make_sessions(
+                [SessionSpec(1, "ok", (0,)), SessionSpec(1, "bad", (-1,))]
+            )
 
 
 class TestZipfSampler:
