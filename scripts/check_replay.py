@@ -21,18 +21,31 @@ record.  The restored system gets no arrival timeline at all
 reference journal's ARRIVAL suffix alone, and the regenerated journal
 must equal the reference row for row on top of the payload match.
 
+``--fleet`` gates the same properties for a whole fleet: four MoDM
+replicas with IVF retrieval and a tiered cache on a durable temporary
+``cold_dir``, replica 2 killed at 0.3·span and cold-restarted at
+0.5·span.  *Every* fleet snapshot is restored into a fresh fleet on the
+same ``cold_dir`` and resumed (or, with ``--suffix``, replayed from the
+journal suffix), and each must reproduce the uninterrupted run.  The
+cold restart appends new cold rows while older snapshots still
+reference the first ones, so this catches any restore path that writes
+over a row a snapshot needs.
+
 Usage (repo root)::
 
-    PYTHONPATH=src python scripts/check_replay.py [--suffix] [--out FRESH.json]
+    PYTHONPATH=src python scripts/check_replay.py [--fleet] [--suffix] \
+        [--out FRESH.json]
 
-Exit status: 0 when the resumed payload matches the uninterrupted one
-byte for byte, 1 otherwise (with a unified diff of the two payloads).
+Exit status: 0 when every resumed payload matches the uninterrupted one
+byte for byte, 1 otherwise (with a unified diff of the first mismatch).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
+import tempfile
 
 from repro.analysis._cli import (
     completion_digest,
@@ -42,9 +55,18 @@ from repro.analysis._cli import (
     render_payload,
     write_text,
 )
-from repro.core.config import ClusterConfig, JournalConfig, MoDMConfig
+from repro.core.cluster_router import modm_cluster
+from repro.core.config import (
+    ClusterConfig,
+    ClusterRoutingConfig,
+    FailureEvent,
+    FailurePlan,
+    JournalConfig,
+    MoDMConfig,
+)
 from repro.core.journal import JournalReplayer
 from repro.core.serving import MoDMSystem
+from repro.core.tiering import TieredCacheConfig
 from repro.embedding.space import SemanticSpace
 from repro.workloads import DiffusionDBConfig, diffusiondb_trace
 
@@ -81,8 +103,103 @@ def _payload(report, system) -> dict:
     }
 
 
+def _fleet_payload(report, system) -> dict:
+    """Everything a restored fleet must match bit for bit."""
+    completion = system.request_store.column("completion_s")
+    return {
+        "hit_rate": report.hit_rate,
+        "n_completed": report.n_completed,
+        "n_lost": report.n_lost,
+        "completion_sha": hashlib.sha256(completion.tobytes()).hexdigest(),
+        "decision_sha": decision_digest(report.fleet.records),
+        "journal_digest": system.journal.digest(),
+        "journal_events": len(system.journal),
+        "replica_journals": [r._journal.digest() for r in system.replicas],
+        "routed": list(report.routed),
+    }
+
+
+def _resume(snapshot, build, reference, trace, suffix):
+    """Restore ``snapshot`` into ``build()`` and finish the run, from the
+    trace timeline or (``suffix``) from the journal's ARRIVAL suffix."""
+    resumed = build()
+    if suffix:
+        snapshot.restore(resumed, install_timeline=False)
+        replayer = JournalReplayer(resumed, reference)
+        report = replayer.replay(trace_name=trace.name)
+        replayer.verify()
+    else:
+        snapshot.restore(resumed)
+        report = resumed.resume(trace)
+    return resumed, report
+
+
+def _trace(space, n_requests: int):
+    return diffusiondb_trace(
+        space,
+        DiffusionDBConfig(
+            n_requests=n_requests,
+            request_rate_per_min=40.0,
+            seed="replay-gate",
+        ),
+    )
+
+
+def run_fleet_gate(suffix: bool = False) -> tuple:
+    """(uninterrupted payload, [(snapshot time, resumed payload), ...])
+    over every snapshot of one tiered fleet run with a cold restart."""
+    space = SemanticSpace()
+    trace = _trace(space, 300)
+    span = trace.requests[-1].arrival_s
+    routing = ClusterRoutingConfig(
+        n_replicas=4,
+        policy="least_loaded",
+        journal=True,
+        snapshot_period_s=span / 8,
+        failures=FailurePlan(
+            events=(
+                FailureEvent(time_s=0.3 * span, replica=2, action="kill"),
+                FailureEvent(
+                    time_s=0.5 * span,
+                    replica=2,
+                    action="restart",
+                    warm=False,
+                ),
+            ),
+        ),
+    )
+    with tempfile.TemporaryDirectory(prefix="replay-fleet-") as cold_dir:
+        config = MoDMConfig(
+            cluster=ClusterConfig(gpu_name="MI210", n_workers=16),
+            cache_capacity=400,
+            small_models=("sdxl",),
+            retrieval_backend="ivf",
+            cache_tiering=TieredCacheConfig(cold_dir=cold_dir),
+            seed="replay-gate",
+            journal=JournalConfig(snapshot_period_s=span / 8),
+        )
+
+        def build():
+            return modm_cluster(space, config, routing)
+
+        straight = build()
+        straight_payload = _fleet_payload(straight.run(trace), straight)
+        if not straight.snapshots:
+            raise RuntimeError("fleet run captured no snapshots")
+        resumed = []
+        for snapshot in straight.snapshots:
+            system, report = _resume(
+                snapshot, build, straight.journal, trace, suffix
+            )
+            resumed.append(
+                (snapshot.time_s, _fleet_payload(report, system))
+            )
+    return straight_payload, resumed
+
+
 def run_gate(suffix: bool = False) -> tuple:
-    """(uninterrupted payload, resumed payload) for one seeded trace.
+    """(uninterrupted payload, [(snapshot time, resumed payload)]) for
+    one seeded trace, restored from its middle snapshot.
 
     With ``suffix=True`` the restored system is driven forward by a
     :class:`JournalReplayer` from the reference journal's ARRIVAL rows
@@ -91,14 +208,7 @@ def run_gate(suffix: bool = False) -> tuple:
     reference row for row.
     """
     space = SemanticSpace()
-    trace = diffusiondb_trace(
-        space,
-        DiffusionDBConfig(
-            n_requests=250,
-            request_rate_per_min=40.0,
-            seed="replay-gate",
-        ),
-    )
+    trace = _trace(space, 250)
 
     straight = MoDMSystem(space, _config())
     straight_report = straight.run(trace)
@@ -110,17 +220,14 @@ def run_gate(suffix: bool = False) -> tuple:
     straight_payload = _payload(straight_report, straight)
 
     snapshot = straight.snapshots[len(straight.snapshots) // 2]
-    resumed = MoDMSystem(space, _config())
-    if suffix:
-        snapshot.restore(resumed, install_timeline=False)
-        replayer = JournalReplayer(resumed, straight._journal)
-        resumed_report = replayer.replay(trace_name=trace.name)
-        replayer.verify()
-    else:
-        snapshot.restore(resumed)
-        resumed_report = resumed.resume(trace)
-    resumed_payload = _payload(resumed_report, resumed)
-    return straight_payload, resumed_payload, snapshot.time_s
+    resumed, report = _resume(
+        snapshot,
+        lambda: MoDMSystem(space, _config()),
+        straight._journal,
+        trace,
+        suffix,
+    )
+    return straight_payload, [(snapshot.time_s, _payload(report, resumed))]
 
 
 def main(argv=None) -> int:
@@ -138,43 +245,57 @@ def main(argv=None) -> int:
             "instead of the trace timeline (journal-sufficiency gate)"
         ),
     )
+    parser.add_argument(
+        "--fleet",
+        action="store_true",
+        help=(
+            "gate every snapshot of a 4-replica tiered fleet with a kill "
+            "and a cold restart instead of one single-engine snapshot"
+        ),
+    )
     args = parser.parse_args(argv)
 
-    gate = f"{GATE}-suffix" if args.suffix else GATE
-    straight, resumed, snap_time = run_gate(suffix=args.suffix)
+    gate = GATE + ("-fleet" if args.fleet else "")
+    gate += "-suffix" if args.suffix else ""
+    run = run_fleet_gate if args.fleet else run_gate
+    straight, resumed = run(suffix=args.suffix)
     straight_text = render_payload(straight)
-    resumed_text = render_payload(resumed)
     if args.out:
         write_text(args.out, straight_text)
-    if straight_text == resumed_text:
-        how = (
-            "replayed bit-identically from the journal suffix"
-            if args.suffix
-            else "resumed bit-identically"
-        )
-        return gate_ok(
-            gate,
-            f"run restored from the t={snap_time:.1f}s snapshot "
-            f"{how} (journal digest "
-            f"{straight['journal_digest'][:16]}...)",
-        )
-    return gate_fail(
+    how = (
+        "replayed bit-identically from the journal suffix"
+        if args.suffix
+        else "resumed bit-identically"
+    )
+    for snap_time, payload in resumed:
+        resumed_text = render_payload(payload)
+        if resumed_text != straight_text:
+            return gate_fail(
+                gate,
+                "restoring a snapshot and "
+                + (
+                    "replaying the journal suffix"
+                    if args.suffix
+                    else "resuming"
+                )
+                + " did not reproduce the uninterrupted run.  "
+                "Snapshot/restore is losing state somewhere (see the "
+                "diff above).",
+                diff=(
+                    straight_text,
+                    resumed_text,
+                    "uninterrupted run",
+                    f"restored from t={snap_time:.1f}s snapshot",
+                ),
+            )
+    if args.fleet:
+        which = f"all {len(resumed)} fleet snapshots"
+    else:
+        which = f"run restored from the t={resumed[0][0]:.1f}s snapshot"
+    return gate_ok(
         gate,
-        "restoring a snapshot and "
-        + (
-            "replaying the journal suffix"
-            if args.suffix
-            else "resuming"
-        )
-        + " did not reproduce the uninterrupted run.  "
-        "Snapshot/restore is losing state somewhere (see the diff "
-        "above).",
-        diff=(
-            straight_text,
-            resumed_text,
-            "uninterrupted run",
-            f"restored from t={snap_time:.1f}s snapshot",
-        ),
+        f"{which} {how} (journal digest "
+        f"{straight['journal_digest'][:16]}...)",
     )
 
 

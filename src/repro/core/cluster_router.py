@@ -64,12 +64,12 @@ from repro.core.journal import (
     ROUTE,
     SNAPSHOT,
     TRANSFER,
+    ClockSnapshot,
+    EngineSnapshot,
     EventJournal,
-    ReplicaState,
-    _copy_store,
-    _HEAP_KINDS,
+    _check_restorable,
+    _fingerprint,
     _journal_prefix,
-    _replica_fingerprint,
 )
 from repro.core.monitor import estimate_workloads
 from repro.core.pid import PIDController
@@ -84,7 +84,6 @@ from repro.core.serving import (
     ServingReport,
     install_arrival_cohorts,
 )
-from repro.core.tiering import check_cold_extents
 from repro.diffusion.model import WARM_CHUNK
 from repro.metrics.latency import percentile
 from repro.embedding.space import SemanticSpace
@@ -936,7 +935,7 @@ class ClusterServingSystem:
         # fired from the loop's timeline lane.
         records = self.request_store.extend(list(trace))
         self.records = records
-        self._install_trace_timeline(records)
+        self._schedule_trace_arrivals(records)
         for replica in self.replicas:
             replica._on_run_start()
         if self.routing.failures is not None:
@@ -975,13 +974,13 @@ class ClusterServingSystem:
         self.loop.run(until=until)
         return self._build_report(trace)
 
-    def _install_trace_timeline(
+    def _schedule_trace_arrivals(
         self, records: Sequence[RequestRecord]
     ) -> None:
         """Cohort the store's arrivals onto the shared timeline lane.
 
         ``records`` must be the fleet store's full row list (both
-        callers — ``run`` and ``ClusterSnapshot.restore`` — pass it).
+        callers — ``run`` and ``ClockSnapshot.restore`` — pass it).
         """
         install_arrival_cohorts(
             self.loop, self.request_store, records, self._arrive_cohort
@@ -1428,9 +1427,8 @@ class ClusterServingSystem:
 # ----------------------------------------------------------------------
 # Fleet snapshots
 # ----------------------------------------------------------------------
-# Cluster-owned pending heap events by bound-method name, mirroring
-# journal._HEAP_KINDS for the replica-owned ones: snapshots store
-# (time, owner, kind) and restore re-binds against the fresh fleet.
+# Cluster-owned pending heap events by bound-method name: fleet
+# snapshots record them as owner -1 (``ClockSnapshot``).
 _CLUSTER_HEAP_KINDS: Dict[str, str] = {
     "_autoscale_tick": "autoscale",
     "_failure_tick": "failure",
@@ -1452,57 +1450,19 @@ def _cluster_fingerprint(cluster: "ClusterServingSystem") -> str:
         cluster.name,
         repr(cluster.routing),
     ]
-    parts.extend(
-        _replica_fingerprint(replica) for replica in cluster.replicas
-    )
+    parts.extend(_fingerprint(replica) for replica in cluster.replicas)
     return "|".join(parts)
-
-
-def _classify_cluster_heap(
-    cluster: "ClusterServingSystem",
-) -> List[Tuple[float, int, str]]:
-    """Pending heap events as ``(time, owner, kind)`` rows.
-
-    ``owner`` is the fleet index of the replica whose bound method is
-    pending, or ``-1`` for cluster-owned machinery.  Owners resolve by
-    identity scan over the replica list, and rows keep the heap's
-    firing order — re-pushing them in sequence with fresh sequence
-    numbers reproduces it exactly.
-    """
-    entries: List[Tuple[float, int, str]] = []
-    for time, _seq, callback in cluster.loop.heap_entries():
-        func = getattr(callback, "__func__", None)
-        owner = getattr(callback, "__self__", None)
-        name = getattr(func, "__name__", "")
-        if owner is cluster and name in _CLUSTER_HEAP_KINDS:
-            entries.append((time, -1, _CLUSTER_HEAP_KINDS[name]))
-            continue
-        kind = _HEAP_KINDS.get(name)
-        owner_idx = -1
-        if kind is not None:
-            for i, replica in enumerate(cluster.replicas):
-                if owner is replica:
-                    owner_idx = i
-                    break
-        if kind is None or owner_idx < 0:
-            raise ValueError(
-                "cannot snapshot fleet: pending event "
-                f"{callback!r} at t={time:.6f} is not a recognised "
-                "cluster or replica event"
-            )
-        entries.append((time, owner_idx, kind))
-    return entries
 
 
 @dataclass
 class ClusterSnapshot:
     """Full state of a running fleet at one instant.
 
-    The cluster-level analogue of :class:`repro.core.journal.Snapshot`:
-    captures the shared clock/timeline cursor and heap, the fleet
-    store, router policy state, autoscaler PID state, the failure and
-    probe schedules, the cluster journal, and a
-    :class:`~repro.core.journal.ReplicaState` per replica.  ``restore``
+    The shared-clock part (:class:`~repro.core.journal.ClockSnapshot`:
+    clock, timeline cursor, fleet store, heap rows with replica owners),
+    one :class:`~repro.core.journal.EngineSnapshot` per replica, and the
+    fleet's own state: router policy state, autoscaler PID state, the
+    failure and probe schedules and the cluster journal.  ``restore``
     rebuilds a freshly constructed, identically configured fleet into
     this exact state so ``resume()`` continues bit-identically; with
     ``install_timeline=False`` the remaining arrivals are left out and
@@ -1510,12 +1470,8 @@ class ClusterSnapshot:
     forward from the journal suffix instead.
     """
 
-    time_s: float
     fingerprint: str
-    tl_idx: int
-    has_timeline: bool
-    heap: List[Tuple[float, int, str]]
-    store: RequestStore
+    clock: ClockSnapshot
     expected: int
     routed_counts: List[int]
     transfers: List[TransferEvent]
@@ -1526,21 +1482,18 @@ class ClusterSnapshot:
     autoscaler_state: Optional[Dict[str, Any]]
     journal: EventJournal
     next_snapshot_s: float
-    replica_states: List[ReplicaState]
+    replica_states: List[EngineSnapshot]
 
     # ------------------------------------------------------------------
     @classmethod
     def capture(
         cls, cluster: "ClusterServingSystem"
     ) -> "ClusterSnapshot":
-        loop = cluster.loop
         return cls(
-            time_s=loop.now,
             fingerprint=_cluster_fingerprint(cluster),
-            tl_idx=loop.timeline_index,
-            has_timeline=loop._tl_times is not None,
-            heap=_classify_cluster_heap(cluster),
-            store=_copy_store(cluster.request_store),
+            clock=ClockSnapshot.capture(
+                cluster, cluster.replicas, _CLUSTER_HEAP_KINDS
+            ),
             expected=(
                 cluster._fleet_state.expected
                 if cluster._fleet_state is not None
@@ -1566,10 +1519,14 @@ class ClusterSnapshot:
             journal=_journal_prefix(cluster.journal),
             next_snapshot_s=cluster._next_snapshot_s,
             replica_states=[
-                ReplicaState.capture(replica)
+                EngineSnapshot.capture(replica)
                 for replica in cluster.replicas
             ],
         )
+
+    @property
+    def time_s(self) -> float:
+        return self.clock.time_s
 
     @property
     def journal_digest(self) -> str:
@@ -1590,32 +1547,17 @@ class ClusterSnapshot:
         instant with no future arrivals scheduled — journal-suffix
         replay then re-injects them from ARRIVAL rows.
 
-        Raises :class:`~repro.core.tiering.ColdExtentError`, before any
-        state is installed, when a replica's tiered cache state (live
-        or kept for a warm restart) needs more cold rows than that
-        replica's cold file holds — e.g. a fresh fleet with
-        ``cold_dir=None``.
+        Raises (``journal._check_restorable``) before any state is
+        installed, e.g. :class:`~repro.core.tiering.ColdExtentError`
+        for a tiered fleet restored into one with ``cold_dir=None``.
         """
-        fp = _cluster_fingerprint(cluster)
-        if fp != self.fingerprint:
-            raise ValueError(
-                "fleet snapshot/configuration mismatch:\n"
-                f"  snapshot: {self.fingerprint}\n"
-                f"  cluster:  {fp}"
-            )
-        for replica, state in zip(cluster.replicas, self.replica_states):
-            check_cold_extents(
-                getattr(replica, "cache", None),
-                [state.cache_state]
-                + [snap for _, snap in state.cache_snapshots],
-            )
-        loop = EventLoop()
-        cluster.loop = loop
-        store = _copy_store(self.store)
-        cluster.request_store = store
-        cluster.records = [
-            RequestRecord._view(store, i) for i in range(len(store))
-        ]
+        _check_restorable(
+            self.fingerprint,
+            _cluster_fingerprint(cluster),
+            cluster.replicas,
+            self.replica_states,
+        )
+        loop = cluster.loop = EventLoop()
         cluster.routed_counts = list(self.routed_counts)
         cluster.transfers = list(self.transfers)
         cluster._failures = [replace(rec) for rec in self.failures]
@@ -1650,35 +1592,17 @@ class ClusterSnapshot:
         # Replica worker ids come back from the state tuples already
         # fleet-offset (and possibly autoscaler-moved), so restore never
         # calls _offset_worker_ids.
-        for replica, state in zip(
-            cluster.replicas, self.replica_states
-        ):
+        for replica in cluster.replicas:
             replica._reset_runtime()
             replica.loop = loop
             replica._fleet = fleet
-            state.restore(replica, store)
-        # Reinstall the arrival timeline while the fresh clock is still
-        # at zero, then jump clock and cursor to the snapshot instant.
-        if install_timeline and self.has_timeline and cluster.records:
-            cluster._install_trace_timeline(cluster.records)
-            loop.restore_clock(self.time_s, self.tl_idx)
-        else:
-            loop.restore_clock(self.time_s, 0)
-        replica_handlers = {
-            kind: name for name, kind in _HEAP_KINDS.items()
-        }
-        cluster_handlers = {
-            kind: name for name, kind in _CLUSTER_HEAP_KINDS.items()
-        }
-        for time, owner_idx, kind in self.heap:
-            if owner_idx < 0:
-                handler = getattr(cluster, cluster_handlers[kind])
-            else:
-                handler = getattr(
-                    cluster.replicas[owner_idx],
-                    replica_handlers[kind],
-                )
-            loop.schedule(time, handler)
+        self.clock.restore(
+            cluster,
+            cluster.replicas,
+            self.replica_states,
+            _CLUSTER_HEAP_KINDS,
+            install_timeline,
+        )
 
 
 # ----------------------------------------------------------------------

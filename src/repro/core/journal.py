@@ -10,12 +10,15 @@ that property for fault tolerance:
   style: parallel numpy arrays with amortised-doubling growth, one row
   per event.  A sha256 :meth:`~EventJournal.digest` over the live bytes
   lets two runs prove they took the same path without diffing reports.
-- :class:`Snapshot` — a full capture of a single-engine serving system
-  mid-run (clock, heap, request store, queues, workers, in-flight jobs,
-  stats windows, monitor + PID state, cache incl. IVF index, and the
-  RNG-stream counters), restorable into a fresh identically-configured
-  system such that resuming the run is bit-identical to never having
-  stopped.
+- Recovery state in two parts, each with one capture and one restore:
+  :class:`ClockSnapshot` (clock, timeline cursor, request store, heap
+  rows with their owners) and :class:`EngineSnapshot` (queues, workers,
+  in-flight jobs, stats windows, monitor + PID state, cache incl. IVF
+  index, and the RNG-stream counters of one engine).  A
+  :class:`Snapshot` is one of each, restorable into a fresh
+  identically-configured system such that resuming the run is
+  bit-identical to never having stopped; the fleet's
+  ``ClusterSnapshot`` is one clock part and an engine part per replica.
 - :class:`SnapCounter` — a drop-in replacement for ``itertools.count``
   whose position can be read and restored.  The engine's id streams
   (cache entry ids, image ids) seed content noise draws, so restoring a
@@ -30,6 +33,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -315,13 +319,16 @@ def _copy_store(store: "RequestStore") -> "RequestStore":
 
 
 # ----------------------------------------------------------------------
-# Heap-event classification
+# Recovery state: one shared-clock part, one engine-local part
 # ----------------------------------------------------------------------
 # Pending heap events are captured by *kind*, not by closure: every
-# event the engine schedules is a bound method of the system, so a
-# snapshot stores (time, kind) and restore re-binds against the fresh
-# system.  Only relative (time, seq) order matters — fresh sequence
-# numbers from re-pushing in sorted order reproduce the firing order.
+# event an engine (or the fleet around it) schedules is a bound method,
+# so a snapshot stores ``(time, owner, kind)`` rows and restore re-binds
+# them against the fresh systems.  ``owner`` indexes the engines (a
+# single engine is owner 0); -1 is the system that owns the loop, for
+# the kinds it names itself (the fleet's ticks).  Rows keep the heap's
+# firing order, so re-pushing them with fresh sequence numbers
+# reproduces it.
 _HEAP_KINDS: Dict[str, str] = {
     "_complete_cohort": "complete",
     "_monitor_tick": "monitor",
@@ -329,36 +336,37 @@ _HEAP_KINDS: Dict[str, str] = {
     "_snapshot_tick": "snapshot",
 }
 
-
-def _classify_heap(system) -> List[Tuple[float, str]]:
-    entries = []
-    for time, _seq, callback in system.loop.heap_entries():
-        func = getattr(callback, "__func__", None)
-        owner = getattr(callback, "__self__", None)
-        kind = _HEAP_KINDS.get(getattr(func, "__name__", ""))
-        if kind is None or owner is not system:
-            raise ValueError(
-                "cannot snapshot: pending event "
-                f"{callback!r} at t={time:.6f} is not a recognised "
-                "engine event (cluster-level events are not "
-                "snapshottable)"
-            )
-        entries.append((time, kind))
-    return entries
+_WORKER_FIELDS = (
+    "worker_id",
+    "model_name",
+    "target_model",
+    "available_at",
+    "busy_seconds",
+    "load_seconds",
+    "energy_joules",
+    "jobs_completed",
+    "switches",
+    "current_job",
+)
+_worker_tuple = attrgetter(*_WORKER_FIELDS)
 
 
 def _fingerprint(system) -> str:
-    """Configuration identity a snapshot refuses to cross.
+    """Configuration identity an engine's state refuses to cross.
 
     Frozen-dataclass reprs are deterministic, so ``repr(config)`` pins
     every knob (including the journal config itself); systems without a
-    config fall back to the SLO gate's own fingerprint.
+    config fall back to the SLO gate's own fingerprint.  The worker
+    count is the *configured* one (``ClusterConfig.n_workers``):
+    autoscaler transfers move workers between fleet replicas mid-run,
+    and a snapshot restores into systems built from the same configs,
+    not the same instantaneous split.
     """
     gate = system._slo_gate
     parts = [
         type(system).__name__,
         system._seed,
-        str(len(system.workers)),
+        str(system._cluster.n_workers),
         gate.config_fingerprint() if gate is not None else "no-slo",
     ]
     config = getattr(system, "config", None)
@@ -368,26 +376,109 @@ def _fingerprint(system) -> str:
 
 
 @dataclass
-class Snapshot:
-    """Full state of a single-engine serving system at one instant.
+class ClockSnapshot:
+    """The shared-clock part of a snapshot: what the loop's owner holds.
 
-    ``capture`` is side-effect-free (no memo builds, no window trims);
-    ``restore`` rebuilds a fresh, identically-configured system into
-    this exact state, so ``resume()`` continues bit-identically.
+    The owner is a single engine or a whole fleet; either way it owns
+    the event loop, the request store and the arrival timeline, and
+    its engines' pending events sit in that one heap.
     """
 
     time_s: float
-    fingerprint: str
-    # Event loop
     tl_idx: int
     has_timeline: bool
-    heap: List[Tuple[float, str]]
-    # Requests
+    heap: List[Tuple[float, int, str]]
     store: RequestStore
+
+    @classmethod
+    def capture(
+        cls, owner, engines: List, owner_kinds: Dict[str, str]
+    ) -> "ClockSnapshot":
+        loop = owner.loop
+        heap: List[Tuple[float, int, str]] = []
+        for time, _seq, callback in loop.heap_entries():
+            bound = getattr(callback, "__self__", None)
+            func = getattr(callback, "__func__", None)
+            name = getattr(func, "__name__", "")
+            if bound is owner and name in owner_kinds:
+                heap.append((time, -1, owner_kinds[name]))
+                continue
+            index = next(
+                (i for i, engine in enumerate(engines) if engine is bound),
+                -1,
+            )
+            if name not in _HEAP_KINDS or index < 0:
+                raise ValueError(
+                    "cannot snapshot: pending event "
+                    f"{callback!r} at t={time:.6f} is not a recognised "
+                    "engine or fleet event"
+                )
+            heap.append((time, index, _HEAP_KINDS[name]))
+        return cls(
+            time_s=loop.now,
+            tl_idx=loop.timeline_index,
+            has_timeline=loop._tl_times is not None,
+            heap=heap,
+            store=_copy_store(owner.request_store),
+        )
+
+    def restore(
+        self,
+        owner,
+        engines: List,
+        states: List["EngineSnapshot"],
+        owner_kinds: Dict[str, str],
+        install_timeline: bool,
+    ) -> None:
+        """Install the store, every engine's state, then the clock.
+
+        ``owner`` and its engines must already be reset onto one fresh
+        loop.  The arrival timeline is reinstalled while that clock
+        still reads zero (``schedule_timeline`` validates times against
+        ``now``); then the clock and cursor jump to the capture instant.
+        """
+        from repro.core.request import RequestRecord
+
+        store = _copy_store(self.store)
+        owner.request_store = store
+        owner.records = [
+            RequestRecord._view(store, i) for i in range(len(store))
+        ]
+        for engine, state in zip(engines, states):
+            state.restore(engine, store)
+        loop = owner.loop
+        if install_timeline and self.has_timeline and owner.records:
+            owner._schedule_trace_arrivals(owner.records)
+            loop.restore_clock(self.time_s, self.tl_idx)
+        else:
+            loop.restore_clock(self.time_s, 0)
+        engine_names = {kind: name for name, kind in _HEAP_KINDS.items()}
+        owner_names = {kind: name for name, kind in owner_kinds.items()}
+        for time, index, kind in self.heap:
+            if index < 0:
+                handler = getattr(owner, owner_names[kind])
+            else:
+                handler = getattr(engines[index], engine_names[kind])
+            loop.schedule(time, handler)
+
+
+@dataclass
+class EngineSnapshot:
+    """The engine-local part of a snapshot: one serving engine's state.
+
+    The same capture and restore serve a single engine and every fleet
+    replica.  Worker tuples are authoritative (count and ids included):
+    autoscaler transfers move workers between replicas, so restore
+    rebuilds the worker list from them.  A freshly reset engine's
+    workers are default-constructed, so rebuilding them equals
+    matching them in place.
+    """
+
+    record_rows: List[int]
     n_expected: int
     n_completed: int
     n_shed: int
-    # In-flight service state
+    dead: bool
     in_service: List[Tuple[int, int, str, int, int, Optional[object]]]
     buckets: List[Tuple[float, List[int]]]
     workers: List[tuple]
@@ -395,11 +486,12 @@ class Snapshot:
     pending_wakeups: List[float]
     next_monitor_tick_s: float
     next_snapshot_tick_s: float
-    # Stats windows
     stats_state: Dict[str, Any]
-    # Journal: a read-only prefix of the live columns (zero rows when
-    # the system keeps no journal)
+    # A read-only prefix of the live columns (zero rows when the engine
+    # keeps no journal).
     journal: EventJournal
+    # Cache states kept for a fleet replica's warm restart.
+    cache_snapshots: List[Tuple[float, object]]
     # MoDM-specific (None for other engines)
     miss_queue_state: Optional[tuple] = None
     hit_queue_state: Optional[tuple] = None
@@ -412,59 +504,32 @@ class Snapshot:
 
     # ------------------------------------------------------------------
     @classmethod
-    def capture(cls, system) -> "Snapshot":
-        if system._fleet is not None:
-            raise ValueError(
-                "full snapshots are single-engine only; cluster replicas "
-                "capture cache-only snapshots"
-            )
-        loop = system.loop
-        store = _copy_store(system.request_store)
-        in_service = [
-            (
-                rid,
-                item.record._row,
-                item.model.spec.name,
-                item.steps,
-                item.skipped_steps,
-                item.source_image,
-            )
-            for rid, item in sorted(system._in_service.items())
-        ]
-        buckets = [
-            (finish, [w.worker_id for w in bucket])
-            for finish, bucket in sorted(
-                system._completion_buckets.items()
-            )
-        ]
-        workers = [
-            (
-                w.worker_id,
-                w.model_name,
-                w.target_model,
-                w.available_at,
-                w.busy_seconds,
-                w.load_seconds,
-                w.energy_joules,
-                w.jobs_completed,
-                w.switches,
-                w.current_job,
-            )
-            for w in system.workers
-        ]
-        snap = cls(
-            time_s=loop.now,
-            fingerprint=_fingerprint(system),
-            tl_idx=loop.timeline_index,
-            has_timeline=loop._tl_times is not None,
-            heap=_classify_heap(system),
-            store=store,
+    def capture(cls, system) -> "EngineSnapshot":
+        """Side-effect-free: no memo builds, no window trims."""
+        state = cls(
+            record_rows=[r._row for r in system.records],
             n_expected=system._n_expected,
             n_completed=system._n_completed,
             n_shed=system._n_shed,
-            in_service=in_service,
-            buckets=buckets,
-            workers=workers,
+            dead=system._dead,
+            in_service=[
+                (
+                    rid,
+                    item.record._row,
+                    item.model.spec.name,
+                    item.steps,
+                    item.skipped_steps,
+                    item.source_image,
+                )
+                for rid, item in sorted(system._in_service.items())
+            ],
+            buckets=[
+                (finish, [w.worker_id for w in bucket])
+                for finish, bucket in sorted(
+                    system._completion_buckets.items()
+                )
+            ],
+            workers=[_worker_tuple(w) for w in system.workers],
             idle_workers=sorted(system._idle_workers),
             pending_wakeups=sorted(system._pending_wakeups),
             next_monitor_tick_s=getattr(
@@ -473,121 +538,39 @@ class Snapshot:
             next_snapshot_tick_s=system._next_snapshot_tick_s,
             stats_state=system.stats.snapshot_state(),
             journal=_journal_prefix(system._journal),
+            cache_snapshots=list(system._cache_snapshots),
         )
         if hasattr(system, "cache"):
-            snap.miss_queue_state = system._miss_queue.snapshot_state()
-            snap.hit_queue_state = system._hit_queue.snapshot_state()
-            snap.hit_backlog_frac = system._hit_backlog_frac
-            snap.n_large_workers = system._n_large_workers
-            snap.allocations = list(system.allocations)
-            snap.monitor_state = system.monitor.snapshot_state()
-            snap.cache_state = system.cache.snapshot()
-        snap.model_counters = {
+            state.miss_queue_state = system._miss_queue.snapshot_state()
+            state.hit_queue_state = system._hit_queue.snapshot_state()
+            state.hit_backlog_frac = system._hit_backlog_frac
+            state.n_large_workers = system._n_large_workers
+            state.allocations = list(system.allocations)
+            state.monitor_state = system.monitor.snapshot_state()
+            state.cache_state = system.cache.snapshot()
+        state.model_counters = {
             name: sim._counter.value
             for name, sim in sorted(system._model_sims.items())
         }
-        return snap
-
-    @property
-    def journal_digest(self) -> str:
-        """sha256 of the captured journal rows."""
-        return self.journal.digest()
+        return state
 
     # ------------------------------------------------------------------
-    def restore(self, system, install_timeline: bool = True) -> None:
-        """Rebuild ``system`` into this snapshot's state.
-
-        ``system`` must be freshly constructed with the same
-        configuration (enforced via the fingerprint); any prior runtime
-        state it holds is discarded.
-
-        ``install_timeline=False`` restores the state *without* the
-        remaining arrival timeline: the clock jumps to the snapshot
-        instant with no future arrivals scheduled.  A
-        :class:`JournalReplayer` then drives the run forward from the
-        journal suffix alone — the store already holds every trace row
-        (runs bulk-load the trace up front), so no trace file is needed.
-
-        Raises :class:`~repro.core.tiering.ColdExtentError`, before any
-        state is installed, when a tiered cache state needs more cold
-        rows than ``system``'s cold file holds.
-        """
-        fp = _fingerprint(system)
-        if fp != self.fingerprint:
-            raise ValueError(
-                "snapshot/system configuration mismatch:\n"
-                f"  snapshot: {self.fingerprint}\n"
-                f"  system:   {fp}"
-            )
+    def restore(self, system, store: "RequestStore") -> None:
+        """Rebuild freshly reset ``system`` into this state; its records
+        are views into ``store`` (its own, or the fleet's)."""
+        from repro.cluster.worker import GPUWorker
         from repro.core.request import RequestRecord
         from repro.core.serving import _WorkItem
-        from repro.core.tiering import check_cold_extents
 
-        check_cold_extents(
-            getattr(system, "cache", None), [self.cache_state]
-        )
-
-        system._reset_runtime()
-        loop = system.loop
-        store = _copy_store(self.store)
-        system.request_store = store
-        records = [
-            RequestRecord._view(store, i) for i in range(len(store))
+        system.records = [
+            RequestRecord._view(store, row) for row in self.record_rows
         ]
-        system.records = records
         system._n_expected = self.n_expected
-        # Reinstall the arrival timeline while the fresh clock is still
-        # at zero (schedule_timeline validates times against now), then
-        # jump the clock and cursor to the snapshot instant.
-        if install_timeline and self.has_timeline and records:
-            system._schedule_trace_arrivals(records)
-            loop.restore_clock(self.time_s, self.tl_idx)
-        else:
-            loop.restore_clock(self.time_s, 0)
-        handlers = {
-            "complete": system._complete_cohort,
-            "wakeup": system._dispatch_wakeup,
-        }
-        if hasattr(system, "_monitor_tick"):
-            handlers["monitor"] = system._monitor_tick
-        if hasattr(system, "_snapshot_tick"):
-            handlers["snapshot"] = system._snapshot_tick
-        for time, kind in sorted(self.heap, key=lambda e: e[0]):
-            loop.schedule(time, handlers[kind])
-        # Workers: scalar fields back in place, job objects by reference.
-        if len(system.workers) != len(self.workers):
-            raise ValueError(
-                f"worker count mismatch: snapshot has "
-                f"{len(self.workers)}, system has {len(system.workers)}"
-            )
-        for worker, state in zip(system.workers, self.workers):
-            (
-                worker_id,
-                model_name,
-                target_model,
-                available_at,
-                busy_seconds,
-                load_seconds,
-                energy_joules,
-                jobs_completed,
-                switches,
-                current_job,
-            ) = state
-            if worker.worker_id != worker_id:
-                raise ValueError(
-                    f"worker id mismatch: {worker.worker_id} != "
-                    f"{worker_id}"
-                )
-            worker.model_name = model_name
-            worker.target_model = target_model
-            worker.available_at = available_at
-            worker.busy_seconds = busy_seconds
-            worker.load_seconds = load_seconds
-            worker.energy_joules = energy_joules
-            worker.jobs_completed = jobs_completed
-            worker.switches = switches
-            worker.current_job = current_job
-        system._workers_by_id = {
+        system.workers = [
+            GPUWorker(gpu=system._gpu, **dict(zip(_WORKER_FIELDS, state)))
+            for state in self.workers
+        ]
+        by_id = system._workers_by_id = {
             w.worker_id: w for w in system.workers
         }
         system._idle_workers = set(self.idle_workers)
@@ -604,20 +587,19 @@ class Snapshot:
                 self.in_service
             )
         }
-        by_id = system._workers_by_id
         system._completion_buckets = {
             finish: [by_id[wid] for wid in worker_ids]
             for finish, worker_ids in self.buckets
         }
         system._n_completed = self.n_completed
         system._n_shed = self.n_shed
+        system._dead = self.dead
         system._next_monitor_tick_s = self.next_monitor_tick_s
         system._next_snapshot_tick_s = self.next_snapshot_tick_s
         system.stats.restore_state(self.stats_state)
+        system._cache_snapshots = list(self.cache_snapshots)
         if hasattr(system, "cache"):
-            system._miss_queue.restore_state(
-                self.miss_queue_state, store
-            )
+            system._miss_queue.restore_state(self.miss_queue_state, store)
             system._hit_queue.restore_state(self.hit_queue_state, store)
             system._hit_backlog_frac = self.hit_backlog_frac
             system._n_large_workers = self.n_large_workers
@@ -628,6 +610,103 @@ class Snapshot:
             system.model_sim(name)._counter.value = value
         if system._journal is not None:
             system._journal = self.journal.prefix()
+
+
+def _check_restorable(
+    expected: str, fingerprint: str, engines: List, states: List
+) -> None:
+    """Refuse a snapshot that cannot restore exactly, before any state
+    is installed.
+
+    Raises ``ValueError`` when ``fingerprint`` (the target's) differs
+    from ``expected`` (the snapshot's), and
+    :class:`~repro.core.tiering.ColdExtentError` when an engine's tiered
+    cache state (live, or kept for a warm restart) needs more cold rows
+    than that engine's cold file holds.
+    """
+    if fingerprint != expected:
+        raise ValueError(
+            "snapshot/configuration mismatch:\n"
+            f"  snapshot: {expected}\n"
+            f"  system:   {fingerprint}"
+        )
+    from repro.core.tiering import check_cold_extents
+
+    for engine, state in zip(engines, states):
+        check_cold_extents(
+            getattr(engine, "cache", None),
+            [state.cache_state]
+            + [snap for _, snap in state.cache_snapshots],
+        )
+
+
+@dataclass
+class Snapshot:
+    """Full state of a single-engine serving system at one instant: the
+    shared-clock part plus the engine's own part (heap owner 0).
+
+    ``restore`` rebuilds a fresh, identically-configured system into
+    this exact state, so ``resume()`` continues bit-identically.
+    """
+
+    fingerprint: str
+    clock: ClockSnapshot
+    engine: EngineSnapshot
+
+    @classmethod
+    def capture(cls, system) -> "Snapshot":
+        if system._fleet is not None:
+            raise ValueError(
+                "full snapshots are single-engine only; cluster replicas "
+                "capture cache-only snapshots"
+            )
+        return cls(
+            fingerprint=_fingerprint(system),
+            clock=ClockSnapshot.capture(system, [system], {}),
+            engine=EngineSnapshot.capture(system),
+        )
+
+    @property
+    def time_s(self) -> float:
+        return self.clock.time_s
+
+    @property
+    def store(self) -> "RequestStore":
+        return self.clock.store
+
+    @property
+    def journal(self) -> EventJournal:
+        return self.engine.journal
+
+    @property
+    def journal_digest(self) -> str:
+        """sha256 of the captured journal rows."""
+        return self.journal.digest()
+
+    def restore(self, system, install_timeline: bool = True) -> None:
+        """Rebuild ``system`` into this snapshot's state.
+
+        ``system`` must be freshly constructed with the same
+        configuration (enforced via the fingerprint); any prior runtime
+        state it holds is discarded.
+
+        ``install_timeline=False`` restores the state *without* the
+        remaining arrival timeline: the clock jumps to the snapshot
+        instant with no future arrivals scheduled.  A
+        :class:`JournalReplayer` then drives the run forward from the
+        journal suffix alone — the store already holds every trace row
+        (runs bulk-load the trace up front), so no trace file is needed.
+
+        Raises (:func:`_check_restorable`) before any state is
+        installed.
+        """
+        _check_restorable(
+            self.fingerprint, _fingerprint(system), [system], [self.engine]
+        )
+        system._reset_runtime()
+        self.clock.restore(
+            system, [system], [self.engine], {}, install_timeline
+        )
 
 
 class _TraceStub:
@@ -745,227 +824,3 @@ class JournalReplayer:
                 f"{diverged} ({len(regenerated)} regenerated vs "
                 f"{len(self._reference)} reference rows)"
             )
-
-
-def _replica_fingerprint(system) -> str:
-    """Per-replica configuration identity under a fleet.
-
-    Mirrors :func:`_fingerprint` but pins the *configured* worker count
-    (``ClusterConfig.n_workers``) instead of the live one — autoscaler
-    transfers change how many workers a replica holds mid-run, and a
-    fleet snapshot must restore into a fleet built from the same
-    configs, not the same instantaneous split.
-    """
-    gate = system._slo_gate
-    parts = [
-        type(system).__name__,
-        system._seed,
-        str(system._cluster.n_workers),
-        gate.config_fingerprint() if gate is not None else "no-slo",
-    ]
-    config = getattr(system, "config", None)
-    if config is not None:
-        parts.append(repr(config))
-    return "|".join(parts)
-
-
-@dataclass
-class ReplicaState:
-    """Full state of one fleet-mode replica inside a ``ClusterSnapshot``.
-
-    Deliberately separate from :class:`Snapshot`: a replica under a
-    fleet owns no event loop, no request store (its records are views
-    into the cluster store), and no arrival timeline — the cluster
-    snapshot captures those once for the whole fleet.  Worker tuples
-    are authoritative (count and ids included): autoscaler transfers
-    move workers between replicas, so restore rebuilds the worker list
-    from the tuples instead of matching a freshly constructed one.
-    """
-
-    fingerprint: str
-    record_rows: List[int]
-    n_expected: int
-    n_completed: int
-    n_shed: int
-    dead: bool
-    in_service: List[Tuple[int, int, str, int, int, Optional[object]]]
-    buckets: List[Tuple[float, List[int]]]
-    workers: List[tuple]
-    idle_workers: List[int]
-    pending_wakeups: List[float]
-    next_monitor_tick_s: float
-    next_snapshot_tick_s: float
-    stats_state: Dict[str, Any]
-    journal: EventJournal
-    cache_snapshots: List[Tuple[float, object]]
-    miss_queue_state: Optional[tuple] = None
-    hit_queue_state: Optional[tuple] = None
-    hit_backlog_frac: float = 0.0
-    n_large_workers: int = 0
-    allocations: Optional[list] = None
-    monitor_state: Optional[tuple] = None
-    cache_state: Optional[object] = None
-    model_counters: Dict[str, int] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def capture(cls, replica) -> "ReplicaState":
-        state = cls(
-            fingerprint=_replica_fingerprint(replica),
-            record_rows=[r._row for r in replica.records],
-            n_expected=replica._n_expected,
-            n_completed=replica._n_completed,
-            n_shed=replica._n_shed,
-            dead=replica._dead,
-            in_service=[
-                (
-                    rid,
-                    item.record._row,
-                    item.model.spec.name,
-                    item.steps,
-                    item.skipped_steps,
-                    item.source_image,
-                )
-                for rid, item in sorted(replica._in_service.items())
-            ],
-            buckets=[
-                (finish, [w.worker_id for w in bucket])
-                for finish, bucket in sorted(
-                    replica._completion_buckets.items()
-                )
-            ],
-            workers=[
-                (
-                    w.worker_id,
-                    w.model_name,
-                    w.target_model,
-                    w.available_at,
-                    w.busy_seconds,
-                    w.load_seconds,
-                    w.energy_joules,
-                    w.jobs_completed,
-                    w.switches,
-                    w.current_job,
-                )
-                for w in replica.workers
-            ],
-            idle_workers=sorted(replica._idle_workers),
-            pending_wakeups=sorted(replica._pending_wakeups),
-            next_monitor_tick_s=getattr(
-                replica, "_next_monitor_tick_s", -1.0
-            ),
-            next_snapshot_tick_s=replica._next_snapshot_tick_s,
-            stats_state=replica.stats.snapshot_state(),
-            journal=_journal_prefix(replica._journal),
-            cache_snapshots=list(replica._cache_snapshots),
-        )
-        if hasattr(replica, "cache"):
-            state.miss_queue_state = replica._miss_queue.snapshot_state()
-            state.hit_queue_state = replica._hit_queue.snapshot_state()
-            state.hit_backlog_frac = replica._hit_backlog_frac
-            state.n_large_workers = replica._n_large_workers
-            state.allocations = list(replica.allocations)
-            state.monitor_state = replica.monitor.snapshot_state()
-            state.cache_state = replica.cache.snapshot()
-        state.model_counters = {
-            name: sim._counter.value
-            for name, sim in sorted(replica._model_sims.items())
-        }
-        return state
-
-    # ------------------------------------------------------------------
-    def restore(self, replica, store: "RequestStore") -> None:
-        """Rebuild ``replica`` into this state against the fleet store.
-
-        The cluster restore has already run ``_reset_runtime()`` and
-        installed the shared loop/fleet handles; this fills in
-        everything replica-local.
-        """
-        fp = _replica_fingerprint(replica)
-        if fp != self.fingerprint:
-            raise ValueError(
-                "replica snapshot/configuration mismatch:\n"
-                f"  snapshot: {self.fingerprint}\n"
-                f"  replica:  {fp}"
-            )
-        from repro.cluster.worker import GPUWorker
-        from repro.core.request import RequestRecord
-        from repro.core.serving import _WorkItem
-
-        replica.records = [
-            RequestRecord._view(store, row) for row in self.record_rows
-        ]
-        replica._n_expected = self.n_expected
-        replica.workers = [
-            GPUWorker(
-                worker_id=worker_id,
-                gpu=replica._gpu,
-                model_name=model_name,
-                target_model=target_model,
-                available_at=available_at,
-                busy_seconds=busy_seconds,
-                load_seconds=load_seconds,
-                energy_joules=energy_joules,
-                jobs_completed=jobs_completed,
-                switches=switches,
-                current_job=current_job,
-            )
-            for (
-                worker_id,
-                model_name,
-                target_model,
-                available_at,
-                busy_seconds,
-                load_seconds,
-                energy_joules,
-                jobs_completed,
-                switches,
-                current_job,
-            ) in self.workers
-        ]
-        replica._workers_by_id = {
-            w.worker_id: w for w in replica.workers
-        }
-        replica._idle_workers = set(self.idle_workers)
-        replica._pending_wakeups = set(self.pending_wakeups)
-        replica._in_service = {
-            rid: _WorkItem(
-                record=RequestRecord._view(store, row),
-                model=replica.model_sim(model_name),
-                steps=steps,
-                skipped_steps=skipped,
-                source_image=source_image,
-            )
-            for rid, row, model_name, steps, skipped, source_image in (
-                self.in_service
-            )
-        }
-        by_id = replica._workers_by_id
-        replica._completion_buckets = {
-            finish: [by_id[wid] for wid in worker_ids]
-            for finish, worker_ids in self.buckets
-        }
-        replica._n_completed = self.n_completed
-        replica._n_shed = self.n_shed
-        replica._dead = self.dead
-        replica._next_monitor_tick_s = self.next_monitor_tick_s
-        replica._next_snapshot_tick_s = self.next_snapshot_tick_s
-        replica.stats.restore_state(self.stats_state)
-        replica._cache_snapshots = list(self.cache_snapshots)
-        if hasattr(replica, "cache"):
-            replica._miss_queue.restore_state(
-                self.miss_queue_state, store
-            )
-            replica._hit_queue.restore_state(self.hit_queue_state, store)
-            replica._hit_backlog_frac = self.hit_backlog_frac
-            replica._n_large_workers = self.n_large_workers
-            replica.allocations = list(self.allocations or [])
-            replica.monitor.restore_state(self.monitor_state)
-            if self.cache_state is not None:
-                replica.cache.restore(self.cache_state)
-            else:
-                replica.cache.clear()
-        for name, value in self.model_counters.items():
-            replica.model_sim(name)._counter.value = value
-        if replica._journal is not None:
-            replica._journal = self.journal.prefix()

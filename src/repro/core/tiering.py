@@ -31,10 +31,12 @@ residency-independent and only the modelled latency
 Snapshots are **block-free and hot-free**: the columns, the tier maps
 (:class:`TierState`) and the IVF structure are captured, but neither the
 quantized blocks nor the hot rows are — both are derived from the cold
-file, which is the persistent medium.  ``restore`` rewinds the cold
-append cursor to the snapshot's position and streams the file once to
-refill blocks and hot rows, so a rebooted replica reproduces its
-pre-restart hit rate from the snapshot plus the on-disk cold file.
+file, which is the persistent medium.  Cold rows are append-only: no
+``clear`` or ``restore`` moves the append cursor back, so every row a
+snapshot references stays as it was written.  ``restore`` checks that
+the file holds the snapshot's extent and streams it once to refill
+blocks and hot rows, so a rebooted replica reproduces its pre-restart
+hit rate from the snapshot plus the on-disk cold file.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ class ColdExtentError(ValueError):
     ``TierState.cold_rows`` rows of its cold file.  Restoring it into a
     cache whose file is shorter — for instance a fresh fleet with
     ``cold_dir=None``, whose anonymous cold files start empty — cannot
-    be exact.  :meth:`ColdStore.rewind` raises this error, and
+    be exact.  :meth:`ColdStore.check_extent` raises this error, and
     ``Snapshot.restore`` / ``ClusterSnapshot.restore`` raise it through
     :func:`check_cold_extents` before they install any state.
     """
@@ -155,17 +157,13 @@ class ColdStore:
     page cache without mapping them, keeping resident memory bounded by
     live data structures instead of access history.
 
-    Rows are **not** immutable: the append cursor is logical, and
-    :meth:`rewind` moves it without truncating, so the next append
-    overwrites whatever row sits at the cursor.  The owning
-    :class:`TieredVectorCache` rewinds to 0 on ``clear()`` and to the
-    snapshot's cursor on ``restore`` — the only two rewinds, both in its
-    row-store hooks.  The invariant block-free snapshots rely on is
-    narrower: a snapshot taken with the cursor at ``r`` can rebuild
-    every row it references from the first ``r`` rows of the file
-    *until the cursor is next rewound below ``r`` and rows are appended
-    over them*.  A snapshot older than a rewind can therefore alias rows
-    written after it (ROADMAP, "cold-tier aliasing").
+    Rows are append-only: the cursor only moves forward, and a store
+    opened on an existing file starts at the file's end.  Every row
+    below a snapshot's ``cold_rows`` therefore keeps the bytes it was
+    written with, whatever the owning :class:`TieredVectorCache` clears,
+    restores or appends afterwards, and however many caches reattach
+    the same file one after another.  (Two stores appending to one file
+    at once would still collide; nothing locks the file.)
 
     ``path=None`` backs the store with an anonymous temp file (deleted
     on close/exit); a real path reattaches on construction so a fresh
@@ -187,7 +185,8 @@ class ColdStore:
             mode = "r+b" if os.path.exists(path) else "w+b"
             self._file = open(path, mode, buffering=0)
         self._fd = self._file.fileno()
-        self._rows = 0
+        # Reattaching a file appends after the rows already in it.
+        self._rows = os.fstat(self._fd).st_size // self._row_bytes
 
     @property
     def path(self) -> Optional[str]:
@@ -195,7 +194,7 @@ class ColdStore:
 
     @property
     def rows(self) -> int:
-        """Logical append-cursor position (rows readable)."""
+        """Append-cursor position (rows readable)."""
         return self._rows
 
     def append_rows(self, rows: np.ndarray) -> int:
@@ -260,9 +259,10 @@ class ColdStore:
         )
 
     def chunks(
-        self, chunk_rows: int = _STREAM_CHUNK_ROWS
+        self, chunk_rows: int = _STREAM_CHUNK_ROWS, first: int = 0
     ) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yield ``(start_row, rows)`` sequentially over the extent.
+        """Yield ``(start_row, rows)`` sequentially over the extent from
+        row ``first`` on.
 
         One ``pread`` per chunk into a fresh array — bounded resident
         memory (one chunk), unlike a memmap pass whose touched pages all
@@ -270,7 +270,7 @@ class ColdStore:
         """
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
-        for start in range(0, self._rows, chunk_rows):
+        for start in range(first, self._rows, chunk_rows):
             count = min(chunk_rows, self._rows - start)
             out = np.empty((count, self._dim), dtype=np.float64)
             want = count * self._row_bytes
@@ -278,19 +278,6 @@ class ColdStore:
             if got != want:
                 raise self._short_read(start, got, want)
             yield start, out
-
-    def rewind(self, rows: int) -> None:
-        """Move the logical cursor to ``rows`` (snapshot restore).
-
-        Works in both directions: back over an abandoned suffix after
-        an in-process restore, or forward on a freshly reattached file
-        whose on-disk extent the snapshot vouches for.  Never truncates;
-        the file must physically hold ``rows`` rows.
-        """
-        if rows < 0:
-            raise ValueError("rows must be >= 0")
-        self.check_extent(rows)
-        self._rows = rows
 
     def check_extent(self, rows: int) -> None:
         """Raise :class:`ColdExtentError` unless the file physically
@@ -540,11 +527,9 @@ class TieredVectorCache(VectorCache):
         """Exact row of a snapshot entry, from this cache's cold file.
 
         Every row the snapshot references sits below its ``cold_rows``
-        cursor, and the file outlives a simulated crash, so a dead
-        replica's rows stay readable for survivors to adopt.  Those rows
-        are overwritten only after the cursor is rewound below them
-        (``clear`` or ``restore``) and rows are appended again — see
-        :class:`ColdStore`.
+        cursor, the file outlives a simulated crash, and cold rows are
+        append-only (:class:`ColdStore`), so a dead replica's rows stay
+        readable, unchanged, for survivors to adopt.
         """
         return self._cold.read_row(int(state.rows.cold_row_of[slot]))
 
@@ -608,8 +593,11 @@ class TieredVectorCache(VectorCache):
         peak memory is one chunk plus the quantized blocks, never the
         full float64 corpus.  Returns the number of rows loaded.
         """
-        if self._n_live or self.insertions or self._cold.rows:
+        if self._n_live or self.insertions:
             raise ValueError("bulk_load requires an empty, unused cache")
+        # A reattached cold file already holds rows: this load's rows
+        # start at its end, and slot ``s`` lives at row ``first + s``.
+        first = self._cold.rows
         total = 0
         for chunk in chunk_source():
             chunk = np.ascontiguousarray(chunk, dtype=np.float64)
@@ -647,13 +635,13 @@ class TieredVectorCache(VectorCache):
                 lambda: (
                     (
                         np.arange(
-                            start,
-                            start + rows.shape[0],
+                            start - first,
+                            start - first + rows.shape[0],
                             dtype=np.int64,
                         ),
                         rows,
                     )
-                    for start, rows in self._cold.chunks()
+                    for start, rows in self._cold.chunks(first=first)
                 ),
                 total,
             )
@@ -694,12 +682,12 @@ class TieredVectorCache(VectorCache):
         )
 
     def _restore_rows(self, tier: TierState) -> None:
-        """The cold append cursor rewinds to the snapshot's position —
-        rows appended after the capture are logically abandoned and will
-        be overwritten by post-restore inserts.  One sequential
-        streaming pass over the cold extent rebuilds the quantized
-        blocks (via :meth:`IVFIndex.refill_rows`) and the hot store, so
-        peak restore memory is one chunk, not the corpus."""
+        """The cold file must hold the snapshot's ``cold_rows``; the
+        append cursor stays where it is, so rows appended after the
+        capture are never written over.  One sequential streaming pass
+        over the live rows' extent rebuilds the quantized blocks (via
+        :meth:`IVFIndex.refill_rows`) and the hot store, so peak restore
+        memory is one chunk, not the corpus."""
         self._cold_row[:] = tier.cold_row_of
         self._hot_row[:] = tier.hot_row_of
         self._hot_ids[:] = np.where(self._hot_row >= 0, self._entry_ids, -1)
@@ -709,7 +697,7 @@ class TieredVectorCache(VectorCache):
         self.cold_reads = tier.cold_reads
         self.promotions = tier.promotions
         self.demotions = tier.demotions
-        self._cold.rewind(tier.cold_rows)
+        self._cold.check_extent(tier.cold_rows)
         self._refill_from_cold()
 
     def _refill_from_cold(self) -> None:
@@ -725,7 +713,7 @@ class TieredVectorCache(VectorCache):
         order = np.argsort(self._cold_row[live_slots], kind="stable")
         slots_sorted = live_slots[order]
         cold_sorted = self._cold_row[slots_sorted]
-        for start, rows in self._cold.chunks():
+        for start, rows in self._cold.chunks(first=int(cold_sorted[0])):
             stop = start + rows.shape[0]
             lo = int(np.searchsorted(cold_sorted, start, side="left"))
             hi = int(np.searchsorted(cold_sorted, stop, side="left"))
@@ -740,15 +728,14 @@ class TieredVectorCache(VectorCache):
             self._index.refill_rows(slots, emb)
 
     def _clear_rows(self) -> None:
-        """The cold append cursor rewinds to zero — a cold-started
-        replica refills the file from the front, exactly like a fresh
-        cache would."""
+        """Drop the tier maps; the cold rows stay.  A cold-started
+        replica appends after them, so snapshots taken before the clear
+        still read their rows back."""
         self._cold_row[:] = -1
         self._hot_row[:] = -1
         self._hot_ids[:] = -1
         self._hot_free = list(range(self._hot_capacity - 1, -1, -1))
         self._tier_policy = make_eviction_policy(self._tiering.tier_policy)
-        self._cold.rewind(0)
 
 
 def check_cold_extents(

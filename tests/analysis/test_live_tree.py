@@ -3,12 +3,20 @@ demonstrably catches a seeded snapshot-coverage mutation."""
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
 from repro.analysis.framework import ParsedModule, run_analysis
-from repro.analysis.rules_snapshot import SnapshotCoverageRule
+from repro.analysis.rules_snapshot import (
+    CAPTURE_METHODS,
+    RESTORE_METHODS,
+    SnapshotCoverageRule,
+    _method_map,
+    _pick,
+)
 
 
 def test_tree_has_zero_unbaselined_findings(repo_root):
@@ -83,6 +91,88 @@ def test_event_journal_stays_under_snapshot_coverage(
     assert any(
         "EventJournal._extra" in f.message for f in findings
     ), [f.render() for f in findings]
+
+
+def _drop_capture_field(source: str, cls_name: str, field: str) -> str:
+    """``source`` with every binding of ``field`` removed from
+    ``cls_name.capture``: keyword arguments named ``field`` and
+    assignments to ``<anything>.field``."""
+
+    class Drop(ast.NodeTransformer):
+        def visit_keyword(self, node):
+            return None if node.arg == field else node
+
+        def visit_Assign(self, node):
+            target = node.targets[0]
+            if isinstance(target, ast.Attribute) and target.attr == field:
+                return None
+            return self.generic_visit(node)
+
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls_name:
+            for method in node.body:
+                if getattr(method, "name", None) == "capture":
+                    Drop().visit(method)
+    return ast.unparse(tree)
+
+
+def test_engine_snapshot_fields_are_each_load_bearing(repo_root, tmp_path):
+    """The engine-local state that a single engine and every fleet
+    replica share is one class under the rule's capture/restore
+    pairing, so dropping any one of its fields from ``capture`` turns
+    the analyzer red.
+    """
+    from repro.core.journal import EngineSnapshot
+
+    source = (
+        repo_root / "src" / "repro" / "core" / "journal.py"
+    ).read_text()
+    pristine = ast.parse(source)
+    engine_cls = next(
+        node
+        for node in ast.walk(pristine)
+        if isinstance(node, ast.ClassDef) and node.name == "EngineSnapshot"
+    )
+    methods = _method_map(engine_cls)
+    assert _pick(methods, CAPTURE_METHODS).name == "capture"
+    assert _pick(methods, RESTORE_METHODS).name == "restore"
+
+    missed = set()
+    for field in dataclasses.fields(EngineSnapshot):
+        victim = tmp_path / f"journal_without_{field.name}.py"
+        victim.write_text(
+            _drop_capture_field(source, "EngineSnapshot", field.name)
+        )
+        module = ParsedModule.parse(victim, tmp_path)
+        findings = SnapshotCoverageRule().check_module(module)
+        if not any(
+            f"EngineSnapshot.{field.name} " in f.message
+            and "capture()" in f.message
+            for f in findings
+        ):
+            missed.add(field.name)
+    assert missed == set(), missed
+
+
+def test_snapshot_compositions_stay_paired(repo_root):
+    """Both compositions and the shared-clock part keep their own
+    capture/restore pair, so their fields stay under the rule too."""
+    for relpath, names in (
+        ("journal.py", {"ClockSnapshot", "Snapshot"}),
+        ("cluster_router.py", {"ClusterSnapshot"}),
+    ):
+        tree = ast.parse(
+            (repo_root / "src" / "repro" / "core" / relpath).read_text()
+        )
+        paired = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and _pick(_method_map(node), CAPTURE_METHODS) is not None
+            and _pick(_method_map(node), RESTORE_METHODS) is not None
+        }
+        assert names <= paired, (relpath, names - paired)
 
 
 def _import_script(repo_root: Path, name: str):

@@ -454,6 +454,83 @@ class TestColdExtentCheck:
                 assert replica._journal is None
 
 
+class TestColdTierAliasing:
+    """Every fleet snapshot restores bit-identically into a fresh fleet
+    on the same durable ``cold_dir``.
+
+    A replica killed at 0.3·span and cold-restarted at 0.5·span clears
+    its cache and appends new cold rows; a fresh fleet on the same
+    directory reattaches the files the first run wrote.  Neither may
+    write over a row an earlier snapshot references.  While clear and
+    restore rewound the cold cursor, the tiered cells read ``00111111``
+    (round robin) and ``00000000`` (least loaded); cache affinity never
+    routes to the emptied replica, so it stayed all ones.
+    """
+
+    @pytest.mark.parametrize("tiered", [True, False])
+    @pytest.mark.parametrize(
+        "policy", ["round_robin", "least_loaded", "cache_affinity"]
+    )
+    def test_every_snapshot_restores_bit_identically(
+        self, space, tmp_path, policy, tiered
+    ):
+        trace = diffusiondb_trace(
+            space,
+            DiffusionDBConfig(
+                n_requests=300, request_rate_per_min=40.0, seed="alias"
+            ),
+        )
+        span = trace.requests[-1].arrival_s
+        cold_dir = str(tmp_path / "cold")
+        config = MoDMConfig(
+            cluster=ClusterConfig(gpu_name="MI210", n_workers=16),
+            cache_capacity=400,
+            small_models=("sdxl",),
+            retrieval_backend="ivf",
+            cache_tiering=(
+                TieredCacheConfig(cold_dir=cold_dir) if tiered else None
+            ),
+        )
+        routing = ClusterRoutingConfig(
+            n_replicas=4,
+            policy=policy,
+            journal=True,
+            snapshot_period_s=span / 8,
+            failures=FailurePlan(
+                events=(
+                    FailureEvent(
+                        time_s=0.3 * span, replica=2, action="kill"
+                    ),
+                    FailureEvent(
+                        time_s=0.5 * span,
+                        replica=2,
+                        action="restart",
+                        warm=False,
+                    ),
+                ),
+            ),
+        )
+
+        def digests(system):
+            comp = system.request_store.column("completion_s")
+            return (
+                hashlib.sha256(comp.tobytes()).hexdigest(),
+                system.journal.digest(),
+            )
+
+        straight = modm_cluster(space, config, routing)
+        straight.run(trace)
+        expected = digests(straight)
+        assert len(straight.snapshots) == 8
+        bits = ""
+        for snap in straight.snapshots:
+            resumed = modm_cluster(space, config, routing)
+            snap.restore(resumed)
+            resumed.resume(trace)
+            bits += "1" if digests(resumed) == expected else "0"
+        assert bits == "11111111"
+
+
 class TestFleetAllocationMerge:
     """The fleet report merges the replicas' allocation logs, each
     already time-ordered, into what a stable sort by time gives."""

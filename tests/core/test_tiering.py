@@ -29,6 +29,7 @@ from repro.core.config import (
 )
 from repro.core.tiering import (
     COLD_FETCH_UNITS,
+    ColdExtentError,
     ColdStore,
     TieredCacheConfig,
     TieredVectorCache,
@@ -166,24 +167,12 @@ class TestColdStore:
         )
         store.close()
 
-    def test_rewind_backward_then_overwrite(self):
-        store = ColdStore(DIM)
-        data = embeddings(30, seed="cold-rw")
-        store.append_rows(data[:20])
-        store.append_rows(data[20:])
-        store.rewind(20)
-        assert store.rows == 20
-        # Appends after a rewind overwrite the abandoned suffix.
-        fresh = embeddings(5, seed="cold-rw-2")
-        assert store.append_rows(fresh) == 20
-        np.testing.assert_array_equal(store.read_row(22), fresh[2])
-        store.close()
-
-    def test_rewind_beyond_extent_rejected(self):
+    def test_check_extent_beyond_file_rejected(self):
         store = ColdStore(DIM)
         store.append_rows(embeddings(10, seed="cold-ov"))
-        with pytest.raises(ValueError, match="cannot rewind"):
-            store.rewind(11)
+        store.check_extent(10)
+        with pytest.raises(ColdExtentError, match="cannot rewind"):
+            store.check_extent(11)
         store.close()
 
     def test_reattach_persistent_file(self, tmp_path):
@@ -192,14 +181,19 @@ class TestColdStore:
         first = ColdStore(DIM, path=path)
         first.append_rows(data)
         first.close()
-        # A fresh store starts with cursor 0; rewinding *forward* to the
-        # snapshot's extent (which the on-disk file vouches for) exposes
-        # the rows again — the cross-process warm-start handshake.
+        # A fresh store on the same file opens with its cursor at the
+        # file's end: the rows a snapshot references are readable at
+        # once (the cross-process warm-start handshake), and new rows
+        # append after them instead of over them.
         second = ColdStore(DIM, path=path)
-        assert second.rows == 0
-        second.rewind(12)
+        assert second.rows == 12
         np.testing.assert_array_equal(second.read_rows(
             np.arange(12)), data)
+        more = embeddings(3, seed="cold-persist-2")
+        assert second.append_rows(more) == 12
+        np.testing.assert_array_equal(
+            second.read_rows(np.arange(15)), np.vstack([data, more])
+        )
         second.close()
 
     def test_shape_validation(self):
@@ -227,7 +221,7 @@ class TestColdStore:
         streamed = np.vstack([rows for _, rows in store.chunks(4)])
         np.testing.assert_array_equal(streamed, data)
         fresh = ColdStore(DIM, path=path)
-        fresh.rewind(9)
+        assert fresh.rows == 9
         np.testing.assert_array_equal(fresh.read_rows(np.arange(9)), data)
         np.testing.assert_array_equal(fresh.read_row(5), data[5])
         fresh.close()
@@ -793,10 +787,17 @@ class TestSnapshotRestore:
         data = embeddings(90, seed="clear")
         a = exact_tiered(32, hot_capacity=4, promote_hits=1)
         churn(a, data[:50])
+        old_rows = a.cold_store.read_rows(np.arange(50))
         a.clear()
         assert len(a) == 0 and a.hot_count == 0
-        assert a.cold_store.rows == 0
+        # Cold rows are append-only: clear keeps them, and the refill
+        # appends after them instead of writing over them.
+        assert a.cold_store.rows == 50
         churn(a, data[50:])
+        assert a.cold_store.rows == 90
+        np.testing.assert_array_equal(
+            a.cold_store.read_rows(np.arange(50)), old_rows
+        )
         b = exact_tiered(32, hot_capacity=4, promote_hits=1)
         # Align id streams: clear() keeps the counter position.
         for _ in range(50):
@@ -826,6 +827,32 @@ class TestBulkLoad:
             _, b_sim = bulk.retrieve(q)
             _, i_sim = incr.retrieve(q)
             assert b_sim == i_sim
+
+    def test_loads_after_rows_of_a_reattached_file(self, tmp_path):
+        """A cache on a ``cold_dir`` that already holds rows bulk-loads
+        after them, leaves them as they were, and answers exactly like
+        a load into an empty file."""
+        cold_dir = str(tmp_path / "tier")
+        old = embeddings(30, seed="bulk-old")
+        first = exact_tiered(64, cold_dir=cold_dir)
+        churn(first, old)
+        first.cold_store.close()
+        data = embeddings(200, seed="bulk-re")
+        reattached = exact_tiered(200, cold_dir=cold_dir)
+        assert reattached.cold_store.rows == 30
+        reattached.bulk_load(
+            lambda: (data[i : i + 70] for i in range(0, 200, 70)),
+            now=0.0,
+        )
+        empty = exact_tiered(200)
+        empty.bulk_load(lambda: iter((data,)), now=0.0)
+        assert reattached.cold_store.rows == 230
+        np.testing.assert_array_equal(
+            reattached.cold_store.read_rows(np.arange(30)), old
+        )
+        assert query_digest(reattached, seed="bulk-re-q") == (
+            query_digest(empty, seed="bulk-re-q")
+        )
 
     def test_requires_empty_cache(self):
         cache = exact_tiered(16)
