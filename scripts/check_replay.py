@@ -37,7 +37,10 @@ Usage (repo root)::
         [--out FRESH.json]
 
 Exit status: 0 when every resumed payload matches the uninterrupted one
-byte for byte, 1 otherwise (with a unified diff of the first mismatch).
+byte for byte, 1 otherwise: with a unified diff of the first mismatch,
+or, when a suffix replay does not regenerate the reference journal, the
+snapshot time and the first diverging journal row.  ``--out`` is written
+either way.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from repro.core.config import (
     JournalConfig,
     MoDMConfig,
 )
-from repro.core.journal import JournalReplayer
+from repro.core.journal import JournalDivergenceError, JournalReplayer
 from repro.core.serving import MoDMSystem
 from repro.core.tiering import TieredCacheConfig
 from repro.embedding.space import SemanticSpace
@@ -119,19 +122,24 @@ def _fleet_payload(report, system) -> dict:
     }
 
 
-def _resume(snapshot, build, reference, trace, suffix):
-    """Restore ``snapshot`` into ``build()`` and finish the run, from the
-    trace timeline or (``suffix``) from the journal's ARRIVAL suffix."""
+def _resume(snapshot, build, reference, trace, suffix, payload):
+    """Restore ``snapshot`` into ``build()``, finish the run from the
+    trace timeline or (``suffix``) from the journal's ARRIVAL suffix, and
+    return ``payload(report, system)`` — or, when the suffix replay does
+    not regenerate ``reference``, the :class:`JournalDivergenceError`."""
     resumed = build()
     if suffix:
         snapshot.restore(resumed, install_timeline=False)
-        replayer = JournalReplayer(resumed, reference)
-        report = replayer.replay(trace_name=trace.name)
-        replayer.verify()
+        try:
+            replayer = JournalReplayer(resumed, reference)
+            report = replayer.replay(trace_name=trace.name)
+            replayer.verify()
+        except JournalDivergenceError as diverged:
+            return diverged
     else:
         snapshot.restore(resumed)
         report = resumed.resume(trace)
-    return resumed, report
+    return payload(report, resumed)
 
 
 def _trace(space, n_requests: int):
@@ -186,14 +194,20 @@ def run_fleet_gate(suffix: bool = False) -> tuple:
         straight_payload = _fleet_payload(straight.run(trace), straight)
         if not straight.snapshots:
             raise RuntimeError("fleet run captured no snapshots")
-        resumed = []
-        for snapshot in straight.snapshots:
-            system, report = _resume(
-                snapshot, build, straight.journal, trace, suffix
+        resumed = [
+            (
+                snapshot.time_s,
+                _resume(
+                    snapshot,
+                    build,
+                    straight.journal,
+                    trace,
+                    suffix,
+                    _fleet_payload,
+                ),
             )
-            resumed.append(
-                (snapshot.time_s, _fleet_payload(report, system))
-            )
+            for snapshot in straight.snapshots
+        ]
     return straight_payload, resumed
 
 
@@ -205,7 +219,8 @@ def run_gate(suffix: bool = False) -> tuple:
     :class:`JournalReplayer` from the reference journal's ARRIVAL rows
     instead of a reinstalled trace timeline, and the replayer's
     ``verify()`` additionally demands the regenerated journal equal the
-    reference row for row.
+    reference row for row; a replay that does not stands in the list as
+    its :class:`JournalDivergenceError` instead of a payload.
     """
     space = SemanticSpace()
     trace = _trace(space, 250)
@@ -220,14 +235,15 @@ def run_gate(suffix: bool = False) -> tuple:
     straight_payload = _payload(straight_report, straight)
 
     snapshot = straight.snapshots[len(straight.snapshots) // 2]
-    resumed, report = _resume(
+    resumed = _resume(
         snapshot,
         lambda: MoDMSystem(space, _config()),
         straight._journal,
         trace,
         suffix,
+        _payload,
     )
-    return straight_payload, [(snapshot.time_s, _payload(report, resumed))]
+    return straight_payload, [(snapshot.time_s, resumed)]
 
 
 def main(argv=None) -> int:
@@ -268,6 +284,14 @@ def main(argv=None) -> int:
         else "resumed bit-identically"
     )
     for snap_time, payload in resumed:
+        if isinstance(payload, JournalDivergenceError):
+            return gate_fail(
+                gate,
+                f"replaying the journal suffix from the t={snap_time:.1f}s "
+                "snapshot did not regenerate the reference journal: "
+                f"{payload} -- replayed row {payload.replayed}, "
+                f"reference row {payload.reference}.",
+            )
         resumed_text = render_payload(payload)
         if resumed_text != straight_text:
             return gate_fail(

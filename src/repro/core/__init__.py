@@ -81,6 +81,7 @@ from repro.core.slo import (
 from repro.core.tiering import (
     ColdExtentError,
     ColdStore,
+    ColdWriterError,
     TieredCacheConfig,
     TieredVectorCache,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "ClusterServingSystem",
     "ColdExtentError",
     "ColdStore",
+    "ColdWriterError",
     "Decision",
     "GlobalMonitor",
     "IVFIndex",

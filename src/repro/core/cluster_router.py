@@ -1260,7 +1260,11 @@ class ClusterServingSystem:
             b=sum(r._n_shed for r in self.replicas),
         )
         self._schedule_cluster_snapshot()
-        self.snapshots.append(ClusterSnapshot.capture(self))
+        self.snapshots.append(
+            ClusterSnapshot.capture(
+                self, self.snapshots[-1] if self.snapshots else None
+            )
+        )
 
     # ------------------------------------------------------------------
     # Autoscaling
@@ -1487,12 +1491,19 @@ class ClusterSnapshot:
     # ------------------------------------------------------------------
     @classmethod
     def capture(
-        cls, cluster: "ClusterServingSystem"
+        cls,
+        cluster: "ClusterServingSystem",
+        previous: Optional["ClusterSnapshot"] = None,
     ) -> "ClusterSnapshot":
+        """``previous`` is the fleet's last capture in this run, whose
+        unchanged request-store chunks this capture shares."""
         return cls(
             fingerprint=_cluster_fingerprint(cluster),
             clock=ClockSnapshot.capture(
-                cluster, cluster.replicas, _CLUSTER_HEAP_KINDS
+                cluster,
+                cluster.replicas,
+                _CLUSTER_HEAP_KINDS,
+                previous.clock if previous is not None else None,
             ),
             expected=(
                 cluster._fleet_state.expected
@@ -1527,6 +1538,11 @@ class ClusterSnapshot:
     @property
     def time_s(self) -> float:
         return self.clock.time_s
+
+    @property
+    def store(self) -> RequestStore:
+        """A fresh, private copy of the captured fleet request store."""
+        return self.clock.chunks.restore()
 
     @property
     def journal_digest(self) -> str:

@@ -11,10 +11,12 @@ that property for fault tolerance:
   per event.  A sha256 :meth:`~EventJournal.digest` over the live bytes
   lets two runs prove they took the same path without diffing reports.
 - Recovery state in two parts, each with one capture and one restore:
-  :class:`ClockSnapshot` (clock, timeline cursor, request store, heap
-  rows with their owners) and :class:`EngineSnapshot` (queues, workers,
-  in-flight jobs, stats windows, monitor + PID state, cache incl. IVF
-  index, and the RNG-stream counters of one engine).  A
+  :class:`ClockSnapshot` (clock, timeline cursor, heap rows with their
+  owners, and the request store as :class:`StoreChunks`, which share
+  unchanged chunks with the previous capture) and
+  :class:`EngineSnapshot` (queues, workers, in-flight jobs, stats
+  windows, monitor + PID state, cache incl. IVF index, and the
+  RNG-stream counters of one engine).  A
   :class:`Snapshot` is one of each, restorable into a fresh
   identically-configured system such that resuming the run is
   bit-identical to never having stopped; the fleet's
@@ -33,8 +35,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import IntEnum
-from operator import attrgetter
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain
+from operator import attrgetter, is_
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -221,10 +225,11 @@ class EventJournal:
         return None if self._n == other._n else n
 
     def entries(
-        self, start: int = 0
+        self, start: int = 0, stop: Optional[int] = None
     ) -> List[Tuple[float, int, int, int, float]]:
-        """Rows ``[start, n)`` as plain tuples (readable row asserts)."""
-        n = self._n
+        """Rows ``[start, stop)`` (``stop`` defaults to ``n``) as plain
+        tuples (readable row asserts)."""
+        n = self._n if stop is None else min(stop, self._n)
         return [
             (
                 float(self._time[i]),
@@ -287,35 +292,182 @@ def _journal_prefix(journal: Optional[EventJournal]) -> EventJournal:
 
 
 # ----------------------------------------------------------------------
-# Request-store copy
+# Request-store capture: fixed-size chunks shared between captures
 # ----------------------------------------------------------------------
-def _copy_store(store: "RequestStore") -> "RequestStore":
-    """Deep-enough copy of a :class:`RequestStore`.
+#: Rows per request-store chunk.  Between two periodic captures only the
+#: rows of requests that arrived, ran or finished change, so most chunks
+#: of a long run's store are byte-identical to the previous capture's.
+STORE_CHUNK_ROWS = 256
 
-    Columns are copied over their live region only (at least one row,
-    the store's minimum capacity): rows past it hold column defaults,
-    which a later append re-creates when it grows the copy.  Object
-    payloads (prompts, decisions, images) are shared by reference —
-    they are immutable once attached, so a snapshot and the live run
-    can safely point at the same objects.
+#: The chunk of a row-keyed payload dict with no rows in its range.
+_NO_ROWS: Mapping[int, object] = MappingProxyType({})
+
+
+def _column_chunks(
+    live: np.ndarray, n: int, previous: Tuple[np.ndarray, ...]
+) -> Tuple[np.ndarray, ...]:
+    """Rows ``[0, n)`` of ``live`` as read-only chunks; a chunk whose
+    bytes equal ``previous``'s chunk at the same index is that chunk.
+
+    Bytes, not values, decide equality, so NaN and -0.0 rows compare
+    exactly; a grown (partial) last chunk differs in length.
     """
-    from repro.core.request import COLUMNS, RequestStore
+    chunks = []
+    for index, start in enumerate(range(0, n, STORE_CHUNK_ROWS)):
+        data = live[start : min(n, start + STORE_CHUNK_ROWS)].tobytes()
+        if index < len(previous) and previous[index].tobytes() == data:
+            chunks.append(previous[index])
+        else:
+            chunks.append(np.frombuffer(data, dtype=live.dtype))
+    return tuple(chunks)
 
-    clone = RequestStore.__new__(RequestStore)
-    clone._n = store._n
-    clone._cap = cap = max(1, store._n)
-    for name in COLUMNS:
-        setattr(clone, name, getattr(store, name)[:cap].copy())
-    clone.prompts = list(store.prompts)
-    clone.decisions = list(store.decisions)
-    clone.images = dict(store.images)
-    clone.degrade_sources = dict(store.degrade_sources)
-    clone.rejections = dict(store.rejections)
-    clone._slo_names = list(store._slo_names)
-    clone._slo_codes = dict(store._slo_codes)
-    clone._model_names = list(store._model_names)
-    clone._model_codes = dict(store._model_codes)
-    return clone
+
+def _list_chunks(
+    live: List[object], previous: Tuple[tuple, ...]
+) -> Tuple[tuple, ...]:
+    """``live`` as tuples of ``STORE_CHUNK_ROWS`` items; a chunk holding
+    the very objects of ``previous``'s chunk at its index is that
+    chunk."""
+    chunks = []
+    for index, start in enumerate(range(0, len(live), STORE_CHUNK_ROWS)):
+        items = live[start : start + STORE_CHUNK_ROWS]
+        old = previous[index] if index < len(previous) else None
+        if (
+            old is not None
+            and len(old) == len(items)
+            and all(map(is_, items, old))
+        ):
+            chunks.append(old)
+        else:
+            chunks.append(tuple(items))
+    return tuple(chunks)
+
+
+def _dict_chunks(
+    live: Dict[int, object],
+    n_chunks: int,
+    previous: Tuple[Mapping[int, object], ...],
+) -> Tuple[Mapping[int, object], ...]:
+    """Row-keyed ``live`` split into one read-only mapping per chunk of
+    rows (rows ascending); a chunk mapping the same rows to the very
+    objects of ``previous``'s chunk at its index is that chunk."""
+    buckets: Dict[int, Dict[int, object]] = {}
+    for row in sorted(live):
+        buckets.setdefault(row // STORE_CHUNK_ROWS, {})[row] = live[row]
+    chunks = []
+    for index in range(n_chunks):
+        rows = buckets.get(index, {})
+        old = previous[index] if index < len(previous) else None
+        if (
+            old is not None
+            and len(old) == len(rows)
+            and all(old.get(row) is value for row, value in rows.items())
+        ):
+            chunks.append(old)
+        else:
+            chunks.append(MappingProxyType(rows) if rows else _NO_ROWS)
+    return tuple(chunks)
+
+
+@dataclass(frozen=True)
+class StoreChunks:
+    """A :class:`RequestStore` captured as read-only chunks of
+    :data:`STORE_CHUNK_ROWS` rows.
+
+    Each of the ``COLUMNS`` arrays, the dense ``prompts``/``decisions``
+    lists and the row-keyed payload dicts is chunked on its own.  A
+    capture given the owner's previous capture keeps every chunk that
+    is unchanged since then *by reference* — byte-equal for columns,
+    the identical objects for payloads — and copies only the rest, so
+    a run's periodic snapshots together hold roughly one store plus
+    what changed between them.  Chunks are immutable (read-only arrays,
+    tuples, mapping proxies), so sharing them across snapshots is safe.
+    Payload objects themselves are shared with the live run, as they
+    are immutable once attached.
+
+    :meth:`restore` builds a fresh, private store: columns over the
+    live rows only (at least one row, the store's minimum capacity);
+    rows past them hold column defaults, which a later append
+    re-creates when it grows the store.
+    """
+
+    n: int
+    columns: Dict[str, Tuple[np.ndarray, ...]]
+    prompts: Tuple[tuple, ...]
+    decisions: Tuple[tuple, ...]
+    images: Tuple[Mapping[int, object], ...]
+    degrade_sources: Tuple[Mapping[int, object], ...]
+    rejections: Tuple[Mapping[int, object], ...]
+    # Intern tables; the codes are the names' positions.
+    slo_names: Tuple[str, ...]
+    model_names: Tuple[str, ...]
+
+    @classmethod
+    def capture(
+        cls,
+        store: "RequestStore",
+        previous: Optional["StoreChunks"] = None,
+    ) -> "StoreChunks":
+        """Chunk ``store``, sharing the chunks ``previous`` (the owner's
+        last capture in this run, if any) already holds."""
+        from repro.core.request import COLUMNS
+
+        n = store._n
+        n_chunks = -(-n // STORE_CHUNK_ROWS)
+        old_columns = previous.columns if previous is not None else {}
+
+        def before(name: str) -> tuple:
+            return () if previous is None else getattr(previous, name)
+
+        return cls(
+            n=n,
+            columns={
+                name: _column_chunks(
+                    getattr(store, name), n, old_columns.get(name, ())
+                )
+                for name in COLUMNS
+            },
+            prompts=_list_chunks(store.prompts, before("prompts")),
+            decisions=_list_chunks(store.decisions, before("decisions")),
+            images=_dict_chunks(store.images, n_chunks, before("images")),
+            degrade_sources=_dict_chunks(
+                store.degrade_sources, n_chunks, before("degrade_sources")
+            ),
+            rejections=_dict_chunks(
+                store.rejections, n_chunks, before("rejections")
+            ),
+            slo_names=tuple(store._slo_names),
+            model_names=tuple(store._model_names),
+        )
+
+    def restore(self) -> "RequestStore":
+        """A fresh, private :class:`RequestStore` equal to the captured
+        one over its live rows; nothing in it is shared with the
+        chunks except the immutable payload objects."""
+        from repro.core.request import COLUMNS, RequestStore
+
+        n = self.n
+        store = RequestStore(capacity=max(1, n))
+        store._n = n
+        if n:
+            for name in COLUMNS:
+                np.concatenate(
+                    self.columns[name], out=getattr(store, name)[:n]
+                )
+        store.prompts = list(chain.from_iterable(self.prompts))
+        store.decisions = list(chain.from_iterable(self.decisions))
+        for rows, chunks in (
+            (store.images, self.images),
+            (store.degrade_sources, self.degrade_sources),
+            (store.rejections, self.rejections),
+        ):
+            for chunk in chunks:
+                rows.update(chunk)
+        store._slo_names = list(self.slo_names)
+        store._slo_codes = {s: i for i, s in enumerate(self.slo_names)}
+        store._model_names = list(self.model_names)
+        store._model_codes = {m: i for i, m in enumerate(self.model_names)}
+        return store
 
 
 # ----------------------------------------------------------------------
@@ -388,12 +540,18 @@ class ClockSnapshot:
     tl_idx: int
     has_timeline: bool
     heap: List[Tuple[float, int, str]]
-    store: RequestStore
+    chunks: StoreChunks
 
     @classmethod
     def capture(
-        cls, owner, engines: List, owner_kinds: Dict[str, str]
+        cls,
+        owner,
+        engines: List,
+        owner_kinds: Dict[str, str],
+        previous: Optional["ClockSnapshot"] = None,
     ) -> "ClockSnapshot":
+        """``previous`` is the owner's last capture in this run, whose
+        unchanged request-store chunks this capture shares."""
         loop = owner.loop
         heap: List[Tuple[float, int, str]] = []
         for time, _seq, callback in loop.heap_entries():
@@ -419,7 +577,10 @@ class ClockSnapshot:
             tl_idx=loop.timeline_index,
             has_timeline=loop._tl_times is not None,
             heap=heap,
-            store=_copy_store(owner.request_store),
+            chunks=StoreChunks.capture(
+                owner.request_store,
+                previous.chunks if previous is not None else None,
+            ),
         )
 
     def restore(
@@ -439,8 +600,7 @@ class ClockSnapshot:
         """
         from repro.core.request import RequestRecord
 
-        store = _copy_store(self.store)
-        owner.request_store = store
+        store = owner.request_store = self.chunks.restore()
         owner.records = [
             RequestRecord._view(store, i) for i in range(len(store))
         ]
@@ -474,7 +634,8 @@ class EngineSnapshot:
     matching them in place.
     """
 
-    record_rows: List[int]
+    # Store rows of the engine's records, in order (read-only).
+    record_rows: np.ndarray
     n_expected: int
     n_completed: int
     n_shed: int
@@ -506,8 +667,13 @@ class EngineSnapshot:
     @classmethod
     def capture(cls, system) -> "EngineSnapshot":
         """Side-effect-free: no memo builds, no window trims."""
+        records = system.records
+        rows = np.fromiter(
+            (r._row for r in records), np.int64, count=len(records)
+        )
+        rows.flags.writeable = False
         state = cls(
-            record_rows=[r._row for r in system.records],
+            record_rows=rows,
             n_expected=system._n_expected,
             n_completed=system._n_completed,
             n_shed=system._n_shed,
@@ -563,7 +729,8 @@ class EngineSnapshot:
         from repro.core.serving import _WorkItem
 
         system.records = [
-            RequestRecord._view(store, row) for row in self.record_rows
+            RequestRecord._view(store, row)
+            for row in self.record_rows.tolist()
         ]
         system._n_expected = self.n_expected
         system.workers = [
@@ -654,7 +821,11 @@ class Snapshot:
     engine: EngineSnapshot
 
     @classmethod
-    def capture(cls, system) -> "Snapshot":
+    def capture(
+        cls, system, previous: Optional["Snapshot"] = None
+    ) -> "Snapshot":
+        """``previous`` is ``system``'s last capture in this run, whose
+        unchanged request-store chunks this capture shares."""
         if system._fleet is not None:
             raise ValueError(
                 "full snapshots are single-engine only; cluster replicas "
@@ -662,7 +833,12 @@ class Snapshot:
             )
         return cls(
             fingerprint=_fingerprint(system),
-            clock=ClockSnapshot.capture(system, [system], {}),
+            clock=ClockSnapshot.capture(
+                system,
+                [system],
+                {},
+                previous.clock if previous is not None else None,
+            ),
             engine=EngineSnapshot.capture(system),
         )
 
@@ -672,7 +848,8 @@ class Snapshot:
 
     @property
     def store(self) -> "RequestStore":
-        return self.clock.store
+        """A fresh, private copy of the captured request store."""
+        return self.clock.chunks.restore()
 
     @property
     def journal(self) -> EventJournal:
@@ -706,6 +883,47 @@ class Snapshot:
         system._reset_runtime()
         self.clock.restore(
             system, [system], [self.engine], {}, install_timeline
+        )
+
+
+class JournalDivergenceError(ValueError):
+    """A journal is not the reference record it must reproduce.
+
+    ``row`` is the first row where the two differ; ``replayed`` and
+    ``reference`` are that row of each journal as a ``(time, kind, a,
+    b, x)`` tuple, or ``None`` where the journal ends before it.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        row: int,
+        replayed: Optional[Tuple[float, int, int, int, float]],
+        reference: Optional[Tuple[float, int, int, int, float]],
+    ) -> None:
+        super().__init__(message)
+        self.row = row
+        self.replayed = replayed
+        self.reference = reference
+
+    @classmethod
+    def between(
+        cls,
+        journal: EventJournal,
+        reference: EventJournal,
+        row: int,
+        what: str,
+    ) -> "JournalDivergenceError":
+        def at(rows: EventJournal):
+            found = rows.entries(row, row + 1)
+            return found[0] if found else None
+
+        return cls(
+            f"{what} at row {row} ({len(journal)} replayed vs "
+            f"{len(reference)} reference rows)",
+            row,
+            at(journal),
+            at(reference),
         )
 
 
@@ -760,10 +978,14 @@ class JournalReplayer:
         self._reference = reference = reference.prefix()
         diverged = journal.diverges_at(reference)
         if diverged is not None and diverged < start:
-            raise ValueError(
+            raise JournalDivergenceError.between(
+                journal,
+                reference,
+                diverged,
                 "journal prefix mismatch: the restored system's "
                 f"{start} journal rows are not a prefix of the "
-                "reference record — wrong snapshot or wrong run"
+                "reference record (wrong snapshot or wrong run); first "
+                "difference",
             )
         rows = start + np.flatnonzero(
             reference._kind[start:] == ARRIVAL
@@ -815,12 +1037,14 @@ class JournalReplayer:
         return self._system.resume(_TraceStub(trace_name), until=until)
 
     def verify(self) -> None:
-        """Assert the replay regenerated the reference record exactly."""
+        """Raise :class:`JournalDivergenceError` unless the replay
+        regenerated the reference record exactly."""
         regenerated = self._journal_of(self._system)
         diverged = regenerated.diverges_at(self._reference)
         if diverged is not None:
-            raise ValueError(
-                "replayed journal diverged from the reference at row "
-                f"{diverged} ({len(regenerated)} regenerated vs "
-                f"{len(self._reference)} reference rows)"
+            raise JournalDivergenceError.between(
+                regenerated,
+                self._reference,
+                diverged,
+                "replayed journal diverged from the reference",
             )

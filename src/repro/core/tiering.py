@@ -142,6 +142,16 @@ class ColdExtentError(ValueError):
     """
 
 
+class ColdWriterError(ColdExtentError):
+    """Another writer appended to a cold file since this store's last
+    append: its cursor no longer marks the file's end.
+
+    Appending anyway would write over that writer's rows, so
+    :meth:`ColdStore.append_rows` raises this instead and writes
+    nothing.
+    """
+
+
 class ColdStore:
     """Float64 row file written at an append cursor, read by ``pread``.
 
@@ -162,8 +172,14 @@ class ColdStore:
     below a snapshot's ``cold_rows`` therefore keeps the bytes it was
     written with, whatever the owning :class:`TieredVectorCache` clears,
     restores or appends afterwards, and however many caches reattach
-    the same file one after another.  (Two stores appending to one file
-    at once would still collide; nothing locks the file.)
+    the same file one after another.  Two stores open on one path at
+    once are caught on the second writer's next append: each append to
+    a path-backed file first checks (``fstat``) that the file still ends
+    at this store's cursor and raises :class:`ColdWriterError`, writing
+    nothing, when another store has appended since.  (An anonymous file
+    has no other writer, so its appends skip the check.)  Nothing locks
+    the file, so two *processes* appending in the instant between one's
+    check and its write can still collide.
 
     ``path=None`` backs the store with an anonymous temp file (deleted
     on close/exit); a real path reattaches on construction so a fresh
@@ -206,8 +222,16 @@ class ColdStore:
                 f"got {rows.shape}"
             )
         start = self._rows
-        data = memoryview(rows).cast("B")
         offset = start * self._row_bytes
+        if self._path is not None:
+            size = os.fstat(self._fd).st_size
+            if size != offset:
+                raise ColdWriterError(
+                    f"cold file {self._path} holds {size} bytes, but "
+                    f"this store's cursor is at {offset}: another writer "
+                    "appended to it; not writing over its rows"
+                )
+        data = memoryview(rows).cast("B")
         while data:
             written = os.pwrite(self._fd, data, offset)
             data = data[written:]

@@ -9,6 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.framework import ParsedModule, run_analysis
 from repro.analysis.rules_snapshot import (
     CAPTURE_METHODS,
@@ -156,10 +158,11 @@ def test_engine_snapshot_fields_are_each_load_bearing(repo_root, tmp_path):
 
 
 def test_snapshot_compositions_stay_paired(repo_root):
-    """Both compositions and the shared-clock part keep their own
-    capture/restore pair, so their fields stay under the rule too."""
+    """Both compositions, the shared-clock part and its chunked store
+    keep their own capture/restore pair, so their fields stay under the
+    rule too."""
     for relpath, names in (
-        ("journal.py", {"ClockSnapshot", "Snapshot"}),
+        ("journal.py", {"ClockSnapshot", "Snapshot", "StoreChunks"}),
         ("cluster_router.py", {"ClusterSnapshot"}),
     ):
         tree = ast.parse(
@@ -196,3 +199,53 @@ def test_gate_scripts_are_importable(repo_root):
 
     assert replay.gate_ok is _cli.gate_ok
     assert golden.gate_ok is _cli.gate_ok
+
+
+@pytest.mark.parametrize("mode", [["--suffix"], ["--fleet", "--suffix"]])
+def test_replay_gate_reports_suffix_divergence(
+    repo_root, monkeypatch, capsys, tmp_path, mode
+):
+    """A suffix replay that cannot regenerate a tampered reference
+    journal fails the gate through ``gate_fail``, naming the snapshot
+    time and the first diverging row, and still writes ``--out``."""
+    from repro.core.journal import ARRIVAL, EventJournal
+
+    replay = _import_script(repo_root, "check_replay")
+    resume = replay._resume
+    tampered = []
+
+    def against_tampered(snapshot, build, reference, trace, suffix, payload):
+        # Bump the payload of the first non-ARRIVAL suffix row: the
+        # replayed cohorts stay the same and only that row diverges.
+        rows = reference.entries()
+        row = next(
+            (
+                i
+                for i in range(len(snapshot.journal), len(rows))
+                if rows[i][1] != ARRIVAL
+            ),
+            None,
+        )
+        if row is not None:
+            time, kind, a, b, x = rows[row]
+            rows[row] = (time, kind, a, b, x + 1.0)
+            tampered.append((snapshot.time_s, row, rows[row]))
+        return resume(
+            snapshot,
+            build,
+            EventJournal.from_entries(rows),
+            trace,
+            suffix,
+            payload,
+        )
+
+    monkeypatch.setattr(replay, "_resume", against_tampered)
+    out = tmp_path / "replay.json"
+    assert replay.main(mode + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    snap_time, row, reference_row = tampered[0]
+    assert "FAILED" in err
+    assert f"t={snap_time:.1f}s snapshot" in err
+    assert f"at row {row} " in err
+    assert f"reference row {reference_row}" in err
+    assert out.exists()

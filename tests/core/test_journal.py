@@ -25,11 +25,17 @@ from repro.core.journal import (
     JournalKind,
     JournalReplayer,
     SnapCounter,
+    STORE_CHUNK_ROWS,
     Snapshot,
-    _copy_store,
+    StoreChunks,
 )
 from repro.core.cluster_router import modm_cluster
-from repro.core.request import COLUMNS, RequestStore
+from repro.core.request import (
+    COLUMNS,
+    Decision,
+    RequestRecord,
+    RequestStore,
+)
 from repro.core.serving import MoDMSystem
 from repro.core.tiering import ColdExtentError, TieredCacheConfig
 from repro.workloads import DiffusionDBConfig, diffusiondb_trace
@@ -298,15 +304,196 @@ class TestSnapshotRestore:
 
 
 # ----------------------------------------------------------------------
-# Request-store copies: live rows only
+# Request-store capture: chunks shared between captures
 # ----------------------------------------------------------------------
+_PAYLOAD_LISTS = ("prompts", "decisions")
+_PAYLOAD_DICTS = ("images", "degrade_sources", "rejections")
+
+
 def _live_columns(store):
     return {name: store.column(name).tobytes() for name in COLUMNS}
 
 
-class TestCopyStore:
-    def test_empty_store_copies_one_row_and_extends(self):
-        clone = _copy_store(RequestStore())
+def _full_copy(store):
+    """Everything a capture must reproduce: live column bytes, and the
+    payload objects row by row (compared by identity)."""
+    return (
+        _live_columns(store),
+        {name: list(getattr(store, name)) for name in _PAYLOAD_LISTS},
+        {name: dict(getattr(store, name)) for name in _PAYLOAD_DICTS},
+        (list(store._slo_names), list(store._model_names)),
+    )
+
+
+def _assert_equals_copy(store, copy):
+    columns, lists, dicts, names = copy
+    assert _live_columns(store) == columns
+    assert store._cap == max(1, len(store))
+    for name, items in lists.items():
+        mine = getattr(store, name)
+        assert len(mine) == len(items)
+        assert all(a is b for a, b in zip(mine, items)), name
+    for name, rows in dicts.items():
+        mine = getattr(store, name)
+        assert mine.keys() == rows.keys(), name
+        assert all(mine[row] is value for row, value in rows.items())
+    assert (store._slo_names, store._model_names) == names
+    assert store._slo_codes == {s: i for i, s in enumerate(names[0])}
+    assert store._model_codes == {m: i for i, m in enumerate(names[1])}
+
+
+def _chunk_slots(chunks):
+    """``(field, index) -> chunk`` over every chunked field."""
+    slots = {
+        (name, i): chunk
+        for name, column in chunks.columns.items()
+        for i, chunk in enumerate(column)
+    }
+    for name in _PAYLOAD_LISTS + _PAYLOAD_DICTS:
+        for i, chunk in enumerate(getattr(chunks, name)):
+            slots[(name, i)] = chunk
+    return slots
+
+
+@pytest.fixture(scope="module")
+def fleet_captures(space):
+    """A 4-replica fleet run's 8 snapshots, each beside a full copy of
+    the fleet store taken at its capture."""
+    trace = _trace(space, n=2000, seed="journal-chunks")
+    span = trace.requests[-1].arrival_s
+    fleet = modm_cluster(
+        space,
+        _config(
+            journal=JournalConfig(snapshot_period_s=span / 8),
+            n_workers=16,
+        ),
+        ClusterRoutingConfig(
+            n_replicas=4, journal=True, snapshot_period_s=span / 8
+        ),
+    )
+    copies = []
+    capture = StoreChunks.capture.__func__
+
+    def recording(cls, store, previous=None):
+        copies.append(_full_copy(store))
+        return capture(cls, store, previous)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StoreChunks, "capture", classmethod(recording))
+        fleet.run(trace)
+    assert len(fleet.snapshots) == len(copies) == 8
+    return fleet.snapshots, copies
+
+
+class TestStoreChunks:
+    def test_fleet_captures_share_unchanged_chunks(self, fleet_captures):
+        snapshots, _copies = fleet_captures
+        shared = total = 0
+        for before, after in zip(snapshots, snapshots[1:]):
+            old = _chunk_slots(before.clock.chunks)
+            for slot, chunk in _chunk_slots(after.clock.chunks).items():
+                total += 1
+                shared += old.get(slot) is chunk
+        assert shared >= 0.7 * total, (shared, total)
+
+    def test_shared_chunks_reject_writes(self, fleet_captures):
+        snapshots, _copies = fleet_captures
+        before, after = (s.clock.chunks for s in snapshots[-2:])
+        old = _chunk_slots(before)
+        kinds = set()
+        for (name, i), chunk in _chunk_slots(after).items():
+            if old.get((name, i)) is not chunk:
+                continue
+            kinds.add(type(chunk))
+            if isinstance(chunk, np.ndarray):
+                assert not chunk.flags.writeable
+                with pytest.raises(ValueError):
+                    chunk[0] = chunk[0]
+            elif isinstance(chunk, tuple):
+                with pytest.raises(TypeError):
+                    chunk[0] = None
+            else:
+                with pytest.raises(TypeError):
+                    chunk[i * STORE_CHUNK_ROWS] = None
+        assert np.ndarray in kinds and tuple in kinds
+
+    def test_each_materialized_store_equals_its_capture(
+        self, fleet_captures
+    ):
+        snapshots, copies = fleet_captures
+        for snapshot, copy in zip(snapshots, copies):
+            _assert_equals_copy(snapshot.store, copy)
+            for state in snapshot.replica_states:
+                assert state.record_rows.dtype == np.int64
+                assert not state.record_rows.flags.writeable
+
+    def test_restoring_twice_shares_no_writable_array(
+        self, fleet_captures
+    ):
+        snapshots, _copies = fleet_captures
+        snapshot = snapshots[len(snapshots) // 2]
+        first, second = snapshot.store, snapshot.store
+        chunks = [
+            chunk
+            for column in snapshot.clock.chunks.columns.values()
+            for chunk in column
+        ]
+        for name in COLUMNS:
+            mine, theirs = getattr(first, name), getattr(second, name)
+            assert mine.flags.writeable and theirs.flags.writeable
+            assert not np.shares_memory(mine, theirs)
+            assert not any(np.shares_memory(mine, c) for c in chunks)
+        for name in _PAYLOAD_LISTS + _PAYLOAD_DICTS:
+            assert getattr(first, name) is not getattr(second, name)
+        first.completion_s[0] = -1.0
+        first.prompts[0] = None
+        assert _live_columns(second) == _live_columns(snapshot.store)
+        assert second.prompts[0] is not None
+
+    def test_growth_and_exact_bytes_between_captures(self, space):
+        store = RequestStore()
+        store.extend(list(_trace(space, n=300, seed="journal-grow")))
+        store.arrival_s[5] = np.nan
+        record = RequestRecord._view(store, 7)
+        record.decision = Decision(hit=False, similarity=0.5)
+        first_copy = _full_copy(store)
+        first = StoreChunks.capture(store)
+        # Between captures: a new row makes the last chunk partial and
+        # longer; -0.0 replaces 0.0 (equal values, different bytes); an
+        # equal but distinct decision replaces the old one; an image
+        # lands in the last chunk.  The NaN rows (set, and the unset
+        # completion times) keep their bytes.
+        store.new_record(300, None, 999.0)
+        store.similarity[3] = -0.0
+        record.decision = Decision(hit=False, similarity=0.5)
+        store.images[300] = object()
+        second_copy = _full_copy(store)
+        second = StoreChunks.capture(store, first)
+
+        def shared(name, index):
+            if name in COLUMNS:
+                return second.columns[name][index] is (
+                    first.columns[name][index]
+                )
+            return getattr(second, name)[index] is (
+                getattr(first, name)[index]
+            )
+
+        assert not shared("similarity", 0)
+        assert shared("arrival_s", 0) and shared("completion_s", 0)
+        assert not shared("arrival_s", 1) and not shared("prompts", 1)
+        assert shared("prompts", 0) and not shared("decisions", 0)
+        assert shared("images", 0) and not shared("images", 1)
+        _assert_equals_copy(second.restore(), second_copy)
+        _assert_equals_copy(first.restore(), first_copy)
+        # A restored store keeps growing like the live one.
+        restored = second.restore()
+        for grown in (restored, store):
+            grown.new_record(301, None, 1000.0)
+        assert _live_columns(restored) == _live_columns(store)
+
+    def test_empty_store_restores_one_row_and_extends(self):
+        clone = StoreChunks.capture(RequestStore()).restore()
         assert len(clone) == 0 and clone._cap == 1
         assert all(getattr(clone, name).shape == (1,) for name in COLUMNS)
         fresh = RequestStore()
@@ -329,7 +516,7 @@ class TestCopyStore:
         assert _live_columns(restored) == _live_columns(
             straight.request_store
         )
-        # Extending past the copy's capacity grows it with the same
+        # Extending past the restored capacity grows it with the same
         # defaults a full-capacity store already holds.
         more = list(_trace(space, n=40, seed="journal-more"))
         for store in (restored, straight.request_store):
@@ -338,7 +525,7 @@ class TestCopyStore:
         assert _live_columns(restored) == _live_columns(
             straight.request_store
         )
-        again = _copy_store(restored)
+        again = StoreChunks.capture(restored).restore()
         assert again._cap == len(again) == len(restored)
         assert _live_columns(again) == _live_columns(restored)
 

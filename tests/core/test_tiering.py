@@ -31,6 +31,7 @@ from repro.core.tiering import (
     COLD_FETCH_UNITS,
     ColdExtentError,
     ColdStore,
+    ColdWriterError,
     TieredCacheConfig,
     TieredVectorCache,
 )
@@ -195,6 +196,32 @@ class TestColdStore:
             second.read_rows(np.arange(15)), np.vstack([data, more])
         )
         second.close()
+
+    def test_second_writer_is_refused(self, tmp_path):
+        """Two stores open on one file at once: the first to append
+        moves the file's end, so the other's next append raises
+        instead of writing over those rows."""
+        path = str(tmp_path / "cold.f64")
+        base = embeddings(3, seed="cold-writers")
+        ColdStore(DIM, path=path).append_rows(base)
+        second = ColdStore(DIM, path=path)
+        third = ColdStore(DIM, path=path)
+        assert second.rows == third.rows == 3
+        mine = embeddings(2, seed="cold-writer-b")
+        assert second.append_rows(mine) == 3
+        with pytest.raises(ColdWriterError, match="another writer"):
+            third.append_rows(embeddings(2, seed="cold-writer-c"))
+        assert issubclass(ColdWriterError, ColdExtentError)
+        assert third.rows == 3
+        assert os.path.getsize(path) == 5 * DIM * 8
+        reader = ColdStore(DIM, path=path)
+        np.testing.assert_array_equal(
+            reader.read_rows(np.arange(5)), np.vstack([base, mine])
+        )
+        # The store that still owns the file's end keeps appending.
+        assert second.append_rows(mine[:1]) == 5
+        for store in (second, third, reader):
+            store.close()
 
     def test_shape_validation(self):
         store = ColdStore(DIM)
