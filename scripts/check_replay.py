@@ -126,12 +126,14 @@ def _resume(snapshot, build, reference, trace, suffix, payload):
     """Restore ``snapshot`` into ``build()``, finish the run from the
     trace timeline or (``suffix``) from the journal's ARRIVAL suffix, and
     return ``payload(report, system)`` — or, when the suffix replay does
-    not regenerate ``reference``, the :class:`JournalDivergenceError`."""
+    not regenerate ``reference``, the :class:`JournalDivergenceError`.
+    A restored journal that is not a prefix of ``reference`` (wrong
+    snapshot or wrong run) is a set-up error and raises."""
     resumed = build()
     if suffix:
         snapshot.restore(resumed, install_timeline=False)
+        replayer = JournalReplayer(resumed, reference)
         try:
-            replayer = JournalReplayer(resumed, reference)
             report = replayer.replay(trace_name=trace.name)
             replayer.verify()
         except JournalDivergenceError as diverged:

@@ -1260,11 +1260,7 @@ class ClusterServingSystem:
             b=sum(r._n_shed for r in self.replicas),
         )
         self._schedule_cluster_snapshot()
-        self.snapshots.append(
-            ClusterSnapshot.capture(
-                self, self.snapshots[-1] if self.snapshots else None
-            )
-        )
+        self.snapshots.append(ClusterSnapshot.capture(self))
 
     # ------------------------------------------------------------------
     # Autoscaling
@@ -1491,19 +1487,12 @@ class ClusterSnapshot:
     # ------------------------------------------------------------------
     @classmethod
     def capture(
-        cls,
-        cluster: "ClusterServingSystem",
-        previous: Optional["ClusterSnapshot"] = None,
+        cls, cluster: "ClusterServingSystem"
     ) -> "ClusterSnapshot":
-        """``previous`` is the fleet's last capture in this run, whose
-        unchanged request-store chunks this capture shares."""
         return cls(
             fingerprint=_cluster_fingerprint(cluster),
             clock=ClockSnapshot.capture(
-                cluster,
-                cluster.replicas,
-                _CLUSTER_HEAP_KINDS,
-                previous.clock if previous is not None else None,
+                cluster, cluster.replicas, _CLUSTER_HEAP_KINDS
             ),
             expected=(
                 cluster._fleet_state.expected

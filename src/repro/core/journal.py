@@ -548,10 +548,9 @@ class ClockSnapshot:
         owner,
         engines: List,
         owner_kinds: Dict[str, str],
-        previous: Optional["ClockSnapshot"] = None,
     ) -> "ClockSnapshot":
-        """``previous`` is the owner's last capture in this run, whose
-        unchanged request-store chunks this capture shares."""
+        """The request store's unchanged chunks are shared with the
+        owner's last capture (``owner.snapshots[-1]``), if it has one."""
         loop = owner.loop
         heap: List[Tuple[float, int, str]] = []
         for time, _seq, callback in loop.heap_entries():
@@ -579,7 +578,7 @@ class ClockSnapshot:
             heap=heap,
             chunks=StoreChunks.capture(
                 owner.request_store,
-                previous.chunks if previous is not None else None,
+                owner.snapshots[-1].clock.chunks if owner.snapshots else None,
             ),
         )
 
@@ -821,11 +820,7 @@ class Snapshot:
     engine: EngineSnapshot
 
     @classmethod
-    def capture(
-        cls, system, previous: Optional["Snapshot"] = None
-    ) -> "Snapshot":
-        """``previous`` is ``system``'s last capture in this run, whose
-        unchanged request-store chunks this capture shares."""
+    def capture(cls, system) -> "Snapshot":
         if system._fleet is not None:
             raise ValueError(
                 "full snapshots are single-engine only; cluster replicas "
@@ -833,12 +828,7 @@ class Snapshot:
             )
         return cls(
             fingerprint=_fingerprint(system),
-            clock=ClockSnapshot.capture(
-                system,
-                [system],
-                {},
-                previous.clock if previous is not None else None,
-            ),
+            clock=ClockSnapshot.capture(system, [system], {}),
             engine=EngineSnapshot.capture(system),
         )
 

@@ -632,11 +632,7 @@ class BaseServingSystem:
             if cache is not None:
                 self._cache_snapshots.append((now, cache.snapshot()))
         else:
-            self.snapshots.append(
-                Snapshot.capture(
-                    self, self.snapshots[-1] if self.snapshots else None
-                )
-            )
+            self.snapshots.append(Snapshot.capture(self))
 
     def _makespan(self) -> float:
         """Last completion time over this run's records (loop.now if none).

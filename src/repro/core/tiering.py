@@ -173,11 +173,12 @@ class ColdStore:
     written with, whatever the owning :class:`TieredVectorCache` clears,
     restores or appends afterwards, and however many caches reattach
     the same file one after another.  Two stores open on one path at
-    once are caught on the second writer's next append: each append to
-    a path-backed file first checks (``fstat``) that the file still ends
-    at this store's cursor and raises :class:`ColdWriterError`, writing
-    nothing, when another store has appended since.  (An anonymous file
-    has no other writer, so its appends skip the check.)  Nothing locks
+    once are caught on the second writer's next append: each append
+    first checks (``fstat``) that the file still holds exactly as many
+    whole rows as this store's cursor and raises
+    :class:`ColdWriterError`, writing nothing, when another store has
+    appended since.  A partial last row left by a crash mid-append is
+    not counted, so a reattached store writes over it.  Nothing locks
     the file, so two *processes* appending in the instant between one's
     check and its write can still collide.
 
@@ -222,15 +223,16 @@ class ColdStore:
                 f"got {rows.shape}"
             )
         start = self._rows
+        # Whole rows only: a torn last row (a crash mid-append) is not
+        # another writer's, and this append writes over it.
+        held = os.fstat(self._fd).st_size // self._row_bytes
+        if held != start:
+            raise ColdWriterError(
+                f"cold file {self._path or '(anonymous)'} holds {held} "
+                f"whole rows, but this store's cursor is at row {start}: "
+                "another writer appended to it; not writing over its rows"
+            )
         offset = start * self._row_bytes
-        if self._path is not None:
-            size = os.fstat(self._fd).st_size
-            if size != offset:
-                raise ColdWriterError(
-                    f"cold file {self._path} holds {size} bytes, but "
-                    f"this store's cursor is at {offset}: another writer "
-                    "appended to it; not writing over its rows"
-                )
         data = memoryview(rows).cast("B")
         while data:
             written = os.pwrite(self._fd, data, offset)

@@ -249,3 +249,30 @@ def test_replay_gate_reports_suffix_divergence(
     assert f"at row {row} " in err
     assert f"reference row {reference_row}" in err
     assert out.exists()
+
+
+def test_replay_gate_raises_on_prefix_mismatch(repo_root, monkeypatch):
+    """A reference journal whose prefix the restored system's journal
+    does not match (wrong snapshot or wrong run) is a set-up error: the
+    suffix gate raises it instead of reporting a replay divergence."""
+    from repro.core.journal import EventJournal, JournalDivergenceError
+
+    replay = _import_script(repo_root, "check_replay")
+    resume = replay._resume
+
+    def against_wrong_run(snapshot, build, reference, trace, suffix, payload):
+        rows = reference.entries()
+        time, kind, a, b, x = rows[0]
+        rows[0] = (time, kind, a, b, x + 1.0)
+        return resume(
+            snapshot,
+            build,
+            EventJournal.from_entries(rows),
+            trace,
+            suffix,
+            payload,
+        )
+
+    monkeypatch.setattr(replay, "_resume", against_wrong_run)
+    with pytest.raises(JournalDivergenceError, match="prefix mismatch"):
+        replay.main(["--suffix"])

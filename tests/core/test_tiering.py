@@ -223,6 +223,25 @@ class TestColdStore:
         for store in (second, third, reader):
             store.close()
 
+    def test_torn_tail_is_overwritten_by_reattached_store(self, tmp_path):
+        """A file holding N whole rows plus a partial one (a crash
+        mid-append) reattaches at row N, and its next append writes
+        over the partial row instead of refusing as a second writer."""
+        path = str(tmp_path / "cold.f64")
+        base = embeddings(4, seed="cold-torn")
+        ColdStore(DIM, path=path).append_rows(base)
+        with open(path, "ab") as f:
+            f.write(b"\x01" * 5)
+        store = ColdStore(DIM, path=path)
+        assert store.rows == 4
+        more = embeddings(2, seed="cold-torn-2")
+        assert store.append_rows(more) == 4
+        assert os.path.getsize(path) == 6 * DIM * 8
+        np.testing.assert_array_equal(
+            store.read_rows(np.arange(6)), np.vstack([base, more])
+        )
+        store.close()
+
     def test_shape_validation(self):
         store = ColdStore(DIM)
         with pytest.raises(ValueError, match="shape"):
