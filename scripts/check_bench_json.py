@@ -15,6 +15,14 @@ This gate validates every bench JSON against the minimal shared schema:
 * when present, ``"acceptance"`` must be a non-empty all-boolean dict
   (the pass/fail verdicts the producing bench asserted on).
 
+The repo benchmark's history, ``perf_trajectory.json``, has its own
+schema: a ``"rows"`` list with one row per change, ascending by
+``"pr"``.  Each row names its ``"parent_rev"`` and holds, for every
+workload that ``BENCHMARK.json`` declares, the number of alternating
+parent/change ``"pairs"`` run and the ``"parent"`` and ``"change"``
+medians of each :data:`TRAJECTORY_METRICS` metric; every number is
+positive.
+
 Reporting goes through ``repro.analysis._cli`` so this gate fails in
 the same format as the analyzer, seed-golden, and replay gates.
 
@@ -22,9 +30,10 @@ Usage (repo root)::
 
     PYTHONPATH=src python scripts/check_bench_json.py [paths...]
 
-With no arguments, checks ``BENCH_*.json`` and
-``benchmarks/results/*.json``.  Exit status: 0 when every file
-validates, 1 otherwise (listing every violation, not just the first).
+With no arguments, checks ``BENCH_*.json``,
+``benchmarks/results/*.json`` and ``perf_trajectory.json``.  Exit
+status: 0 when every file validates, 1 otherwise (listing every
+violation, not just the first).
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import json
 import numbers
 import os
 import sys
-from typing import List
+from typing import List, Sequence
 
 from repro.analysis._cli import gate_fail, gate_ok
 from repro.experiments import SCALES
@@ -48,18 +57,38 @@ _META_KEYS = frozenset(
 )
 
 
+#: The repo benchmark's history file, at the repo root.
+TRAJECTORY = "perf_trajectory.json"
+
+#: End-to-end metrics every trajectory row records per workload.
+TRAJECTORY_METRICS = ("req_per_ref_s", "setup_s", "peak_rss_mib")
+
+
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(
         value, bool
     )
 
 
+def _is_positive(value) -> bool:
+    return _is_number(value) and value > 0
+
+
 def default_paths(root: str) -> List[str]:
-    return sorted(
-        glob.glob(os.path.join(root, "BENCH_*.json"))
-    ) + sorted(
-        glob.glob(os.path.join(root, "benchmarks", "results", "*.json"))
+    trajectory = os.path.join(root, TRAJECTORY)
+    return (
+        sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
+        + sorted(
+            glob.glob(os.path.join(root, "benchmarks", "results", "*.json"))
+        )
+        + ([trajectory] if os.path.exists(trajectory) else [])
     )
+
+
+def benchmark_workloads(root: str) -> List[str]:
+    """The workload names ``BENCHMARK.json`` declares."""
+    with open(os.path.join(root, "BENCHMARK.json")) as handle:
+        return [w["name"] for w in json.load(handle)["workloads"]]
 
 
 def check_payload(payload: object) -> List[str]:
@@ -114,6 +143,60 @@ def check_payload(payload: object) -> List[str]:
     return problems
 
 
+def check_trajectory(
+    payload: object, workloads: Sequence[str]
+) -> List[str]:
+    """Schema violations of a parsed ``perf_trajectory.json``."""
+    rows = payload.get("rows") if isinstance(payload, dict) else None
+    if not (isinstance(rows, list) and rows):
+        return ['"rows" must be a non-empty list']
+    problems: List[str] = []
+    last_pr = 0
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            problems.append(f"row {i}: must be a JSON object")
+            continue
+        pr = row.get("pr")
+        where = f"row {i} (PR {pr})"
+        if not (isinstance(pr, int) and _is_positive(pr)):
+            problems.append(f'{where}: "pr" must be a positive integer')
+        elif pr <= last_pr:
+            problems.append(
+                f"{where}: rows must ascend by PR (after PR {last_pr})"
+            )
+        else:
+            last_pr = pr
+        rev = row.get("parent_rev")
+        if not (isinstance(rev, str) and rev):
+            problems.append(f'{where}: missing "parent_rev"')
+        measured = row.get("workloads")
+        if not isinstance(measured, dict):
+            problems.append(f'{where}: "workloads" must be an object')
+            continue
+        for name in workloads:
+            runs = measured.get(name)
+            if not isinstance(runs, dict):
+                problems.append(f"{where}: workload {name!r} missing")
+                continue
+            pairs = runs.get("pairs")
+            if not (isinstance(pairs, int) and _is_positive(pairs)):
+                problems.append(
+                    f'{where}: {name} "pairs" must be a positive integer'
+                )
+            for side in ("parent", "change"):
+                medians = runs.get(side)
+                if not isinstance(medians, dict):
+                    problems.append(f"{where}: {name} {side!r} missing")
+                    continue
+                for metric in TRAJECTORY_METRICS:
+                    if not _is_positive(medians.get(metric)):
+                        problems.append(
+                            f"{where}: {name} {side} {metric} must be "
+                            "a positive number"
+                        )
+    return problems
+
+
 def main(argv: List[str]) -> int:
     root = os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))
@@ -130,7 +213,11 @@ def main(argv: List[str]) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             failures.append(f"{rel}: unreadable ({exc})")
             continue
-        for problem in check_payload(payload):
+        if os.path.basename(path) == TRAJECTORY:
+            problems = check_trajectory(payload, benchmark_workloads(root))
+        else:
+            problems = check_payload(payload)
+        for problem in problems:
             failures.append(f"{rel}: {problem}")
     if failures:
         for line in failures:

@@ -182,11 +182,14 @@ class NirvanaSystem(BaseServingSystem):
         Bit-identical to one prompt at a time, as in
         :meth:`~repro.core.serving.MoDMSystem.warm_cache`.
         """
-        sim = self.model_sim(self._spec.name)
+        sim = self.model_sim(self.warm_model())
         for chunk, images in sim.generate_chunks(prompts, seed=seed):
             embeddings = self._retrieval.index_embeddings(chunk, images)
             for prompt, image, embedding in zip(chunk, images, embeddings):
                 self._admit_latent(prompt, image, 0.0, embedding)
+
+    def warm_model(self) -> str:
+        return self._spec.name
 
     def _admit_latent(
         self,
@@ -412,11 +415,14 @@ class PineconeSystem(BaseServingSystem):
         Bit-identical to one prompt at a time, as in
         :meth:`~repro.core.serving.MoDMSystem.warm_cache`.
         """
-        sim = self.model_sim(self._spec.name)
+        sim = self.model_sim(self.warm_model())
         for chunk, images in sim.generate_chunks(prompts, seed=seed):
             embeddings = self._retrieval.index_embeddings(chunk, images)
             for image, embedding in zip(images, embeddings):
                 self.cache.insert(image, embedding, now=0.0)
+
+    def warm_model(self) -> str:
+        return self._spec.name
 
     def _handle_arrival(self, record: RequestRecord, now: float) -> None:
         self._handle_arrivals([record], now)

@@ -84,7 +84,7 @@ from repro.core.serving import (
     ServingReport,
     install_arrival_cohorts,
 )
-from repro.diffusion.model import WARM_CHUNK
+from repro.diffusion.model import WARM_CHUNK, DiffusionModelSim
 from repro.metrics.latency import percentile
 from repro.embedding.space import SemanticSpace
 from repro.workloads.prompts import Prompt
@@ -875,21 +875,37 @@ class ClusterServingSystem:
         Placement runs the routing policy with cache occupancy as the
         load signal; with one replica the whole warm set lands on it in
         one batched warm-up, exactly as in a single-engine run.  With
-        several, the warm prompts' query embeddings are computed in
-        batches up front (the shared memos then serve each placement's
-        embed), but placement and generation stay one prompt at a time:
-        under ``cache_affinity`` each choice reads centroids that the
-        previous inserts moved, and each image's id comes from the
-        chosen replica's model.
+        several, placement and image finishing stay one prompt at a
+        time: under ``cache_affinity`` each choice reads centroids that
+        the previous inserts moved, and each image's id, which keys its
+        sampling noise, comes from the chosen replica's model counter.
+        Everything that does not depend on the placement runs in
+        batches ahead of it: the warm prompts' query embeddings (the
+        shared memos then serve each placement's embed), and per
+        :data:`WARM_CHUNK` prompts the target step
+        (:meth:`~repro.diffusion.model.DiffusionModelSim.target_batch`)
+        of every distinct warm-up model among the replicas, whose
+        memoized targets each placed generation then reads.
         """
         self.router.reset()
         if len(self.replicas) == 1:
             self.replicas[0].warm_cache(prompts, seed=seed)
             return
         self.router.embed_warm(prompts)
-        for prompt in prompts:
-            idx = self.router.route_warm(prompt, self.replicas)
-            self.replicas[idx].warm_cache([prompt], seed=seed)
+        # The target step draws no image id, so it may run through any
+        # replica's sim of a model: the first replica warming with it.
+        models: Dict[str, DiffusionModelSim] = {}
+        for replica in self.replicas:
+            name = replica.warm_model()
+            if name is not None and name not in models:
+                models[name] = replica.model_sim(name)
+        for start in range(0, len(prompts), WARM_CHUNK):
+            chunk = prompts[start:start + WARM_CHUNK]
+            for sim in models.values():
+                sim.target_batch(chunk, seed)
+            for prompt in chunk:
+                idx = self.router.route_warm(prompt, self.replicas)
+                self.replicas[idx].warm_cache([prompt], seed=seed)
 
     # ------------------------------------------------------------------
     # Run

@@ -515,6 +515,11 @@ class BaseServingSystem:
         ):
             self._schedule_snapshot_tick()
 
+    def warm_model(self) -> Optional[str]:
+        """Name of the model whose generations ``warm_cache`` admits,
+        or None for a system that warms no cache."""
+        return None
+
     # ------------------------------------------------------------------
     # Shared machinery
     # ------------------------------------------------------------------
@@ -1160,9 +1165,12 @@ class MoDMSystem(BaseServingSystem):
         cannot batch this way: a request's decision reads the cache its
         predecessors filled.
         """
-        sim = self.model_sim(self._large_spec.name)
+        sim = self.model_sim(self.warm_model())
         for chunk, images in sim.generate_chunks(prompts, seed=seed):
             self.scheduler.admit_batch(chunk, images, now=0.0)
+
+    def warm_model(self) -> str:
+        return self._large_spec.name
 
     # ------------------------------------------------------------------
     # Policy

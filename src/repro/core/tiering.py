@@ -312,7 +312,7 @@ class ColdStore:
         if rows * self._row_bytes > size:
             raise ColdExtentError(
                 f"cold store holds {size // self._row_bytes} rows, "
-                f"cannot rewind to {rows}"
+                f"snapshot needs {rows}"
             )
 
     def close(self) -> None:

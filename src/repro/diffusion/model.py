@@ -258,10 +258,31 @@ class DiffusionModelSim:
         under-aligned refinement looks generic, it does not grow extra
         artifacts — so FID stays governed by ``realism``.
         """
+        return self.target_batch((prompt,), seed, alignment, realism)
+
+    def target_batch(
+        self,
+        prompts: Sequence[PromptLike],
+        seed: str,
+        alignment: Optional[float] = None,
+        realism: Optional[float] = None,
+    ) -> np.ndarray:
+        """:meth:`target_content` of every prompt: the target step.
+
+        A target is pure in (model, prompt, seed, alignment, realism) and
+        memoized process-wide, so this step can run ahead of the images
+        that need it.  A fleet warm-up runs it once per chunk for every
+        replica's model, then places the chunk one prompt at a time, and
+        each placed :meth:`generate_batch` finds its target memoized.
+        Every target is planned by one :meth:`_target_plan` and drawn by
+        one :meth:`~repro._rng.DirectionCache.draw_batch`.  Returns a
+        vector for one prompt, a ``(len(prompts), dim)`` stack for
+        several.
+        """
         items, assemble = self._target_plan(
-            (prompt,), seed, alignment, realism
+            prompts, seed, alignment, realism
         )
-        return assemble([directions.draw_batch(items[0])])
+        return assemble(self._draw_rows(items))
 
     def _target_plan(
         self,
@@ -281,8 +302,9 @@ class DiffusionModelSim:
         and ``assemble(drawn)``, where ``drawn[r]`` starts with the draws
         of ``items[r]`` in order, builds, memoizes and returns the
         targets: a vector for one prompt, a ``(len(prompts), dim)`` stack
-        for several.  Callers append their own per-image draws to each
-        row, so one batch seeds every image.
+        for several.  :meth:`generate_batch` and :meth:`refine` append
+        their per-image draws to each row, so one batch seeds every
+        image.
 
         The assembly is shape-generic: the same element-wise expressions
         run on vectors (one row) or row stacks (several), per-row scalars
@@ -484,12 +506,16 @@ class DiffusionModelSim:
         :meth:`generate` calls: the same image ids (the id counter
         advances in prompt order), the same content bytes and the same
         memo entries.  Each image's content depends only on its own keyed
-        draws, so the images are independent and are built together:
-        every draw of every fresh image is seeded in one
+        draws, so the images are independent and are built together in
+        two steps on row stacks.  The target step (:meth:`_target_plan`,
+        as in :meth:`target_batch`) is pure in (model, prompt, seed) and
+        builds every fresh image's target, or finds it memoized; the
+        finish step is keyed by the image id and adds each image's
+        sampling noise to its target (:meth:`_add_image_noise`).  The
+        draws of both steps are seeded in one
         :meth:`DirectionCache.draw_batch` (packed replays, eight seeds a
-        call), targets come from one :meth:`_target_plan`, and contents
-        are finished as one row stack.  The image encoder's noise rows
-        are parked as one batch for
+        call), which also parks the image encoder's noise rows as one
+        batch for
         :meth:`~repro.embedding.image_encoder.ClipLikeImageEncoder.encode_batch`.
         """
         spec = self._spec
@@ -507,6 +533,8 @@ class DiffusionModelSim:
                 fresh.append(len(images))
             images.append((prompt, image_id, key, content))
         if fresh:
+            # The target step's draws, then each image's finish-step
+            # draw, all seeded in one batch.
             items, assemble = self._target_plan(
                 [images[i][0] for i in fresh], seed, None, None
             )
@@ -515,11 +543,9 @@ class DiffusionModelSim:
                 image_id = images[i][1]
                 row.append(self._noise_item(image_id))
                 fresh_ids.append(image_id)
-            drawn = self._draw_images(items, fresh_ids)
-            stack, unit, _ = _row_ops(len(fresh))
-            finished = unit(
-                assemble(drawn)
-                + spec.image_noise * stack([d[-1] for d in drawn])
+            drawn = self._draw_rows(items, fresh_ids)
+            finished = self._add_image_noise(
+                assemble(drawn), [draws[-1] for draws in drawn]
             )
             for i, content in zip(fresh, _split(finished)):
                 prompt, image_id, key, _ = images[i]
@@ -627,7 +653,7 @@ class DiffusionModelSim:
                     )
                 )
             row.append(self._noise_item(image_id))
-            drawn = self._draw_images(items, (image_id,))
+            drawn = self._draw_rows(items, (image_id,))
             draws = drawn[0]
             blend = normalize(
                 anchor * normalize(source.content)
@@ -635,8 +661,7 @@ class DiffusionModelSim:
             )
             if drift > 0.0:
                 blend = normalize((1.0 - drift) * blend + drift * draws[-2])
-            # Per-image sampling noise, as generate_batch finishes a row.
-            content = normalize(blend + self._spec.image_noise * draws[-1])
+            content = self._add_image_noise(blend, [draws[-1]])
             variant_put(
                 _REFINE_CACHE, content_key, variant, source.content,
                 content, _MEMO_MAX,
@@ -686,23 +711,37 @@ class DiffusionModelSim:
             self._noise_seeds(image_id),
         )
 
-    def _draw_images(
-        self, items: List[List[DrawItem]], image_ids: Sequence[str]
-    ) -> List[List[Draw]]:
-        """Draw every image's items, plus its image-encoder noise.
+    def _add_image_noise(
+        self, targets: np.ndarray, noise: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """Finish images: each one's sampling noise on its target.
 
-        ``items[r]`` are image ``image_ids[r]``'s draws.  Every finished
-        image is embedded by the image encoder, whose per-image noise
-        stream is keyed by the image id.  Those draws join the batch, so
-        one :meth:`~repro._rng.DirectionCache.draw_batch` seeds all of
-        the images' streams, and are parked in :data:`directions` for
-        the encoder (:meth:`~repro._rng.DirectionCache.park_rows`).
-        Returns the draws of each ``items[r]`` alone, in order.
+        ``targets`` is a vector for one image or a row stack, as
+        :func:`_row_ops` builds them, and ``noise[r]`` is image ``r``'s
+        :meth:`_noise_item` draw.
+        """
+        stack, unit, _ = _row_ops(len(noise))
+        return unit(targets + self._spec.image_noise * stack(noise))
+
+    def _draw_rows(
+        self,
+        items: List[List[DrawItem]],
+        image_ids: Sequence[str] = (),
+    ) -> List[List[Draw]]:
+        """Draw every row's items in one batch.
+
+        Returns the draws of each ``items[r]``, in order.  With
+        ``image_ids``, row ``r`` belongs to image ``image_ids[r]``: every
+        finished image is embedded by the image encoder, whose per-image
+        noise stream is keyed by the image id.  Those draws join the
+        batch, so one :meth:`~repro._rng.DirectionCache.draw_batch` seeds
+        all of the images' streams, and are parked in :data:`directions`
+        for the encoder (:meth:`~repro._rng.DirectionCache.park_rows`).
         """
         space = self._space
-        noisy = space.config.image_encoder_noise > 0.0
+        noisy = bool(image_ids) and space.config.image_encoder_noise > 0.0
         dim = space.config.semantic_dim
-        if len(items) == 1:  # one image: no row bookkeeping
+        if len(items) == 1:  # one row: no row bookkeeping
             if not noisy:
                 return [directions.draw_batch(items[0])]
             seed = space.image_noise_seed(image_ids[0])
@@ -711,10 +750,10 @@ class DiffusionModelSim:
             return [drawn]
         flat: List[DrawItem] = []
         seeds: List[int] = []
-        for row, image_id in zip(items, image_ids):
+        for r, row in enumerate(items):
             flat.extend(row)
             if noisy:
-                seed = space.image_noise_seed(image_id)
+                seed = space.image_noise_seed(image_ids[r])
                 seeds.append(seed)
                 flat.append((dim, False, seed))
         drawn = directions.draw_batch(flat)

@@ -141,7 +141,7 @@ class ClipLikeImageEncoder:
             # Not memoized: image-id keys are unique within a run, and
             # replays hit the embedding memo before reaching this draw.
             # The model that made the image has usually parked this draw
-            # already (see DiffusionModelSim._draw_images).
+            # already (see DiffusionModelSim._draw_rows).
             noise = directions.fresh_unit(
                 sdim, seed=self._space.image_noise_seed(key)
             )

@@ -29,8 +29,8 @@ from repro.workloads import (
 # properties, the prompt-factory, kept-iteration, kept-prompt trace and
 # zipf-sampler oracles, the many-sessions-in-one-call oracle, the
 # prefix-seed, keyed-draw, int-seed stream and bulk seeding-replay
-# properties, the row-normalization, generate_batch, prompt-mixture and
-# encode_batch oracles) take it from the profile:
+# properties, the row-normalization, generate_batch, prompt-mixture,
+# encode_batch and fleet warm-up oracles) take it from the profile:
 # bounded for tier-1, heavier when
 # ``HYPOTHESIS_PROFILE=ci-heavy`` is set.
 settings.register_profile("tier1", max_examples=20)

@@ -284,7 +284,7 @@ class TestSnapshotRestore:
         straight.run(_trace(space, n=60))
         snapshot = straight.snapshots[-1]
         fresh = MoDMSystem(space, config)
-        with pytest.raises(ColdExtentError, match="cannot rewind"):
+        with pytest.raises(ColdExtentError, match="snapshot needs"):
             snapshot.restore(fresh)
         assert fresh.loop.now == 0.0
         assert fresh.records == [] and len(fresh._journal) == 0

@@ -172,7 +172,7 @@ class TestColdStore:
         store = ColdStore(DIM)
         store.append_rows(embeddings(10, seed="cold-ov"))
         store.check_extent(10)
-        with pytest.raises(ColdExtentError, match="cannot rewind"):
+        with pytest.raises(ColdExtentError, match="snapshot needs"):
             store.check_extent(11)
         store.close()
 

@@ -15,12 +15,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baselines import NirvanaSystem, PineconeSystem
-from repro.core.cluster_router import modm_cluster
+from repro.core.cluster_router import ClusterRouter, modm_cluster
 from repro.core.config import ClusterConfig, ClusterRoutingConfig, MoDMConfig
 from repro.core.serving import MoDMSystem, clear_hotpath_memos
 from repro.core.tiering import TieredCacheConfig
+from repro.diffusion import model as model_mod
+from repro.diffusion.model import WARM_CHUNK, DiffusionModelSim
 from repro.embedding.text_encoder import ClipLikeTextEncoder
 from repro.workloads import DiffusionDBConfig, diffusiondb_trace
 
@@ -128,3 +132,202 @@ def test_warm_cache_state_is_pinned(space, warm_prompts, kind):
     encoder = ClipLikeTextEncoder(space, cache_embeddings=False)
     queries = [encoder.encode(p) for p in warm_prompts[N_WARM - 20:]]
     assert _digest(caches, queries) == DIGESTS[kind]
+
+
+# ----------------------------------------------------------------------
+# Fleet warm-up against the per-prompt loop
+# ----------------------------------------------------------------------
+def _per_prompt_warm_cache(fleet, prompts, seed="warmup"):
+    """The fleet warm-up one prompt at a time: the oracle.
+
+    Each placement generates its one image from scratch, target
+    included, through the chosen replica's model.
+    """
+    fleet.router.reset()
+    fleet.router.embed_warm(prompts)
+    for prompt in prompts:
+        idx = fleet.router.route_warm(prompt, fleet.replicas)
+        fleet.replicas[idx].warm_cache([prompt], seed=seed)
+
+
+def _fleet_state(fleet):
+    """Every replica's cache entries and model counters."""
+    state = []
+    for replica in fleet.replicas:
+        entries = [
+            (
+                entry.slot,
+                entry.entry_id,
+                entry.payload.image_id,
+                entry.payload.content.tobytes(),
+                np.asarray(entry.embedding).tobytes(),
+                entry.hits,
+                entry.inserted_at,
+            )
+            for entry in replica.cache.entries()
+        ]
+        counters = {
+            name: sim._counter.value
+            for name, sim in sorted(replica._model_sims.items())
+        }
+        state.append((entries, counters))
+    return state
+
+
+class TestFleetWarmupOracle:
+    """``ClusterServingSystem.warm_cache`` against the per-prompt loop.
+
+    The fleet builds each chunk's targets in one batched pass before
+    placing the chunk one prompt at a time.  Targets are pure and
+    memoized, so the pass must change nothing: the same cache entries
+    on every replica, the same model counters, and the same serving
+    run afterwards (routed counts and completion times), under every
+    routing policy.  Memos are cleared before each run, so both sides
+    generate every image.
+    """
+
+    POLICIES = ("cache_affinity", "least_loaded", "round_robin")
+    N_SERVE = 40
+
+    @pytest.fixture(scope="class")
+    def trace(self, space):
+        return diffusiondb_trace(
+            space,
+            DiffusionDBConfig(
+                n_requests=WARM_CHUNK + 1 + self.N_SERVE,
+                seed="fleet-warm",
+            ),
+        )
+
+    @pytest.fixture(scope="class")
+    def pool(self, trace):
+        return [r.prompt for r in trace.requests[: WARM_CHUNK + 1]]
+
+    @pytest.fixture(scope="class")
+    def serve(self, trace):
+        n = len(trace.requests)
+        return trace.slice(n - self.N_SERVE, n).rebase()
+
+    @staticmethod
+    def _outcome(space, policy, warm_sets, serve, warm):
+        clear_hotpath_memos(space)
+        fleet = modm_cluster(
+            space,
+            MoDMConfig(cluster=CLUSTER, cache_capacity=300),
+            ClusterRoutingConfig(n_replicas=3, policy=policy),
+        )
+        for prompts in warm_sets:
+            warm(fleet, prompts)
+        warmed = _fleet_state(fleet)
+        report = fleet.run(serve)
+        completion = fleet.request_store.column("completion_s")
+        return {
+            "warmed": warmed,
+            "routed": tuple(report.routed),
+            "completion_sha": hashlib.sha256(
+                completion.tobytes()
+            ).hexdigest(),
+            "served": _fleet_state(fleet),
+        }
+
+    def _check(self, space, policy, warm_sets, serve):
+        batched = self._outcome(
+            space, policy, warm_sets, serve,
+            lambda fleet, prompts: fleet.warm_cache(prompts),
+        )
+        oracle = self._outcome(
+            space, policy, warm_sets, serve, _per_prompt_warm_cache
+        )
+        assert batched == oracle
+        assert sum(len(entries) for entries, _ in batched["warmed"]) > 0
+        return batched
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("n", [1, WARM_CHUNK, WARM_CHUNK + 1])
+    def test_matches_per_prompt_loop(self, space, pool, serve, policy, n):
+        self._check(space, policy, [pool[:n]], serve)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_repeated_prompts(self, space, pool, serve, policy):
+        # Repeats inside one chunk, and across the chunk boundary.
+        prompts = pool[:30] + pool[5:15] + [pool[3]] * 3
+        prompts += pool[30:WARM_CHUNK] + pool[:8]
+        assert len(prompts) - 8 > WARM_CHUNK
+        self._check(space, policy, [prompts], serve)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_second_warm_cache_call(self, space, pool, serve, policy):
+        self._check(space, policy, [pool[:120], pool[60:200]], serve)
+
+    @given(
+        policy=st.sampled_from(POLICIES),
+        warm_sets=st.lists(
+            st.lists(
+                st.integers(0, WARM_CHUNK),
+                min_size=1,
+                max_size=WARM_CHUNK + 8,
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+    )
+    @settings(deadline=None)
+    def test_random_warm_sets(self, space, pool, serve, policy, warm_sets):
+        """One or two warm-ups of prompts drawn from the pool (repeats
+        allowed), against the per-prompt loop."""
+        warm = [[pool[i] for i in indices] for indices in warm_sets]
+        self._check(space, policy, warm, serve)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_targets_cleared_before_placement(
+        self, space, pool, serve, policy, monkeypatch
+    ):
+        """With every memoized target dropped before each placement, the
+        placed generations rebuild their targets, and nothing changes:
+        the batched pass only saves work."""
+        prompts = pool[: WARM_CHUNK + 1]
+        expected = self._check(space, policy, [prompts], serve)
+        #: Per placed generation: did it have to build its target?
+        rebuilt = []
+        generate_batch = DiffusionModelSim.generate_batch
+        plan = DiffusionModelSim._target_plan
+        route_warm = ClusterRouter.route_warm
+        placing = []
+
+        def spying_generate_batch(sim, *args):
+            placing.append(True)
+            try:
+                return generate_batch(sim, *args)
+            finally:
+                placing.pop()
+
+        def spying_plan(sim, *args):
+            items, assemble = plan(sim, *args)
+            if placing:
+                rebuilt.append(any(items))
+            return items, assemble
+
+        def clearing_route_warm(router, *args):
+            model_mod._TARGET_CACHE.clear()
+            return route_warm(router, *args)
+
+        monkeypatch.setattr(
+            DiffusionModelSim, "generate_batch", spying_generate_batch
+        )
+        monkeypatch.setattr(DiffusionModelSim, "_target_plan", spying_plan)
+        batched = self._outcome(
+            space, policy, [prompts], serve,
+            lambda fleet, warm: fleet.warm_cache(warm),
+        )
+        # The serving run generates too; the warm-up comes first.
+        assert rebuilt[: len(prompts)] == [False] * len(prompts)
+        rebuilt.clear()
+        monkeypatch.setattr(
+            ClusterRouter, "route_warm", clearing_route_warm
+        )
+        cleared = self._outcome(
+            space, policy, [prompts], serve,
+            lambda fleet, warm: fleet.warm_cache(warm),
+        )
+        assert rebuilt[: len(prompts)] == [True] * len(prompts)
+        assert batched == cleared == expected

@@ -592,6 +592,20 @@ class TestGenerateBatchOracle:
         assert batched.image.content is first.content
         assert batched.image == first
 
+    def test_target_batch_rows_equal_target_content(self, space, pool):
+        """The target step of a batch, repeats included, row for row."""
+        from repro.diffusion import model as model_mod
+
+        batch = [pool[i] for i in (0, 4, 11, 4, 7)]
+        model_mod.clear_model_memos()
+        sim = DiffusionModelSim(get_model("sd3.5-large"), space)
+        stacked = sim.target_batch(batch, "t")
+        model_mod.clear_model_memos()
+        for row, prompt in zip(stacked, batch):
+            alone = sim.target_content(prompt, "t")
+            assert row.tobytes() == alone.tobytes()
+        assert next(sim._counter) == 0
+
     def test_empty_batch(self, space):
         sim = DiffusionModelSim(get_model("sdxl"), space)
         assert sim.generate_batch([], seed="none") == []
