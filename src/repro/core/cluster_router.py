@@ -84,7 +84,7 @@ from repro.core.serving import (
     ServingReport,
     install_arrival_cohorts,
 )
-from repro.diffusion.model import WARM_CHUNK, DiffusionModelSim
+from repro.diffusion.model import WARM_CHUNK, DiffusionModelSim, parked_targets
 from repro.metrics.latency import percentile
 from repro.embedding.space import SemanticSpace
 from repro.workloads.prompts import Prompt
@@ -547,25 +547,50 @@ class ClusterRouter:
         for start in range(0, len(prompts), WARM_CHUNK):
             self._embed_batch(prompts[start:start + WARM_CHUNK])
 
+    def warm_signals(
+        self, replicas: Sequence[BaseServingSystem]
+    ) -> Tuple[List[int], List[Optional[np.ndarray]]]:
+        """Every replica's warm-up load (cache occupancy) and sketch.
+
+        The ``(loads, sketches)`` pair :meth:`route_warm` reads.  A warm
+        loop keeps it across its placements and refreshes only the
+        replica that admitted (:meth:`reread_warm`): an admission
+        changes no other replica.
+        """
+        return (
+            [len(getattr(replica, "cache", ())) for replica in replicas],
+            self._centroids(replicas),
+        )
+
+    def reread_warm(
+        self,
+        signals: Tuple[List[int], List[Optional[np.ndarray]]],
+        replicas: Sequence[BaseServingSystem],
+        idx: int,
+    ) -> None:
+        """Refresh replica ``idx``'s entries of ``signals`` in place."""
+        loads, sketches = signals
+        replica = replicas[idx]
+        loads[idx] = len(getattr(replica, "cache", ()))
+        if self.policy.needs_centroids:
+            sketches[idx] = self._centroid(replica)
+
     def route_warm(
         self,
         prompt: Prompt,
-        replicas: Sequence[BaseServingSystem],
+        signals: Tuple[List[int], List[Optional[np.ndarray]]],
     ) -> int:
         """Warm-up placement: cache occupancy is the load signal.
 
-        Under ``cache_affinity`` this performs online semantic
-        clustering of the warm set (each placement updates the chosen
-        replica's centroid), so shards start coherent instead of
-        uniformly mixed.
+        ``signals`` are the replicas' :meth:`warm_signals`.  Under
+        ``cache_affinity`` this performs online semantic clustering of
+        the warm set (each placement updates the chosen replica's
+        centroid), so shards start coherent instead of uniformly mixed.
         """
-        if len(replicas) == 1:
+        loads, sketches = signals
+        if len(loads) == 1:
             return 0
-        loads = [
-            len(getattr(replica, "cache", ())) for replica in replicas
-        ]
-        centroids = self._centroids(replicas)
-        return self.policy.route(self._query(prompt), loads, centroids)
+        return self.policy.route(self._query(prompt), loads, sketches)
 
 
 # ----------------------------------------------------------------------
@@ -884,8 +909,11 @@ class ClusterServingSystem:
         shared memos then serve each placement's embed), and per
         :data:`WARM_CHUNK` prompts the target step
         (:meth:`~repro.diffusion.model.DiffusionModelSim.target_batch`)
-        of every distinct warm-up model among the replicas, whose
-        memoized targets each placed generation then reads.
+        of every distinct warm-up model among the replicas, whose rows
+        are parked for the chunk's placed generations to take
+        (:func:`~repro.diffusion.model.parked_targets`).  The replicas'
+        loads and sketches are read once and then re-read only for the
+        replica that admitted (:meth:`ClusterRouter.warm_signals`).
         """
         self.router.reset()
         if len(self.replicas) == 1:
@@ -899,13 +927,14 @@ class ClusterServingSystem:
             name = replica.warm_model()
             if name is not None and name not in models:
                 models[name] = replica.model_sim(name)
+        signals = self.router.warm_signals(self.replicas)
         for start in range(0, len(prompts), WARM_CHUNK):
             chunk = prompts[start:start + WARM_CHUNK]
-            for sim in models.values():
-                sim.target_batch(chunk, seed)
-            for prompt in chunk:
-                idx = self.router.route_warm(prompt, self.replicas)
-                self.replicas[idx].warm_cache([prompt], seed=seed)
+            with parked_targets(models.values(), chunk, seed):
+                for prompt in chunk:
+                    idx = self.router.route_warm(prompt, signals)
+                    self.replicas[idx].warm_cache([prompt], seed=seed)
+                    self.router.reread_warm(signals, self.replicas, idx)
 
     # ------------------------------------------------------------------
     # Run

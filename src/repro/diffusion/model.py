@@ -19,11 +19,13 @@ Implements the two generation paths MoDM's workers execute:
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import (
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -70,14 +72,17 @@ _MEMO_MAX = 150_000
 #: stacks and parked encoder noise stay a few hundred KiB.
 WARM_CHUNK = 256
 
-#: Memoized target/artifact directions and finished image contents,
-#: shared process-wide.  All are pure functions of their keys: the key
-#: prefix pins the full spec parametrization (via its digest) and the
-#: space geometry; prompt ids pin prompt content by the workload contract
-#: (a prompt id identifies one immutable prompt).  The caches survive
-#: across system instances — the regime where they pay off: experiment
-#: suites drive the same trace through several serving systems and
-#: replays, and every system re-renders the same prompts.
+#: Memoized finished image contents, shared process-wide.  A content is
+#: a pure function of its key: the key prefix pins the full spec
+#: parametrization (via its digest) and the space geometry; prompt ids
+#: pin prompt content by the workload contract (a prompt id identifies
+#: one immutable prompt).  The memos survive across system instances —
+#: the regime where they pay off: experiment suites drive the same trace
+#: through several serving systems and replays, and every replay of an
+#: image stops at its content, before it reads any ingredient.  So the
+#: per-prompt ingredients of an image (its target, and the jitter,
+#: natural and artifact draws the target is built from) are drawn fresh
+#: every time and never memoized: within one pass each is read once.
 #:
 #: The two generation paths keep their contents in two memos, each under
 #: its own size bound, so a run that refines heavily does not wipe the
@@ -89,22 +94,55 @@ WARM_CHUNK = 256
 #: carry different content under different serving configs): it is a
 #: :mod:`repro._memo` variant entry, keyed ``prefix + (image_id, skip,
 #: variant)`` and holding ``(source content, content)``.
-_TARGET_CACHE: Dict[Tuple, np.ndarray] = {}
-_ARTIFACT_CACHE: Dict[Tuple, np.ndarray] = {}
 _CONTENT_CACHE: Dict[Tuple, np.ndarray] = {}
 _REFINE_CACHE: VariantMemo = {}
 
+#: Targets built ahead of the generations that need them
+#: (:func:`parked_targets`), keyed ``prefix + (prompt_id, seed,
+#: alignment, realism)``, so any sim of the same spec and space can take
+#: one.  Each is taken out by the first target step that needs it, and
+#: the hand-off is emptied when its block ends.
+_PARKED_TARGETS: Dict[Tuple, np.ndarray] = {}
+
 
 def clear_model_memos() -> None:
-    """Drop every process-wide model memo (targets, artifacts, contents).
+    """Drop the process-wide content memos and any parked targets.
 
     Benchmarks call this to measure cold-start behaviour; correctness
     never depends on it (all memoized values are pure).
     """
-    _TARGET_CACHE.clear()
-    _ARTIFACT_CACHE.clear()
     _CONTENT_CACHE.clear()
     _REFINE_CACHE.clear()
+    _PARKED_TARGETS.clear()
+
+
+@contextmanager
+def parked_targets(
+    sims: Iterable["DiffusionModelSim"],
+    prompts: Sequence[PromptLike],
+    seed: str,
+) -> Iterator[None]:
+    """Hand each sim's targets of ``prompts`` to the generations in the block.
+
+    Runs the target step (:meth:`DiffusionModelSim.target_batch`) of
+    ``prompts`` once per sim and parks every row; a generation in the
+    block that needs a parked target takes it out instead of building
+    it.  A prompt repeated in ``prompts`` is parked once, so its second
+    generation builds its target again (bit-identically).  Whatever is
+    left when the block ends is dropped, so the hand-off never holds
+    more than one batch of targets per sim.
+    """
+    try:
+        for sim in sims:
+            targets = sim.target_batch(prompts, seed)
+            rows = [targets] if len(prompts) == 1 else targets
+            prefix = sim._memo_prefix
+            for prompt, row in zip(prompts, rows):
+                key = prefix + (prompt.prompt_id, seed, None, None)
+                _PARKED_TARGETS[key] = row
+        yield
+    finally:
+        _PARKED_TARGETS.clear()
 
 
 _first = itemgetter(0)
@@ -269,11 +307,10 @@ class DiffusionModelSim:
     ) -> np.ndarray:
         """:meth:`target_content` of every prompt: the target step.
 
-        A target is pure in (model, prompt, seed, alignment, realism) and
-        memoized process-wide, so this step can run ahead of the images
-        that need it.  A fleet warm-up runs it once per chunk for every
-        replica's model, then places the chunk one prompt at a time, and
-        each placed :meth:`generate_batch` finds its target memoized.
+        A target is pure in (model, prompt, seed, alignment, realism), so
+        this step can run ahead of the images that need it: a fleet
+        warm-up runs it once per chunk for every replica's model and
+        hands the rows to the placed generations (:func:`parked_targets`).
         Every target is planned by one :meth:`_target_plan` and drawn by
         one :meth:`~repro._rng.DirectionCache.draw_batch`.  Returns a
         vector for one prompt, a ``(len(prompts), dim)`` stack for
@@ -297,14 +334,18 @@ class DiffusionModelSim:
 
         Returns ``(items, assemble)``: ``items[r]`` are the
         :meth:`DirectionCache.draw_batch` items of row ``r``'s target —
-        empty on a target-memo hit and for a repeat of an earlier row's
-        target, which is built once, as the sequential memo hit would —
-        and ``assemble(drawn)``, where ``drawn[r]`` starts with the draws
-        of ``items[r]`` in order, builds, memoizes and returns the
-        targets: a vector for one prompt, a ``(len(prompts), dim)`` stack
-        for several.  :meth:`generate_batch` and :meth:`refine` append
-        their per-image draws to each row, so one batch seeds every
-        image.
+        empty for a parked target (:func:`parked_targets`), which the row
+        takes out of the hand-off, and for a repeat of an earlier row's
+        prompt, whose target is built once — and ``assemble(drawn)``,
+        where ``drawn[r]`` starts with the draws of ``items[r]`` in
+        order, builds and returns the targets: a vector for one prompt, a
+        ``(len(prompts), dim)`` stack for several.  :meth:`generate_batch`
+        and :meth:`refine` append their per-image draws to each row, so
+        one batch seeds every image.
+
+        The jitter, natural and artifact draws are private to one image's
+        target and are never memoized; only the set-drift direction,
+        shared by every target of a (model, seed), is.
 
         The assembly is shape-generic: the same element-wise expressions
         run on vectors (one row) or row stacks (several), per-row scalars
@@ -313,51 +354,44 @@ class DiffusionModelSim:
         bit-identical to building its target alone.
         """
         spec = self._spec
-        prefix = self._memo_prefix
         dim = self._space.config.semantic_dim
         jittered = spec.alignment_jitter > 0.0
+        parked = _PARKED_TARGETS
         set_item = None
         items: List[List[DrawItem]] = []
-        #: Rows built here: (row, target key, artifact key, memoized
-        #: artifact or None).
-        build: List[Tuple[int, Tuple, Tuple, Optional[np.ndarray]]] = []
+        #: Rows built here, in order.
+        build: List[int] = []
+        #: Rows whose target was taken out of the hand-off.
         hits: Dict[int, np.ndarray] = {}
         #: Repeated row -> position in ``build`` of the row it repeats.
         repeats: Dict[int, int] = {}
-        first: Dict[Tuple, int] = {}
+        first: Dict[str, int] = {}
         for r, prompt in enumerate(prompts):
             pid = prompt.prompt_id
-            cache_key = prefix + (pid, seed, alignment, realism)
-            cached = _TARGET_CACHE.get(cache_key)
-            if cached is not None:
-                hits[r] = cached
-                items.append([])
-                continue
-            k = first.get(cache_key)
+            if parked:
+                target = parked.pop(
+                    self._memo_prefix + (pid, seed, alignment, realism), None
+                )
+                if target is not None:
+                    hits[r] = target
+                    items.append([])
+                    continue
+            k = first.get(pid)
             if k is not None:
                 repeats[r] = k
                 items.append([])
                 continue
-            first[cache_key] = len(build)
+            first[pid] = len(build)
             row: List[DrawItem] = []
             if jittered:
-                row.append((None, True, self._jitter_seeds(pid, seed)))
-            row.append((dim, True, self._natural_seeds(pid)))
-            # The artifact direction is pure in (model, prompt); it recurs
-            # when the same prompt is rendered again (ground-truth sets,
-            # baseline comparisons over one trace, repeated experiment
-            # runs).  Only its normalized form is memoized: every caller
-            # reads that first, so a memo of the raw draw would never be
-            # read.
-            artifact_key = prefix + (pid,)
-            artifact = _ARTIFACT_CACHE.get(artifact_key)
-            if artifact is None:
-                row.append((dim, False, self._artifact_seeds(pid)))
+                row.append((None, False, self._jitter_seeds(pid, seed)))
+            row.append((dim, False, self._natural_seeds(pid)))
+            row.append((dim, False, self._artifact_seeds(pid)))
             if set_item is None:
                 set_item = (dim, True, self._set_seeds(seed))
             row.append(set_item)
             items.append(row)
-            build.append((r, cache_key, artifact_key, artifact))
+            build.append(r)
 
         def assemble(drawn: Sequence[Sequence[Draw]]) -> np.ndarray:
             if not build:
@@ -371,15 +405,13 @@ class DiffusionModelSim:
             # standalone alignment; any further alignment loss becomes
             # generic content.
             artifact_scale = self._artifact_scale
-            # Draw positions in a row: [jitter], natural, [artifact], set.
+            # Draw positions in a row: [jitter], natural, artifact, set.
             nat = 1 if jittered else 0
             aligns = []
             deficits = []
             naturals = []
-            artifacts = []
-            raws = []
-            raw_draws = []
-            for r, _, _, artifact in build:
+            raw_artifacts = []
+            for r in build:
                 draws = drawn[r]
                 a = aligned
                 if jittered:
@@ -391,30 +423,21 @@ class DiffusionModelSim:
                     math.sqrt(max(0.0, 1.0 - a**2 - artifact_scale**2))
                 )
                 naturals.append(draws[nat])
-                if artifact is None:
-                    raws.append(len(artifacts))
-                    raw_draws.append(draws[nat + 1])
-                artifacts.append(artifact)
-            if raws:
-                stack_raws, unit_raws, _ = _row_ops(len(raws))
-                fresh = unit_raws(
-                    self._fingerprint_part
-                    + self._idiosyncratic_weight * stack_raws(raw_draws)
-                )
-                for k, vec in zip(raws, _split(fresh)):
-                    artifacts[k] = vec
-                    _memo_store(_ARTIFACT_CACHE, build[k][2], vec)
+                raw_artifacts.append(draws[nat + 1])
+            artifact = unit(
+                self._fingerprint_part
+                + self._idiosyncratic_weight * stack(raw_artifacts)
+            )
             natural = stack(naturals)
-            residual = unit(real * natural + (1.0 - real) * stack(artifacts))
+            residual = unit(real * natural + (1.0 - real) * artifact)
             # Every row drew the same set-drift direction, last of its
             # own items.
-            r, _, _, artifact = build[0]
-            set_drift = drawn[r][nat + 1 + (artifact is None)]
+            set_drift = drawn[build[0]][nat + 2]
             if len(build) == 1:
-                mixture = prompt_mixture(self._space, prompts[r])
+                mixture = prompt_mixture(self._space, prompts[build[0]])
             else:
                 mixture = prompt_mixtures(
-                    self._space, [prompts[b[0]] for b in build]
+                    self._space, [prompts[r] for r in build]
                 )
             targets = unit(
                 column(aligns) * mixture
@@ -422,18 +445,14 @@ class DiffusionModelSim:
                 + column(deficits) * natural
                 + spec.set_shift * set_drift
             )
-            built = _split(targets)
-            for (_, cache_key, _, _), target in zip(build, built):
-                _memo_store(_TARGET_CACHE, cache_key, target)
             if not hits and not repeats:
                 return targets
             out = np.empty((len(prompts), dim))
-            for (r, _, _, _), target in zip(build, built):
-                out[r] = target
+            out[build] = targets
             for r, target in hits.items():
                 out[r] = target
             for r, k in repeats.items():
-                out[r] = built[k]
+                out[r] = out[build[k]]
             return out
 
         return items, assemble
@@ -509,7 +528,7 @@ class DiffusionModelSim:
         draws, so the images are independent and are built together in
         two steps on row stacks.  The target step (:meth:`_target_plan`,
         as in :meth:`target_batch`) is pure in (model, prompt, seed) and
-        builds every fresh image's target, or finds it memoized; the
+        builds every fresh image's target, or takes it parked; the
         finish step is keyed by the image id and adds each image's
         sampling noise to its target (:meth:`_add_image_noise`).  The
         draws of both steps are seeded in one

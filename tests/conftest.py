@@ -30,7 +30,8 @@ from repro.workloads import (
 # zipf-sampler oracles, the many-sessions-in-one-call oracle, the
 # prefix-seed, keyed-draw, int-seed stream and bulk seeding-replay
 # properties, the row-normalization, generate_batch, prompt-mixture,
-# encode_batch and fleet warm-up oracles) take it from the profile:
+# encode_batch and fleet warm-up oracles, and the synthesis memo
+# footprint property) take it from the profile:
 # bounded for tier-1, heavier when
 # ``HYPOTHESIS_PROFILE=ci-heavy`` is set.
 settings.register_profile("tier1", max_examples=20)

@@ -140,13 +140,15 @@ def test_warm_cache_state_is_pinned(space, warm_prompts, kind):
 def _per_prompt_warm_cache(fleet, prompts, seed="warmup"):
     """The fleet warm-up one prompt at a time: the oracle.
 
-    Each placement generates its one image from scratch, target
-    included, through the chosen replica's model.
+    Each placement reads every replica's load and sketch afresh and
+    generates its one image from scratch, target included, through the
+    chosen replica's model.
     """
     fleet.router.reset()
     fleet.router.embed_warm(prompts)
     for prompt in prompts:
-        idx = fleet.router.route_warm(prompt, fleet.replicas)
+        signals = fleet.router.warm_signals(fleet.replicas)
+        idx = fleet.router.route_warm(prompt, signals)
         fleet.replicas[idx].warm_cache([prompt], seed=seed)
 
 
@@ -177,11 +179,13 @@ def _fleet_state(fleet):
 class TestFleetWarmupOracle:
     """``ClusterServingSystem.warm_cache`` against the per-prompt loop.
 
-    The fleet builds each chunk's targets in one batched pass before
-    placing the chunk one prompt at a time.  Targets are pure and
-    memoized, so the pass must change nothing: the same cache entries
-    on every replica, the same model counters, and the same serving
-    run afterwards (routed counts and completion times), under every
+    The fleet builds each chunk's targets in one batched pass and parks
+    them for the placements, and keeps the replicas' loads and sketches
+    across placements, re-reading only the replica that admitted.
+    Targets are pure and an admission changes no other replica, so
+    neither may change anything: the same cache entries on every
+    replica, the same model counters, and the same serving run
+    afterwards (routed counts and completion times), under every
     routing policy.  Memos are cleared before each run, so both sides
     generate every image.
     """
@@ -282,7 +286,7 @@ class TestFleetWarmupOracle:
     def test_targets_cleared_before_placement(
         self, space, pool, serve, policy, monkeypatch
     ):
-        """With every memoized target dropped before each placement, the
+        """With every parked target dropped before each placement, the
         placed generations rebuild their targets, and nothing changes:
         the batched pass only saves work."""
         prompts = pool[: WARM_CHUNK + 1]
@@ -308,7 +312,7 @@ class TestFleetWarmupOracle:
             return items, assemble
 
         def clearing_route_warm(router, *args):
-            model_mod._TARGET_CACHE.clear()
+            model_mod._PARKED_TARGETS.clear()
             return route_warm(router, *args)
 
         monkeypatch.setattr(

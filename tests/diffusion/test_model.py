@@ -197,8 +197,7 @@ class TestContentPin:
     def _run_sequence(space, prompts, on_image):
         """Run the pinned generate/refine sequence.
 
-        ``on_image(image, n_targets, n_artifacts)`` is called after each
-        step with the memo sizes it expects at that point.
+        ``on_image(image)`` is called after each step.
         """
         large = DiffusionModelSim(get_model("sd3.5-large"), space)
         small = DiffusionModelSim(get_model("sdxl"), space)
@@ -208,24 +207,24 @@ class TestContentPin:
         )
         p0, p1, p2 = prompts[0], prompts[1], prompts[2]
 
-        def step(result, n_targets, n_artifacts):
-            on_image(result.image, n_targets, n_artifacts)
+        def step(result):
+            on_image(result.image)
             return result.image
 
-        src = step(large.generate(p0, seed="pin"), 1, 1)
-        # Same prompt and seed: target memo hit, fresh sampling noise.
-        step(large.generate(p0, seed="pin"), 1, 1)
-        step(large.generate(p1, seed="pin-b"), 2, 2)
+        src = step(large.generate(p0, seed="pin"))
+        # Same prompt and seed: same target, fresh sampling noise.
+        step(large.generate(p0, seed="pin"))
+        step(large.generate(p1, seed="pin-b"))
         # Skip 0: no under-refinement residue.
-        step(small.refine(p1, src, 0, seed="pin"), 3, 3)
-        deep = step(small.refine(p2, src, 30, seed="pin"), 4, 4)
-        # Same refinement target, new source: target and artifact hits.
-        step(small.refine(p2, deep, 30, seed="pin"), 4, 4)
-        # New seed: target miss, artifact memo hit.
-        step(small.refine(p1, deep, 10, seed="pin-c"), 5, 4)
+        step(small.refine(p1, src, 0, seed="pin"))
+        deep = step(small.refine(p2, src, 30, seed="pin"))
+        # Same refinement target, new source.
+        step(small.refine(p2, deep, 30, seed="pin"))
+        # New seed: new target, same artifact direction.
+        step(small.refine(p1, deep, 10, seed="pin-c"))
         # No alignment jitter draw.
-        step(steady.generate(p2, seed="pin"), 6, 5)
-        step(steady.refine(p0, src, 25, seed="pin"), 7, 6)
+        step(steady.generate(p2, seed="pin"))
+        step(steady.refine(p0, src, 25, seed="pin"))
 
     def test_sequence_contents_pinned(self, space, prompts):
         import hashlib
@@ -233,15 +232,8 @@ class TestContentPin:
         from repro.diffusion import model as model_mod
 
         model_mod.clear_model_memos()
-        targets = model_mod._TARGET_CACHE
-        artifacts = model_mod._ARTIFACT_CACHE
         images = []
-
-        def on_image(image, n_targets, n_artifacts):
-            images.append(image)
-            assert (len(targets), len(artifacts)) == (n_targets, n_artifacts)
-
-        self._run_sequence(space, prompts, on_image)
+        self._run_sequence(space, prompts, images.append)
         digest = hashlib.sha256()
         for image in images:
             digest.update(image.image_id.encode("utf-8"))
@@ -266,7 +258,7 @@ class TestContentPin:
         encoder = ClipLikeImageEncoder(space, cache_embeddings=False)
         images, ways = [], []
 
-        def on_image(image, n_targets, n_artifacts):
+        def on_image(image):
             if images:
                 ways[-1].append(encoder.encode(images[-1]))
             images.append(image)
@@ -436,12 +428,12 @@ class _BarePrompt:
 class TestGenerateBatchOracle:
     """``generate_batch`` against sequential ``generate`` calls.
 
-    Both run from the same memo state — cold, warm, or partly warm in
-    the content, target and artifact memos — built by a twin sim before
+    Both run from the same state — the content memo cold, warm or partly
+    warm, and some targets parked or none — built by a twin sim before
     each run.  The batch must return the same image ids and content
-    bytes, leave the same memo entries, and (through the parked encoder
-    noise) give the same image embeddings, whichever encoder path embeds
-    them.
+    bytes, leave the same content memo entries, and (through the parked
+    encoder noise) give the same image embeddings, whichever encoder
+    path embeds them.
     """
 
     @pytest.fixture(scope="class")
@@ -472,41 +464,35 @@ class TestGenerateBatchOracle:
         from repro.diffusion import model as model_mod
 
         return {
-            name: {key: value.tobytes() for key, value in memo.items()}
-            for name, memo in (
-                ("target", model_mod._TARGET_CACHE),
-                ("artifact", model_mod._ARTIFACT_CACHE),
-                ("content", model_mod._CONTENT_CACHE),
-            )
+            key: value.tobytes()
+            for key, value in model_mod._CONTENT_CACHE.items()
         }
 
     def _run(self, space, spec, batch, seed, warm, cache_embeddings, batched):
         from repro.core.serving import clear_hotpath_memos
+        from repro.diffusion.model import parked_targets
         from repro.embedding.image_encoder import ClipLikeImageEncoder
 
         clear_hotpath_memos(space)
-        targets, artifacts, content_prefix = warm
+        parked, content_prefix = warm
         twin = DiffusionModelSim(spec, space)
-        for prompt in targets:
-            twin.target_content(prompt, seed)
-        for prompt in artifacts:
-            twin.target_content(prompt, "other-seed")
         # Same spec and seed: the twin names these images exactly as the
         # measured sim will, so their contents are memo hits.
         for prompt in batch[:content_prefix]:
             twin.generate(prompt, seed=seed)
         sim = DiffusionModelSim(spec, space)
         encoder = ClipLikeImageEncoder(space, cache_embeddings)
-        if batched:
-            images = [
-                r.image for r in sim.generate_batch(batch, seed, 2.5)
-            ]
-            embedded = list(encoder.encode_batch(images))
-        else:
-            images, embedded = [], []
-            for prompt in batch:
-                images.append(sim.generate(prompt, seed, 2.5).image)
-                embedded.append(encoder.encode(images[-1]))
+        with parked_targets([twin], parked, seed):
+            if batched:
+                images = [
+                    r.image for r in sim.generate_batch(batch, seed, 2.5)
+                ]
+                embedded = list(encoder.encode_batch(images))
+            else:
+                images, embedded = [], []
+                for prompt in batch:
+                    images.append(sim.generate(prompt, seed, 2.5).image)
+                    embedded.append(encoder.encode(images[-1]))
         return (
             [
                 (
@@ -529,8 +515,7 @@ class TestGenerateBatchOracle:
         quiet=st.booleans(),
         cache_embeddings=st.booleans(),
         seed=st.sampled_from(["a", "b"]),
-        target_rows=st.sets(st.integers(0, 11)),
-        artifact_rows=st.sets(st.integers(0, 11)),
+        parked_rows=st.sets(st.integers(0, 11)),
         content_prefix=st.integers(0, 12),
     )
     @example(  # repeats of a later prompt, all memos cold
@@ -539,8 +524,7 @@ class TestGenerateBatchOracle:
         quiet=False,
         cache_embeddings=True,
         seed="a",
-        target_rows=set(),
-        artifact_rows=set(),
+        parked_rows=set(),
         content_prefix=0,
     )
     @example(  # every path at once: partly warm memos, no jitter
@@ -549,8 +533,7 @@ class TestGenerateBatchOracle:
         quiet=True,
         cache_embeddings=False,
         seed="b",
-        target_rows={3, 5},
-        artifact_rows={2, 10},
+        parked_rows={2, 3, 5},
         content_prefix=2,
     )
     @settings(deadline=None)
@@ -564,18 +547,13 @@ class TestGenerateBatchOracle:
         quiet,
         cache_embeddings,
         seed,
-        target_rows,
-        artifact_rows,
+        parked_rows,
         content_prefix,
     ):
         run_space = quiet_space if quiet else space
         spec = self._spec(spec_name)
         batch = [pool[i] for i in rows]
-        warm = (
-            [pool[i] for i in sorted(target_rows)],
-            [pool[i] for i in sorted(artifact_rows)],
-            content_prefix,
-        )
+        warm = ([pool[i] for i in sorted(parked_rows)], content_prefix)
         args = (run_space, spec, batch, seed, warm, cache_embeddings)
         sequential = self._run(*args, batched=False)
         batched = self._run(*args, batched=True)
