@@ -6,7 +6,11 @@ from the middle of the run, restores it into a freshly constructed
 (identically configured) system, resumes, and demands the resumed run be
 *bit-identical* to the uninterrupted one — same completion times, same
 decisions, same journal digest.  This is the property warm replica
-recovery rests on, so CI gates on it.
+recovery rests on, so CI gates on it.  A single engine runs as a
+one-replica fleet, so its snapshot is a fleet ``Snapshot`` too:
+``snapshot.restore``, ``resume`` and the replayer take the engine and
+act on that fleet, and the engine's own journal is the record they are
+checked against.
 
 No golden file: both runs are generated here, so the gate cannot go
 stale — it fails only when snapshot/restore loses state.  Reporting and

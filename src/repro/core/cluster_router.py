@@ -16,9 +16,8 @@ that layer:
   by per-replica PID controllers so allocations do not thrash, applied
   by moving *idle* workers between replicas;
 * :class:`ClusterServingSystem` — N engines under one shared event
-  clock; with ``n_replicas=1`` every decision is bit-for-bit identical
-  to running the wrapped engine directly (pinned by the seed golden
-  regression);
+  clock, and the only owner of an event loop: a single engine's ``run``
+  is a one-replica fleet's (pinned by the seed golden regression);
 * :class:`ClusterReport` — per-replica plus fleet-wide hit/latency/SLO
   accounting.
 
@@ -64,13 +63,9 @@ from repro.core.journal import (
     ROUTE,
     SNAPSHOT,
     TRANSFER,
-    ClockSnapshot,
-    EngineSnapshot,
     EventJournal,
-    _check_restorable,
-    _fingerprint,
-    _journal_prefix,
 )
+from repro.core.journal import Snapshot as ClusterSnapshot
 from repro.core.monitor import estimate_workloads
 from repro.core.pid import PIDController
 from repro.core.request import RequestRecord, RequestStore
@@ -82,7 +77,6 @@ from repro.core.serving import (
     BaseServingSystem,
     MoDMSystem,
     ServingReport,
-    install_arrival_cohorts,
 )
 from repro.diffusion.model import WARM_CHUNK, DiffusionModelSim, parked_targets
 from repro.metrics.latency import percentile
@@ -521,10 +515,6 @@ class ClusterRouter:
         replicas: Sequence[BaseServingSystem],
     ) -> List[int]:
         """Replica index per record, with in-batch load accounting."""
-        if len(replicas) == 1:
-            # Single replica: every policy is the identity; skip the
-            # embedding and load reads entirely.
-            return [0] * len(records)
         loads = [replica.load() for replica in replicas]
         centroids = self._centroids(replicas)
         out: List[int] = []
@@ -806,24 +796,6 @@ class ClusterReport:
         }
 
 
-class _FleetState:
-    """Shared run-termination view the replicas consult via ``all_done``."""
-
-    __slots__ = ("expected", "replicas")
-
-    def __init__(
-        self, expected: int, replicas: Sequence[BaseServingSystem]
-    ):
-        self.expected = expected
-        self.replicas = replicas
-
-    @property
-    def all_done(self) -> bool:
-        return (
-            sum(r.n_terminal for r in self.replicas) >= self.expected
-        )
-
-
 # ----------------------------------------------------------------------
 # Cluster serving system
 # ----------------------------------------------------------------------
@@ -835,7 +807,9 @@ class ClusterServingSystem:
     baselines ride the same router as MoDM and comparisons stay
     apples-to-apples.  Worker ids are offset per replica so they are
     fleet-unique (replica 0 keeps ids ``0..k-1``, preserving the
-    single-replica golden trace bit for bit).
+    single-replica golden trace bit for bit).  This is the only class
+    that owns an event loop: a system run alone is the one replica of
+    its ``_solo_fleet``.
     """
 
     def __init__(
@@ -869,15 +843,38 @@ class ClusterServingSystem:
         self.records: List[RequestRecord] = []
         self.routed_counts: List[int] = [0] * len(self.replicas)
         self.transfers: List[TransferEvent] = []
-        self._fleet_state: Optional[_FleetState] = None
+        #: requests in this run's trace, the target of ``all_done``
+        self._expected = 0
         self._failures: List[FailureRecord] = []
-        self.journal: Optional[EventJournal] = None
-        self.snapshots: List["ClusterSnapshot"] = []
+        self._journal: Optional[EventJournal] = None
+        self.snapshots: List[ClusterSnapshot] = []
         #: plan time -> failure-event indices firing at that instant
         self._failure_schedule: Dict[float, List[int]] = {}
         #: probe time -> FailureRecord indices measured at that instant
         self._probe_schedule: Dict[float, List[int]] = {}
         self._next_snapshot_s = -1.0
+
+    @property
+    def journal(self) -> Optional[EventJournal]:
+        """The fleet's own record (arrival cohorts, routing, failures,
+        transfers); None unless journaling or a failure plan is on."""
+        return self._journal
+
+    @property
+    def _record_journal(self) -> Optional[EventJournal]:
+        """The run's journal of record, which snapshots keep: the fleet
+        journal, or, for a one-replica fleet that keeps none (a lone
+        engine's), its replica's own."""
+        if self._journal is None and len(self.replicas) == 1:
+            return self.replicas[0]._journal
+        return self._journal
+
+    @property
+    def all_done(self) -> bool:
+        """Every request of the run reached a terminal state."""
+        return (
+            sum(r.n_terminal for r in self.replicas) >= self._expected
+        )
 
     def _make_autoscaler(self) -> None:
         """Fresh autoscaler state (PID, smoothed split) for a run."""
@@ -943,6 +940,12 @@ class ClusterServingSystem:
         self, trace: Trace, until: Optional[float] = None
     ) -> ClusterReport:
         """Serve ``trace`` across the fleet; returns the cluster report."""
+        self._start(trace)
+        return self.resume(trace, until=until)
+
+    def _start(self, trace: Trace) -> None:
+        """Reset the fleet and its replicas onto a fresh loop holding
+        ``trace``'s arrivals and every periodic tick."""
         loop = EventLoop()
         self.loop = loop
         self.request_store = RequestStore()
@@ -950,7 +953,7 @@ class ClusterServingSystem:
         self.routed_counts = [0] * len(self.replicas)
         self.transfers = []
         self._failures = []
-        self.journal = (
+        self._journal = (
             EventJournal()
             if (
                 self.routing.failures is not None
@@ -966,18 +969,13 @@ class ClusterServingSystem:
         # Rebuild the autoscaler so a second run starts from the
         # configured split, not the previous run's PID state.
         self._make_autoscaler()
-        fleet = _FleetState(len(trace), self.replicas)
-        self._fleet_state = fleet
-        for replica in self.replicas:
-            replica._reset_runtime()
-            replica.loop = loop
-            replica._fleet = fleet
+        self._expected = len(trace)
+        self._bind_replicas()
         self._offset_worker_ids()
 
-        # Same cohorting as BaseServingSystem.run: the fleet's records
-        # live in one cluster-owned columnar store (replicas hold view
-        # handles), and same-tick arrivals route and decide as one group
-        # fired from the loop's timeline lane.
+        # The fleet's records live in one cluster-owned columnar store
+        # (replicas hold view handles), and same-tick arrivals route and
+        # decide as one group fired from the loop's timeline lane.
         records = self.request_store.extend(list(trace))
         self.records = records
         self._schedule_trace_arrivals(records)
@@ -1000,36 +998,55 @@ class ClusterServingSystem:
                 self.routing.autoscale_period_s, self._autoscale_tick
             )
         if (
-            self.journal is not None
+            self._record_journal is not None
             and self.routing.snapshot_period_s > 0.0
         ):
             self._schedule_cluster_snapshot()
-        loop.run(until=until)
-        return self._build_report(trace)
 
     def resume(
         self, trace: Trace, until: Optional[float] = None
     ) -> ClusterReport:
-        """Finish a restored run (see :class:`ClusterSnapshot`).
+        """Finish a run cut short by ``until``, or restored from a
+        :class:`~repro.core.journal.Snapshot`.
 
-        ``trace`` supplies only the report's trace name — the restored
-        store already holds every request row, so a
-        ``journal._TraceStub`` works as well as the original trace.
+        ``trace`` supplies only the report's trace name — the store
+        already holds every request row, so a ``journal._TraceStub``
+        works as well as the original trace.
         """
         self.loop.run(until=until)
         return self._build_report(trace)
 
+    def _bind_replicas(self) -> None:
+        """Reset every replica onto this fleet's loop (run, restore)."""
+        for replica in self.replicas:
+            replica._reset_runtime()
+            replica.loop = self.loop
+            replica._fleet = self
+
     def _schedule_trace_arrivals(
         self, records: Sequence[RequestRecord]
     ) -> None:
-        """Cohort the store's arrivals onto the shared timeline lane.
+        """Fire :meth:`_arrive_cohort` per same-tick cohort of
+        ``records`` from the shared timeline lane.
 
         ``records`` must be the fleet store's full row list (both
         callers — ``run`` and ``ClockSnapshot.restore`` — pass it).
+        Traces are sorted by construction (and the timeline lane rejects
+        unsorted times), so adjacent same-tick rows form one cohort and
+        the bounds come from one vectorized compare.
         """
-        install_arrival_cohorts(
-            self.loop, self.request_store, records, self._arrive_cohort
+        if not records:
+            return
+        arrivals = self.request_store.column("arrival_s")
+        starts = np.flatnonzero(
+            np.concatenate(([True], arrivals[1:] != arrivals[:-1]))
         )
+        bounds = np.append(starts, len(records)).tolist()
+
+        def fire_cohort(now: float, i: int) -> None:
+            self._arrive_cohort(records[bounds[i] : bounds[i + 1]], now)
+
+        self.loop.schedule_timeline(arrivals[starts], fire_cohort)
 
     def _arrive_cohort(
         self, records: Sequence[RequestRecord], now: float
@@ -1042,8 +1059,8 @@ class ClusterServingSystem:
         :meth:`_arrive_batch` directly, so replay can tell trace
         cohorts from failure-induced re-routes.
         """
-        if self.journal is not None and records:
-            self.journal.append(
+        if self._journal is not None and records:
+            self._journal.append(
                 now, ARRIVAL, a=records[0].request_id, b=len(records)
             )
         self._arrive_batch(records, now)
@@ -1060,6 +1077,17 @@ class ClusterServingSystem:
                 "no live replicas to route to; the failure plan killed "
                 "the whole fleet"
             )
+        if self._journal is not None and records:
+            self._journal.append(
+                now, ROUTE, a=records[0].request_id, b=len(records)
+            )
+        if len(alive) == 1:
+            # One live replica takes everything: the router is not
+            # consulted, so no policy state (a round-robin cursor) moves.
+            idx = alive[0]
+            self.routed_counts[idx] += len(records)
+            replicas[idx]._admit(records, now, idx)
+            return
         if len(alive) == len(replicas):
             indices = self.router.route_batch(records, replicas)
         else:
@@ -1070,22 +1098,12 @@ class ClusterServingSystem:
                 records, [replicas[i] for i in alive]
             )
             indices = [alive[j] for j in sub]
-        if self.journal is not None and records:
-            self.journal.append(
-                now, ROUTE, a=records[0].request_id, b=len(records)
-            )
         groups: Dict[int, List[RequestRecord]] = {}
         for record, idx in zip(records, indices):
-            record.replica_id = idx
-            self.routed_counts[idx] += 1
             groups.setdefault(idx, []).append(record)
         for idx in sorted(groups):
-            replica = self.replicas[idx]
-            group = groups[idx]
-            replica._n_expected += len(group)
-            replica.records.extend(group)
-            replica._handle_arrivals(group, now)
-            replica._dispatch(now)
+            self.routed_counts[idx] += len(groups[idx])
+            replicas[idx]._admit(groups[idx], now, idx)
 
     # ------------------------------------------------------------------
     # Failure injection
@@ -1151,8 +1169,8 @@ class ClusterServingSystem:
                 hit_rate_before=hit_before,
             )
             self._failures.append(record)
-            if self.journal is not None:
-                self.journal.append(
+            if self._journal is not None:
+                self._journal.append(
                     now, KILL, a=victim, b=len(victim_orphans)
                 )
             killed.append(record)
@@ -1210,8 +1228,8 @@ class ClusterServingSystem:
         for dst in survivors:
             if counts[dst]:
                 migrated += counts[dst]
-                if self.journal is not None:
-                    self.journal.append(
+                if self._journal is not None:
+                    self._journal.append(
                         now,
                         MIGRATE,
                         a=dst,
@@ -1251,8 +1269,8 @@ class ClusterServingSystem:
             record = self._failures[rec_index]
             record.restart_time_s = now
             record.warm = cache_state is not None
-        if self.journal is not None:
-            self.journal.append(
+        if self._journal is not None:
+            self._journal.append(
                 now,
                 RESTART,
                 a=idx,
@@ -1290,20 +1308,18 @@ class ClusterServingSystem:
     def _cluster_snapshot_tick(self, now: float) -> None:
         if now != self._next_snapshot_s:
             return  # superseded by a restore since scheduling
-        if self.journal is None or (
-            self._fleet_state is not None
-            and self._fleet_state.all_done
-        ):
+        if self.all_done:
             return
         # Journal the marker and schedule the successor *before* the
         # capture so the snapshot itself carries both — a restored
         # fleet keeps snapshotting on the same cadence.
-        self.journal.append(
-            now,
-            SNAPSHOT,
-            a=sum(r._n_completed for r in self.replicas),
-            b=sum(r._n_shed for r in self.replicas),
-        )
+        if self._journal is not None:
+            self._journal.append(
+                now,
+                SNAPSHOT,
+                a=sum(r._n_completed for r in self.replicas),
+                b=sum(r._n_shed for r in self.replicas),
+            )
         self._schedule_cluster_snapshot()
         self.snapshots.append(ClusterSnapshot.capture(self))
 
@@ -1312,7 +1328,7 @@ class ClusterServingSystem:
     # ------------------------------------------------------------------
     def _autoscale_tick(self, now: float) -> None:
         assert self._autoscaler is not None
-        if self._fleet_state is not None and self._fleet_state.all_done:
+        if self.all_done:
             return
         targets = self._autoscaler.desired(self.replicas, now)
         self._apply_targets(targets, now)
@@ -1363,8 +1379,8 @@ class ClusterServingSystem:
                             dst_replica=dst,
                         )
                     )
-                    if self.journal is not None:
-                        self.journal.append(
+                    if self._journal is not None:
+                        self._journal.append(
                             now,
                             TRANSFER,
                             a=worker_id,
@@ -1391,6 +1407,22 @@ class ClusterServingSystem:
                 replica._idle_workers = set(replica._workers_by_id)
             offset += len(replica.workers)
 
+    def _replica_reports(self, trace: Trace) -> List[ServingReport]:
+        """Every replica's report, energy metered up to the fleet's
+        makespan (its last completion, ``loop.now`` if none)."""
+        comp = self.request_store.column("completion_s")
+        finished = comp[comp == comp]
+        makespan = (
+            float(finished.max()) if finished.size else self.loop.now
+        )
+        meter = EnergyMeter()
+        return [
+            replica._build_report(
+                trace, meter.measure(replica.workers, makespan)
+            )
+            for replica in self.replicas
+        ]
+
     def _build_report(self, trace: Trace) -> ClusterReport:
         """Assemble per-replica and fleet reports.
 
@@ -1400,24 +1432,15 @@ class ClusterServingSystem:
         energy splits are approximate whenever ``transfers`` is
         non-empty.  The fleet energy total is exact regardless.
         """
-        comp = self.request_store.column("completion_s")
-        finished = comp[comp == comp]
-        makespan = (
-            float(finished.max()) if finished.size else self.loop.now
-        )
-        meter = EnergyMeter()
-        per_replica: List[ServingReport] = []
-        for replica in self.replicas:
-            report = replica._build_report(
-                trace, meter.measure(replica.workers, makespan)
-            )
-            per_replica.append(report)
+        per_replica = self._replica_reports(trace)
         all_workers = [w for r in self.replicas for w in r.workers]
         fleet = ServingReport(
             system=self.name,
             trace_name=trace.name,
             records=self.records,
-            energy=meter.measure(all_workers, makespan),
+            energy=EnergyMeter().measure(
+                all_workers, per_replica[0].energy.makespan_s
+            ),
             workers=all_workers,
             stats=StatsCollector.merged(
                 [r.stats for r in self.replicas]
@@ -1437,6 +1460,7 @@ class ClusterServingSystem:
         n_lost = 0
         n_rerouted = 0
         if self._failures:
+            comp = self.request_store.column("completion_s")
             shed = self.request_store.column("shed")
             n_lost = (
                 len(self.records)
@@ -1466,192 +1490,6 @@ class ClusterServingSystem:
             failures=list(self._failures),
             n_rerouted=n_rerouted,
             n_lost=n_lost,
-        )
-
-
-# ----------------------------------------------------------------------
-# Fleet snapshots
-# ----------------------------------------------------------------------
-# Cluster-owned pending heap events by bound-method name: fleet
-# snapshots record them as owner -1 (``ClockSnapshot``).
-_CLUSTER_HEAP_KINDS: Dict[str, str] = {
-    "_autoscale_tick": "autoscale",
-    "_failure_tick": "failure",
-    "_probe_tick": "probe",
-    "_cluster_snapshot_tick": "snapshot",
-}
-
-
-def _cluster_fingerprint(cluster: "ClusterServingSystem") -> str:
-    """Configuration identity a fleet snapshot refuses to cross.
-
-    The frozen routing config's repr pins every cluster knob (policy,
-    failure plan, migration policy, snapshot cadence) and each replica
-    contributes its own configured fingerprint, so a snapshot only
-    restores into a fleet built exactly like the one that captured it.
-    """
-    parts = [
-        type(cluster).__name__,
-        cluster.name,
-        repr(cluster.routing),
-    ]
-    parts.extend(_fingerprint(replica) for replica in cluster.replicas)
-    return "|".join(parts)
-
-
-@dataclass
-class ClusterSnapshot:
-    """Full state of a running fleet at one instant.
-
-    The shared-clock part (:class:`~repro.core.journal.ClockSnapshot`:
-    clock, timeline cursor, fleet store, heap rows with replica owners),
-    one :class:`~repro.core.journal.EngineSnapshot` per replica, and the
-    fleet's own state: router policy state, autoscaler PID state, the
-    failure and probe schedules and the cluster journal.  ``restore``
-    rebuilds a freshly constructed, identically configured fleet into
-    this exact state so ``resume()`` continues bit-identically; with
-    ``install_timeline=False`` the remaining arrivals are left out and
-    a :class:`~repro.core.journal.JournalReplayer` drives the run
-    forward from the journal suffix instead.
-    """
-
-    fingerprint: str
-    clock: ClockSnapshot
-    expected: int
-    routed_counts: List[int]
-    transfers: List[TransferEvent]
-    failures: List[FailureRecord]
-    failure_schedule: Dict[float, List[int]]
-    probe_schedule: Dict[float, List[int]]
-    policy_state: object
-    autoscaler_state: Optional[Dict[str, Any]]
-    journal: EventJournal
-    next_snapshot_s: float
-    replica_states: List[EngineSnapshot]
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def capture(
-        cls, cluster: "ClusterServingSystem"
-    ) -> "ClusterSnapshot":
-        return cls(
-            fingerprint=_cluster_fingerprint(cluster),
-            clock=ClockSnapshot.capture(
-                cluster, cluster.replicas, _CLUSTER_HEAP_KINDS
-            ),
-            expected=(
-                cluster._fleet_state.expected
-                if cluster._fleet_state is not None
-                else 0
-            ),
-            routed_counts=list(cluster.routed_counts),
-            transfers=list(cluster.transfers),
-            failures=[replace(rec) for rec in cluster._failures],
-            failure_schedule={
-                t: list(v)
-                for t, v in sorted(cluster._failure_schedule.items())
-            },
-            probe_schedule={
-                t: list(v)
-                for t, v in sorted(cluster._probe_schedule.items())
-            },
-            policy_state=cluster.router.policy.snapshot_state(),
-            autoscaler_state=(
-                cluster._autoscaler.snapshot_state()
-                if cluster._autoscaler is not None
-                else None
-            ),
-            journal=_journal_prefix(cluster.journal),
-            next_snapshot_s=cluster._next_snapshot_s,
-            replica_states=[
-                EngineSnapshot.capture(replica)
-                for replica in cluster.replicas
-            ],
-        )
-
-    @property
-    def time_s(self) -> float:
-        return self.clock.time_s
-
-    @property
-    def store(self) -> RequestStore:
-        """A fresh, private copy of the captured fleet request store."""
-        return self.clock.chunks.restore()
-
-    @property
-    def journal_digest(self) -> str:
-        """sha256 of the captured fleet journal rows."""
-        return self.journal.digest()
-
-    # ------------------------------------------------------------------
-    def restore(
-        self,
-        cluster: "ClusterServingSystem",
-        install_timeline: bool = True,
-    ) -> None:
-        """Rebuild ``cluster`` into this snapshot's state.
-
-        ``cluster`` must be freshly constructed with the same
-        configuration (enforced via the fingerprint).  With
-        ``install_timeline=False`` the clock jumps to the snapshot
-        instant with no future arrivals scheduled — journal-suffix
-        replay then re-injects them from ARRIVAL rows.
-
-        Raises (``journal._check_restorable``) before any state is
-        installed, e.g. :class:`~repro.core.tiering.ColdExtentError`
-        for a tiered fleet restored into one with ``cold_dir=None``.
-        """
-        _check_restorable(
-            self.fingerprint,
-            _cluster_fingerprint(cluster),
-            cluster.replicas,
-            self.replica_states,
-        )
-        loop = cluster.loop = EventLoop()
-        cluster.routed_counts = list(self.routed_counts)
-        cluster.transfers = list(self.transfers)
-        cluster._failures = [replace(rec) for rec in self.failures]
-        cluster._failure_schedule = {
-            t: list(v) for t, v in self.failure_schedule.items()
-        }
-        cluster._probe_schedule = {
-            t: list(v) for t, v in self.probe_schedule.items()
-        }
-        cluster.router.reset()
-        cluster.router.policy.restore_state(self.policy_state)
-        cluster._make_autoscaler()
-        if self.autoscaler_state is not None:
-            if cluster._autoscaler is None:
-                raise ValueError(
-                    "snapshot carries autoscaler state but the fleet "
-                    "has no autoscaler"
-                )
-            cluster._autoscaler.restore_state(self.autoscaler_state)
-        cluster.journal = (
-            self.journal.prefix()
-            if (
-                cluster.routing.failures is not None
-                or cluster.routing.journal
-            )
-            else None
-        )
-        cluster._next_snapshot_s = self.next_snapshot_s
-        cluster.snapshots = []
-        fleet = _FleetState(self.expected, cluster.replicas)
-        cluster._fleet_state = fleet
-        # Replica worker ids come back from the state tuples already
-        # fleet-offset (and possibly autoscaler-moved), so restore never
-        # calls _offset_worker_ids.
-        for replica in cluster.replicas:
-            replica._reset_runtime()
-            replica.loop = loop
-            replica._fleet = fleet
-        self.clock.restore(
-            cluster,
-            cluster.replicas,
-            self.replica_states,
-            _CLUSTER_HEAP_KINDS,
-            install_timeline,
         )
 
 

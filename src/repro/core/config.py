@@ -162,9 +162,12 @@ class JournalConfig:
     Attaching one to :class:`MoDMConfig` makes the engine append a
     compact columnar record of every arrival, decision, dispatch,
     completion, and allocation to an :class:`~repro.core.journal.
-    EventJournal`, and — when ``snapshot_period_s > 0`` — capture a full
-    :class:`~repro.core.journal.Snapshot` every period so the run can be
-    restored and resumed bit-identically from any snapshot.  Journaling
+    EventJournal`, and — when ``snapshot_period_s > 0`` — mark a
+    snapshot every period.  An engine run alone is a one-replica fleet
+    that then captures a full :class:`~repro.core.journal.Snapshot` at
+    each mark, so the run can be restored and resumed bit-identically
+    from any snapshot; a replica of a larger fleet keeps a cache
+    snapshot for its warm restart.  Journaling
     never changes simulation behaviour: with it off (the default) every
     code path is byte-identical to the journal-free engine, and with it
     on the produced report is the same report.
@@ -341,18 +344,20 @@ class ClusterRoutingConfig:
     and forth.  Every replica always keeps at least
     ``min_workers_per_replica`` workers.
 
-    With ``n_replicas=1`` the cluster layer is pass-through: every
-    decision is bit-for-bit identical to running the wrapped engine
-    directly (the seed golden regression pins this), and the autoscaler
-    never runs.
+    With ``n_replicas=1`` the cluster layer is pass-through: the router
+    is never consulted and the autoscaler never runs.  A single engine's
+    ``run`` is exactly such a fleet (the seed golden regression pins it).
 
     ``journal`` opts into a cluster-level event journal (arrival
     cohorts, routing, kills/restarts, transfers, migrations) even
     without a failure plan; a failure plan implies it.
     ``snapshot_period_s > 0`` additionally captures a periodic
-    ``ClusterSnapshot`` — router policy state, autoscaler PID state,
-    the shared clock, and every replica's full state — restorable into
-    a fresh fleet that resumes bit-identically.  ``migration_policy``
+    :class:`~repro.core.journal.Snapshot` — router policy state,
+    autoscaler PID state, the shared clock, and every replica's full
+    state — restorable into a fresh fleet that resumes bit-identically.
+    It needs a journal of record: the fleet journal, or, with one
+    replica and no fleet journal (a lone engine's fleet), the replica's
+    own.  ``migration_policy``
     selects what happens to a killed replica's last cache snapshot
     (:data:`MIGRATION_POLICIES`); the default ``none`` drops it,
     matching historical behaviour bit-for-bit.

@@ -10,17 +10,20 @@ that property for fault tolerance:
   style: parallel numpy arrays with amortised-doubling growth, one row
   per event.  A sha256 :meth:`~EventJournal.digest` over the live bytes
   lets two runs prove they took the same path without diffing reports.
-- Recovery state in two parts, each with one capture and one restore:
-  :class:`ClockSnapshot` (clock, timeline cursor, heap rows with their
-  owners, and the request store as :class:`StoreChunks`, which share
-  unchanged chunks with the previous capture) and
-  :class:`EngineSnapshot` (queues, workers, in-flight jobs, stats
-  windows, monitor + PID state, cache incl. IVF index, and the
-  RNG-stream counters of one engine).  A
-  :class:`Snapshot` is one of each, restorable into a fresh
-  identically-configured system such that resuming the run is
-  bit-identical to never having stopped; the fleet's
-  ``ClusterSnapshot`` is one clock part and an engine part per replica.
+- :class:`Snapshot` — the full state of a running fleet, restorable
+  into a fresh identically-configured fleet such that resuming the run
+  is bit-identical to never having stopped.  A single engine runs as a
+  one-replica fleet, so its snapshots are the same class
+  (``cluster_router.ClusterSnapshot`` names it too).  It composes the
+  shared-clock part :class:`ClockSnapshot` (clock, timeline cursor,
+  heap rows with their owners, and the request store as
+  :class:`StoreChunks`, which share unchanged chunks with the previous
+  capture), one :class:`EngineSnapshot` per replica (queues, workers,
+  in-flight jobs, stats windows, monitor + PID state, cache incl. IVF
+  index, and the RNG-stream counters) and the fleet's router,
+  autoscaler and failure state.
+- :class:`JournalReplayer` — drives a restored run forward from a
+  journal's ARRIVAL suffix alone.
 - :class:`SnapCounter` — a drop-in replacement for ``itertools.count``
   whose position can be read and restored.  The engine's id streams
   (cache entry ids, image ids) seed content noise draws, so restoring a
@@ -33,7 +36,7 @@ path is byte-identical to the journal-free engine.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from itertools import chain
 from operator import attrgetter, is_
@@ -45,6 +48,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.cluster_router import FailureRecord, TransferEvent
     from repro.core.request import RequestStore
 
 # NOTE: ``repro.core.request`` is imported lazily inside the functions
@@ -476,16 +480,22 @@ class StoreChunks:
 # Pending heap events are captured by *kind*, not by closure: every
 # event an engine (or the fleet around it) schedules is a bound method,
 # so a snapshot stores ``(time, owner, kind)`` rows and restore re-binds
-# them against the fresh systems.  ``owner`` indexes the engines (a
-# single engine is owner 0); -1 is the system that owns the loop, for
-# the kinds it names itself (the fleet's ticks).  Rows keep the heap's
-# firing order, so re-pushing them with fresh sequence numbers
-# reproduces it.
+# them against the fresh systems.  ``owner`` indexes the fleet's
+# replicas (a lone engine is owner 0); -1 is the fleet itself, for the
+# kinds it names (its ticks).  Rows keep the heap's firing order, so
+# re-pushing them with fresh sequence numbers reproduces it.
 _HEAP_KINDS: Dict[str, str] = {
     "_complete_cohort": "complete",
     "_monitor_tick": "monitor",
     "_dispatch_wakeup": "wakeup",
     "_snapshot_tick": "snapshot",
+}
+# The fleet's own events (owner -1).
+_FLEET_HEAP_KINDS: Dict[str, str] = {
+    "_autoscale_tick": "autoscale",
+    "_failure_tick": "failure",
+    "_probe_tick": "probe",
+    "_cluster_snapshot_tick": "snapshot",
 }
 
 _WORKER_FIELDS = (
@@ -529,11 +539,11 @@ def _fingerprint(system) -> str:
 
 @dataclass
 class ClockSnapshot:
-    """The shared-clock part of a snapshot: what the loop's owner holds.
+    """The shared-clock part of a snapshot: what the fleet holds.
 
-    The owner is a single engine or a whole fleet; either way it owns
-    the event loop, the request store and the arrival timeline, and
-    its engines' pending events sit in that one heap.
+    The fleet (one replica for a lone engine) owns the event loop, the
+    request store and the arrival timeline, and its replicas' pending
+    events sit in that one heap.
     """
 
     time_s: float
@@ -543,25 +553,24 @@ class ClockSnapshot:
     chunks: StoreChunks
 
     @classmethod
-    def capture(
-        cls,
-        owner,
-        engines: List,
-        owner_kinds: Dict[str, str],
-    ) -> "ClockSnapshot":
+    def capture(cls, fleet) -> "ClockSnapshot":
         """The request store's unchanged chunks are shared with the
-        owner's last capture (``owner.snapshots[-1]``), if it has one."""
-        loop = owner.loop
+        fleet's last capture (``fleet.snapshots[-1]``), if it has one."""
+        loop = fleet.loop
         heap: List[Tuple[float, int, str]] = []
         for time, _seq, callback in loop.heap_entries():
             bound = getattr(callback, "__self__", None)
             func = getattr(callback, "__func__", None)
             name = getattr(func, "__name__", "")
-            if bound is owner and name in owner_kinds:
-                heap.append((time, -1, owner_kinds[name]))
+            if bound is fleet and name in _FLEET_HEAP_KINDS:
+                heap.append((time, -1, _FLEET_HEAP_KINDS[name]))
                 continue
             index = next(
-                (i for i, engine in enumerate(engines) if engine is bound),
+                (
+                    i
+                    for i, replica in enumerate(fleet.replicas)
+                    if replica is bound
+                ),
                 -1,
             )
             if name not in _HEAP_KINDS or index < 0:
@@ -577,56 +586,55 @@ class ClockSnapshot:
             has_timeline=loop._tl_times is not None,
             heap=heap,
             chunks=StoreChunks.capture(
-                owner.request_store,
-                owner.snapshots[-1].clock.chunks if owner.snapshots else None,
+                fleet.request_store,
+                fleet.snapshots[-1].clock.chunks if fleet.snapshots else None,
             ),
         )
 
     def restore(
         self,
-        owner,
-        engines: List,
+        fleet,
         states: List["EngineSnapshot"],
-        owner_kinds: Dict[str, str],
         install_timeline: bool,
     ) -> None:
-        """Install the store, every engine's state, then the clock.
+        """Install the store, every replica's state, then the clock.
 
-        ``owner`` and its engines must already be reset onto one fresh
+        ``fleet`` and its replicas must already be reset onto one fresh
         loop.  The arrival timeline is reinstalled while that clock
         still reads zero (``schedule_timeline`` validates times against
         ``now``); then the clock and cursor jump to the capture instant.
         """
         from repro.core.request import RequestRecord
 
-        store = owner.request_store = self.chunks.restore()
-        owner.records = [
+        store = fleet.request_store = self.chunks.restore()
+        fleet.records = [
             RequestRecord._view(store, i) for i in range(len(store))
         ]
-        for engine, state in zip(engines, states):
-            state.restore(engine, store)
-        loop = owner.loop
-        if install_timeline and self.has_timeline and owner.records:
-            owner._schedule_trace_arrivals(owner.records)
+        for replica, state in zip(fleet.replicas, states):
+            state.restore(replica, store)
+        loop = fleet.loop
+        if install_timeline and self.has_timeline and fleet.records:
+            fleet._schedule_trace_arrivals(fleet.records)
             loop.restore_clock(self.time_s, self.tl_idx)
         else:
             loop.restore_clock(self.time_s, 0)
         engine_names = {kind: name for name, kind in _HEAP_KINDS.items()}
-        owner_names = {kind: name for name, kind in owner_kinds.items()}
+        fleet_names = {
+            kind: name for name, kind in _FLEET_HEAP_KINDS.items()
+        }
         for time, index, kind in self.heap:
             if index < 0:
-                handler = getattr(owner, owner_names[kind])
+                handler = getattr(fleet, fleet_names[kind])
             else:
-                handler = getattr(engines[index], engine_names[kind])
+                handler = getattr(fleet.replicas[index], engine_names[kind])
             loop.schedule(time, handler)
 
 
 @dataclass
 class EngineSnapshot:
-    """The engine-local part of a snapshot: one serving engine's state.
+    """The engine-local part of a snapshot: one fleet replica's state.
 
-    The same capture and restore serve a single engine and every fleet
-    replica.  Worker tuples are authoritative (count and ids included):
+    Worker tuples are authoritative (count and ids included):
     autoscaler transfers move workers between replicas, so restore
     rebuilds the worker list from them.  A freshly reset engine's
     workers are default-constructed, so rebuilding them equals
@@ -722,7 +730,7 @@ class EngineSnapshot:
     # ------------------------------------------------------------------
     def restore(self, system, store: "RequestStore") -> None:
         """Rebuild freshly reset ``system`` into this state; its records
-        are views into ``store`` (its own, or the fleet's)."""
+        are views into ``store``, the fleet's."""
         from repro.cluster.worker import GPUWorker
         from repro.core.request import RequestRecord
         from repro.core.serving import _WorkItem
@@ -806,30 +814,96 @@ def _check_restorable(
         )
 
 
+def _fleet_of(system):
+    """``system`` itself when it is a fleet, else the one-replica fleet
+    that runs the engine alone."""
+    solo_fleet = getattr(system, "_solo_fleet", None)
+    return system if solo_fleet is None else solo_fleet()
+
+
+def _fleet_fingerprint(cluster) -> str:
+    """Configuration identity a snapshot refuses to cross.
+
+    The frozen routing config's repr pins every fleet knob (policy,
+    failure plan, migration policy, snapshot cadence) and each replica
+    contributes its own configured fingerprint, so a snapshot only
+    restores into a fleet built exactly like the one that captured it —
+    a lone engine's only into an identically built lone engine.
+    """
+    parts = [
+        type(cluster).__name__,
+        cluster.name,
+        repr(cluster.routing),
+    ]
+    parts.extend(_fingerprint(replica) for replica in cluster.replicas)
+    return "|".join(parts)
+
+
 @dataclass
 class Snapshot:
-    """Full state of a single-engine serving system at one instant: the
-    shared-clock part plus the engine's own part (heap owner 0).
+    """Full state of a running fleet at one instant.
 
-    ``restore`` rebuilds a fresh, identically-configured system into
-    this exact state, so ``resume()`` continues bit-identically.
+    The shared-clock part (:class:`ClockSnapshot`: clock, timeline
+    cursor, fleet store, heap rows with replica owners), one
+    :class:`EngineSnapshot` per replica, and the fleet's own state:
+    router policy state, autoscaler PID state, the failure and probe
+    schedules and the run's journal.  A single engine runs as a
+    one-replica fleet, so its snapshots are these too: ``capture`` and
+    ``restore`` take either the fleet or the lone engine.
+
+    ``restore`` rebuilds a freshly constructed, identically configured
+    system into this exact state so ``resume()`` continues
+    bit-identically; with ``install_timeline=False`` the remaining
+    arrivals are left out and a :class:`JournalReplayer` drives the run
+    forward from the journal suffix instead.
     """
 
     fingerprint: str
     clock: ClockSnapshot
-    engine: EngineSnapshot
+    expected: int
+    routed_counts: List[int]
+    transfers: List["TransferEvent"]
+    failures: List["FailureRecord"]
+    failure_schedule: Dict[float, List[int]]
+    probe_schedule: Dict[float, List[int]]
+    policy_state: object
+    autoscaler_state: Optional[Dict[str, Any]]
+    # The fleet's journal of record (a lone engine's own journal).
+    journal: EventJournal
+    next_snapshot_s: float
+    replica_states: List[EngineSnapshot]
 
+    # ------------------------------------------------------------------
     @classmethod
     def capture(cls, system) -> "Snapshot":
-        if system._fleet is not None:
-            raise ValueError(
-                "full snapshots are single-engine only; cluster replicas "
-                "capture cache-only snapshots"
-            )
+        cluster = _fleet_of(system)
         return cls(
-            fingerprint=_fingerprint(system),
-            clock=ClockSnapshot.capture(system, [system], {}),
-            engine=EngineSnapshot.capture(system),
+            fingerprint=_fleet_fingerprint(cluster),
+            clock=ClockSnapshot.capture(cluster),
+            expected=cluster._expected,
+            routed_counts=list(cluster.routed_counts),
+            transfers=list(cluster.transfers),
+            failures=[replace(rec) for rec in cluster._failures],
+            failure_schedule={
+                t: list(v)
+                for t, v in sorted(cluster._failure_schedule.items())
+            },
+            probe_schedule={
+                t: list(v)
+                for t, v in sorted(cluster._probe_schedule.items())
+            },
+            policy_state=cluster.router.policy.snapshot_state(),
+            autoscaler_state=(
+                cluster._autoscaler.snapshot_state()
+                if cluster._autoscaler is not None
+                else None
+            ),
+            journal=_journal_prefix(cluster._record_journal),
+            next_snapshot_s=cluster._next_snapshot_s,
+            replica_states=[
+                EngineSnapshot.capture(replica)
+                for replica in cluster.replicas
+            ],
         )
 
     @property
@@ -842,38 +916,72 @@ class Snapshot:
         return self.clock.chunks.restore()
 
     @property
-    def journal(self) -> EventJournal:
-        return self.engine.journal
-
-    @property
     def journal_digest(self) -> str:
         """sha256 of the captured journal rows."""
         return self.journal.digest()
 
+    # ------------------------------------------------------------------
     def restore(self, system, install_timeline: bool = True) -> None:
-        """Rebuild ``system`` into this snapshot's state.
+        """Rebuild ``system`` (a fleet or a lone engine) into this
+        snapshot's state.
 
         ``system`` must be freshly constructed with the same
         configuration (enforced via the fingerprint); any prior runtime
-        state it holds is discarded.
-
-        ``install_timeline=False`` restores the state *without* the
-        remaining arrival timeline: the clock jumps to the snapshot
-        instant with no future arrivals scheduled.  A
-        :class:`JournalReplayer` then drives the run forward from the
-        journal suffix alone — the store already holds every trace row
-        (runs bulk-load the trace up front), so no trace file is needed.
+        state it holds is discarded.  With ``install_timeline=False``
+        the clock jumps to the snapshot instant with no future arrivals
+        scheduled — journal-suffix replay then re-injects them from
+        ARRIVAL rows (the store already holds every trace row, so no
+        trace file is needed).
 
         Raises (:func:`_check_restorable`) before any state is
-        installed.
+        installed, e.g. :class:`~repro.core.tiering.ColdExtentError` for
+        a tiered fleet restored into one with ``cold_dir=None``.
         """
+        from repro.cluster.events import EventLoop
+
+        cluster = _fleet_of(system)
         _check_restorable(
-            self.fingerprint, _fingerprint(system), [system], [self.engine]
+            self.fingerprint,
+            _fleet_fingerprint(cluster),
+            cluster.replicas,
+            self.replica_states,
         )
-        system._reset_runtime()
-        self.clock.restore(
-            system, [system], [self.engine], {}, install_timeline
+        cluster.loop = EventLoop()
+        cluster.routed_counts = list(self.routed_counts)
+        cluster.transfers = list(self.transfers)
+        cluster._failures = [replace(rec) for rec in self.failures]
+        cluster._failure_schedule = {
+            t: list(v) for t, v in self.failure_schedule.items()
+        }
+        cluster._probe_schedule = {
+            t: list(v) for t, v in self.probe_schedule.items()
+        }
+        cluster.router.reset()
+        cluster.router.policy.restore_state(self.policy_state)
+        cluster._make_autoscaler()
+        if self.autoscaler_state is not None:
+            if cluster._autoscaler is None:
+                raise ValueError(
+                    "snapshot carries autoscaler state but the fleet "
+                    "has no autoscaler"
+                )
+            cluster._autoscaler.restore_state(self.autoscaler_state)
+        cluster._journal = (
+            self.journal.prefix()
+            if (
+                cluster.routing.failures is not None
+                or cluster.routing.journal
+            )
+            else None
         )
+        cluster._next_snapshot_s = self.next_snapshot_s
+        cluster.snapshots = []
+        cluster._expected = self.expected
+        # Replica worker ids come back from the state tuples already
+        # fleet-offset (and possibly autoscaler-moved), so restore never
+        # calls _offset_worker_ids.
+        cluster._bind_replicas()
+        self.clock.restore(cluster, self.replica_states, install_timeline)
 
 
 class JournalDivergenceError(ValueError):
@@ -945,17 +1053,17 @@ class JournalReplayer:
     fresh event-loop timeline, and lets the engine regenerate every
     downstream decision deterministically.
 
-    Works for single engines (restore a :class:`Snapshot` with
-    ``install_timeline=False``) and whole fleets (restore a
-    ``ClusterSnapshot`` with ``install_timeline=False``) — both route
-    replayed cohorts through ``_arrive_cohort``, and everything else
-    (completions, monitor/snapshot ticks, failure injections,
-    autoscale periods) fires from the restored heap.
+    ``system`` is a fleet, checked against its fleet journal, or a lone
+    engine, checked against its own journal (a :class:`Snapshot`
+    restored into it with ``install_timeline=False``).  Either way the
+    replayed cohorts arrive through the fleet's ``_arrive_cohort``, and
+    everything else (completions, monitor/snapshot ticks, failure
+    injections, autoscale periods) fires from the restored heap.
     """
 
     def __init__(self, system, reference: EventJournal) -> None:
         self._system = system
-        journal = self._journal_of(system)
+        journal = system._journal
         if journal is None:
             raise ValueError(
                 "journal-suffix replay needs a journaled system "
@@ -985,13 +1093,6 @@ class JournalReplayer:
             reference._time[rows], reference._a[rows], reference._b[rows]
         )
 
-    @staticmethod
-    def _journal_of(system) -> Optional[EventJournal]:
-        journal = getattr(system, "_journal", None)
-        if journal is None:
-            journal = getattr(system, "journal", None)
-        return journal
-
     def _install(
         self, times: np.ndarray, first_rids: np.ndarray, counts: np.ndarray
     ) -> None:
@@ -999,8 +1100,8 @@ class JournalReplayer:
             return
         from repro.core.request import RequestRecord
 
-        system = self._system
-        store = system.request_store
+        fleet = _fleet_of(self._system)
+        store = fleet.request_store
         rid_col = store.column("request_id")
         row_of = {int(rid_col[i]): i for i in range(len(store))}
         cohorts = []
@@ -1014,9 +1115,9 @@ class JournalReplayer:
             )
 
         def fire(now: float, i: int) -> None:
-            system._arrive_cohort(cohorts[i], now)
+            fleet._arrive_cohort(cohorts[i], now)
 
-        system.loop.schedule_timeline(times, fire)
+        fleet.loop.schedule_timeline(times, fire)
 
     def replay(
         self,
@@ -1029,7 +1130,7 @@ class JournalReplayer:
     def verify(self) -> None:
         """Raise :class:`JournalDivergenceError` unless the replay
         regenerated the reference record exactly."""
-        regenerated = self._journal_of(self._system)
+        regenerated = self._system._journal
         diverged = regenerated.diverges_at(self._reference)
         if diverged is not None:
             raise JournalDivergenceError.between(

@@ -317,8 +317,8 @@ class RequestRecord:
     :meth:`RequestStore.extend` and receive handles from
     :meth:`RequestRecord._view`.
 
-    ``replica_id`` is set by the cluster router when the request is
-    served by a multi-replica fleet (None in single-engine runs).
+    ``replica_id`` is set by the fleet when it routes the request (0
+    in a single engine's run, which is a one-replica fleet's).
 
     The SLO fields stay at their defaults unless the serving system runs
     with an :class:`~repro.core.config.SLOPolicy`: ``slo_class`` /

@@ -1,9 +1,12 @@
 """End-to-end serving systems over the cluster simulator.
 
-:class:`BaseServingSystem` owns the event-loop plumbing every system shares:
-arrival handling, worker dispatch, completion bookkeeping, energy metering,
-and report assembly.  Subclasses define policy — how a request is decided,
-which queue it joins, and what job an idle worker picks next.
+:class:`BaseServingSystem` owns the plumbing every system shares: request
+admission, worker dispatch, completion bookkeeping and report assembly.
+Subclasses define policy — how a request is decided, which queue it joins,
+and what job an idle worker picks next.  The event loop belongs to the
+fleet (:class:`repro.core.cluster_router.ClusterServingSystem`): a system
+run alone is the one replica of a fleet, so every run, snapshot and
+restore takes the fleet's path.
 
 :class:`MoDMSystem` is the paper's system (Fig. 4): a cache-aware Request
 Scheduler feeding hit/miss queues, a PID-stabilized Global Monitor
@@ -19,7 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
@@ -33,7 +35,7 @@ import collections
 
 import numpy as np
 
-from repro.cluster.energy import EnergyMeter, EnergyReport
+from repro.cluster.energy import EnergyReport
 from repro.cluster.events import EventLoop
 from repro.cluster.stats import StatsCollector
 from repro.cluster.worker import GPUWorker, Job
@@ -41,6 +43,7 @@ from repro.core.ann import IVFParams
 from repro.core.cache import VectorCache, make_image_cache
 from repro.core.config import (
     ClusterConfig,
+    ClusterRoutingConfig,
     JournalConfig,
     MoDMConfig,
 )
@@ -55,7 +58,6 @@ from repro.core.journal import (
     SHED,
     SNAPSHOT,
     EventJournal,
-    Snapshot,
 )
 from repro.core.kselection import (
     REFERENCE_TOTAL_STEPS,
@@ -159,10 +161,10 @@ class ServingReport:
     def _store_rows(self):
         """``(store, rows)`` when the records share one columnar store.
 
-        Engine-produced reports always do (rows are bulk-allocated by
-        ``run``), turning every reduction below into a single numpy
-        gather; hand-assembled reports (tests) fall back to the
-        per-record loops.
+        Engine-produced reports always do (a run bulk-allocates every
+        request in its fleet's store), turning every reduction below
+        into a single numpy gather; hand-assembled reports (tests) fall
+        back to the per-record loops.
         """
         if not self._columns_resolved:
             self._columns = columnar_view(self.records)
@@ -396,7 +398,8 @@ class _ReadyQueue:
             yield record
 
     def snapshot_state(self) -> Tuple[bool, List[int], List[Tuple[float, int]]]:
-        """Row-level queue state for :class:`repro.core.journal.Snapshot`.
+        """Row-level queue state for
+        :class:`repro.core.journal.EngineSnapshot`.
 
         Only *relative* sequence order matters for pop ties, so the
         capture stores rows in pop order and restore re-inserts them with
@@ -438,7 +441,8 @@ class _ReadyQueue:
 
 
 class BaseServingSystem:
-    """Event-loop plumbing shared by every serving system."""
+    """Admission, dispatch and completion plumbing shared by every
+    serving system; a fleet (one replica, when run alone) drives it."""
 
     name = "base"
 
@@ -462,9 +466,10 @@ class BaseServingSystem:
         # Subclasses install a gate to opt into the SLO subsystem; None
         # keeps every code path identical to the policy-free engine.
         self._slo_gate: Optional[SloGate] = None
-        # Installed by the cluster serving layer: when set, run-level
-        # termination (all_done) is fleet-wide, not per-replica.
+        # The fleet running this system (installed by the fleet's run and
+        # restore), and the one-replica fleet that runs it alone.
         self._fleet = None
+        self._solo = None
         self.stats = StatsCollector()
         self._reset_runtime()
 
@@ -543,7 +548,6 @@ class BaseServingSystem:
         self._workers_by_id: Dict[int, GPUWorker] = {
             w.worker_id: w for w in self.workers
         }
-        self.request_store = RequestStore()
         self.records: List[RequestRecord] = []
         self._in_service: Dict[int, _WorkItem] = {}
         # Workers finishing at the same timestamp complete as one cohort
@@ -552,7 +556,6 @@ class BaseServingSystem:
         self._n_completed = 0
         self._n_shed = 0
         self._n_expected = 0
-        self._fleet = None
         self.stats = StatsCollector()
         if self._slo_gate is not None:
             self._slo_gate.bind_stats(self.stats)
@@ -570,7 +573,6 @@ class BaseServingSystem:
         self._journal = (
             EventJournal() if self._journal_config is not None else None
         )
-        self.snapshots: List[Snapshot] = []
         self._cache_snapshots: List[Tuple[float, object]] = []
         # Tick-dedup markers: a periodic event is live only while its
         # timestamp matches the marker; _halt invalidates both so ticks
@@ -579,38 +581,59 @@ class BaseServingSystem:
         self._next_snapshot_tick_s = -1.0
         self._dead = False
 
+    def _solo_fleet(self):
+        """The one-replica fleet that runs this system alone.
+
+        Built on first use and kept, so a run, its snapshots, a restore
+        and a resume all act on the same fleet.  Its snapshot period is
+        the journal config's; it keeps no fleet journal of its own, so
+        this system's journal is the run's whole record.
+        """
+        if self._solo is None:
+            from repro.core.cluster_router import ClusterServingSystem
+
+            config = self._journal_config
+            self._solo = ClusterServingSystem(
+                self._space,
+                lambda i: self,
+                ClusterRoutingConfig(
+                    snapshot_period_s=(
+                        config.snapshot_period_s if config is not None
+                        else 0.0
+                    )
+                ),
+                name=self.name,
+            )
+        return self._solo
+
     def run(self, trace: Trace, until: Optional[float] = None) -> ServingReport:
-        """Serve ``trace`` to completion (or until the time horizon)."""
-        self._reset_runtime()
-        self._n_expected = len(trace)
-        # Bulk-allocate every request into the columnar store, then walk
-        # arrivals through the loop's timeline lane: one lane entry per
-        # same-tick cohort, so systems with a batched decision path score
-        # each cohort as a single matrix product and the heap never holds
-        # per-arrival closures.
-        records = self.request_store.extend(list(trace))
-        self.records = records
-        self._schedule_trace_arrivals(records)
-        self._on_run_start()
-        self.loop.run(until=until)
-        makespan = self._makespan()
-        energy = EnergyMeter().measure(self.workers, makespan)
-        return self._build_report(trace, energy)
+        """Serve ``trace`` to completion (or until the time horizon), as
+        the one replica of a fleet."""
+        self._solo_fleet()._start(trace)
+        return self.resume(trace, until=until)
 
     def resume(
         self, trace: Trace, until: Optional[float] = None
     ) -> ServingReport:
-        """Continue a restored run to completion (no state reset).
+        """Continue a run cut short by ``until``, or restored from a
+        :class:`repro.core.journal.Snapshot`, to completion.
 
-        The counterpart to :meth:`repro.core.journal.Snapshot.restore`:
-        arrivals after the snapshot instant are already in the loop (the
-        timeline lane was re-installed with the clock), so finishing the
-        run is just draining the loop and assembling the report.
+        Only this replica's report is built: the fleet-wide aggregate
+        of a one-replica fleet would repeat it.
         """
-        self.loop.run(until=until)
-        makespan = self._makespan()
-        energy = EnergyMeter().measure(self.workers, makespan)
-        return self._build_report(trace, energy)
+        fleet = self._solo_fleet()
+        fleet.loop.run(until=until)
+        return fleet._replica_reports(trace)[0]
+
+    @property
+    def request_store(self) -> RequestStore:
+        """The store holding this run's requests: its fleet's."""
+        return self._fleet.request_store
+
+    @property
+    def snapshots(self) -> list:
+        """The periodic snapshots of this system's run (its fleet's)."""
+        return self._fleet.snapshots if self._fleet is not None else []
 
     def _schedule_snapshot_tick(self) -> None:
         when = self.loop.now + self._journal_config.snapshot_period_s
@@ -622,34 +645,18 @@ class BaseServingSystem:
             return  # superseded: the replica was halted since scheduling
         if self._journal is None or self.all_done:
             return
-        # Journal the marker and schedule the successor *before* the
-        # capture so the snapshot itself carries both — a restored run
-        # keeps snapshotting on the same cadence.
+        # Journal the marker and schedule the successor: a snapshot the
+        # fleet captures later carries both, so a restored run keeps
+        # snapshotting on the same cadence.  A warm restart or a cache
+        # migration — only a failure plan has them — needs just the
+        # semantic-cache state kept here.
         self._journal.append(
             now, SNAPSHOT, a=self._n_completed, b=self._n_shed
         )
         self._schedule_snapshot_tick()
-        if self._fleet is not None:
-            # Under a cluster run replicas share the fleet's loop and
-            # store, so a full engine snapshot is ill-defined; warm
-            # restarts only need the semantic-cache state.
-            cache = getattr(self, "cache", None)
-            if cache is not None:
-                self._cache_snapshots.append((now, cache.snapshot()))
-        else:
-            self.snapshots.append(Snapshot.capture(self))
-
-    def _makespan(self) -> float:
-        """Last completion time over this run's records (loop.now if none).
-
-        Single-engine runs own their store, so this is one masked numpy
-        max over the completion column rather than a record scan.
-        """
-        comp = self.request_store.column("completion_s")
-        finished = comp[comp == comp]
-        if finished.size:
-            return float(finished.max())
-        return self.loop.now
+        cache = getattr(self, "cache", None)
+        if cache is not None and self._fleet.routing.failures is not None:
+            self._cache_snapshots.append((now, cache.snapshot()))
 
     def _build_report(
         self, trace: Trace, energy: EnergyReport
@@ -663,30 +670,18 @@ class BaseServingSystem:
             stats=self.stats,
         )
 
-    def _schedule_trace_arrivals(
-        self, records: List[RequestRecord]
+    def _admit(
+        self, records: Sequence[RequestRecord], now: float, replica_id: int
     ) -> None:
-        """Install a run's arrival cohorts on the loop's timeline lane."""
-        install_arrival_cohorts(
-            self.loop, self.request_store, records, self._arrive_batch
-        )
-
-    def _arrive_cohort(
-        self, records: Sequence[RequestRecord], now: float
-    ) -> None:
-        """Deliver one trace arrival cohort (journal-suffix replay hook).
-
-        For a single engine this *is* ``_arrive_batch``; the cluster
-        overrides it to journal the cohort before routing, so replay can
-        distinguish trace cohorts from orphan re-routes.
-        """
-        self._arrive_batch(records, now)
-
-    def _arrive_batch(
-        self, records: Sequence[RequestRecord], now: float
-    ) -> None:
+        """Admit a group of requests routed at ``now`` to this system,
+        the fleet's replica ``replica_id``: decide them, journal the
+        group and its decisions, and dispatch."""
+        self._n_expected += len(records)
+        self.records.extend(records)
+        for record in records:
+            record.replica_id = replica_id
         journal = self._journal
-        if journal is not None and records:
+        if journal is not None:
             journal.append(
                 now, ARRIVAL, a=records[0].request_id, b=len(records)
             )
@@ -868,15 +863,13 @@ class BaseServingSystem:
 
         Shed requests terminate at admission, so they count alongside
         completions — otherwise a run with sheds would tick its monitor
-        forever.  Under a cluster run (``_fleet`` installed) the check is
-        fleet-wide: a replica cannot know how many more requests will be
-        routed to it, so periodic machinery (monitor ticks) keeps running
-        until the whole fleet drains.  With one replica the fleet counts
-        equal the replica's own, so the answer is unchanged.
+        forever.  The check is fleet-wide: a replica cannot know how many
+        more requests will be routed to it, so periodic machinery
+        (monitor ticks) keeps running until the whole fleet drains.  A
+        system run alone is its fleet's one replica, so there the fleet
+        counts are its own.
         """
-        if self._fleet is not None:
-            return self._fleet.all_done
-        return self._n_completed + self._n_shed >= self._n_expected
+        return self._fleet.all_done
 
     # ------------------------------------------------------------------
     # Cluster-layer surface (load introspection, worker rebalancing)
@@ -1013,33 +1006,6 @@ class BaseServingSystem:
         """Policy-state rebuild hook after :meth:`_restart`."""
 
 
-def install_arrival_cohorts(
-    loop: EventLoop,
-    store: RequestStore,
-    records: Sequence[RequestRecord],
-    deliver: Callable[[Sequence[RequestRecord], float], None],
-) -> None:
-    """Fire ``deliver(cohort, now)`` per same-tick cohort of ``records``.
-
-    ``records`` are ``store``'s rows in trace order.  Traces are sorted by
-    construction (and the timeline lane rejects unsorted times), so
-    adjacent same-tick rows form one cohort and the bounds come from one
-    vectorized compare.
-    """
-    if not records:
-        return
-    arrivals = store.column("arrival_s")
-    starts = np.flatnonzero(
-        np.concatenate(([True], arrivals[1:] != arrivals[:-1]))
-    )
-    bounds = np.append(starts, len(records)).tolist()
-
-    def fire_cohort(now: float, i: int) -> None:
-        deliver(records[bounds[i] : bounds[i + 1]], now)
-
-    loop.schedule_timeline(arrivals[starts], fire_cohort)
-
-
 def clear_hotpath_memos(space: Optional[SemanticSpace] = None) -> None:
     """Reset every process-wide fast-path memo to a cold state.
 
@@ -1104,7 +1070,8 @@ class MoDMSystem(BaseServingSystem):
         if hasattr(self.cache, "on_tier_event"):
             # Tiered cache: journal promotions/demotions.  The callback
             # reads self._journal at fire time, so it survives both
-            # _reset_runtime and Snapshot.restore rebinding the journal.
+            # _reset_runtime and EngineSnapshot.restore rebinding the
+            # journal.
             self.cache.on_tier_event = self._journal_tier_event
         base_selector = selector or modm_default_selector()
         if config.threshold_shift:

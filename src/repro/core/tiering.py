@@ -137,8 +137,8 @@ class ColdExtentError(ValueError):
     cache whose file is shorter — for instance a fresh fleet with
     ``cold_dir=None``, whose anonymous cold files start empty — cannot
     be exact.  :meth:`ColdStore.check_extent` raises this error, and
-    ``Snapshot.restore`` / ``ClusterSnapshot.restore`` raise it through
-    :func:`check_cold_extents` before they install any state.
+    ``Snapshot.restore`` raises it through :func:`check_cold_extents`
+    before it installs any state.
     """
 
 

@@ -518,8 +518,10 @@ def _timeline_rows(
         if hasattr(system, "warm_cache"):
             system.warm_cache(warm)
         report = system.run(serve, until=horizon)
+        # Offered demand is the whole trace: a report cut at the horizon
+        # holds only the requests that arrived by then.
         centers, offered, served = offered_vs_served(
-            report.arrival_times(),
+            [request.arrival_s for request in serve],
             report.completion_times(),
             bucket_s=bucket_s,
         )

@@ -24,7 +24,10 @@ from repro.workloads import (
 )
 
 # Hypothesis profiles.  Property tests that pin ``max_examples`` keep
-# their own budget; the rest (the IVF masked-probe and block-quantization
+# their own budget, except the replay and fleet-recovery properties
+# (``TestReplayProperties`` and the recovery module's snapshot/replay
+# property), which pin their tier-1 budget as a floor and take a sixth
+# of the profile's when that is more (5x theirs under ci-heavy); the rest (the IVF masked-probe and block-quantization
 # oracles, the tiered residency, quantization and storage-total
 # properties, the prompt-factory, kept-iteration, kept-prompt trace and
 # zipf-sampler oracles, the many-sessions-in-one-call oracle, the

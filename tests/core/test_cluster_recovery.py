@@ -26,12 +26,14 @@ from repro.core.config import (
     cascade,
     correlated_group,
 )
-from repro.core.journal import JournalReplayer
+from repro.core.journal import ARRIVAL, DECISION, SHED, JournalReplayer
 from repro.core.tiering import ColdExtentError, TieredCacheConfig
 from repro.workloads import DiffusionDBConfig, diffusiondb_trace
 
+# 8 examples under the tier-1 profile; a sixth of the profile's budget
+# when that is more (50 under ci-heavy, see tests/conftest.py).
 _SLOW = settings(
-    max_examples=8,
+    max_examples=max(8, settings.default.max_examples // 6),
     suppress_health_check=[HealthCheck.too_slow],
     deadline=None,
 )
@@ -395,6 +397,45 @@ class TestClusterSnapshot:
         replayer.verify()
         assert _payload(resumed, report) == straight_fleet["payload"]
         assert any(rec.n_migrated > 0 for rec in resumed._failures)
+
+
+class TestReplicaJournals:
+    def test_each_admitted_request_has_one_decision_row(self, space):
+        """A replica journals the groups it admits (ARRIVAL rows) and one
+        DECISION or SHED row per admitted request, so the replica
+        journals together cover every routed request — the requests a
+        kill orphans once at the dead replica and again where they are
+        re-routed."""
+        trace = _trace(space, n=300, seed="replay-gate")
+        span = trace.requests[-1].arrival_s
+        routing = ClusterRoutingConfig(
+            n_replicas=4,
+            policy="least_loaded",
+            journal=True,
+            failures=FailurePlan(
+                events=(
+                    FailureEvent(
+                        time_s=0.4 * span, replica=2, action="kill"
+                    ),
+                    FailureEvent(
+                        time_s=0.6 * span, replica=2, action="restart"
+                    ),
+                ),
+            ),
+        )
+        system = modm_cluster(space, _modm_config(n_workers=8), routing)
+        report = system.run(trace)
+        assert report.n_rerouted > 0 and report.n_lost == 0
+        decided = []
+        for idx, replica in enumerate(system.replicas):
+            rows = replica._journal.entries()
+            admitted = [row[2] for row in rows if row[1] in (DECISION, SHED)]
+            grouped = sum(row[3] for row in rows if row[1] == ARRIVAL)
+            assert len(admitted) == grouped == report.routed[idx], idx
+            decided.extend(admitted)
+        assert len(decided) == len(trace) + report.n_rerouted
+        ids = system.request_store.column("request_id").tolist()
+        assert sorted(set(decided)) == sorted(ids)
 
 
 class TestColdExtentCheck:

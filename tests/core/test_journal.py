@@ -290,17 +290,39 @@ class TestSnapshotRestore:
         assert fresh.records == [] and len(fresh._journal) == 0
         assert len(fresh.cache) == 0 and fresh.cache.cold_store.rows == 0
 
-    def test_cluster_replicas_refuse_full_capture(self, space):
-        fleet = modm_cluster(
-            space,
-            _config(journal=JournalConfig(snapshot_period_s=60.0)),
-            ClusterRoutingConfig(n_replicas=2),
+    def test_lone_engine_and_fleet_snapshots_do_not_cross(self, space):
+        # A lone engine runs as a one-replica fleet, so its snapshot is a
+        # fleet snapshot too; the fingerprint still keeps it to an
+        # identically built lone engine, and a fleet's to such a fleet.
+        config = _config(journal=JournalConfig(snapshot_period_s=45.0))
+        trace = _trace(space)
+        engine = MoDMSystem(space, config)
+        engine_payload = _run_payload(engine.run(trace))
+        routing = ClusterRoutingConfig(
+            n_replicas=2, journal=True, snapshot_period_s=45.0
         )
-        # ``_fleet`` is installed on replicas at cluster-run start and
-        # marks them as non-snapshottable (cache-only snapshots).
-        fleet.run(_trace(space, n=10))
-        with pytest.raises(ValueError, match="single-engine"):
-            Snapshot.capture(fleet.replicas[0])
+        fleet = modm_cluster(space, config, routing)
+        fleet.run(trace)
+        assert engine.snapshots and fleet.snapshots
+
+        fresh_fleet = modm_cluster(space, config, routing)
+        with pytest.raises(ValueError, match="configuration mismatch"):
+            engine.snapshots[0].restore(fresh_fleet)
+        assert fresh_fleet.loop.now == 0.0
+        assert fresh_fleet.records == [] and fresh_fleet.journal is None
+        assert all(r.records == [] for r in fresh_fleet.replicas)
+
+        fresh_engine = MoDMSystem(space, config)
+        with pytest.raises(ValueError, match="configuration mismatch"):
+            fleet.snapshots[0].restore(fresh_engine)
+        assert fresh_engine.loop.now == 0.0
+        assert fresh_engine.records == []
+        assert len(fresh_engine._journal) == 0
+        assert fresh_engine.snapshots == []
+
+        # The matching pair restores and finishes the run exactly.
+        engine.snapshots[0].restore(fresh_engine)
+        assert _run_payload(fresh_engine.resume(trace)) == engine_payload
 
 
 # ----------------------------------------------------------------------

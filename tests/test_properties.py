@@ -278,8 +278,10 @@ from repro.core.serving import MoDMSystem
 from repro.embedding.space import SemanticSpace
 from repro.workloads import DiffusionDBConfig, diffusiondb_trace
 
+# 10 examples under the tier-1 profile; a sixth of the profile's budget
+# when that is more (50 under ci-heavy, see tests/conftest.py).
 _FAST_FT = settings(
-    max_examples=10,
+    max_examples=max(10, settings.default.max_examples // 6),
     suppress_health_check=[HealthCheck.too_slow],
     deadline=None,
 )
