@@ -9,7 +9,8 @@ decisions, same journal digest.  This is the property warm replica
 recovery rests on, so CI gates on it.  A single engine runs as a
 one-replica fleet, so its snapshot is a fleet ``Snapshot`` too:
 ``snapshot.restore``, ``resume`` and the replayer take the engine and
-act on that fleet, and the engine's own journal is the record they are
+act on that fleet, and that fleet's journal, whose rows carry their
+owner (the replica, or -1 for the fleet), is the record they are
 checked against.
 
 No golden file: both runs are generated here, so the gate cannot go
@@ -22,8 +23,9 @@ format.
 record.  The restored system gets no arrival timeline at all
 (``install_timeline=False``) — a :class:`~repro.core.journal
 .JournalReplayer` re-injects the remaining arrival cohorts from the
-reference journal's ARRIVAL suffix alone, and the regenerated journal
-must equal the reference row for row on top of the payload match.
+reference journal's fleet ARRIVAL suffix alone, and the regenerated
+journal must equal the reference row for row, replica rows included,
+on top of the payload match.
 
 ``--fleet`` gates the same properties for a whole fleet: four MoDM
 replicas with IVF retrieval and a tiered cache on a durable temporary
@@ -90,13 +92,14 @@ def _config() -> MoDMConfig:
     )
 
 
-def _payload(report, system) -> dict:
+def _engine_payload(report, system) -> dict:
     """Everything that must match bit for bit.
 
     Snapshot *counts* are excluded by design: the resumed run only
     captures snapshots after its restore point, so the lists differ in
     length while the simulation is identical.
     """
+    journal = system._fleet.journal
     times_sum, times_sha = completion_digest(report)
     return {
         "hit_rate": report.hit_rate,
@@ -104,8 +107,8 @@ def _payload(report, system) -> dict:
         "completion_times_sum": times_sum,
         "completion_times_sha": times_sha,
         "decision_sha": decision_digest(report.records),
-        "journal_digest": system._journal.digest(),
-        "journal_events": len(system._journal),
+        "journal_digest": journal.digest(),
+        "journal_events": len(journal),
         "cache_size": report.cache_size,
     }
 
@@ -121,7 +124,6 @@ def _fleet_payload(report, system) -> dict:
         "decision_sha": decision_digest(report.fleet.records),
         "journal_digest": system.journal.digest(),
         "journal_events": len(system.journal),
-        "replica_journals": [r._journal.digest() for r in system.replicas],
         "routed": list(report.routed),
     }
 
@@ -159,11 +161,10 @@ def _trace(space, n_requests: int):
     )
 
 
-def run_fleet_gate(suffix: bool = False) -> tuple:
-    """(uninterrupted payload, [(snapshot time, resumed payload), ...])
-    over every snapshot of one tiered fleet run with a cold restart."""
-    space = SemanticSpace()
-    trace = _trace(space, 300)
+def fleet_build(space, trace, cold_dir: str):
+    """``build()`` for the gate's fleet: four tiered MoDM replicas on
+    ``cold_dir``, replica 2 killed at 0.3·span and cold-restarted at
+    0.5·span, eight snapshots over the span."""
     span = trace.requests[-1].arrival_s
     routing = ClusterRoutingConfig(
         n_replicas=4,
@@ -182,20 +183,25 @@ def run_fleet_gate(suffix: bool = False) -> tuple:
             ),
         ),
     )
+    config = MoDMConfig(
+        cluster=ClusterConfig(gpu_name="MI210", n_workers=16),
+        cache_capacity=400,
+        small_models=("sdxl",),
+        retrieval_backend="ivf",
+        cache_tiering=TieredCacheConfig(cold_dir=cold_dir),
+        seed="replay-gate",
+        journal=JournalConfig(snapshot_period_s=span / 8),
+    )
+    return lambda: modm_cluster(space, config, routing)
+
+
+def run_fleet_gate(suffix: bool = False) -> tuple:
+    """(uninterrupted payload, [(snapshot time, resumed payload), ...])
+    over every snapshot of one tiered fleet run with a cold restart."""
+    space = SemanticSpace()
+    trace = _trace(space, 300)
     with tempfile.TemporaryDirectory(prefix="replay-fleet-") as cold_dir:
-        config = MoDMConfig(
-            cluster=ClusterConfig(gpu_name="MI210", n_workers=16),
-            cache_capacity=400,
-            small_models=("sdxl",),
-            retrieval_backend="ivf",
-            cache_tiering=TieredCacheConfig(cold_dir=cold_dir),
-            seed="replay-gate",
-            journal=JournalConfig(snapshot_period_s=span / 8),
-        )
-
-        def build():
-            return modm_cluster(space, config, routing)
-
+        build = fleet_build(space, trace, cold_dir)
         straight = build()
         straight_payload = _fleet_payload(straight.run(trace), straight)
         if not straight.snapshots:
@@ -238,16 +244,16 @@ def run_gate(suffix: bool = False) -> tuple:
             "journaled run captured no snapshots; the trace is too "
             "short for the snapshot period"
         )
-    straight_payload = _payload(straight_report, straight)
+    straight_payload = _engine_payload(straight_report, straight)
 
     snapshot = straight.snapshots[len(straight.snapshots) // 2]
     resumed = _resume(
         snapshot,
         lambda: MoDMSystem(space, _config()),
-        straight._journal,
+        straight._fleet.journal,
         trace,
         suffix,
-        _payload,
+        _engine_payload,
     )
     return straight_payload, [(snapshot.time_s, resumed)]
 

@@ -55,16 +55,7 @@ from repro.core.config import (
     MoDMConfig,
     ROUTING_POLICIES,
 )
-from repro.core.journal import (
-    ARRIVAL,
-    KILL,
-    MIGRATE,
-    RESTART,
-    ROUTE,
-    SNAPSHOT,
-    TRANSFER,
-    EventJournal,
-)
+from repro.core.journal import EventJournal, JournalKind
 from repro.core.journal import Snapshot as ClusterSnapshot
 from repro.core.monitor import estimate_workloads
 from repro.core.pid import PIDController
@@ -856,17 +847,10 @@ class ClusterServingSystem:
 
     @property
     def journal(self) -> Optional[EventJournal]:
-        """The fleet's own record (arrival cohorts, routing, failures,
-        transfers); None unless journaling or a failure plan is on."""
-        return self._journal
-
-    @property
-    def _record_journal(self) -> Optional[EventJournal]:
-        """The run's journal of record, which snapshots keep: the fleet
-        journal, or, for a one-replica fleet that keeps none (a lone
-        engine's), its replica's own."""
-        if self._journal is None and len(self.replicas) == 1:
-            return self.replicas[0]._journal
+        """The run's one journal: the fleet's own rows (arrival cohorts,
+        routing, failures, transfers; owner -1) and the rows of every
+        replica with a ``JournalConfig`` (owner: its index).  None
+        unless ``routing.journal`` is set or a failure plan is."""
         return self._journal
 
     @property
@@ -997,10 +981,7 @@ class ClusterServingSystem:
             loop.schedule_in(
                 self.routing.autoscale_period_s, self._autoscale_tick
             )
-        if (
-            self._record_journal is not None
-            and self.routing.snapshot_period_s > 0.0
-        ):
+        if self.routing.snapshot_period_s > 0.0:
             self._schedule_cluster_snapshot()
 
     def resume(
@@ -1017,11 +998,20 @@ class ClusterServingSystem:
         return self._build_report(trace)
 
     def _bind_replicas(self) -> None:
-        """Reset every replica onto this fleet's loop (run, restore)."""
-        for replica in self.replicas:
+        """Reset every replica onto this fleet's loop (run, restore).
+
+        A replica with a ``JournalConfig`` writes its rows into the
+        fleet's journal, owned by its index, when the fleet keeps one.
+        """
+        for index, replica in enumerate(self.replicas):
             replica._reset_runtime()
             replica.loop = self.loop
             replica._fleet = self
+            if (
+                self._journal is not None
+                and replica._journal_config is not None
+            ):
+                replica._journal_owner = index
 
     def _schedule_trace_arrivals(
         self, records: Sequence[RequestRecord]
@@ -1053,7 +1043,7 @@ class ClusterServingSystem:
     ) -> None:
         """Deliver one trace arrival cohort, journaling it first.
 
-        ARRIVAL rows make the cluster journal a sufficient record for
+        The fleet's ARRIVAL rows make its journal a sufficient record for
         journal-suffix replay (:class:`repro.core.journal
         .JournalReplayer`); orphan re-routes call
         :meth:`_arrive_batch` directly, so replay can tell trace
@@ -1061,7 +1051,7 @@ class ClusterServingSystem:
         """
         if self._journal is not None and records:
             self._journal.append(
-                now, ARRIVAL, a=records[0].request_id, b=len(records)
+                now, JournalKind.ARRIVAL, records[0].request_id, len(records)
             )
         self._arrive_batch(records, now)
 
@@ -1079,7 +1069,7 @@ class ClusterServingSystem:
             )
         if self._journal is not None and records:
             self._journal.append(
-                now, ROUTE, a=records[0].request_id, b=len(records)
+                now, JournalKind.ROUTE, records[0].request_id, len(records)
             )
         if len(alive) == 1:
             # One live replica takes everything: the router is not
@@ -1171,7 +1161,7 @@ class ClusterServingSystem:
             self._failures.append(record)
             if self._journal is not None:
                 self._journal.append(
-                    now, KILL, a=victim, b=len(victim_orphans)
+                    now, JournalKind.KILL, a=victim, b=len(victim_orphans)
                 )
             killed.append(record)
             orphans.extend(victim_orphans)
@@ -1231,7 +1221,7 @@ class ClusterServingSystem:
                 if self._journal is not None:
                     self._journal.append(
                         now,
-                        MIGRATE,
+                        JournalKind.MIGRATE,
                         a=dst,
                         b=counts[dst],
                         x=float(dead_idx),
@@ -1272,7 +1262,7 @@ class ClusterServingSystem:
         if self._journal is not None:
             self._journal.append(
                 now,
-                RESTART,
+                JournalKind.RESTART,
                 a=idx,
                 b=1 if cache_state is not None else 0,
             )
@@ -1316,7 +1306,7 @@ class ClusterServingSystem:
         if self._journal is not None:
             self._journal.append(
                 now,
-                SNAPSHOT,
+                JournalKind.SNAPSHOT,
                 a=sum(r._n_completed for r in self.replicas),
                 b=sum(r._n_shed for r in self.replicas),
             )
@@ -1382,7 +1372,7 @@ class ClusterServingSystem:
                     if self._journal is not None:
                         self._journal.append(
                             now,
-                            TRANSFER,
+                            JournalKind.TRANSFER,
                             a=worker_id,
                             b=dst,
                             x=float(src),

@@ -159,18 +159,20 @@ class SLOPolicy:
 class JournalConfig:
     """Opt-in event journaling and periodic state snapshots.
 
-    Attaching one to :class:`MoDMConfig` makes the engine append a
-    compact columnar record of every arrival, decision, dispatch,
-    completion, and allocation to an :class:`~repro.core.journal.
-    EventJournal`, and — when ``snapshot_period_s > 0`` — mark a
-    snapshot every period.  An engine run alone is a one-replica fleet
-    that then captures a full :class:`~repro.core.journal.Snapshot` at
-    each mark, so the run can be restored and resumed bit-identically
-    from any snapshot; a replica of a larger fleet keeps a cache
-    snapshot for its warm restart.  Journaling
-    never changes simulation behaviour: with it off (the default) every
-    code path is byte-identical to the journal-free engine, and with it
-    on the produced report is the same report.
+    Attaching one to :class:`MoDMConfig` makes the engine write a row
+    for every arrival, decision, dispatch, completion, and allocation
+    into its fleet's :class:`~repro.core.journal.EventJournal` (owned
+    by its replica index) whenever that fleet journals, and — when
+    ``snapshot_period_s > 0`` — mark a snapshot every period.  An engine
+    run alone is a one-replica fleet that journals exactly when the
+    engine has a journal config, and captures a full
+    :class:`~repro.core.journal.Snapshot` at each mark, so the run can
+    be restored and resumed bit-identically from any snapshot; a
+    replica of a larger fleet keeps a cache snapshot for its warm
+    restart.  Journaling never changes simulation behaviour: with it
+    off (the default) every code path is byte-identical to the
+    journal-free engine, and with it on the produced report is the same
+    report.
     """
 
     snapshot_period_s: float = 0.0
@@ -348,16 +350,17 @@ class ClusterRoutingConfig:
     is never consulted and the autoscaler never runs.  A single engine's
     ``run`` is exactly such a fleet (the seed golden regression pins it).
 
-    ``journal`` opts into a cluster-level event journal (arrival
-    cohorts, routing, kills/restarts, transfers, migrations) even
-    without a failure plan; a failure plan implies it.
-    ``snapshot_period_s > 0`` additionally captures a periodic
+    ``journal`` opts into the run's event journal even without a failure
+    plan; a failure plan implies it.  The fleet writes its own rows
+    (arrival cohorts, routing, kills/restarts, transfers, migrations)
+    and every replica with a ``MoDMConfig.journal`` writes its own, all
+    into the one journal, tagged by owner.  ``snapshot_period_s > 0``
+    additionally captures a periodic
     :class:`~repro.core.journal.Snapshot` — router policy state,
     autoscaler PID state, the shared clock, and every replica's full
     state — restorable into a fresh fleet that resumes bit-identically.
-    It needs a journal of record: the fleet journal, or, with one
-    replica and no fleet journal (a lone engine's fleet), the replica's
-    own.  ``migration_policy``
+    It needs the journal, so it is rejected without ``journal`` or a
+    failure plan.  ``migration_policy``
     selects what happens to a killed replica's last cache snapshot
     (:data:`MIGRATION_POLICIES`); the default ``none`` drops it,
     matching historical behaviour bit-for-bit.
@@ -407,6 +410,13 @@ class ClusterRoutingConfig:
             raise ValueError(
                 "snapshot_period_s must be >= 0 (0 = no periodic "
                 "cluster snapshots)"
+            )
+        if self.snapshot_period_s > 0 and not (
+            self.journal or self.failures is not None
+        ):
+            raise ValueError(
+                "snapshot_period_s > 0 needs the run journal: set "
+                "journal=True or a failure plan"
             )
         if self.policy not in ROUTING_POLICIES:
             raise ValueError(

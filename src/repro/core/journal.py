@@ -4,12 +4,14 @@ The serving engine is deterministic: given a trace and a seed, every run
 is bit-identical (the golden regressions pin this).  This module exploits
 that property for fault tolerance:
 
-- :class:`EventJournal` — a compact columnar record of everything the
-  engine decided (arrivals, cache decisions, dispatches, completions,
-  allocator and router actions), in the ``RequestStore``/``_ColumnRing``
-  style: parallel numpy arrays with amortised-doubling growth, one row
-  per event.  A sha256 :meth:`~EventJournal.digest` over the live bytes
-  lets two runs prove they took the same path without diffing reports.
+- :class:`EventJournal` — a compact columnar record of everything a run
+  decided (arrivals, cache decisions, dispatches, completions, allocator
+  and router actions), in the ``RequestStore``/``_ColumnRing`` style:
+  parallel numpy arrays with amortised-doubling growth, one row per
+  event.  A run keeps one journal, its fleet's: each row's ``owner``
+  column names the replica that wrote it, or -1 for the fleet's own
+  rows.  A sha256 :meth:`~EventJournal.digest` over the live bytes lets
+  two runs prove they took the same path without diffing reports.
 - :class:`Snapshot` — the full state of a running fleet, restorable
   into a fresh identically-configured fleet such that resuming the run
   is bit-identical to never having stopped.  A single engine runs as a
@@ -21,7 +23,7 @@ that property for fault tolerance:
   capture), one :class:`EngineSnapshot` per replica (queues, workers,
   in-flight jobs, stats windows, monitor + PID state, cache incl. IVF
   index, and the RNG-stream counters) and the fleet's router,
-  autoscaler and failure state.
+  autoscaler, failure state and journal prefix.
 - :class:`JournalReplayer` — drives a restored run forward from a
   journal's ARRIVAL suffix alone.
 - :class:`SnapCounter` — a drop-in replacement for ``itertools.count``
@@ -29,8 +31,9 @@ that property for fault tolerance:
   (cache entry ids, image ids) seed content noise draws, so restoring a
   replica means restoring these counters exactly.
 
-Journaling is opt-in (``MoDMConfig.journal``); with it off every code
-path is byte-identical to the journal-free engine.
+Journaling is opt-in (``ClusterRoutingConfig.journal``, a failure plan,
+or, for an engine run alone, ``MoDMConfig.journal``); with it off every
+code path is byte-identical to the journal-free engine.
 """
 
 from __future__ import annotations
@@ -60,22 +63,52 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # Journal event kinds
 # ----------------------------------------------------------------------
 class JournalKind(IntEnum):
-    """Named journal event kinds.
+    """Named journal event kinds, and what each row's payload holds.
 
     Values are the journal's wire format: the ``kind`` column is int8 and
     every committed golden digest covers it, so existing values are
     frozen forever — new kinds append at the end, nothing renumbers.
     ``tests/core/test_journal.py`` pins each value explicitly.
+
+    A row is ``(time, kind, a, b, x, owner)``.  ``owner`` is the index
+    of the replica that wrote the row, or -1 for the fleet's own rows;
+    an unused payload is 0 (``x``: 0.0).
+
+    ========  =====  ================  =================  ==============
+    kind      owner  a                 b                  x
+    ========  =====  ================  =================  ==============
+    ARRIVAL   -1     first request id  trace cohort size
+    ARRIVAL   r      first request id  group routed to r
+    DECISION  r      request id        hit: k; miss: -1   similarity
+    DISPATCH  r      request id        worker id          steps run
+    COMPLETE  r      request id        worker id
+    SHED      r      request id
+    ALLOC     r      large workers     small workers
+    SNAPSHOT  -1     fleet completed   fleet shed
+    SNAPSHOT  r      r's completed     r's shed
+    ROUTE     -1     first request id  records routed
+    KILL      -1     killed replica    orphans re-routed
+    RESTART   -1     replica           1 warm, 0 cold
+    TRANSFER  -1     worker id         receiving replica  giving replica
+    PROMOTE   r      cache entry id    cache slot
+    DEMOTE    r      cache entry id    cache slot
+    MIGRATE   -1     adopting replica  entries adopted    dead replica
+    ========  =====  ================  =================  ==============
+
+    A fleet ARRIVAL row is a trace cohort (the replayer's input); its
+    ROUTE row follows it, and a failure re-route writes a ROUTE row
+    only.  ``x`` holds a replica index (``TRANSFER``, ``MIGRATE``) as
+    a float.
     """
 
-    ARRIVAL = 0  # a same-tick arrival cohort entered the system
+    ARRIVAL = 0  # an arrival cohort entered the fleet / a replica
     DECISION = 1  # one request's cache decision (hit k / miss)
     DISPATCH = 2  # a request started service on a worker
     COMPLETE = 3  # a request finished service
     SHED = 4  # SLO admission rejected a request
     ALLOC = 5  # the Global Monitor re-split the worker pool
-    SNAPSHOT = 6  # a periodic state snapshot was captured
-    ROUTE = 7  # cluster: a cohort was routed to a replica
+    SNAPSHOT = 6  # a periodic state snapshot was marked
+    ROUTE = 7  # cluster: a group of records was routed
     KILL = 8  # cluster: a replica was killed
     RESTART = 9  # cluster: a replica was restarted
     TRANSFER = 10  # cluster: the autoscaler moved a worker
@@ -83,24 +116,6 @@ class JournalKind(IntEnum):
     DEMOTE = 12  # tiered cache: an entry's row demoted to cold-only
     MIGRATE = 13  # cluster: a dead replica's cache shard adopted
 
-
-# Module-level aliases: the engine journals through bare names
-# (``journal.append(now, ARRIVAL, ...)``) and IntEnum members *are*
-# ints, so these are drop-in for every existing call site and import.
-ARRIVAL = JournalKind.ARRIVAL
-DECISION = JournalKind.DECISION
-DISPATCH = JournalKind.DISPATCH
-COMPLETE = JournalKind.COMPLETE
-SHED = JournalKind.SHED
-ALLOC = JournalKind.ALLOC
-SNAPSHOT = JournalKind.SNAPSHOT
-ROUTE = JournalKind.ROUTE
-KILL = JournalKind.KILL
-RESTART = JournalKind.RESTART
-TRANSFER = JournalKind.TRANSFER
-PROMOTE = JournalKind.PROMOTE
-DEMOTE = JournalKind.DEMOTE
-MIGRATE = JournalKind.MIGRATE
 
 KIND_NAMES: Tuple[str, ...] = tuple(
     kind.name.lower() for kind in JournalKind
@@ -134,20 +149,24 @@ class SnapCounter:
         return f"SnapCounter({self.value})"
 
 
-_COLUMNS = ("_time", "_kind", "_a", "_b", "_x")
+_COLUMNS = ("_time", "_kind", "_a", "_b", "_x", "_owner")
+
+#: A journal row: ``(time, kind, a, b, x, owner)``.
+Row = Tuple[float, int, int, int, float, int]
 
 
 class EventJournal:
-    """Append-only columnar journal of engine events.
+    """Append-only columnar journal of a run's events.
 
-    Each row is ``(time, kind, a, b, x)`` where the integer payloads
+    Each row is ``(time, kind, a, b, x, owner)``: the integer payloads
     ``a``/``b`` and the float payload ``x`` are kind-specific (request
-    id, worker id, similarity, ...).  Storage follows the engine's
-    columnar idiom: parallel numpy arrays, amortised doubling, no
-    per-event objects.
+    id, worker id, similarity, ... — :class:`JournalKind` lists them),
+    and ``owner`` is the replica that wrote the row, or -1 for the
+    fleet's own rows.  Storage follows the engine's columnar idiom:
+    parallel numpy arrays, amortised doubling, no per-event objects.
     """
 
-    __slots__ = ("_time", "_kind", "_a", "_b", "_x", "_n")
+    __slots__ = ("_time", "_kind", "_a", "_b", "_x", "_owner", "_n")
 
     def __init__(self, initial: int = 1024) -> None:
         initial = max(8, int(initial))
@@ -156,6 +175,7 @@ class EventJournal:
         self._a = np.zeros(initial, dtype=np.int64)
         self._b = np.zeros(initial, dtype=np.int64)
         self._x = np.zeros(initial, dtype=np.float64)
+        self._owner = np.zeros(initial, dtype=np.int16)
         self._n = 0
 
     def __len__(self) -> int:
@@ -178,6 +198,7 @@ class EventJournal:
         a: int = 0,
         b: int = 0,
         x: float = 0.0,
+        owner: int = -1,
     ) -> None:
         n = self._n
         if n == len(self._time):
@@ -187,6 +208,7 @@ class EventJournal:
         self._a[n] = a
         self._b[n] = b
         self._x[n] = x
+        self._owner[n] = owner
         self._n = n + 1
 
     def prefix(self) -> "EventJournal":
@@ -197,7 +219,9 @@ class EventJournal:
         :meth:`_grow` moves the live journal into new arrays instead of
         resizing the old ones.  The prefix is exactly full, so its own
         first append grows it into a private copy: appending to a
-        prefix never writes to the columns it shares.
+        prefix never writes to the columns it shares.  Snapshots keep a
+        prefix, and restore installs a prefix of that, so every
+        restored run appends into its own copy.
         """
         n = self._n
         clone = EventJournal.__new__(EventJournal)
@@ -228,11 +252,9 @@ class EventJournal:
             return int(np.argmax(differs))
         return None if self._n == other._n else n
 
-    def entries(
-        self, start: int = 0, stop: Optional[int] = None
-    ) -> List[Tuple[float, int, int, int, float]]:
+    def entries(self, start: int = 0, stop: Optional[int] = None) -> List[Row]:
         """Rows ``[start, stop)`` (``stop`` defaults to ``n``) as plain
-        tuples (readable row asserts)."""
+        ``(time, kind, a, b, x, owner)`` tuples (readable row asserts)."""
         n = self._n if stop is None else min(stop, self._n)
         return [
             (
@@ -241,6 +263,7 @@ class EventJournal:
                 int(self._a[i]),
                 int(self._b[i]),
                 float(self._x[i]),
+                int(self._owner[i]),
             )
             for i in range(start, n)
         ]
@@ -265,34 +288,12 @@ class EventJournal:
             if counts[k]
         }
 
-    def payload(self) -> Dict[str, Any]:
-        """JSON-friendly summary (benchmarks, check scripts)."""
-        return {
-            "n_events": self._n,
-            "digest": self.digest(),
-            "kinds": self.kind_counts(),
-        }
-
     @classmethod
-    def from_entries(
-        cls, entries: List[Tuple[float, int, int, int, float]]
-    ) -> "EventJournal":
+    def from_entries(cls, entries: List[Row]) -> "EventJournal":
         journal = cls(initial=max(8, len(entries)))
-        for time, kind, a, b, x in entries:
-            journal.append(time, kind, a, b, x)
+        for time, kind, a, b, x, owner in entries:
+            journal.append(time, kind, a, b, x, owner)
         return journal
-
-
-def _journal_prefix(journal: Optional[EventJournal]) -> EventJournal:
-    """What a snapshot keeps of ``journal``: its O(1) read-only prefix.
-
-    Restore installs ``prefix()`` of the kept journal, a fresh wrapper
-    over the same read-only columns, so every restored system appends
-    into its own copy and the snapshot itself never changes.
-    """
-    if journal is None:
-        journal = EventJournal(initial=0)
-    return journal.prefix()
 
 
 # ----------------------------------------------------------------------
@@ -655,9 +656,6 @@ class EngineSnapshot:
     next_monitor_tick_s: float
     next_snapshot_tick_s: float
     stats_state: Dict[str, Any]
-    # A read-only prefix of the live columns (zero rows when the engine
-    # keeps no journal).
-    journal: EventJournal
     # Cache states kept for a fleet replica's warm restart.
     cache_snapshots: List[Tuple[float, object]]
     # MoDM-specific (None for other engines)
@@ -710,7 +708,6 @@ class EngineSnapshot:
             ),
             next_snapshot_tick_s=system._next_snapshot_tick_s,
             stats_state=system.stats.snapshot_state(),
-            journal=_journal_prefix(system._journal),
             cache_snapshots=list(system._cache_snapshots),
         )
         if hasattr(system, "cache"):
@@ -782,8 +779,6 @@ class EngineSnapshot:
             system.cache.restore(self.cache_state)
         for name, value in self.model_counters.items():
             system.model_sim(name)._counter.value = value
-        if system._journal is not None:
-            system._journal = self.journal.prefix()
 
 
 def _check_restorable(
@@ -868,8 +863,9 @@ class Snapshot:
     probe_schedule: Dict[float, List[int]]
     policy_state: object
     autoscaler_state: Optional[Dict[str, Any]]
-    # The fleet's journal of record (a lone engine's own journal).
-    journal: EventJournal
+    # A read-only prefix of the run's journal; None when the fleet
+    # keeps none.
+    journal: Optional[EventJournal]
     next_snapshot_s: float
     replica_states: List[EngineSnapshot]
 
@@ -898,7 +894,10 @@ class Snapshot:
                 if cluster._autoscaler is not None
                 else None
             ),
-            journal=_journal_prefix(cluster._record_journal),
+            journal=(
+                None if cluster._journal is None
+                else cluster._journal.prefix()
+            ),
             next_snapshot_s=cluster._next_snapshot_s,
             replica_states=[
                 EngineSnapshot.capture(replica)
@@ -914,11 +913,6 @@ class Snapshot:
     def store(self) -> "RequestStore":
         """A fresh, private copy of the captured request store."""
         return self.clock.chunks.restore()
-
-    @property
-    def journal_digest(self) -> str:
-        """sha256 of the captured journal rows."""
-        return self.journal.digest()
 
     # ------------------------------------------------------------------
     def restore(self, system, install_timeline: bool = True) -> None:
@@ -967,12 +961,7 @@ class Snapshot:
                 )
             cluster._autoscaler.restore_state(self.autoscaler_state)
         cluster._journal = (
-            self.journal.prefix()
-            if (
-                cluster.routing.failures is not None
-                or cluster.routing.journal
-            )
-            else None
+            None if self.journal is None else self.journal.prefix()
         )
         cluster._next_snapshot_s = self.next_snapshot_s
         cluster.snapshots = []
@@ -989,15 +978,15 @@ class JournalDivergenceError(ValueError):
 
     ``row`` is the first row where the two differ; ``replayed`` and
     ``reference`` are that row of each journal as a ``(time, kind, a,
-    b, x)`` tuple, or ``None`` where the journal ends before it.
+    b, x, owner)`` tuple, or ``None`` where the journal ends before it.
     """
 
     def __init__(
         self,
         message: str,
         row: int,
-        replayed: Optional[Tuple[float, int, int, int, float]],
-        reference: Optional[Tuple[float, int, int, int, float]],
+        replayed: Optional[Row],
+        reference: Optional[Row],
     ) -> None:
         super().__init__(message)
         self.row = row
@@ -1046,24 +1035,27 @@ class JournalReplayer:
     bulk-load the whole trace into the request store up front, so a
     snapshot's store copy already holds every future request — the only
     thing a restored system is missing without the trace file is *when
-    each arrival cohort fires*.  ARRIVAL rows record exactly that
-    (``(time, ARRIVAL, first_request_id, cohort_size)``).  The replayer
-    verifies the restored journal is a bit-exact prefix of the
-    reference record, re-installs the suffix's arrival cohorts as a
-    fresh event-loop timeline, and lets the engine regenerate every
-    downstream decision deterministically.
+    each arrival cohort fires*.  The fleet's ARRIVAL rows (owner -1)
+    record exactly that (``(time, ARRIVAL, first_request_id,
+    cohort_size)``); a replica's ARRIVAL rows record the groups routed
+    to it, which the replay regenerates.  The replayer verifies the
+    restored journal is a bit-exact prefix of the reference record,
+    re-installs the suffix's trace cohorts as a fresh event-loop
+    timeline, and lets the engine regenerate every downstream decision
+    deterministically.
 
-    ``system`` is a fleet, checked against its fleet journal, or a lone
-    engine, checked against its own journal (a :class:`Snapshot`
-    restored into it with ``install_timeline=False``).  Either way the
-    replayed cohorts arrive through the fleet's ``_arrive_cohort``, and
-    everything else (completions, monitor/snapshot ticks, failure
-    injections, autoscale periods) fires from the restored heap.
+    ``system`` is a fleet or a lone engine (a :class:`Snapshot` restored
+    into it with ``install_timeline=False``); either way the record is
+    its fleet's journal, replica rows included.  The replayed cohorts
+    arrive through the fleet's ``_arrive_cohort``, and everything else
+    (completions, monitor/snapshot ticks, failure injections, autoscale
+    periods) fires from the restored heap.
     """
 
     def __init__(self, system, reference: EventJournal) -> None:
         self._system = system
-        journal = system._journal
+        self._fleet = _fleet_of(system)
+        journal = self._fleet._journal
         if journal is None:
             raise ValueError(
                 "journal-suffix replay needs a journaled system "
@@ -1086,7 +1078,8 @@ class JournalReplayer:
                 "difference",
             )
         rows = start + np.flatnonzero(
-            reference._kind[start:] == ARRIVAL
+            (reference._kind[start:] == JournalKind.ARRIVAL)
+            & (reference._owner[start:] == -1)
         )
         self.n_cohorts = len(rows)
         self._install(
@@ -1100,7 +1093,7 @@ class JournalReplayer:
             return
         from repro.core.request import RequestRecord
 
-        fleet = _fleet_of(self._system)
+        fleet = self._fleet
         store = fleet.request_store
         rid_col = store.column("request_id")
         row_of = {int(rid_col[i]): i for i in range(len(store))}
@@ -1130,7 +1123,7 @@ class JournalReplayer:
     def verify(self) -> None:
         """Raise :class:`JournalDivergenceError` unless the replay
         regenerated the reference record exactly."""
-        regenerated = self._system._journal
+        regenerated = self._fleet._journal
         diverged = regenerated.diverges_at(self._reference)
         if diverged is not None:
             raise JournalDivergenceError.between(

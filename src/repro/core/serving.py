@@ -47,18 +47,7 @@ from repro.core.config import (
     JournalConfig,
     MoDMConfig,
 )
-from repro.core.journal import (
-    ALLOC,
-    ARRIVAL,
-    COMPLETE,
-    DECISION,
-    DEMOTE,
-    DISPATCH,
-    PROMOTE,
-    SHED,
-    SNAPSHOT,
-    EventJournal,
-)
+from repro.core.journal import JournalKind
 from repro.core.kselection import (
     REFERENCE_TOTAL_STEPS,
     KSelector,
@@ -515,7 +504,7 @@ class BaseServingSystem:
     def _on_run_start(self) -> None:
         """Hook fired once before the event loop runs (monitor ticks)."""
         if (
-            self._journal is not None
+            self._journal_owner is not None
             and self._journal_config.snapshot_period_s > 0
         ):
             self._schedule_snapshot_tick()
@@ -569,10 +558,10 @@ class BaseServingSystem:
         self._pending_wakeups: Set[float] = set()
         # Opt-in fault-tolerance state.  With journaling off every field
         # below is inert and no extra event ever enters the loop, so the
-        # simulation is bit-identical to the journal-free engine.
-        self._journal = (
-            EventJournal() if self._journal_config is not None else None
-        )
+        # simulation is bit-identical to the journal-free engine.  The
+        # owner this replica's rows carry in its fleet's journal: set by
+        # the fleet when both journal, else None (no rows).
+        self._journal_owner: Optional[int] = None
         self._cache_snapshots: List[Tuple[float, object]] = []
         # Tick-dedup markers: a periodic event is live only while its
         # timestamp matches the marker; _halt invalidates both so ticks
@@ -585,9 +574,9 @@ class BaseServingSystem:
         """The one-replica fleet that runs this system alone.
 
         Built on first use and kept, so a run, its snapshots, a restore
-        and a resume all act on the same fleet.  Its snapshot period is
-        the journal config's; it keeps no fleet journal of its own, so
-        this system's journal is the run's whole record.
+        and a resume all act on the same fleet.  It journals exactly
+        when this system has a journal config, with that config's
+        snapshot period; the run's journal is the fleet's.
         """
         if self._solo is None:
             from repro.core.cluster_router import ClusterServingSystem
@@ -597,6 +586,7 @@ class BaseServingSystem:
                 self._space,
                 lambda i: self,
                 ClusterRoutingConfig(
+                    journal=config is not None,
                     snapshot_period_s=(
                         config.snapshot_period_s if config is not None
                         else 0.0
@@ -635,6 +625,12 @@ class BaseServingSystem:
         """The periodic snapshots of this system's run (its fleet's)."""
         return self._fleet.snapshots if self._fleet is not None else []
 
+    def _journal_row(
+        self, now: float, kind: int, a: int = 0, b: int = 0, x: float = 0.0
+    ) -> None:
+        """Write a row owned by this replica into its fleet's journal."""
+        self._fleet._journal.append(now, kind, a, b, x, self._journal_owner)
+
     def _schedule_snapshot_tick(self) -> None:
         when = self.loop.now + self._journal_config.snapshot_period_s
         self._next_snapshot_tick_s = when
@@ -643,15 +639,15 @@ class BaseServingSystem:
     def _snapshot_tick(self, now: float) -> None:
         if now != self._next_snapshot_tick_s:
             return  # superseded: the replica was halted since scheduling
-        if self._journal is None or self.all_done:
+        if self.all_done:
             return
         # Journal the marker and schedule the successor: a snapshot the
         # fleet captures later carries both, so a restored run keeps
         # snapshotting on the same cadence.  A warm restart or a cache
         # migration — only a failure plan has them — needs just the
         # semantic-cache state kept here.
-        self._journal.append(
-            now, SNAPSHOT, a=self._n_completed, b=self._n_shed
+        self._journal_row(
+            now, JournalKind.SNAPSHOT, self._n_completed, self._n_shed
         )
         self._schedule_snapshot_tick()
         cache = getattr(self, "cache", None)
@@ -680,25 +676,25 @@ class BaseServingSystem:
         self.records.extend(records)
         for record in records:
             record.replica_id = replica_id
-        journal = self._journal
-        if journal is not None:
-            journal.append(
-                now, ARRIVAL, a=records[0].request_id, b=len(records)
+        journaled = self._journal_owner is not None
+        if journaled:
+            self._journal_row(
+                now, JournalKind.ARRIVAL, records[0].request_id, len(records)
             )
         self._handle_arrivals(records, now)
-        if journal is not None:
+        if journaled:
             for record in records:
                 if record.shed:
-                    journal.append(now, SHED, a=record.request_id)
+                    self._journal_row(now, JournalKind.SHED, record.request_id)
                     continue
                 decision = record.decision
                 if decision is not None:
-                    journal.append(
+                    self._journal_row(
                         now,
-                        DECISION,
-                        a=record.request_id,
-                        b=decision.k_steps if decision.hit else -1,
-                        x=decision.similarity,
+                        JournalKind.DECISION,
+                        record.request_id,
+                        decision.k_steps if decision.hit else -1,
+                        decision.similarity,
                     )
         self._dispatch(now)
 
@@ -759,13 +755,13 @@ class BaseServingSystem:
         record.model_name = item.model.spec.name
         record.steps_run = item.steps
         self._in_service[record.request_id] = item
-        if self._journal is not None:
-            self._journal.append(
+        if self._journal_owner is not None:
+            self._journal_row(
                 now,
-                DISPATCH,
-                a=record.request_id,
-                b=worker.worker_id,
-                x=float(item.steps),
+                JournalKind.DISPATCH,
+                record.request_id,
+                worker.worker_id,
+                float(item.steps),
             )
         # Same-timestamp completions form one cohort event; workers are
         # completed in schedule order within the cohort, and each record
@@ -812,9 +808,9 @@ class BaseServingSystem:
         if self._store_images:
             record.image = result.image
         self._n_completed += 1
-        if self._journal is not None:
-            self._journal.append(
-                now, COMPLETE, a=record.request_id, b=worker.worker_id
+        if self._journal_owner is not None:
+            self._journal_row(
+                now, JournalKind.COMPLETE, record.request_id, worker.worker_id
             )
         if self._slo_gate is not None:
             self._slo_gate.record_completion(record, now)
@@ -1069,9 +1065,8 @@ class MoDMSystem(BaseServingSystem):
         )
         if hasattr(self.cache, "on_tier_event"):
             # Tiered cache: journal promotions/demotions.  The callback
-            # reads self._journal at fire time, so it survives both
-            # _reset_runtime and EngineSnapshot.restore rebinding the
-            # journal.
+            # reads the journal owner at fire time, so it survives the
+            # fleet rebinding the replica on every run and restore.
             self.cache.on_tier_event = self._journal_tier_event
         base_selector = selector or modm_default_selector()
         if config.threshold_shift:
@@ -1220,18 +1215,13 @@ class MoDMSystem(BaseServingSystem):
         copies of cold rows), but they do change the modelled retrieval
         latency, so the journal records them for replay audits.
         """
-        if self._journal is not None:
-            self._journal.append(
-                now,
-                PROMOTE if kind == "promote" else DEMOTE,
-                a=entry_id,
-                b=slot,
-            )
+        if self._journal_owner is not None:
+            self._journal_row(now, JournalKind[kind.upper()], entry_id, slot)
 
     def _apply_allocation(self, allocation: Allocation, now: float) -> None:
-        if self._journal is not None:
-            self._journal.append(
-                now, ALLOC, a=allocation.n_large, b=allocation.n_small
+        if self._journal_owner is not None:
+            self._journal_row(
+                now, JournalKind.ALLOC, allocation.n_large, allocation.n_small
             )
         self.allocations.append(
             AllocationEvent(
@@ -1433,7 +1423,7 @@ class MoDMSystem(BaseServingSystem):
             self.cache.clear()
         self._schedule_monitor_tick()
         if (
-            self._journal is not None
+            self._journal_owner is not None
             and self._journal_config.snapshot_period_s > 0
         ):
             self._schedule_snapshot_tick()

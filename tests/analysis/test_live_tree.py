@@ -81,7 +81,7 @@ def test_event_journal_stays_under_snapshot_coverage(
     source = (
         repo_root / "src" / "repro" / "core" / "journal.py"
     ).read_text()
-    slots = '__slots__ = ("_time", "_kind", "_a", "_b", "_x", "_n")'
+    slots = '__slots__ = ("_time", "_kind", "_a", "_b", "_x", "_owner", "_n")'
     mutated = source.replace(
         slots, slots.replace('"_n")', '"_n", "_extra")')
     )
@@ -209,7 +209,7 @@ def test_replay_gate_reports_suffix_divergence(
     """A suffix replay that cannot regenerate a tampered reference
     journal fails the gate through ``gate_fail``, naming the snapshot
     time and the first diverging row, and still writes ``--out``."""
-    from repro.core.journal import ARRIVAL, EventJournal
+    from repro.core.journal import EventJournal, JournalKind
 
     replay = _import_script(repo_root, "check_replay")
     resume = replay._resume
@@ -223,13 +223,13 @@ def test_replay_gate_reports_suffix_divergence(
             (
                 i
                 for i in range(len(snapshot.journal), len(rows))
-                if rows[i][1] != ARRIVAL
+                if rows[i][1] != JournalKind.ARRIVAL
             ),
             None,
         )
         if row is not None:
-            time, kind, a, b, x = rows[row]
-            rows[row] = (time, kind, a, b, x + 1.0)
+            time, kind, a, b, x, owner = rows[row]
+            rows[row] = (time, kind, a, b, x + 1.0, owner)
             tampered.append((snapshot.time_s, row, rows[row]))
         return resume(
             snapshot,
@@ -263,8 +263,8 @@ def test_replay_gate_raises_on_prefix_mismatch(repo_root, monkeypatch):
 
     def against_wrong_run(snapshot, build, reference, trace, suffix, payload):
         rows = reference.entries()
-        time, kind, a, b, x = rows[0]
-        rows[0] = (time, kind, a, b, x + 1.0)
+        time, kind, a, b, x, owner = rows[0]
+        rows[0] = (time, kind, a, b, x + 1.0, owner)
         return resume(
             snapshot,
             build,

@@ -4,6 +4,9 @@ cache migration on kill, and correlated/cascading failure schedules."""
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,13 @@ from repro.core.config import (
     cascade,
     correlated_group,
 )
-from repro.core.journal import ARRIVAL, DECISION, SHED, JournalReplayer
+from repro.core.journal import (
+    EventJournal,
+    JournalDivergenceError,
+    JournalKind,
+    JournalReplayer,
+)
+from repro.core.serving import MoDMSystem
 from repro.core.tiering import ColdExtentError, TieredCacheConfig
 from repro.workloads import DiffusionDBConfig, diffusiondb_trace
 
@@ -59,6 +68,11 @@ def _trace(space, n=100, seed="cluster-recovery"):
     )
 
 
+def _owned_rows(journal, owner):
+    """The rows of ``journal`` that ``owner`` wrote (-1: the fleet)."""
+    return [row for row in journal.entries() if row[5] == owner]
+
+
 def _payload(system, report):
     comp = system.request_store.column("completion_s")
     return {
@@ -69,8 +83,10 @@ def _payload(system, report):
         "routed": tuple(report.routed),
         "cluster_journal": system.journal.digest(),
         "replica_journals": tuple(
-            r._journal.digest() if r._journal is not None else ""
-            for r in system.replicas
+            hashlib.sha256(
+                repr(_owned_rows(system.journal, idx)).encode()
+            ).hexdigest()
+            for idx in range(len(system.replicas))
         ),
     }
 
@@ -319,6 +335,19 @@ class TestClusterSnapshot:
     def test_snapshot_requires_journal(self, space):
         with pytest.raises(ValueError, match="snapshot_period_s"):
             ClusterRoutingConfig(n_replicas=2, snapshot_period_s=-1.0)
+        # A period without the run journal would capture nothing: it is
+        # rejected when the config is built.  The journal flag or a
+        # failure plan (which implies the journal) makes it valid.
+        with pytest.raises(ValueError, match="needs the run journal"):
+            ClusterRoutingConfig(n_replicas=2, snapshot_period_s=10.0)
+        with pytest.raises(ValueError, match="needs the run journal"):
+            ClusterRoutingConfig(n_replicas=1, snapshot_period_s=10.0)
+        ClusterRoutingConfig(
+            n_replicas=2, journal=True, snapshot_period_s=10.0
+        )
+        ClusterRoutingConfig(
+            n_replicas=2, failures=FailurePlan(), snapshot_period_s=10.0
+        )
         # snapshot_period_s without journaling never captures: the off
         # path stays off.
         system = modm_cluster(
@@ -337,9 +366,13 @@ class TestClusterSnapshot:
             ClusterRoutingConfig(n_replicas=2, journal=True),
         )
         report = system.run(_trace(space, n=20, seed="journal-only"))
+        fleet_rows = _owned_rows(system.journal, -1)
+        arrivals = [r for r in fleet_rows if r[1] == JournalKind.ARRIVAL]
+        routes = [r for r in fleet_rows if r[1] == JournalKind.ROUTE]
+        assert arrivals and len(routes) == len(arrivals)
+        # The replicas write their rows into the same journal.
         kinds = system.journal.kind_counts()
-        assert kinds["arrival"] > 0
-        assert kinds["route"] == kinds["arrival"]
+        assert kinds["decision"] == 20
         assert report.n_completed == 20
 
     @_SLOW
@@ -398,14 +431,46 @@ class TestClusterSnapshot:
         assert _payload(resumed, report) == straight_fleet["payload"]
         assert any(rec.n_migrated > 0 for rec in resumed._failures)
 
+    def test_tampered_replica_row_fails_verify(self, straight_fleet):
+        """The replay checks the replica rows of the one journal too: a
+        reference whose only difference is one replica-owned row in the
+        suffix replays the same cohorts and then fails ``verify()`` at
+        exactly that row."""
+        snapshots = straight_fleet["system"].snapshots
+        snap = snapshots[len(snapshots) // 2]
+        rows = straight_fleet["reference"].entries()
+        start = len(snap.journal)
+        row = next(i for i in range(start, len(rows)) if rows[i][5] >= 0)
+        time, kind, a, b, x, owner = rows[row]
+        rows[row] = (time, kind, a, b, x + 1.0, owner)
+        tampered = EventJournal.from_entries(rows)
+        resumed = straight_fleet["build"]()
+        snap.restore(resumed, install_timeline=False)
+        replayer = JournalReplayer(resumed, tampered)
+        # Cohorts come from the fleet's ARRIVAL rows only; replica
+        # ARRIVAL rows would fire every cohort again.
+        assert replayer.n_cohorts == sum(
+            1
+            for r in rows[start:]
+            if r[1] == JournalKind.ARRIVAL and r[5] == -1
+        )
+        report = replayer.replay(trace_name=straight_fleet["trace"].name)
+        assert _payload(resumed, report)["completion_sha"] == (
+            straight_fleet["payload"]["completion_sha"]
+        )
+        with pytest.raises(JournalDivergenceError) as caught:
+            replayer.verify()
+        assert caught.value.row == row
+        assert caught.value.reference == rows[row]
+
 
 class TestReplicaJournals:
     def test_each_admitted_request_has_one_decision_row(self, space):
         """A replica journals the groups it admits (ARRIVAL rows) and one
-        DECISION or SHED row per admitted request, so the replica
-        journals together cover every routed request — the requests a
-        kill orphans once at the dead replica and again where they are
-        re-routed."""
+        DECISION or SHED row per admitted request, each owned by its
+        index, so the replica rows together cover every routed request —
+        the requests a kill orphans once at the dead replica and again
+        where they are re-routed."""
         trace = _trace(space, n=300, seed="replay-gate")
         span = trace.requests[-1].arrival_s
         routing = ClusterRoutingConfig(
@@ -427,15 +492,96 @@ class TestReplicaJournals:
         report = system.run(trace)
         assert report.n_rerouted > 0 and report.n_lost == 0
         decided = []
-        for idx, replica in enumerate(system.replicas):
-            rows = replica._journal.entries()
-            admitted = [row[2] for row in rows if row[1] in (DECISION, SHED)]
-            grouped = sum(row[3] for row in rows if row[1] == ARRIVAL)
+        decision_kinds = (JournalKind.DECISION, JournalKind.SHED)
+        for idx in range(len(system.replicas)):
+            rows = _owned_rows(system.journal, idx)
+            admitted = [row[2] for row in rows if row[1] in decision_kinds]
+            grouped = sum(
+                row[3] for row in rows if row[1] == JournalKind.ARRIVAL
+            )
             assert len(admitted) == grouped == report.routed[idx], idx
             decided.extend(admitted)
         assert len(decided) == len(trace) + report.n_rerouted
         ids = system.request_store.column("request_id").tolist()
         assert sorted(set(decided)) == sorted(ids)
+        # The fleet's own ARRIVAL rows are the trace cohorts, once each.
+        fleet_rows = _owned_rows(system.journal, -1)
+        assert len(trace) == sum(
+            row[3] for row in fleet_rows if row[1] == JournalKind.ARRIVAL
+        )
+        owners = {row[5] for row in system.journal.entries()}
+        assert owners == {-1, 0, 1, 2, 3}
+
+
+def _check_replay():
+    """``scripts/check_replay.py``, imported as a module."""
+    path = Path(__file__).resolve().parents[2] / "scripts" / "check_replay.py"
+    spec = importlib.util.spec_from_file_location("check_replay", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["check_replay"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _five_column_digest(journal, owner):
+    """sha256 of ``owner``'s rows over the five columns a journal had
+    before it gained ``owner``, computed as ``EventJournal.digest`` did
+    then."""
+    n = len(journal)
+    mine = journal._owner[:n] == owner
+    h = hashlib.sha256()
+    for name in ("_time", "_kind", "_a", "_b", "_x"):
+        column = getattr(journal, name)[:n][mine]
+        h.update(np.ascontiguousarray(column).tobytes())
+    return h.hexdigest()
+
+
+class TestJournalOwners:
+    """One journal per run: filtered by owner, its rows are the separate
+    journals a run kept before the owner column, row for row.
+
+    The digests were recorded from ``check_replay.py``'s runs when a
+    fleet kept a journal of its own rows and one per replica, and a lone
+    engine kept only its own journal.
+    """
+
+    FLEET = "5c68e57624ea6821ed7dfe9ae74e194e17693107f0988353c3787deeb901af52"
+    REPLICAS = (
+        "6578533d83290b0192b05a4e54f95e0bb70a74157a4ee26194247ad8e191f5a1",
+        "7b10a377671e4140076f83eb3d0e3dc53fcd81ba60abf85474815f1b32122802",
+        "92639f67c4d839faf71330d92df3ba195291a50f5fad448080344a07ecda71b1",
+        "f90ade0a944dcea0927d678fd82153190dc9b842cbe2c80cb7a38d87af029871",
+    )
+    ENGINE = "e89eb13fb8ff4d00ecbe660f39b46fe7da455fc8e8ffbb0a5a2f8402cf26694a"
+
+    def test_fleet_rows_by_owner_equal_the_separate_journals(
+        self, space, tmp_path
+    ):
+        replay = _check_replay()
+        trace = replay._trace(space, 300)
+        fleet = replay.fleet_build(space, trace, str(tmp_path))()
+        fleet.run(trace)
+        journal = fleet.journal
+        assert _five_column_digest(journal, -1) == self.FLEET
+        for idx, digest in enumerate(self.REPLICAS):
+            assert _five_column_digest(journal, idx) == digest, idx
+        owners = journal._owner[: len(journal)]
+        assert set(owners.tolist()) == {-1, 0, 1, 2, 3}
+        assert all(
+            not hasattr(replica, "_journal") for replica in fleet.replicas
+        )
+
+    def test_lone_engine_rows_equal_its_own_journal(self, space):
+        replay = _check_replay()
+        engine = MoDMSystem(space, replay._config())
+        engine.run(replay._trace(space, 250))
+        journal = engine._fleet.journal
+        assert _five_column_digest(journal, 0) == self.ENGINE
+        # Beside them, the fleet's own rows (test_journal.py's
+        # TestJournalNeutrality pins which).
+        assert set(journal._owner[: len(journal)].tolist()) == {-1, 0}
+        assert not hasattr(engine, "_journal")
+        assert not hasattr(engine, "journal")
 
 
 class TestColdExtentCheck:
@@ -492,7 +638,7 @@ class TestColdExtentCheck:
             for replica in fresh.replicas:
                 assert len(replica.cache) == 0
                 assert replica.cache.cold_store.rows == 0
-                assert replica._journal is None
+                assert replica._journal_owner is None
 
 
 class TestColdTierAliasing:

@@ -17,9 +17,6 @@ from repro.core.config import (
     MoDMConfig,
 )
 from repro.core.journal import (
-    ARRIVAL,
-    COMPLETE,
-    DECISION,
     KIND_NAMES,
     EventJournal,
     JournalKind,
@@ -39,6 +36,16 @@ from repro.core.request import (
 from repro.core.serving import MoDMSystem
 from repro.core.tiering import ColdExtentError, TieredCacheConfig
 from repro.workloads import DiffusionDBConfig, diffusiondb_trace
+
+
+_COLUMN_NAMES = ("_time", "_kind", "_a", "_b", "_x", "_owner")
+
+
+def _owned(journal, owner):
+    """The rows of ``journal`` that ``owner`` wrote, as a journal."""
+    return EventJournal.from_entries(
+        [row for row in journal.entries() if row[5] == owner]
+    )
 
 
 def _config(journal=None, seed="journal-tests", n_workers=4):
@@ -105,50 +112,63 @@ class TestEventJournal:
     def test_append_and_entries_round_trip(self):
         journal = EventJournal()
         rows = [
-            (0.5, ARRIVAL, 0, 3, 0.0),
-            (1.0, DECISION, 1, 25, 0.93),
-            (2.5, COMPLETE, 1, 0, 0.0),
+            (0.5, JournalKind.ARRIVAL, 0, 3, 0.0, -1),
+            (1.0, JournalKind.DECISION, 1, 25, 0.93, 2),
+            (2.5, JournalKind.COMPLETE, 1, 0, 0.0, 0),
         ]
-        for time, kind, a, b, x in rows:
-            journal.append(time, kind, a=a, b=b, x=x)
+        for time, kind, a, b, x, owner in rows:
+            journal.append(time, kind, a=a, b=b, x=x, owner=owner)
         assert len(journal) == 3
         assert journal.entries() == rows
         assert journal.entries(start=2) == rows[2:]
 
+    def test_owner_defaults_to_the_fleet(self):
+        journal = EventJournal()
+        journal.append(1.0, JournalKind.ARRIVAL, a=4, b=2)
+        assert journal.entries() == [
+            (1.0, JournalKind.ARRIVAL, 4, 2, 0.0, -1)
+        ]
+
     def test_from_entries_preserves_digest(self):
         journal = EventJournal()
         for i in range(20):
-            journal.append(float(i), i % len(KIND_NAMES), a=i, x=0.5 * i)
+            journal.append(
+                float(i), i % len(KIND_NAMES), a=i, x=0.5 * i, owner=i % 3 - 1
+            )
         clone = EventJournal.from_entries(journal.entries())
         assert clone.digest() == journal.digest()
         assert len(clone) == len(journal)
 
     def test_digest_tracks_content(self):
         one, two = EventJournal(), EventJournal()
-        one.append(1.0, ARRIVAL, a=1)
-        two.append(1.0, ARRIVAL, a=1)
+        one.append(1.0, JournalKind.ARRIVAL, a=1)
+        two.append(1.0, JournalKind.ARRIVAL, a=1)
         assert one.digest() == two.digest()
-        two.append(2.0, COMPLETE, a=1)
+        two.append(2.0, JournalKind.COMPLETE, a=1)
         assert one.digest() != two.digest()
+
+    def test_digest_and_divergence_cover_the_owner(self):
+        one, two = EventJournal(), EventJournal()
+        one.append(1.0, JournalKind.COMPLETE, a=1, owner=0)
+        two.append(1.0, JournalKind.COMPLETE, a=1, owner=1)
+        assert one.digest() != two.digest()
+        assert one.diverges_at(two) == 0
 
     def test_growth_beyond_initial_capacity(self):
         journal = EventJournal(initial=8)
         for i in range(100):
-            journal.append(float(i), COMPLETE, a=i)
+            journal.append(float(i), JournalKind.COMPLETE, a=i)
         assert len(journal) == 100
-        assert journal.entries()[99] == (99.0, COMPLETE, 99, 0, 0.0)
+        assert journal.entries()[99] == (
+            99.0, JournalKind.COMPLETE, 99, 0, 0.0, -1
+        )
 
-    def test_kind_counts_and_payload(self):
+    def test_kind_counts(self):
         journal = EventJournal()
-        journal.append(0.0, ARRIVAL)
-        journal.append(1.0, DECISION)
-        journal.append(1.5, DECISION)
-        counts = journal.kind_counts()
-        assert counts == {"arrival": 1, "decision": 2}
-        payload = journal.payload()
-        assert payload["n_events"] == 3
-        assert payload["digest"] == journal.digest()
-        assert payload["kinds"] == counts
+        journal.append(0.0, JournalKind.ARRIVAL)
+        journal.append(1.0, JournalKind.DECISION, owner=0)
+        journal.append(1.5, JournalKind.DECISION, owner=1)
+        assert journal.kind_counts() == {"arrival": 1, "decision": 2}
 
 
 # ----------------------------------------------------------------------
@@ -177,14 +197,6 @@ class TestJournalKind:
     def test_values_are_pinned(self):
         assert {k.name: int(k) for k in JournalKind} == self.PINNED
 
-    def test_module_aliases_are_the_members(self):
-        import repro.core.journal as journal
-
-        for name, value in self.PINNED.items():
-            alias = getattr(journal, name)
-            assert alias is JournalKind[name]
-            assert alias == value
-
     def test_kind_names_mirror_the_enum(self):
         assert KIND_NAMES == tuple(
             k.name.lower() for k in JournalKind
@@ -200,16 +212,17 @@ class TestJournalKind:
     def test_members_are_ints_for_journal_append(self):
         journal = EventJournal()
         journal.append(1.0, JournalKind.MIGRATE, a=2, b=30, x=1.0)
-        assert journal.entries() == [(1.0, 13, 2, 30, 1.0)]
+        assert journal.entries() == [(1.0, 13, 2, 30, 1.0, -1)]
         assert journal.kind_counts() == {"migrate": 1}
 
 
 class TestJournalNeutrality:
     def test_journal_off_by_default(self, space):
         system = MoDMSystem(space, _config())
-        assert system._journal is None
+        assert system._solo_fleet().journal is None
         system.run(_trace(space, n=20))
-        assert system._journal is None
+        assert system._fleet.journal is None
+        assert system._journal_owner is None
         assert system.snapshots == []
 
     def test_journal_on_is_bit_identical(self, space):
@@ -223,13 +236,25 @@ class TestJournalNeutrality:
         assert _run_payload(plain_report) == _run_payload(
             journaled_report
         )
-        # ... and the journaled run actually recorded its path.
-        counts = journaled._journal.kind_counts()
+        # ... and the journaled run actually recorded its path: the
+        # engine's rows (owner 0) and its fleet's (owner -1), one fleet
+        # ARRIVAL and ROUTE row per replica ARRIVAL row, and one SNAPSHOT
+        # row of each owner per capture.
+        journal = journaled._fleet.journal
+        counts = _owned(journal, 0).kind_counts()
         assert counts["arrival"] > 0
         assert counts["decision"] == len(trace)
         assert counts["complete"] == journaled_report.n_completed
         assert counts["snapshot"] == len(journaled.snapshots)
         assert journaled.snapshots
+        assert _owned(journal, -1).kind_counts() == {
+            "arrival": counts["arrival"],
+            "route": counts["arrival"],
+            "snapshot": len(journaled.snapshots),
+        }
+        assert len(journal) == sum(
+            len(_owned(journal, owner)) for owner in (-1, 0)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +266,7 @@ class TestSnapshotRestore:
         journal = JournalConfig(snapshot_period_s=45.0)
         straight = MoDMSystem(space, _config(journal=journal))
         straight_payload = _run_payload(straight.run(trace))
-        digest = straight._journal.digest()
+        digest = straight._fleet.journal.digest()
         assert len(straight.snapshots) >= 2
 
         snapshot = straight.snapshots[len(straight.snapshots) // 2]
@@ -249,7 +274,7 @@ class TestSnapshotRestore:
         snapshot.restore(resumed)
         resumed_payload = _run_payload(resumed.resume(trace))
         assert resumed_payload == straight_payload
-        assert resumed._journal.digest() == digest
+        assert resumed._fleet.journal.digest() == digest
 
     def test_every_snapshot_resumes_identically(self, space):
         trace = _trace(space, n=60)
@@ -287,7 +312,7 @@ class TestSnapshotRestore:
         with pytest.raises(ColdExtentError, match="snapshot needs"):
             snapshot.restore(fresh)
         assert fresh.loop.now == 0.0
-        assert fresh.records == [] and len(fresh._journal) == 0
+        assert fresh.records == [] and fresh._solo_fleet().journal is None
         assert len(fresh.cache) == 0 and fresh.cache.cold_store.rows == 0
 
     def test_lone_engine_and_fleet_snapshots_do_not_cross(self, space):
@@ -317,7 +342,7 @@ class TestSnapshotRestore:
             fleet.snapshots[0].restore(fresh_engine)
         assert fresh_engine.loop.now == 0.0
         assert fresh_engine.records == []
-        assert len(fresh_engine._journal) == 0
+        assert fresh_engine._solo_fleet().journal is None
         assert fresh_engine.snapshots == []
 
         # The matching pair restores and finishes the run exactly.
@@ -566,7 +591,7 @@ class TestJournalSuffixReplay:
     def test_suffix_replay_is_bit_identical(self, space):
         trace = _trace(space)
         straight, payload = self._straight(space, trace)
-        reference = straight._journal
+        reference = straight._fleet.journal
 
         snapshot = straight.snapshots[len(straight.snapshots) // 2]
         resumed = MoDMSystem(
@@ -581,8 +606,8 @@ class TestJournalSuffixReplay:
         report = replayer.replay(trace_name=trace.name)
         replayer.verify()
         assert _run_payload(report) == payload
-        assert resumed._journal.digest() == (
-            straight._journal.digest()
+        assert resumed._fleet.journal.digest() == (
+            straight._fleet.journal.digest()
         )
 
     def test_replayer_requires_a_journal(self, space):
@@ -594,7 +619,7 @@ class TestJournalSuffixReplay:
     def test_replayer_rejects_prefix_mismatch(self, space):
         trace = _trace(space, n=60)
         straight, _payload_ = self._straight(space, trace)
-        reference = straight._journal.entries()
+        reference = straight._fleet.journal.entries()
         snapshot = straight.snapshots[-1]
         resumed = MoDMSystem(
             space,
@@ -602,8 +627,8 @@ class TestJournalSuffixReplay:
         )
         snapshot.restore(resumed, install_timeline=False)
         tampered = list(reference)
-        time, kind, a, b, x = tampered[0]
-        tampered[0] = (time, kind, a + 1, b, x)
+        time, kind, a, b, x, owner = tampered[0]
+        tampered[0] = (time, kind, a + 1, b, x, owner)
         with pytest.raises(ValueError, match="prefix mismatch"):
             JournalReplayer(resumed, EventJournal.from_entries(tampered))
 
@@ -611,21 +636,21 @@ class TestJournalSuffixReplay:
     def test_verify_reports_the_first_diverging_row(self, space):
         trace = _trace(space)
         straight, _payload_ = self._straight(space, trace)
-        rows = straight._journal.entries()
+        rows = straight._fleet.journal.entries()
         snapshot = straight.snapshots[len(straight.snapshots) // 2]
         resumed = MoDMSystem(
             space,
             _config(journal=JournalConfig(snapshot_period_s=45.0)),
         )
         snapshot.restore(resumed, install_timeline=False)
-        start = len(resumed._journal)
+        start = len(resumed._fleet.journal)
         # Tamper the payload of the first non-ARRIVAL suffix row, so the
         # replayed cohorts stay the same and only that row diverges.
         row = next(
-            i for i in range(start, len(rows)) if rows[i][1] != ARRIVAL
+            i for i in range(start, len(rows)) if rows[i][1] != JournalKind.ARRIVAL
         )
-        time, kind, a, b, x = rows[row]
-        rows[row] = (time, kind, a, b, x + 1.0)
+        time, kind, a, b, x, owner = rows[row]
+        rows[row] = (time, kind, a, b, x + 1.0, owner)
         replayer = JournalReplayer(resumed, EventJournal.from_entries(rows))
         replayer.replay(trace_name=trace.name)
         with pytest.raises(ValueError, match=f"at row {row} "):
@@ -638,7 +663,9 @@ class TestJournalSuffixReplay:
 def _filled_journal(n, initial=8):
     journal = EventJournal(initial=initial)
     for i in range(n):
-        journal.append(0.5 * i, i % len(KIND_NAMES), a=i, b=-i, x=0.25 * i)
+        journal.append(
+            0.5 * i, i % len(KIND_NAMES), a=i, b=-i, x=0.25 * i, owner=i % 3 - 1
+        )
     return journal
 
 
@@ -652,7 +679,7 @@ class TestJournalPrefix:
         prefix = journal.prefix()
         assert len(prefix) == 5
         assert prefix.digest() == journal.digest()
-        for name in ("_time", "_kind", "_a", "_b", "_x"):
+        for name in _COLUMN_NAMES:
             column = getattr(prefix, name)
             assert not column.flags.writeable
             assert np.shares_memory(column, getattr(journal, name))
@@ -664,12 +691,12 @@ class TestJournalPrefix:
         rows, digest = prefix.entries(), prefix.digest()
         # Within capacity: the live journal writes row 5 of the shared
         # arrays, outside the prefix's view.
-        journal.append(99.0, COMPLETE, a=99)
+        journal.append(99.0, JournalKind.COMPLETE, a=99)
         assert np.shares_memory(prefix._a, journal._a)
         # Across several _grow calls: the live journal moves to new
         # arrays and the prefix keeps the old ones.
         for i in range(100):
-            journal.append(100.0 + i, DECISION, a=i)
+            journal.append(100.0 + i, JournalKind.DECISION, a=i)
         assert not np.shares_memory(prefix._a, journal._a)
         assert prefix.entries() == rows
         assert prefix.digest() == digest
@@ -679,11 +706,11 @@ class TestJournalPrefix:
         journal = _filled_journal(5)
         prefix = journal.prefix()
         mine = prefix.prefix()
-        mine.append(7.0, COMPLETE, a=7)
+        mine.append(7.0, JournalKind.COMPLETE, a=7)
         assert mine._time.flags.writeable
         assert not np.shares_memory(mine._time, journal._time)
         assert mine.entries() == journal.entries() + [
-            (7.0, COMPLETE, 7, 0, 0.0)
+            (7.0, JournalKind.COMPLETE, 7, 0, 0.0, -1)
         ]
         assert len(prefix) == 5 and len(journal) == 5
 
@@ -691,11 +718,11 @@ class TestJournalPrefix:
         empty = EventJournal().prefix()
         assert len(empty) == 0
         assert empty.digest() == EventJournal().digest()
-        empty.append(1.0, ARRIVAL, a=0, b=2)
-        empty.append(2.0, COMPLETE, a=0)
+        empty.append(1.0, JournalKind.ARRIVAL, a=0, b=2)
+        empty.append(2.0, JournalKind.COMPLETE, a=0)
         assert empty.entries() == [
-            (1.0, ARRIVAL, 0, 2, 0.0),
-            (2.0, COMPLETE, 0, 0, 0.0),
+            (1.0, JournalKind.ARRIVAL, 0, 2, 0.0, -1),
+            (2.0, JournalKind.COMPLETE, 0, 0, 0.0, -1),
         ]
 
     def test_diverges_at(self):
@@ -704,9 +731,12 @@ class TestJournalPrefix:
         assert journal.diverges_at(_filled_journal(12)) == 12
         assert _filled_journal(12).diverges_at(journal) == 12
         rows = journal.entries()
-        time, kind, a, b, x = rows[7]
-        rows[7] = (time, kind, a, b, x + 1.0)
+        time, kind, a, b, x, owner = rows[7]
+        rows[7] = (time, kind, a, b, x + 1.0, owner)
         assert journal.diverges_at(EventJournal.from_entries(rows)) == 7
+        rows = journal.entries()
+        rows[9] = rows[9][:5] + (rows[9][5] + 1,)
+        assert journal.diverges_at(EventJournal.from_entries(rows)) == 9
 
     def test_engine_capture_never_builds_rows(self, space, monkeypatch):
         monkeypatch.setattr(EventJournal, "entries", _no_entries)
@@ -715,10 +745,10 @@ class TestJournalPrefix:
         system.run(_trace(space))
         assert len(system.snapshots) >= 2
         snap = Snapshot.capture(system)
-        live = system._journal
+        live = system._fleet.journal
         assert len(snap.journal) == len(live)
-        assert snap.journal_digest == live.digest()
-        for name in ("_time", "_kind", "_a", "_b", "_x"):
+        assert snap.journal.digest() == live.digest()
+        for name in _COLUMN_NAMES:
             column = getattr(snap.journal, name)
             assert not column.flags.writeable
             assert np.shares_memory(column, getattr(live, name))
@@ -736,10 +766,10 @@ class TestJournalPrefix:
         assert len(fleet.snapshots) >= 2
         last = fleet.snapshots[-1]
         assert np.shares_memory(last.journal._kind, fleet.journal._kind)
+        assert not last.journal._owner.flags.writeable
+        # The one journal holds the fleet's rows and both replicas'.
+        assert set(last.journal._owner.tolist()) == {-1, 0, 1}
         assert len(last.replica_states) == 2
-        for replica, state in zip(fleet.replicas, last.replica_states):
-            assert not state.journal._a.flags.writeable
-            assert len(state.journal) <= len(replica._journal)
 
     def test_one_snapshot_restores_into_two_systems(self, space):
         trace = _trace(space)
@@ -747,19 +777,24 @@ class TestJournalPrefix:
         straight = MoDMSystem(space, _config(journal=journal))
         straight.run(trace)
         snapshot = straight.snapshots[len(straight.snapshots) // 2]
-        rows, digest = snapshot.journal.entries(), snapshot.journal_digest
+        rows, digest = snapshot.journal.entries(), snapshot.journal.digest()
         first = MoDMSystem(space, _config(journal=journal))
         second = MoDMSystem(space, _config(journal=journal))
         snapshot.restore(first)
         snapshot.restore(second)
-        assert first._journal is not second._journal
+        first_journal = first._fleet.journal
+        second_journal = second._fleet.journal
+        assert first_journal is not second_journal
         first.resume(trace)
         second.resume(trace)
-        assert first._journal.entries() == second._journal.entries()
-        assert first._journal.digest() == straight._journal.digest()
-        assert not np.shares_memory(first._journal._x, second._journal._x)
+        # Both appended: each holds its own grown columns now.
+        first_journal = first._fleet.journal
+        second_journal = second._fleet.journal
+        assert first_journal.entries() == second_journal.entries()
+        assert first_journal.digest() == straight._fleet.journal.digest()
+        assert not np.shares_memory(first_journal._x, second_journal._x)
         assert snapshot.journal.entries() == rows
-        assert snapshot.journal_digest == digest
+        assert snapshot.journal.digest() == digest
         assert not snapshot.journal._time.flags.writeable
 
 

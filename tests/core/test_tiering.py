@@ -1007,7 +1007,7 @@ class TestServingIntegration:
             self._config(journal=JournalConfig()),
         )
         report = system.run(trace)
-        counts = system._journal.kind_counts()
+        counts = system._fleet.journal.kind_counts()
         assert counts["promote"] == system.cache.promotions
         assert counts["demote"] == system.cache.demotions
         if report.hit_rate > 0:
